@@ -5,7 +5,7 @@ Subcommands: ``entropy-approx``, ``project``, ``fit``, ``diagnose``,
 ``--config``.  Option precedence is flags over config file over defaults.
 
 Exit codes: 0 ok, 2 input error, 3 infeasible, 4 boundary non-attainment,
-5 identity failure.
+5 identity failure, 6 solver did not converge.
 
 All randomness flows from the single seed through named sub-streams, and
 outputs are written atomically, so a run is reproducible byte-for-byte
@@ -31,12 +31,7 @@ from .dist import (
     moments,
     total_variation,
 )
-from .errors import (
-    EmptyEvent,
-    EnumerationCapExceeded,
-    InputError,
-    MaxentError,
-)
+from .errors import ConvergenceError, InputError, MaxentError
 from .expfam import ExpFamModel
 from .jsonio import atomic_write_text, dump_json, load_json
 from .projection import SolverOptions, Status, fit_log_loss, project_inequality
@@ -46,6 +41,7 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_BOUNDARY = 4
 EXIT_IDENTITY = 5
+EXIT_CONVERGENCE = 6
 
 _STATUS_EXIT = {
     Status.CONVERGED: EXIT_OK,
@@ -435,11 +431,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.dump_config is not None:
             atomic_write_text(args.dump_config, dump_json(run_config(args).to_json()))
         return args.func(args)
-    except (EnumerationCapExceeded, EmptyEvent, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except MaxentError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ConvergenceError):
+            return EXIT_CONVERGENCE
         return EXIT_INPUT
 
 

@@ -7,8 +7,11 @@ The solver runs damped Newton with a Levenberg shift when the Fisher
 matrix is near-singular and Armijo backtracking on ``g``.
 
 Inequality constraints are handled by an active-set loop around the
-equality solver; feasibility and boundary detection are small linear
-programs over the simplex restricted to the prior's support.
+equality solver.  Feasibility and boundary detection are linear programs
+over the simplex restricted to the prior's support: the interior LP
+substitutes ``q = s + t 1`` so that "every outcome has mass at least t"
+needs no per-outcome row, leaving d + 1 rows and K + 1 columns for K
+supported outcomes and d constraints.
 """
 
 from __future__ import annotations
@@ -184,6 +187,17 @@ def _separating_witness(
     return res.x[:d]
 
 
+def _with_t_column(rows: list) -> np.ndarray | None:
+    """Stack LP rows over ``s`` and append the column of ``t``.
+
+    With ``q = s + t 1`` a row ``a . q`` becomes ``a . s + (sum a) t``.
+    """
+    if not rows:
+        return None
+    block = np.vstack(rows)
+    return np.hstack([block, block.sum(axis=1, keepdims=True)])
+
+
 def check_feasibility(
     prior: FiniteDistribution, constraints: ConstraintSet
 ) -> FeasibilityReport:
@@ -193,7 +207,14 @@ def check_feasibility(
     The boundary test asks for a feasible distribution with mass at least
     ``t > 0`` on every supported outcome: such a point exists exactly when
     the targets meet the relative interior, which is also exactly when the
-    dual optimum is attained at finite parameters.
+    dual optimum is attained at finite parameters.  Writing ``q = s + t 1``
+    with ``s, t >= 0`` turns ``q_j >= t`` into variable bounds, so the LP
+    maximizing ``t`` has d + 1 rows (the moment rows and the normalization
+    ``sum s + K t = 1``, which also bounds ``t <= 1/K``) and K + 1 columns
+    over the K supported outcomes.
+
+    Raises :class:`ConvergenceError` when the LP solver stops without
+    either an optimum or a proof of infeasibility.
     """
     constraints.features.check_alphabet(prior)
     if constraints.dim == 0:
@@ -204,31 +225,28 @@ def check_feasibility(
     a_eq.append(np.ones(k))
     b_eq.append(1.0)
 
-    # Interior LP: maximize t subject to q_j >= t and the moment rows.
     c = np.zeros(k + 1)
-    c[-1] = -1.0
-    a_eq_m = np.hstack([np.vstack(a_eq), np.zeros((len(a_eq), 1))])
-    ub_rows = [np.concatenate([row, [0.0]]) for row in a_ub]
-    ub_rows.extend(
-        np.concatenate([-e_j, [1.0]]) for e_j in np.eye(k)
-    )  # t - q_j <= 0
-    b_ub_m = list(b_ub) + [0.0] * k
+    c[-1] = -1.0  # maximize t
     res = linprog(
         c,
-        A_eq=a_eq_m,
+        A_eq=_with_t_column(a_eq),
         b_eq=np.asarray(b_eq),
-        A_ub=np.vstack(ub_rows),
-        b_ub=np.asarray(b_ub_m),
-        bounds=[(0.0, None)] * k + [(0.0, None)],
+        A_ub=_with_t_column(a_ub),
+        b_ub=np.asarray(b_ub) if b_ub else None,
+        bounds=(0.0, None),
         method="highs",
     )
-    if res.success:
+    if res.status == 0:
         t_star = float(res.x[-1])
         return FeasibilityReport(
             in_hull=True, on_boundary=t_star <= _INTERIOR_TOL, witness=None
         )
-    witness = _separating_witness(constraints, support)
-    return FeasibilityReport(in_hull=False, on_boundary=False, witness=witness)
+    if res.status == 2:
+        witness = _separating_witness(constraints, support)
+        return FeasibilityReport(in_hull=False, on_boundary=False, witness=witness)
+    raise ConvergenceError(
+        f"feasibility LP stopped with HiGHS status {res.status}: {res.message}"
+    )
 
 
 def _empty_projection(
@@ -305,13 +323,11 @@ def _newton_on_dual(
             grad = mean_parameters(model) - alpha
             return model, grad, iteration, Status.BOUNDARY_NONATTAINED, trace
         hessian = fisher_information(model)
-        shift = _levenberg_shift(hessian)
+        system = hessian + np.diag(np.full(d, _levenberg_shift(hessian)))
         try:
-            step = np.linalg.solve(
-                hessian + shift * np.eye(d), -grad
-            )
+            step = np.linalg.solve(system, -grad)
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(hessian + shift * np.eye(d), -grad, rcond=None)
+            step, *_ = np.linalg.lstsq(system, -grad, rcond=None)
         slope = float(np.dot(grad, step))
         if slope >= 0.0:  # fall back to steepest descent if the solve was bad
             step = -grad

@@ -2,7 +2,7 @@
 
 Everything here is deliberately simple and slow: exact big-integer and
 rational arithmetic for histogram probabilities, brute-force enumeration,
-and dense grids.  None of it shares code paths with the library.
+dense grids, and a dense-LP interior test.  None of it shares code paths with the library.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def iter_compositions(n: int, parts: int):
@@ -80,3 +81,47 @@ def binomial_tail_prob(n: int, k_min: int) -> Fraction:
     """Pr(X >= k_min) for X ~ Binomial(n, 1/2), exactly."""
     num = sum(math.comb(n, k) for k in range(k_min, n + 1))
     return Fraction(num, 2**n)
+
+
+def interior_lp_reference(
+    prior_probs, feature_matrix, kinds, targets, interior_tol: float = 1e-12
+) -> tuple[bool, bool]:
+    """(in_hull, on_boundary) from the direct interior LP.
+
+    Maximizes ``t`` over ``q`` on the prior's support subject to the moment
+    rows, ``sum q = 1`` and one row ``t - q_j <= 0`` per outcome (a dense
+    identity block, so only for small alphabets).  The targets are
+    attainable when the LP is feasible, and only on the polytope boundary
+    when its optimum is ``t* = 0``.
+    """
+    support = np.asarray(prior_probs) > 0
+    f = np.asarray(feature_matrix, dtype=float)[:, support]
+    k = f.shape[1]
+    a_eq, b_eq, a_ub, b_ub = [np.ones(k)], [1.0], [], []
+    for row, kind, target in zip(f, kinds, targets):
+        if kind == "eq":
+            a_eq.append(row)
+            b_eq.append(target)
+        elif kind == "ge":
+            a_ub.append(-row)
+            b_ub.append(-target)
+        else:
+            a_ub.append(row)
+            b_ub.append(target)
+    a_eq = np.hstack([np.vstack(a_eq), np.zeros((len(a_eq), 1))])
+    a_ub = np.vstack(
+        [np.concatenate([row, [0.0]]) for row in a_ub]
+        + [np.hstack([-np.eye(k), np.ones((k, 1))])]
+    )
+    b_ub = np.concatenate([b_ub, np.zeros(k)])
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    res = linprog(
+        c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
+        bounds=(0.0, None), method="highs",
+    )
+    if res.status == 2:
+        return False, False
+    if res.status != 0:
+        raise RuntimeError(f"reference LP failed: {res.message}")
+    return True, float(res.x[-1]) <= interior_tol

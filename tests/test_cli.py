@@ -101,6 +101,26 @@ def test_project_boundary_exit_code(files):
     assert code == 4
 
 
+def test_project_nonconvergence_exit_code(files, capsys):
+    tmp, write = files
+    out = tmp / "r.json"
+    code = main(
+        [
+            "project",
+            "--prior",
+            write("p.json", PRIOR),
+            "--constraints",
+            write("a.json", CONSTRAINTS_EQ),
+            "--solver-options",
+            write("o.json", {"max_iter": 1}),
+            "--output",
+            str(out),
+        ]
+    )
+    assert code == 6
+    assert "did not reach tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_project_schema_violation_diagnostic(files, capsys):
     tmp, write = files
     bad = {"outcomes": ["0", "1"], "probs": [0.9, 0.4]}  # sums to 1.3

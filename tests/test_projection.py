@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from maxentlab import (
     ConstraintSet,
+    ConvergenceError,
     FeatureSet,
     FiniteDistribution,
     InputError,
@@ -23,10 +25,11 @@ from maxentlab import (
     robust_bayes_value,
     total_variation,
 )
+from maxentlab import projection
 from maxentlab.projection import SolverOptions
 from maxentlab._rng import substream
 
-from oracles import grid_min_divergence_on_segment
+from oracles import grid_min_divergence_on_segment, interior_lp_reference
 
 LOG4 = math.log(4.0)
 
@@ -60,6 +63,75 @@ def random_instance(seed, k_max=40, d_max=5):
     return prior, features, data, rng
 
 
+LP_CASES = ("interior", "face", "zero_prior", "mixed", "infeasible")
+
+
+def lp_oracle_instance(case, seed):
+    """A seeded feasibility instance (K <= 60) and the verdict its case is
+    built to have, ``(in_hull, on_boundary)``."""
+    rng = substream(seed, 31 + LP_CASES.index(case))
+    k = int(rng.integers(6, 61))
+    d = int(rng.integers(1, 5))
+    outcomes = [str(i) for i in range(k)]
+    prior_w = rng.random(k) + 0.1
+    f = rng.normal(size=(d, k))
+    q_w = rng.random(k) + 0.05
+    kinds = ["eq"] * d
+    fixed = {}  # targets set exactly rather than drawn
+    expected = (True, False)
+    if case == "face":
+        # Feature 0 vanishes on the first half and is positive on the rest;
+        # target 0 confines Q to the first half.
+        half = k // 2
+        f = np.vstack([np.zeros(k), f])
+        f[0, half:] = rng.random(k - half) + 0.5
+        kinds = ["eq"] * (d + 1)
+        q_w[half:] = 0.0
+        expected = (True, True)
+    elif case == "zero_prior":
+        zero = rng.permutation(k)[: k // 3]
+        prior_w[zero] = 0.0
+        q_w[zero] = 0.0
+        if seed % 2:
+            # Reachable on the full simplex, not on the prior's support.
+            f = np.vstack([np.zeros(k), f])
+            f[0, zero] = 1.0
+            kinds = ["eq"] * (d + 1)
+            fixed[0] = 0.5
+            expected = (False, False)
+    elif case == "mixed":
+        kinds = [("eq", "ge", "le")[i % 3] for i in range(d + 2)]
+        f = np.vstack([f, rng.normal(size=(2, k))])
+        if seed % 2:
+            # A 0/1 feature held at >= 1 puts all mass on its ones.
+            ones = rng.permutation(k)[: k // 2]
+            f[1] = 0.0
+            f[1, ones] = 1.0
+            q_w[np.setdiff1d(np.arange(k), ones)] = 0.0
+            fixed[1] = 1.0
+            expected = (True, True)
+    targets = f @ (q_w / q_w.sum())
+    for i, kind in enumerate(kinds):
+        if i in fixed:
+            targets[i] = fixed[i]
+        elif kind == "ge":
+            targets[i] -= 0.1 * rng.random()
+        elif kind == "le":
+            targets[i] += 0.1 * rng.random()
+    if case == "infeasible":
+        if seed % 2:
+            targets[0] = f[0].max() + 0.5
+        else:
+            # A ge/le pair on one feature that cannot both hold.
+            f = np.vstack([f, f[0]])
+            kinds = ["ge"] + kinds[1:] + ["le"]
+            targets = np.append(targets, targets[0] - 0.3)
+        expected = (False, False)
+    prior = FiniteDistribution(outcomes, prior_w / prior_w.sum())
+    features = FeatureSet([f"f{i}" for i in range(len(kinds))], f)
+    return prior, ConstraintSet(features, kinds, targets), expected
+
+
 class TestFeasibility:
     def test_prior_moments_are_interior(self):
         prior, features, _, _ = random_instance(0)
@@ -85,6 +157,41 @@ class TestFeasibility:
         a = ConstraintSet(three_feature(), ["ge"], [1.5])
         rep = check_feasibility(three(), a)
         assert rep.in_hull and not rep.on_boundary
+
+    @pytest.mark.parametrize("case", LP_CASES)
+    def test_agrees_with_dense_interior_lp(self, case):
+        for seed in range(10):
+            prior, a, expected = lp_oracle_instance(case, seed)
+            rep = check_feasibility(prior, a)
+            reference = interior_lp_reference(
+                prior.probs,
+                a.features.matrix,
+                [kind.value for kind in a.kinds],
+                a.targets,
+            )
+            assert (rep.in_hull, rep.on_boundary) == reference == expected, seed
+            if rep.in_hull:
+                assert rep.witness is None
+                continue
+            v = rep.witness
+            assert v is not None, seed
+            values = v @ a.features.matrix[:, prior.support]
+            assert float(v @ a.targets) > float(values.max()), seed
+            for vi, kind in zip(v, a.kinds):
+                assert kind.value != "ge" or vi >= 0.0
+                assert kind.value != "le" or vi <= 0.0
+
+    @pytest.mark.parametrize("status", [1, 4])
+    def test_solver_failure_is_not_infeasibility(self, monkeypatch, status):
+        def stalled(*args, **kwargs):
+            return OptimizeResult(
+                status=status, success=False, message="stalled", x=None
+            )
+
+        monkeypatch.setattr(projection, "linprog", stalled)
+        a = ConstraintSet.equalities(three_feature(), [1.0])
+        with pytest.raises(ConvergenceError, match=f"status {status}: stalled"):
+            check_feasibility(three(), a)
 
 
 class TestProject:
