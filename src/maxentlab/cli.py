@@ -290,12 +290,20 @@ def cmd_sanov(args) -> int:
     if args.nested is not None:
         inner = _load_constraints(args.nested)
         nested = sv.nested_relative_probability(
-            prior, constraints, inner, args.n, opts, cap=args.cap
+            prior,
+            constraints,
+            inner,
+            args.n,
+            opts,
+            cap=args.cap,
+            projection=report.projection,
         )
         out["nested"] = nested.to_json()
     if args.curve is not None:
         n_list = _parse_n_grid(args.curve)
-        curve = sv.gibbs_conditioning_curve(prior, constraints, n_list, opts, args.cap)
+        curve = sv.gibbs_conditioning_curve(
+            prior, constraints, n_list, opts, args.cap, projection=report.projection
+        )
         curve_path = args.curve_output or (
             (args.output or "sanov") + ".curve.csv"
         )

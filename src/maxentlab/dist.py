@@ -355,24 +355,26 @@ def moments(p: FiniteDistribution, features: FeatureSet) -> np.ndarray:
     return features.matrix @ p.probs
 
 
+def constraint_mask(
+    constraints: ConstraintSet, values: np.ndarray, tol: float = MEMBERSHIP_TOL
+) -> np.ndarray:
+    """Which columns of the ``(d, M)`` matrix of moment values ``values``
+    satisfy every constraint within slack ``tol``, as a length-M mask."""
+    if tol < 0:
+        raise DomainError("membership tolerance must be non-negative")
+    kinds = constraints.kinds
+    lower = np.array([-math.inf if k is ConstraintKind.LE else -tol for k in kinds])
+    upper = np.array([math.inf if k is ConstraintKind.GE else tol for k in kinds])
+    diff = values - constraints.targets[:, None]
+    return np.all((diff >= lower[:, None]) & (diff <= upper[:, None]), axis=0)
+
+
 def constraint_contains(
     constraints: ConstraintSet, q: FiniteDistribution, tol: float = MEMBERSHIP_TOL
 ) -> bool:
     """Whether ``q`` satisfies every constraint within slack ``tol``."""
-    if tol < 0:
-        raise DomainError("membership tolerance must be non-negative")
-    if constraints.dim == 0:
-        return True
     m = moments(q, constraints.features)
-    for i, kind in enumerate(constraints.kinds):
-        diff = m[i] - constraints.targets[i]
-        if kind is ConstraintKind.EQ and abs(diff) > tol:
-            return False
-        if kind is ConstraintKind.GE and diff < -tol:
-            return False
-        if kind is ConstraintKind.LE and diff > tol:
-            return False
-    return True
+    return bool(constraint_mask(constraints, m[:, None], tol)[0])
 
 
 def mix(

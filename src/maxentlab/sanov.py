@@ -21,6 +21,7 @@ than a bound.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from ._rng import substream
-from .dist import ConstraintKind, ConstraintSet, FiniteDistribution
+from .dist import ConstraintSet, FiniteDistribution, constraint_mask
 from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .identities import IdentityReport
 from .projection import ProjectionResult, SolverOptions, Status, project_inequality
@@ -113,60 +114,76 @@ class ConditionalLaw:
 
 
 def num_compositions(n: int, parts: int) -> int:
+    """``C(n+parts-1, parts-1)``: the number of histograms of ``n`` samples
+    over ``parts`` outcomes."""
+    if parts < 1:
+        raise DomainError("need at least one part")
+    if n < 0:
+        raise DomainError(f"sample size must be non-negative, got {n}")
     return math.comb(n + parts - 1, parts - 1)
 
 
 def compositions(n: int, parts: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """All vectors of ``parts`` non-negative integers summing to ``n``.
+    """All vectors of ``parts`` non-negative integers summing to ``n``, as
+    ``int64`` rows in lexicographic order.
 
-    Raises :class:`EnumerationCapExceeded` when the count would pass ``cap``.
+    Stars and bars (Knuth, TAOCP 4A, 7.2.1.3): each composition is a choice
+    of ``parts - 1`` bar positions among ``n + parts - 1`` slots, and its
+    entries are the gaps between consecutive bars, with fixed end bars at
+    ``-1`` and ``n + parts - 1``.  Bar tuples come out of
+    ``itertools.combinations`` in lexicographic order, and so do the gaps.
+
+    Raises :class:`EnumerationCapExceeded` when the count would pass ``cap``,
+    before anything is allocated.
     """
-    if parts < 1:
-        raise DomainError("need at least one part")
     total = num_compositions(n, parts)
     if total > cap:
         raise EnumerationCapExceeded(
             f"{total} histograms exceed the cap of {cap}"
         )
-    if parts == 1:
-        return np.array([[n]], dtype=np.int64)
-    blocks = []
-    for first in range(n + 1):
-        rest = compositions(n - first, parts - 1, cap)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)
+    slots = n + parts - 1
+    bars = itertools.chain.from_iterable(
+        itertools.combinations(range(slots), parts - 1)
+    )
+    edges = np.empty((total, parts + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, 1:-1] = np.fromiter(bars, np.int64, total * (parts - 1)).reshape(
+        total, parts - 1
+    )
+    edges[:, -1] = slots
+    gaps = np.diff(edges, axis=1)
+    gaps -= 1
+    return gaps
 
 
 def _event_mask(
-    comps: np.ndarray, constraints: ConstraintSet, n: int, tol: float
+    counts: np.ndarray, constraints: ConstraintSet, n: int, tol: float
 ) -> np.ndarray:
+    """Which histogram rows of ``counts`` (``n`` samples each) lie in the event."""
     if constraints.dim == 0:
-        return np.ones(comps.shape[0], dtype=bool)
-    emp = comps.T / n  # (D, M)
-    vals = constraints.features.matrix @ emp  # (d, M)
-    mask = np.ones(comps.shape[0], dtype=bool)
-    for i, kind in enumerate(constraints.kinds):
-        diff = vals[i] - constraints.targets[i]
-        if kind is ConstraintKind.EQ:
-            mask &= np.abs(diff) <= tol
-        elif kind is ConstraintKind.GE:
-            mask &= diff >= -tol
-        else:
-            mask &= diff <= tol
-    return mask
+        return np.ones(counts.shape[0], dtype=bool)
+    values = constraints.features.matrix @ (counts.T / n)  # (d, M)
+    return constraint_mask(constraints, values, tol)
 
 
-def _log_histogram_probs(comps: np.ndarray, p: FiniteDistribution) -> np.ndarray:
-    """Vectorized exact log-probabilities of each histogram row under p."""
+def _score_histograms(
+    comps: np.ndarray, p: FiniteDistribution
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact log multinomial coefficients and log-probabilities under ``p``
+    of each histogram row, as ``(log_w, log_probs)``.
+
+    ``log Gamma`` comes from a table over ``0..n``, which holds the same
+    float64 values as evaluating it cell by cell.
+    """
     n = int(comps[0].sum())
-    log_w = gammaln(n + 1) - gammaln(comps + 1).sum(axis=1)
+    lgamma = gammaln(np.arange(1, n + 2))
+    log_w = lgamma[n] - lgamma[comps].sum(axis=1)
     supported = p.support
     out = np.full(comps.shape[0], -math.inf)
     ok = ~(comps[:, ~supported] > 0).any(axis=1)
     if np.any(ok):
         out[ok] = log_w[ok] + comps[np.ix_(ok, supported)] @ p.log_probs[supported]
-    return out
+    return log_w, out
 
 
 def _masked_log_ratio(
@@ -199,8 +216,43 @@ def _enumerate(
         constraints.features.check_alphabet(p)
     comps = compositions(n, len(p), cap)
     mask = _event_mask(comps, constraints, n, membership_tol)
-    log_probs = _log_histogram_probs(comps, p)
-    return comps, mask, log_probs
+    log_w, log_probs = _score_histograms(comps, p)
+    return comps, mask, log_w, log_probs
+
+
+def _event_stats(
+    comps: np.ndarray,
+    log_w: np.ndarray,
+    lhp: np.ndarray,
+    sel: np.ndarray,
+    p_star: FiniteDistribution,
+    n: int,
+) -> tuple[float, float, np.ndarray]:
+    """``(log_prob, divergence, mu_bar)`` of the histograms ``comps[sel]``,
+    whose log multinomial coefficients and log-probabilities are
+    ``log_w[sel]`` and ``lhp[sel]`` (all finite).
+
+    ``divergence`` is ``D(mu || P*^n)`` (not divided by ``n``) for the
+    conditional law ``mu`` given the selection, infinite when ``P*`` has no
+    support on a histogram of positive conditional mass; ``mu_bar`` is that
+    law's mean empirical measure.
+    """
+    sub = comps[sel]
+    sel_lhp = lhp[sel]
+    log_prob = float(logsumexp(sel_lhp))
+    weights = np.exp(sel_lhp - log_prob)
+    star_scores = np.full(sub.shape[0], -math.inf)
+    star_ok = ~(sub[:, ~p_star.support] > 0).any(axis=1)
+    if np.any(star_ok):
+        star_scores[star_ok] = (
+            sub[np.ix_(star_ok, p_star.support)] @ p_star.log_probs[p_star.support]
+        )
+    if np.any(~star_ok & (weights > 0)):
+        divergence = math.inf
+    else:
+        per_hist = (sel_lhp - log_prob) - log_w[sel] - star_scores
+        divergence = float(np.dot(weights, per_hist))
+    return log_prob, divergence, weights @ (sub / n)
 
 
 def enumerate_event(
@@ -210,22 +262,23 @@ def enumerate_event(
     opts: SolverOptions | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     membership_tol: float = 1e-9,
+    projection: ProjectionResult | None = None,
 ) -> SanovReport:
     """Exact event probability and finite-sample identity decomposition.
 
     The rate term comes from the information projection of ``p`` onto the
     constraints; boundary-nonattained projections are evaluated at the
-    capped parameters and flagged.
+    capped parameters and flagged.  A caller that has already solved that
+    projection passes it as ``projection``, and it is not solved again.
     """
     if n < 1:
         raise DomainError("sample size must be at least 1")
-    comps, mask, lhp = _enumerate(p, constraints, n, cap, membership_tol)
-    members = comps[mask]
-    member_lhp = lhp[mask]
-    finite = member_lhp > -math.inf
+    comps, mask, log_w, lhp = _enumerate(p, constraints, n, cap, membership_tol)
+    sel = mask & (lhp > -math.inf)
 
-    projection = project_inequality(p, constraints, opts)
-    if projection.status is Status.INFEASIBLE or not np.any(finite):
+    if projection is None:
+        projection = project_inequality(p, constraints, opts)
+    if projection.status is Status.INFEASIBLE or not np.any(sel):
         return SanovReport(
             n=n,
             log_prob=-math.inf,
@@ -238,31 +291,17 @@ def enumerate_event(
             boundary_projection=projection.status is Status.BOUNDARY_NONATTAINED,
         )
     p_star = projection.model.to_distribution()
-    rate = projection.min_divergence
-
-    log_prob = float(logsumexp(member_lhp[finite]))
-    weights = np.exp(member_lhp[finite] - log_prob)
-    sub = members[finite]
-    log_w = gammaln(n + 1) - gammaln(sub + 1).sum(axis=1)
-
-    # Grouped conditional divergence (1/n) D(mu_A || P*^n).
-    star_scores = np.full(sub.shape[0], -math.inf)
-    star_ok = ~(sub[:, ~p_star.support] > 0).any(axis=1)
-    if np.any(star_ok):
-        star_scores[star_ok] = (
-            sub[np.ix_(star_ok, p_star.support)] @ p_star.log_probs[p_star.support]
-        )
-    if np.any(~star_ok & (weights > 0)):
+    log_prob, divergence, mu_bar = _event_stats(comps, log_w, lhp, sel, p_star, n)
+    if math.isinf(divergence):
         # The capped projection has no support on part of the event; the
         # conditional divergence is infinite and the identity cannot close.
         conditional_div = math.inf
         gap = math.nan
         residual = math.inf
     else:
-        per_hist = (member_lhp[finite] - log_prob) - log_w - star_scores
-        conditional_div = float(np.dot(weights, per_hist)) / n
+        # Grouped conditional divergence (1/n) D(mu_A || P*^n).
+        conditional_div = divergence / n
         # Pythagorean gap: (E_mu_bar - E_P*)[log(P*/P)].
-        mu_bar = weights @ (sub / n)
         log_ratio_mu = _masked_log_ratio(mu_bar, p_star.log_probs, p.log_probs)
         log_ratio_star = _masked_log_ratio(
             p_star.probs, p_star.log_probs, p.log_probs
@@ -272,7 +311,7 @@ def enumerate_event(
     return SanovReport(
         n=n,
         log_prob=log_prob,
-        rate=rate,
+        rate=projection.min_divergence,
         residual=residual,
         num_histograms_in_event=int(mask.sum()),
         method=Method.EXACT,
@@ -291,7 +330,7 @@ def conditional_law(
     membership_tol: float = 1e-9,
 ) -> ConditionalLaw:
     """Histogram-level conditional law given the event; masses sum to 1."""
-    comps, mask, lhp = _enumerate(p, constraints, n, cap, membership_tol)
+    comps, mask, _, lhp = _enumerate(p, constraints, n, cap, membership_tol)
     member_lhp = lhp[mask]
     finite = member_lhp > -math.inf
     if not np.any(finite):
@@ -309,16 +348,23 @@ def gibbs_conditioning_curve(
     opts: SolverOptions | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     membership_tol: float = 1e-9,
+    projection: ProjectionResult | None = None,
 ) -> list[SanovReport]:
     """Per-``n`` identity decompositions along a sample-size schedule.
 
-    The conditional residual tends to zero but is not asserted monotone;
-    consumers compare endpoints.
+    The projection does not depend on ``n``: it is solved once (or taken
+    from ``projection``) and shared by every point.  The conditional
+    residual tends to zero but is not asserted monotone; consumers compare
+    endpoints.
     """
-    return [
-        enumerate_event(p, constraints, n, opts, cap, membership_tol)
-        for n in n_list
-    ]
+    reports = []
+    for n in n_list:
+        report = enumerate_event(
+            p, constraints, n, opts, cap, membership_tol, projection=projection
+        )
+        projection = report.projection
+        reports.append(report)
+    return reports
 
 
 def gibbs_curve_csv(reports: list[SanovReport]) -> str:
@@ -336,6 +382,7 @@ def nested_relative_probability(
     opts: SolverOptions | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     membership_tol: float = 1e-9,
+    projection: ProjectionResult | None = None,
 ) -> IdentityReport:
     """Relative probability of a nested event via the projection of the
     outer one: checks
@@ -344,9 +391,11 @@ def nested_relative_probability(
 
     where the slack term ``n (E_mu_bar_B - E_mu_bar_A)[log(P/P*)]``
     vanishes for equality-type outer constraints.  Containment of the
-    inner event in the outer one is verified by enumeration.
+    inner event in the outer one is verified by enumeration.  A caller
+    that has already projected ``p`` onto ``outer`` passes the result as
+    ``projection``, and it is not solved again.
     """
-    comps, mask_outer, lhp = _enumerate(p, outer, n, cap, membership_tol)
+    comps, mask_outer, log_w, lhp = _enumerate(p, outer, n, cap, membership_tol)
     mask_inner = _event_mask(comps, inner, n, membership_tol)
     if np.any(mask_inner & ~mask_outer):
         raise DomainError(
@@ -356,27 +405,15 @@ def nested_relative_probability(
     if not np.any(mask_outer & finite) or not np.any(mask_inner & finite):
         raise EmptyEvent("both events must have positive probability")
 
-    projection = project_inequality(p, outer, opts)
+    if projection is None:
+        projection = project_inequality(p, outer, opts)
     p_star = projection.model.to_distribution()
-
-    def event_stats(mask: np.ndarray):
-        sel = mask & finite
-        sub = comps[sel]
-        log_prob = float(logsumexp(lhp[sel]))
-        weights = np.exp(lhp[sel] - log_prob)
-        log_w = gammaln(n + 1) - gammaln(sub + 1).sum(axis=1)
-        scores = np.full(sub.shape[0], -math.inf)
-        ok = ~(sub[:, ~p_star.support] > 0).any(axis=1)
-        if np.any(ok):
-            scores[ok] = (
-                sub[np.ix_(ok, p_star.support)] @ p_star.log_probs[p_star.support]
-            )
-        div = float(np.dot(weights, (lhp[sel] - log_prob) - log_w - scores))
-        mu_bar = weights @ (sub / n)
-        return log_prob, div, mu_bar
-
-    log_prob_outer, div_outer, mu_bar_outer = event_stats(mask_outer)
-    log_prob_inner, div_inner, mu_bar_inner = event_stats(mask_inner)
+    log_prob_outer, div_outer, mu_bar_outer = _event_stats(
+        comps, log_w, lhp, mask_outer & finite, p_star, n
+    )
+    log_prob_inner, div_inner, mu_bar_inner = _event_stats(
+        comps, log_w, lhp, mask_inner & finite, p_star, n
+    )
 
     direct = log_prob_inner - log_prob_outer
     slack = n * _masked_log_ratio(
@@ -430,6 +467,8 @@ def monte_carlo_event(
     rate term stays exact (projection); the residual is the
     identity-implied estimate and is flagged by ``method``.
     """
+    if n < 1:
+        raise DomainError("sample size must be at least 1")
     if trials < 1:
         raise DomainError("need at least one trial")
     if constraints.dim:
@@ -441,19 +480,7 @@ def monte_carlo_event(
         size = min(_MC_CHUNK, trials - idx * _MC_CHUNK)
         rng = substream(seed, idx)
         counts = rng.multinomial(n, p.probs, size=size)
-        if constraints.dim == 0:
-            return size
-        vals = constraints.features.matrix @ (counts.T / n)
-        ok = np.ones(size, dtype=bool)
-        for i, kind in enumerate(constraints.kinds):
-            diff = vals[i] - constraints.targets[i]
-            if kind is ConstraintKind.EQ:
-                ok &= np.abs(diff) <= membership_tol
-            elif kind is ConstraintKind.GE:
-                ok &= diff >= -membership_tol
-            else:
-                ok &= diff <= membership_tol
-        return int(ok.sum())
+        return int(_event_mask(counts, constraints, n, membership_tol).sum())
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

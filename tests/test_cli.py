@@ -382,6 +382,83 @@ def test_sanov_monte_carlo_mode(files):
     assert report["wilson_low"] <= 56 / 1024 + 0.01
 
 
+@pytest.mark.parametrize(
+    "n, extra", [("-5", []), ("-5", ["--monte-carlo"]), ("0", ["--monte-carlo"])]
+)
+def test_sanov_bad_sample_size_is_input_error(files, capsys, n, extra):
+    tmp, write = files
+    code = main(
+        [
+            "sanov",
+            "--prior",
+            write("p.json", PRIOR),
+            "--constraints",
+            write("a.json", CONSTRAINTS_GE),
+            "--n",
+            n,
+            "--output",
+            str(tmp / "s.json"),
+        ]
+        + extra
+    )
+    assert code == 2
+    assert "sample size" in capsys.readouterr().err
+    assert not (tmp / "s.json").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [],
+        ["--nested", "inner"],
+        ["--curve", "10,20,40"],
+        ["--nested", "inner", "--curve", "10,20"],
+    ],
+)
+def test_sanov_projects_once_per_command(files, monkeypatch, extra):
+    # The projection does not depend on n, and --nested projects onto the
+    # main event: one solve serves the report, the nested check and the curve.
+    from maxentlab import cli, sanov
+
+    calls = []
+    solve = sanov.project_inequality
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "project_inequality", counted)
+    monkeypatch.setattr(sanov, "project_inequality", counted)
+    tmp, write = files
+    if "inner" in extra:
+        extra[extra.index("inner")] = write("b.json", CONSTRAINTS_GE9)
+    if "--curve" in extra:
+        extra += ["--curve-output", str(tmp / "curve.csv")]
+    out = tmp / "s.json"
+    code = main(
+        [
+            "sanov",
+            "--prior",
+            write("p.json", PRIOR),
+            "--constraints",
+            write("a.json", CONSTRAINTS_GE),
+            "--n",
+            "10",
+            "--output",
+            str(out),
+        ]
+        + extra
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert calls[0].targets.tolist() == [0.8]
+    report = json.loads(out.read_text())
+    if "--nested" in extra:
+        assert report["nested"]["pass"]
+    if "--curve" in extra:
+        assert (tmp / "curve.csv").exists()
+
+
 def test_entropy_approx_csv(files):
     tmp, write = files
     out = tmp / "exp.csv"

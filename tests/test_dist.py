@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from maxentlab import (
     ConstraintSet,
+    DomainError,
     EmpiricalMeasure,
     FeatureSet,
     FiniteDistribution,
@@ -23,6 +24,7 @@ from maxentlab import (
     moments,
 )
 from maxentlab._rng import substream
+from maxentlab.dist import constraint_mask
 
 
 def dist(*probs):
@@ -174,6 +176,40 @@ class TestMembership:
         a = ConstraintSet(f, ["ge"], [0.8])
         assert not constraint_contains(a, dist(0.5, 0.5))
         assert constraint_contains(a, dist(0.1, 0.9))
+
+    def test_negative_tolerance_rejected(self):
+        f = FeatureSet(["x"], [[0.0, 1.0]])
+        a = ConstraintSet(f, ["ge"], [0.8])
+        with pytest.raises(DomainError):
+            constraint_contains(a, dist(0.1, 0.9), -1e-9)
+        with pytest.raises(DomainError):
+            constraint_mask(a, np.zeros((1, 4)), -1e-9)
+
+    def test_mask_agrees_with_per_constraint_rule(self):
+        # Values on, just inside and just outside each slack edge, and NaN.
+        tol = 1e-3
+        f = FeatureSet(["a", "b", "c"], np.zeros((3, 2)))
+        a = ConstraintSet(f, ["eq", "ge", "le"], [0.5, -1.0, 2.0])
+        offsets = np.array([0.0, tol, -tol, 2 * tol, -2 * tol, 0.5 * tol, math.nan])
+        grid = np.array(np.meshgrid(offsets, offsets, offsets)).reshape(3, -1)
+        values = a.targets[:, None] + grid
+        diff = values - a.targets[:, None]
+        want = (np.abs(diff[0]) <= tol) & (diff[1] >= -tol) & (diff[2] <= tol)
+        got = constraint_mask(a, values, tol)
+        assert got.dtype == bool and got.shape == (values.shape[1],)
+        np.testing.assert_array_equal(got, want)
+        for j in range(values.shape[1]):
+            q = values[:, j]
+            if np.isnan(q).any():
+                continue
+            # one column through the scalar entry point
+            f1 = FeatureSet(["a", "b", "c"], np.tile(q[:, None], (1, 2)))
+            a1 = ConstraintSet(f1, a.kinds, a.targets)
+            assert constraint_contains(a1, dist(0.5, 0.5), tol) == want[j]
+
+    def test_mask_of_empty_constraint_set_is_all_true(self):
+        a = ConstraintSet.equalities(FeatureSet.empty(3), [])
+        assert constraint_mask(a, np.zeros((0, 5))).tolist() == [True] * 5
 
 
 class TestConstruction:

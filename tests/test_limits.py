@@ -1,14 +1,17 @@
-"""Projection at the advertised alphabet size: 5e4 outcomes.
+"""The advertised limits: projection at 5e4 outcomes, and exact event
+enumeration at the default cap of 2e6 histograms.
 
 The feasibility LP must stay linear in the alphabet size: a dense K x K
 block at this size would need ~18.6 GiB, so a bound on the peak traced
-allocation keeps one from coming back.
+allocation keeps one from coming back.  Enumeration at the cap must stay
+within a wall-time and memory budget.
 """
 
 import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from maxentlab import (
     ConstraintSet,
@@ -16,11 +19,13 @@ from maxentlab import (
     FiniteDistribution,
     Status,
     check_feasibility,
+    enumerate_event,
     project,
     project_inequality,
 )
 from maxentlab import projection
 from maxentlab.projection import SolverOptions
+from maxentlab.sanov import DEFAULT_ENUMERATION_CAP, num_compositions
 from maxentlab._rng import substream
 
 K = 50_000
@@ -82,3 +87,36 @@ def test_projection_at_5e4_outcomes(monkeypatch):
     assert len(peaks) >= 5
     assert elapsed <= 20.0
     assert max(peaks) < 1 << 30
+
+
+@pytest.mark.parametrize("parts, n", [(3, 1998), (6, 44)])
+def test_enumeration_at_the_histogram_cap(parts, n):
+    # Just under DEFAULT_ENUMERATION_CAP: 1,999,000 and 1,906,884 histograms.
+    total = num_compositions(n, parts)
+    assert 0.95 * DEFAULT_ENUMERATION_CAP < total <= DEFAULT_ENUMERATION_CAP
+    rng = substream(2, parts)
+    w = rng.random(parts) + 0.5
+    prior = FiniteDistribution([str(i) for i in range(parts)], w / w.sum())
+    row = rng.normal(size=(1, parts))
+    mean, top = float(prior.probs @ row[0]), float(row[0].max())
+    event = ConstraintSet(FeatureSet(["f"], row), ["ge"], [mean + 0.3 * (top - mean)])
+
+    t0 = time.perf_counter()
+    report = enumerate_event(prior, event, n)
+    elapsed = time.perf_counter() - t0
+    assert not report.empty_event and not report.boundary_projection
+    assert 0 < report.num_histograms_in_event < total
+    assert abs(report.identity_defect()) <= 1e-10
+    assert elapsed <= 10.0
+
+    # The peak comes from a second, traced run: tracemalloc costs a few
+    # microseconds per Python allocation, and the enumeration makes one
+    # small iterator per histogram, so a traced run is ~4x slower.
+    tracemalloc.start()
+    try:
+        traced = enumerate_event(prior, event, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced.to_json() == report.to_json()
+    assert peak < 1 << 30

@@ -2,6 +2,8 @@
 identity; the conditional law; nested events; Monte Carlo estimates."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from maxentlab import (
     monte_carlo_event,
     nested_relative_probability,
 )
+from maxentlab import sanov
 from maxentlab.sanov import gibbs_curve_csv, num_compositions
 from maxentlab._rng import substream
 
@@ -42,9 +45,13 @@ class TestCompositions:
         assert compositions(6, 4).shape == (num_compositions(6, 4), 4)
 
     def test_matches_reference_enumeration(self):
-        got = {tuple(row) for row in compositions(5, 3)}
-        want = set(iter_compositions(5, 3))
-        assert got == want
+        # Same rows in the same (lexicographic) order as the recursive oracle.
+        for parts in (1, 2, 3, 6):
+            for n in (0, 1, 2, 5, 9):
+                comps = compositions(n, parts)
+                assert comps.dtype == np.int64
+                want = list(iter_compositions(n, parts))
+                assert list(map(tuple, comps)) == want, (n, parts)
 
     def test_rows_sum_to_n(self):
         comps = compositions(7, 4)
@@ -53,6 +60,28 @@ class TestCompositions:
     def test_cap_enforced(self):
         with pytest.raises(EnumerationCapExceeded):
             compositions(100, 6, cap=1000)
+
+    def test_cap_checked_before_allocating(self):
+        # C(10**6 + 9, 9) ~ 2.8e48 rows: only the count may be computed.
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(EnumerationCapExceeded):
+                compositions(10**6, 10)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 1 << 20
+
+    def test_negative_sample_size_is_domain_error(self):
+        with pytest.raises(DomainError, match="sample size"):
+            num_compositions(-1, 3)
+        with pytest.raises(DomainError, match="sample size"):
+            compositions(-1, 3)
+        with pytest.raises(DomainError):
+            compositions(3, 0)
 
 
 class TestEnumerateEvent:
@@ -133,6 +162,21 @@ class TestEnumerateEvent:
                 total += math.exp(report.log_prob)
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_given_projection_is_used_unchanged(self, monkeypatch):
+        p = FiniteDistribution(["0", "1", "2"], [0.5, 0.3, 0.2])
+        constraints = ConstraintSet(
+            FeatureSet(["x"], [[0.0, 1.0, 2.0]]), ["ge"], [1.1]
+        )
+        solved = enumerate_event(p, constraints, 9)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("projection solved again")
+
+        monkeypatch.setattr(sanov, "project_inequality", no_solve)
+        reused = enumerate_event(p, constraints, 9, projection=solved.projection)
+        assert reused.projection is solved.projection
+        assert reused == solved
+
     def test_cap_exceeded(self):
         p = FiniteDistribution([str(i) for i in range(30)], [1 / 30] * 30)
         with pytest.raises(EnumerationCapExceeded):
@@ -186,6 +230,19 @@ class TestGibbsConditioning:
         # only histogram (0,1) qualifies; its conditional mass is 1
         assert math.exp(report.log_prob) == pytest.approx(0.7, rel=1e-12)
         assert abs(report.identity_defect()) <= 1e-10
+
+    def test_projection_solved_once(self, monkeypatch):
+        calls = []
+        solve = sanov.project_inequality
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sanov, "project_inequality", counted)
+        curve = gibbs_conditioning_curve(coin(), tail_event(0.8), [10, 20, 40])
+        assert len(calls) == 1
+        assert all(r.projection is curve[0].projection for r in curve)
 
     def test_csv_rendering(self):
         curve = gibbs_conditioning_curve(coin(), tail_event(0.8), [10, 20])
@@ -246,6 +303,12 @@ class TestMonteCarlo:
         assert report.residual == pytest.approx(
             -report.log_prob / 10 - report.rate, abs=1e-15
         )
+
+    def test_sample_size_must_be_positive(self):
+        with pytest.raises(DomainError, match="sample size"):
+            monte_carlo_event(
+                coin(), ConstraintSet.equalities(FeatureSet.empty(2), []), 0, 10
+            )
 
     def test_impossible_event_flagged(self):
         f = FeatureSet(["x"], [[0.0, 1.0]])
