@@ -230,6 +230,11 @@ def _diagnose_from_files(args, opts: SolverOptions):
 
 
 def cmd_diagnose(args) -> int:
+    if args.random and args.solver_options is not None:
+        raise InputError(
+            "--solver-options does not apply to diagnose --random, whose "
+            "instances use their own solver settings"
+        )
     opts = _solver_options(args)
     blocks = []
     failures = []
@@ -262,19 +267,28 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _check_cap(n: int, parts: int, cap: int, hint: str) -> None:
+    total = sv.num_compositions(n, parts)
+    if total > cap:
+        raise InputError(f"{total} histograms exceed the cap of {cap}{hint}")
+
+
 def cmd_sanov(args) -> int:
     _require_args(args, "prior", "constraints", "n")
     prior = _load_distribution(args.prior)
     constraints = _load_constraints(args.constraints)
     opts = _solver_options(args)
-    total = sv.num_compositions(args.n, len(prior))
-    use_monte_carlo = args.monte_carlo
-    if total > args.cap and not use_monte_carlo:
-        raise InputError(
-            f"{total} histograms exceed the cap of {args.cap}; "
-            "pass --monte-carlo to estimate instead"
-        )
-    if use_monte_carlo:
+    # Every enumeration the command will run is checked against the cap
+    # before any of them starts; a Monte Carlo report alone needs no count.
+    k = len(prior)
+    if not args.monte_carlo:
+        _check_cap(args.n, k, args.cap, "; pass --monte-carlo to estimate instead")
+    elif args.nested is not None:
+        _check_cap(args.n, k, args.cap, " (--nested)")
+    n_list = _parse_n_grid(args.curve) if args.curve is not None else []
+    if n_list:
+        _check_cap(max(n_list), k, args.cap, " (--curve)")
+    if args.monte_carlo:
         report = sv.monte_carlo_event(
             prior,
             constraints,
@@ -300,7 +314,6 @@ def cmd_sanov(args) -> int:
         )
         out["nested"] = nested.to_json()
     if args.curve is not None:
-        n_list = _parse_n_grid(args.curve)
         curve = sv.gibbs_conditioning_curve(
             prior, constraints, n_list, opts, args.cap, projection=report.projection
         )

@@ -40,6 +40,16 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+class _Labels(tuple):
+    """Outcome labels that are already strings and unique.
+
+    A distribution stores its labels as this type, so a distribution built
+    from another's ``outcomes`` skips re-validating them.
+    """
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """A probability vector over an explicit finite alphabet.
@@ -60,9 +70,10 @@ class FiniteDistribution:
     log_probs: np.ndarray = field(repr=False, default=None)
 
     def __init__(self, outcomes, probs):
-        outcomes = tuple(str(x) for x in outcomes)
-        if len(set(outcomes)) != len(outcomes):
-            raise InputError("outcome labels must be unique")
+        if type(outcomes) is not _Labels:
+            outcomes = _Labels(str(x) for x in outcomes)
+            if len(set(outcomes)) != len(outcomes):
+                raise InputError("outcome labels must be unique")
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.shape[0] != len(outcomes):
             raise ShapeMismatch(

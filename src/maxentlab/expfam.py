@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dist import (
     FeatureSet,
@@ -29,6 +28,22 @@ from .dist import (
 from .errors import DomainError, FamilyMismatch, InputError
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """``log sum exp(a)`` of a non-empty vector of finite floats.
+
+    The maximal terms are taken out of the sum and counted (``m``), so the
+    result is ``log1p(s) + log(m) + max`` with ``s`` the shifted sum of the
+    remaining terms over ``m``: the same operations, in the same order, as
+    ``scipy.special.logsumexp`` (scipy >= 1.15), without its array-API
+    dispatch and its second pass for infinite results.
+    """
+    top = a.max()
+    at_top = a == top
+    m = np.float64(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum() / m
+    return float(np.log1p(s) + np.log(m) + top)
+
+
 def compute_log_partition(
     prior: FiniteDistribution, features: FeatureSet, lam: np.ndarray
 ) -> float:
@@ -38,7 +53,7 @@ def compute_log_partition(
     scores = prior.log_probs[mask]
     if features.dim:
         scores = scores + lam @ features.matrix[:, mask]
-    return float(logsumexp(scores))
+    return _logsumexp(scores)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,11 +27,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from ._rng import substream
 from .dist import ConstraintSet, FiniteDistribution, constraint_mask
 from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
+from .expfam import _logsumexp
 from .identities import IdentityReport
 from .projection import ProjectionResult, SolverOptions, Status, project_inequality
 
@@ -239,7 +240,7 @@ def _event_stats(
     """
     sub = comps[sel]
     sel_lhp = lhp[sel]
-    log_prob = float(logsumexp(sel_lhp))
+    log_prob = _logsumexp(sel_lhp)
     weights = np.exp(sel_lhp - log_prob)
     star_scores = np.full(sub.shape[0], -math.inf)
     star_ok = ~(sub[:, ~p_star.support] > 0).any(axis=1)
@@ -336,7 +337,7 @@ def conditional_law(
     if not np.any(finite):
         raise EmptyEvent("the event has probability zero at this sample size")
     histograms = comps[mask][finite]
-    log_prob = float(logsumexp(member_lhp[finite]))
+    log_prob = _logsumexp(member_lhp[finite])
     masses = np.exp(member_lhp[finite] - log_prob)
     return ConditionalLaw(histograms=histograms, masses=masses, n=n)
 

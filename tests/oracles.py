@@ -2,7 +2,8 @@
 
 Everything here is deliberately simple and slow: exact big-integer and
 rational arithmetic for histogram probabilities, brute-force enumeration,
-dense grids, and a dense-LP interior test.  None of it shares code paths with the library.
+dense grids, a dense-LP interior test, and a full-grid root bracket.  None
+of it shares code paths with the library.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 
 
 def iter_compositions(n: int, parts: int):
@@ -125,3 +126,20 @@ def interior_lp_reference(
     if res.status != 0:
         raise RuntimeError(f"reference LP failed: {res.message}")
     return True, float(res.x[-1]) <= interior_tol
+
+
+def match_scale_full_grid(objective, lo: float = 1e-3, hi: float = 1e3):
+    """Root of ``objective`` on ``[lo, hi]`` by the full-grid scan: all 61
+    log-spaced points are evaluated, the first exact zero wins, else the
+    first sign change is bisected.  ``None`` when there is no bracket."""
+    grid = np.geomspace(lo, hi, 61)
+    values = [objective(c) for c in grid]
+    for v, c in zip(values, grid):
+        if v == 0.0:
+            return float(c)
+    for k in range(len(grid) - 1):
+        if values[k] * values[k + 1] < 0:
+            return float(
+                brentq(objective, grid[k], grid[k + 1], xtol=1e-14, rtol=1e-15)
+            )
+    return None

@@ -257,6 +257,28 @@ def test_diagnose_random_instances(files):
     assert len(report["instances"]) == 5
 
 
+def test_diagnose_random_rejects_solver_options(files, capsys):
+    # The random suite solves with its own settings; a solver-options file
+    # would be ignored, so the combination is an input error.
+    tmp, write = files
+    out = tmp / "diag.json"
+    code = main(
+        [
+            "diagnose",
+            "--random",
+            "--instances",
+            "2",
+            "--solver-options",
+            write("opts.json", {"max_iter": 5}),
+            "--output",
+            str(out),
+        ]
+    )
+    assert code == 2
+    assert "--solver-options" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagnose_fixture_files(files):
     tmp, write = files
     data = {"outcomes": ["0", "1"], "probs": [0.2, 0.8]}
@@ -380,6 +402,90 @@ def test_sanov_monte_carlo_mode(files):
     report = json.loads(out.read_text())
     assert report["method"] == "monte-carlo"
     assert report["wilson_low"] <= 56 / 1024 + 0.01
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--nested", "inner"],
+        ["--curve", "10,100"],
+        ["--curve", "100", "--nested", "inner"],
+    ],
+)
+def test_sanov_cap_checked_before_monte_carlo(files, monkeypatch, capsys, extra):
+    # --nested and --curve enumerate exactly even with --monte-carlo; past
+    # the cap the command fails before estimating anything.
+    from maxentlab import cli
+
+    calls = []
+    estimate = cli.sv.monte_carlo_event
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli.sv, "monte_carlo_event", counted)
+    tmp, write = files
+    if "inner" in extra:
+        extra[extra.index("inner")] = write("b.json", CONSTRAINTS_GE9)
+    out = tmp / "s.json"
+    code = main(
+        [
+            "sanov",
+            "--prior",
+            write("p.json", PRIOR),
+            "--constraints",
+            write("a.json", CONSTRAINTS_GE),
+            "--n",
+            "100",
+            "--cap",
+            "50",
+            "--monte-carlo",
+            "--trials",
+            "1000",
+            "--curve-output",
+            str(tmp / "curve.csv"),
+            "--output",
+            str(out),
+        ]
+        + extra
+    )
+    assert code == 2
+    assert calls == []
+    assert "101 histograms exceed the cap of 50" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp / "curve.csv").exists()
+
+
+def test_sanov_monte_carlo_alone_counts_no_histograms(files, monkeypatch):
+    from maxentlab import cli
+
+    def refuse(*args):
+        raise AssertionError("Monte Carlo needs no histogram count")
+
+    monkeypatch.setattr(cli.sv, "num_compositions", refuse)
+    tmp, write = files
+    out = tmp / "mc.json"
+    code = main(
+        [
+            "sanov",
+            "--prior",
+            write("p.json", PRIOR),
+            "--constraints",
+            write("a.json", CONSTRAINTS_GE),
+            "--n",
+            "100",
+            "--cap",
+            "50",
+            "--monte-carlo",
+            "--trials",
+            "1000",
+            "--output",
+            str(out),
+        ]
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["trials"] == 1000
 
 
 @pytest.mark.parametrize(

@@ -242,6 +242,27 @@ class TestConstruction:
         p = dist(1.0, 0.0)
         assert p.log_probs[1] == -math.inf
 
+    def test_validated_labels_are_reused(self):
+        p = FiniteDistribution([1, "b", 3.5], [0.2, 0.3, 0.5])
+        assert p.outcomes == ("1", "b", "3.5")
+        q = FiniteDistribution(p.outcomes, [0.5, 0.25, 0.25])
+        assert q.outcomes is p.outcomes
+        assert mix(p, q, 0.5).outcomes is p.outcomes
+
+    @pytest.mark.parametrize(
+        "probs, error",
+        [
+            ([0.5, math.nan, 0.5], InputError),
+            ([-0.1, 0.6, 0.5], InputError),
+            ([0.5, 0.5, 0.5], InputError),
+            ([1.0, 0.0], ShapeMismatch),
+        ],
+    )
+    def test_reused_labels_keep_every_numeric_check(self, probs, error):
+        p = FiniteDistribution(["a", "b", "c"], [0.2, 0.3, 0.5])
+        with pytest.raises(error):
+            FiniteDistribution(p.outcomes, probs)
+
     def test_normalization_always_within_1e12(self):
         rng = substream(9, 7)
         for _ in range(200):

@@ -5,6 +5,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from maxentlab import (
     ExpFamModel,
@@ -26,10 +30,13 @@ from maxentlab import (
     model_cross_entropy,
     model_entropy,
 )
-from maxentlab.expfam import compute_log_partition
+from maxentlab.expfam import _logsumexp, compute_log_partition
 from maxentlab._rng import substream
 
 LOG4 = math.log(4.0)
+# scipy 1.15 took the maximal terms out of the sum; earlier releases used a
+# different formula, so only newer ones agree with the kernel to the bit.
+SCIPY_SPLITS_MAX = tuple(map(int, scipy.__version__.split(".")[:2])) >= (1, 15)
 
 
 @pytest.fixture
@@ -93,6 +100,41 @@ class TestLogPartition:
             a1 = compute_log_partition(m.prior, m.features, lam1)
             a2 = compute_log_partition(m.prior, m.features, lam2)
             assert a_mix <= w * a1 + (1 - w) * a2 + 1e-12
+
+
+def _assert_matches_scipy(a: np.ndarray) -> None:
+    expected = float(logsumexp(a))
+    if SCIPY_SPLITS_MAX:
+        assert _logsumexp(a) == expected
+    else:
+        assert _logsumexp(a) == pytest.approx(expected, rel=1e-14, abs=1e-12)
+
+
+class TestLogSumExpKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64))
+    def test_short_vectors(self, values):
+        _assert_matches_scipy(np.array(values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 50_000),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 3.0),
+        ties=st.integers(0, 8),
+        rounded=st.booleans(),
+    )
+    def test_long_vectors_with_ties(self, k, seed, log_scale, ties, rounded):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0.0, 10.0**log_scale, k).clip(-1e3, 1e3)
+        if rounded:
+            a = np.round(a)
+        a[rng.integers(0, k, size=ties)] = a.max()
+        _assert_matches_scipy(a)
+
+    def test_single_term_is_exact(self):
+        for x in (-1e3, -0.5, 0.0, 3.25, 1e3):
+            assert _logsumexp(np.array([x])) == x
 
 
 class TestMeanParameters:

@@ -25,8 +25,12 @@ from maxentlab import (
     robustness,
     run_identity_suite,
 )
+from maxentlab import identities as ident
+from maxentlab.cli import main
+from maxentlab.errors import EnergyMatchingError
 from maxentlab.identities import random_instance, run_instance
 from maxentlab._rng import substream
+from oracles import match_scale_full_grid
 
 LOG4 = math.log(4.0)
 
@@ -295,3 +299,60 @@ class TestSuite:
                     assert rep.details["gap"] >= -1e-10
                 if rep.name == "bogoliubov_lower":
                     assert rep.details["gap"] <= 1e-10
+
+
+class TestIdentitySuiteWork:
+    def test_scale_scan_matches_full_grid_reference(self, monkeypatch):
+        # Every energy-matching objective the suite solves on instances
+        # 0-99 (accepted and rejected candidates) gets the same scale from
+        # the first-bracket scan as from the full-grid reference.
+        scan = ident._match_scale
+        checked = []
+
+        def compared(objective):
+            expected = match_scale_full_grid(objective)
+            try:
+                got = scan(objective)
+            except EnergyMatchingError:
+                assert expected is None
+                raise
+            assert got == expected
+            checked.append(got)
+            return got
+
+        monkeypatch.setattr(ident, "_match_scale", compared)
+        for seed in range(100):
+            random_instance(seed)
+        assert len(checked) >= 200
+
+    def test_one_bogoliubov_solve_per_attempt(self, monkeypatch, tmp_path):
+        calls = []
+        attempts = []
+        solve = ident.bogoliubov
+        make_features = ident.FeatureSet
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        def features(names, matrix):
+            # Each variational candidate gets features named g0, g1, ...
+            if names[0] == "g0":
+                attempts.append(1)
+            return make_features(names, matrix)
+
+        monkeypatch.setattr(ident, "bogoliubov", counted)
+        monkeypatch.setattr(ident, "FeatureSet", features)
+        instance = random_instance(3)
+        calls.clear()
+        reports = run_instance(instance)
+        assert calls == []
+        fresh = solve(instance.model, instance.variational)
+        assert [r.to_json() for r in reports[-2:]] == [r.to_json() for r in fresh]
+
+        calls.clear()
+        attempts.clear()
+        out = tmp_path / "d.json"
+        args = ["diagnose", "--random", "--instances", "3", "--output", str(out)]
+        assert main(args) == 0
+        assert len(calls) == len(attempts) > 3
