@@ -2,7 +2,8 @@
 
 Subcommands: ``entropy-approx``, ``project``, ``fit``, ``diagnose``,
 ``sanov``.  Global flags: ``--seed``, ``--threads``, ``--output``,
-``--config``.  Option precedence is flags over config file over defaults.
+``--config``, ``--dump-config``.  Option precedence is flags over config
+file over defaults; a ``--dump-config`` file is a valid ``--config`` file.
 
 Exit codes: 0 ok, 2 input error, 3 infeasible, 4 boundary non-attainment,
 5 identity failure, 6 solver did not converge.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,25 +51,6 @@ _STATUS_EXIT = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run's output (threads excluded: thread
-    count never changes results, only wall time)."""
-
-    command: str
-    seed: int = 0
-    output: str | None = None
-    params: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "output": self.output,
-            "params": dict(self.params),
-        }
-
-
 def _require_args(args, *names: str) -> None:
     missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
@@ -80,21 +62,19 @@ def _require_args(args, *names: str) -> None:
 def _parse_n_grid(text: str) -> list[int]:
     """Comma list (``5000,10000``) or doubling span (``5000..80000``)."""
     text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if lo < 1 or hi < lo:
-            raise InputError(f"bad n range {text!r}")
-        grid = []
-        n = lo
-        while n <= hi:
-            grid.append(n)
-            n *= 2
-        return grid
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        if ".." not in text:
+            return [int(tok) for tok in text.split(",") if tok.strip()]
+        lo, hi = (int(tok) for tok in text.split("..", 1))
     except ValueError as exc:
         raise InputError(f"bad n grid {text!r}") from exc
+    if lo < 1 or hi < lo:
+        raise InputError(f"bad n range {text!r}")
+    grid = []
+    while lo <= hi:
+        grid.append(lo)
+        lo *= 2
+    return grid
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -104,25 +84,23 @@ def _emit(path: str | None, text: str) -> None:
         atomic_write_text(path, text)
 
 
-def _load_distribution(path: str) -> FiniteDistribution:
-    return FiniteDistribution.from_json(load_json(path))
-
-
-def _load_features(path: str) -> FeatureSet:
-    return FeatureSet.from_json(load_json(path))
-
-
-def _load_constraints(path: str) -> ConstraintSet:
-    return ConstraintSet.from_json(load_json(path))
+def _load(cls, path: str):
+    """An instance of ``cls`` from the JSON file at ``path``."""
+    return cls.from_json(load_json(path))
 
 
 def _solver_options(args) -> SolverOptions:
-    if getattr(args, "solver_options", None):
+    """The ``--solver-options`` file's settings, or the defaults; the
+    ``--trace`` flag wins over the file's ``trace``."""
+    opts = SolverOptions()
+    if getattr(args, "solver_options", None) is not None:
         obj = load_json(args.solver_options)
         if not isinstance(obj, dict):
             raise InputError(f"{args.solver_options}: expected a JSON object")
-        return SolverOptions.from_json(obj)
-    return SolverOptions(seed=args.seed, trace=bool(getattr(args, "trace", False)))
+        opts = SolverOptions.from_json(obj)
+    if getattr(args, "trace", False):
+        opts = replace(opts, trace=True)
+    return opts
 
 
 def cmd_entropy_approx(args) -> int:
@@ -151,8 +129,8 @@ def cmd_entropy_approx(args) -> int:
 
 def cmd_project(args) -> int:
     _require_args(args, "prior", "constraints")
-    prior = _load_distribution(args.prior)
-    constraints = _load_constraints(args.constraints)
+    prior = _load(FiniteDistribution, args.prior)
+    constraints = _load(ConstraintSet, args.constraints)
     opts = _solver_options(args)
     result = project_inequality(prior, constraints, opts)
     _emit(args.output, dump_json(result.to_json()))
@@ -161,8 +139,8 @@ def cmd_project(args) -> int:
 
 def cmd_fit(args) -> int:
     _require_args(args, "prior", "features")
-    prior = _load_distribution(args.prior)
-    features = _load_features(args.features)
+    prior = _load(FiniteDistribution, args.prior)
+    features = _load(FeatureSet, args.features)
     if (args.samples is None) == (args.data is None):
         raise InputError("provide exactly one of --samples or --data")
     if args.samples is not None:
@@ -177,7 +155,7 @@ def cmd_fit(args) -> int:
         data = measure.to_distribution(prior.outcomes)
         sample_count = measure.n
     else:
-        data = _load_distribution(args.data)
+        data = _load(FiniteDistribution, args.data)
         sample_count = None
     opts = _solver_options(args)
     alpha = moments(data, features)
@@ -202,9 +180,9 @@ def cmd_fit(args) -> int:
 
 
 def _diagnose_from_files(args, opts: SolverOptions):
-    prior = _load_distribution(args.prior)
-    features = _load_features(args.features)
-    data = _load_distribution(args.data)
+    prior = _load(FiniteDistribution, args.prior)
+    features = _load(FeatureSet, args.features)
+    data = _load(FiniteDistribution, args.data)
     lam = np.zeros(features.dim)
     if args.model_lambda is not None:
         obj = load_json(args.model_lambda)
@@ -275,8 +253,8 @@ def _check_cap(n: int, parts: int, cap: int, hint: str) -> None:
 
 def cmd_sanov(args) -> int:
     _require_args(args, "prior", "constraints", "n")
-    prior = _load_distribution(args.prior)
-    constraints = _load_constraints(args.constraints)
+    prior = _load(FiniteDistribution, args.prior)
+    constraints = _load(ConstraintSet, args.constraints)
     opts = _solver_options(args)
     # Every enumeration the command will run is checked against the cap
     # before any of them starts; a Monte Carlo report alone needs no count.
@@ -302,7 +280,7 @@ def cmd_sanov(args) -> int:
         report = sv.enumerate_event(prior, constraints, args.n, opts, cap=args.cap)
     out = report.to_json()
     if args.nested is not None:
-        inner = _load_constraints(args.nested)
+        inner = _load(ConstraintSet, args.nested)
         nested = sv.nested_relative_probability(
             prior,
             constraints,
@@ -328,26 +306,6 @@ def cmd_sanov(args) -> int:
     return _STATUS_EXIT[report.projection.status]
 
 
-def _apply_config_defaults(parser, args, config: dict):
-    """Fill unset argparse values from the config file, keeping flag wins."""
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise InputError(f"config: unknown option {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-
-
-_DEFAULTS = {
-    "seed": 0,
-    "threads": 1,
-    "trials": 20,
-    "instances": 100,
-    "cap": sv.DEFAULT_ENUMERATION_CAP,
-    "prior_mode": "dirichlet1",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxentlab",
@@ -359,27 +317,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None, help="master 64-bit seed")
+        p.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
         p.add_argument(
-            "--threads", type=int, default=None, help="worker threads (results identical)"
+            "--threads", type=int, default=1, help="worker threads (results identical)"
         )
         p.add_argument("--output", default=None, help="output file (default stdout)")
-        p.add_argument("--config", default=None, help="JSON file with option defaults")
+        p.add_argument(
+            "--config", default=None, help="JSON object of option values; flags win"
+        )
         p.add_argument(
             "--dump-config",
             default=None,
-            help="write the fully resolved run configuration to this file",
+            help="write the resolved options to this file, as a --config file",
         )
 
     p = sub.add_parser("entropy-approx", help="Stirling accuracy experiment")
     add_common(p)
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--n", default=None, help="comma list or doubling span a..b")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=20)
     p.add_argument(
         "--prior",
         choices=[m.value for m in mn.PriorMode],
-        default=None,
+        default=mn.PriorMode.DIRICHLET1.value,
         help="distribution prior for sampled P",
     )
     p.set_defaults(func=cmd_entropy_approx)
@@ -404,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="run the identity diagnostics suite")
     add_common(p)
     p.add_argument("--random", action="store_true", help="seeded random instances")
-    p.add_argument("--instances", type=int, default=None)
+    p.add_argument("--instances", type=int, default=100)
     p.add_argument("--prior", default=None)
     p.add_argument("--features", default=None)
     p.add_argument("--data", default=None)
@@ -417,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", default=None, help="sampling distribution JSON file")
     p.add_argument("--constraints", default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=sv.DEFAULT_ENUMERATION_CAP)
     p.add_argument("--monte-carlo", action="store_true")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=20)
     p.add_argument("--nested", default=None, help="inner constraint-set JSON file")
     p.add_argument("--curve", default=None, help="n grid for the conditioning curve")
     p.add_argument("--curve-output", default=None)
@@ -427,30 +387,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_config(args) -> RunConfig:
-    skip = {"func", "command", "seed", "output", "threads", "config", "dump_config"}
-    params = {
-        k: v for k, v in vars(args).items() if k not in skip and v is not None
-    }
-    return RunConfig(command=args.command, seed=args.seed, output=args.output, params=params)
+# Namespace entries that are not run options: never dumped, never set by
+# a config file.
+_NOT_OPTIONS = {"func", "config", "dump_config"}
+
+
+def _config_tokens(args) -> list[str]:
+    """The ``--config`` file, a flat object of option values keyed by
+    option name, as the option tokens that set those values.
+
+    ``true`` is a bare flag; ``false`` and ``null`` set nothing.  A
+    ``command`` key must name ``args.command``.
+    """
+    config = load_json(args.config)
+    if not isinstance(config, dict):
+        raise InputError(f"{args.config}: expected a JSON object")
+    tokens = []
+    for key, value in config.items():
+        dest = key.replace("-", "_")
+        flag = "--" + dest.replace("_", "-")
+        if key == "command":
+            if value != args.command:
+                raise InputError(f"config: 'command' is {value!r}, not {args.command!r}")
+        elif dest not in vars(args) or dest in _NOT_OPTIONS:
+            raise InputError(f"config: {key!r} is not an option of {args.command}")
+        elif isinstance(getattr(args, dest), bool):  # a store_true flag
+            if not (value is None or isinstance(value, bool)):
+                raise InputError(f"config: {key!r} takes true, false or null")
+            if value:
+                tokens.append(flag)
+        elif value is not None:
+            if isinstance(value, (bool, list, dict)):
+                raise InputError(f"config: {key!r} takes a number or a string")
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            config = load_json(args.config)
-            if not isinstance(config, dict):
-                raise InputError(f"{args.config}: expected a JSON object")
-            _apply_config_defaults(parser, args, config)
-        for key, default in _DEFAULTS.items():
-            if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, default)
-        if getattr(args, "prior", None) is None and args.command == "entropy-approx":
-            args.prior = _DEFAULTS["prior_mode"]
+            # The config's options parse ahead of the command line's, so
+            # flags win.
+            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         if args.dump_config is not None:
-            atomic_write_text(args.dump_config, dump_json(run_config(args).to_json()))
+            resolved = {
+                k: v
+                for k, v in vars(args).items()
+                if k not in _NOT_OPTIONS and v is not None
+            }
+            atomic_write_text(args.dump_config, dump_json(resolved))
         return args.func(args)
     except MaxentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,13 @@ TOL_ONE_SOLVER = 1e-8
 TOL_TWO_SOLVERS = 1e-6
 _MOMENT_MATCH_TOL = 1e-9
 
+# Random instances: alphabet sizes 3.._MAX_OUTCOMES, 1.._MAX_FEATURES
+# features, parameters uniform in +-_LAMBDA_SCALE, solved at _INSTANCE_OPTS.
+_MAX_OUTCOMES = 20
+_MAX_FEATURES = 4
+_LAMBDA_SCALE = 3.0
+_INSTANCE_OPTS = SolverOptions(moment_tol=1e-11, max_iter=500)
+
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -396,14 +403,7 @@ def _random_simplex(rng: np.random.Generator, k: int, floor: float) -> np.ndarra
     return w / w.sum()
 
 
-def random_instance(
-    seed: int,
-    max_outcomes: int = 20,
-    max_features: int = 4,
-    lambda_scale: float = 3.0,
-    force_uniform_prior: bool | None = None,
-    opts: SolverOptions | None = None,
-) -> IdentityInstance:
+def random_instance(seed: int) -> IdentityInstance:
     """Deterministically generate one diagnostics instance from a seed.
 
     Data distributions are drawn on the simplex and the constraint targets
@@ -412,13 +412,10 @@ def random_instance(
     energy-matching bracket exists; the Bogoliubov reports of the accepted
     candidate are kept on the instance.
     """
-    opts = opts or SolverOptions(moment_tol=1e-11, max_iter=500)
     rng = substream(seed, 0)
-    k = int(rng.integers(3, max_outcomes + 1))
-    d = int(rng.integers(1, max_features + 1))
-    uniform = (
-        bool(rng.random() < 0.5) if force_uniform_prior is None else force_uniform_prior
-    )
+    k = int(rng.integers(3, _MAX_OUTCOMES + 1))
+    d = int(rng.integers(1, _MAX_FEATURES + 1))
+    uniform = bool(rng.random() < 0.5)
     outcomes = tuple(f"x{i}" for i in range(k))
     if uniform:
         prior = FiniteDistribution.uniform(outcomes)
@@ -429,8 +426,8 @@ def random_instance(
     )
     data = FiniteDistribution(outcomes, _random_simplex(rng, k, 0.05))
     constraints = ConstraintSet.equalities(features, moments(data, features))
-    star = project(prior, constraints, opts)
-    lam = rng.uniform(-lambda_scale, lambda_scale, size=d)
+    star = project(prior, constraints, _INSTANCE_OPTS)
+    lam = rng.uniform(-_LAMBDA_SCALE, _LAMBDA_SCALE, size=d)
     model = ExpFamModel(prior, features, lam)
 
     # A second member of the family plus a distribution matched to its
@@ -439,7 +436,7 @@ def random_instance(
     matched = project(
         perturbed,
         ConstraintSet.equalities(features, mean_parameters(model)),
-        opts,
+        _INSTANCE_OPTS,
     )
     matched_data = matched.model.to_distribution()
 
@@ -447,9 +444,9 @@ def random_instance(
     for attempt in range(64):
         if attempt < 4:
             # Unstructured candidate first, for diversity.
-            d_var = int(rng.integers(1, max_features + 1))
+            d_var = int(rng.integers(1, _MAX_FEATURES + 1))
             g_matrix = rng.normal(0.0, 1.0, size=(d_var, k))
-            psi = rng.uniform(-lambda_scale, lambda_scale, d_var)
+            psi = rng.uniform(-_LAMBDA_SCALE, _LAMBDA_SCALE, d_var)
         else:
             # Affinely perturbed copy of the target family; its energy
             # curves always cross the target's near c = 1/s, so the
@@ -510,7 +507,7 @@ def run_instance(instance: IdentityInstance) -> list[IdentityReport]:
 
 
 def run_identity_suite(
-    num_instances: int, seed: int = 0, **kwargs
+    num_instances: int, seed: int = 0
 ) -> list[tuple[InstanceDescriptor, list[IdentityReport]]]:
     """Run the diagnostics over seeded random instances.
 
@@ -519,6 +516,6 @@ def run_identity_suite(
     """
     out = []
     for i in range(num_instances):
-        instance = random_instance(seed + i, **kwargs)
+        instance = random_instance(seed + i)
         out.append((instance.descriptor, run_instance(instance)))
     return out

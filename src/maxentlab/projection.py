@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -49,31 +49,44 @@ class Status(str, enum.Enum):
     BOUNDARY_NONATTAINED = "boundary-nonattained"
 
 
+_OPTION_KINDS = {
+    bool: "true or false",
+    int: "a positive integer",
+    float: "a positive finite number",
+}
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     moment_tol: float = 1e-9
     max_iter: int = 200
     lambda_cap: float = 1e4
     equiv_tol: float = 1e-6
-    seed: int = 0
     trace: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "moment_tol": self.moment_tol,
-            "max_iter": self.max_iter,
-            "lambda_cap": self.lambda_cap,
-            "equiv_tol": self.equiv_tol,
-            "seed": self.seed,
-            "trace": self.trace,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SolverOptions":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
+        """Options from a JSON object; every field is optional, and a wrong
+        field, type or range raises :class:`InputError`."""
+        bad = set(obj) - set(cls.__dataclass_fields__)
         if bad:
             raise InputError(f"solver options: unknown fields {sorted(bad)}")
+        for name, value in obj.items():
+            kind = type(getattr(cls, name))  # the default's type
+            if kind is bool:
+                ok = isinstance(value, bool)
+            else:
+                number = int if kind is int else (int, float)
+                ok = type(value) is not bool and isinstance(value, number)
+                ok = ok and 0 < value < math.inf
+            if not ok:
+                raise InputError(
+                    f"solver options: {name} must be {_OPTION_KINDS[kind]}, "
+                    f"got {value!r}"
+                )
         return cls(**obj)
 
 
@@ -438,13 +451,14 @@ def project_inequality(
     inequality whose multiplier takes the wrong sign) until the KKT
     conditions hold.  Divergence grows monotonically as constraints
     activate; a violation of that order, or a repeated working set, aborts
-    with :class:`ConvergenceError`.
+    with :class:`ConvergenceError`.  Equality-only constraints go straight
+    to :func:`project`.
     """
+    if constraints.is_equality_only():
+        return project(prior, constraints, opts)
     opts = opts or SolverOptions()
     constraints.features.check_alphabet(prior)
     d = constraints.dim
-    if d == 0:
-        return _empty_projection(prior, constraints.features)
     feas = check_feasibility(prior, constraints)
     if not feas.in_hull:
         return _infeasible_result(prior, constraints)

@@ -157,14 +157,13 @@ def compositions(n: int, parts: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.n
     return gaps
 
 
-def _event_mask(
-    counts: np.ndarray, constraints: ConstraintSet, n: int, tol: float
-) -> np.ndarray:
-    """Which histogram rows of ``counts`` (``n`` samples each) lie in the event."""
+def _event_mask(counts: np.ndarray, constraints: ConstraintSet, n: int) -> np.ndarray:
+    """Which histogram rows of ``counts`` (``n`` samples each) lie in the
+    event, to the tolerance ``dist.MEMBERSHIP_TOL``."""
     if constraints.dim == 0:
         return np.ones(counts.shape[0], dtype=bool)
     values = constraints.features.matrix @ (counts.T / n)  # (d, M)
-    return constraint_mask(constraints, values, tol)
+    return constraint_mask(constraints, values)
 
 
 def _score_histograms(
@@ -206,17 +205,11 @@ def _masked_log_ratio(
     return total
 
 
-def _enumerate(
-    p: FiniteDistribution,
-    constraints: ConstraintSet,
-    n: int,
-    cap: int,
-    membership_tol: float,
-):
+def _enumerate(p: FiniteDistribution, constraints: ConstraintSet, n: int, cap: int):
     if constraints.dim:
         constraints.features.check_alphabet(p)
     comps = compositions(n, len(p), cap)
-    mask = _event_mask(comps, constraints, n, membership_tol)
+    mask = _event_mask(comps, constraints, n)
     log_w, log_probs = _score_histograms(comps, p)
     return comps, mask, log_w, log_probs
 
@@ -262,7 +255,6 @@ def enumerate_event(
     n: int,
     opts: SolverOptions | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    membership_tol: float = 1e-9,
     projection: ProjectionResult | None = None,
 ) -> SanovReport:
     """Exact event probability and finite-sample identity decomposition.
@@ -274,7 +266,7 @@ def enumerate_event(
     """
     if n < 1:
         raise DomainError("sample size must be at least 1")
-    comps, mask, log_w, lhp = _enumerate(p, constraints, n, cap, membership_tol)
+    comps, mask, log_w, lhp = _enumerate(p, constraints, n, cap)
     sel = mask & (lhp > -math.inf)
 
     if projection is None:
@@ -328,10 +320,9 @@ def conditional_law(
     constraints: ConstraintSet,
     n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    membership_tol: float = 1e-9,
 ) -> ConditionalLaw:
     """Histogram-level conditional law given the event; masses sum to 1."""
-    comps, mask, _, lhp = _enumerate(p, constraints, n, cap, membership_tol)
+    comps, mask, _, lhp = _enumerate(p, constraints, n, cap)
     member_lhp = lhp[mask]
     finite = member_lhp > -math.inf
     if not np.any(finite):
@@ -348,7 +339,6 @@ def gibbs_conditioning_curve(
     n_list: list[int],
     opts: SolverOptions | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    membership_tol: float = 1e-9,
     projection: ProjectionResult | None = None,
 ) -> list[SanovReport]:
     """Per-``n`` identity decompositions along a sample-size schedule.
@@ -361,7 +351,7 @@ def gibbs_conditioning_curve(
     reports = []
     for n in n_list:
         report = enumerate_event(
-            p, constraints, n, opts, cap, membership_tol, projection=projection
+            p, constraints, n, opts, cap, projection=projection
         )
         projection = report.projection
         reports.append(report)
@@ -382,7 +372,6 @@ def nested_relative_probability(
     n: int,
     opts: SolverOptions | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    membership_tol: float = 1e-9,
     projection: ProjectionResult | None = None,
 ) -> IdentityReport:
     """Relative probability of a nested event via the projection of the
@@ -396,8 +385,8 @@ def nested_relative_probability(
     that has already projected ``p`` onto ``outer`` passes the result as
     ``projection``, and it is not solved again.
     """
-    comps, mask_outer, log_w, lhp = _enumerate(p, outer, n, cap, membership_tol)
-    mask_inner = _event_mask(comps, inner, n, membership_tol)
+    comps, mask_outer, log_w, lhp = _enumerate(p, outer, n, cap)
+    mask_inner = _event_mask(comps, inner, n)
     if np.any(mask_inner & ~mask_outer):
         raise DomainError(
             "inner event is not contained in the outer event at this n"
@@ -458,7 +447,6 @@ def monte_carlo_event(
     seed: int = 0,
     opts: SolverOptions | None = None,
     threads: int = 1,
-    membership_tol: float = 1e-9,
 ) -> SanovReport:
     """Monte Carlo estimate of the event probability, for instances past
     the enumeration cap.
@@ -481,7 +469,7 @@ def monte_carlo_event(
         size = min(_MC_CHUNK, trials - idx * _MC_CHUNK)
         rng = substream(seed, idx)
         counts = rng.multinomial(n, p.probs, size=size)
-        return int(_event_mask(counts, constraints, n, membership_tol).sum())
+        return int(_event_mask(counts, constraints, n).sum())
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -709,23 +709,201 @@ def test_dump_config_reproduces_run(files):
     assert code == 0
     saved = json.loads(cfg.read_text())
     assert saved["command"] == "entropy-approx"
-    # replay from the saved configuration alone
+    assert saved["seed"] == 21
+    # replay from the dump file alone; only the output path is overridden
     out2 = tmp / "b.csv"
-    params = tmp / "params.json"
-    params.write_text(json.dumps(saved["params"]))
-    code = main(
-        [
-            "entropy-approx",
-            "--config",
-            str(params),
-            "--seed",
-            str(saved["seed"]),
-            "--output",
-            str(out2),
-        ]
-    )
+    code = main(["entropy-approx", "--config", str(cfg), "--output", str(out2)])
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _replay_cases(write, tmp):
+    prior = write("p.json", PRIOR)
+    eq = write("a.json", CONSTRAINTS_EQ)
+    ge = write("g.json", CONSTRAINTS_GE)
+    data = write("d.json", {"outcomes": ["0", "1"], "probs": [0.3, 0.7]})
+    features = write("f.json", FEATURES)
+    return {
+        "entropy-approx": [
+            "--alphabet-size", "12", "--n", "30,60", "--trials", "3",
+            "--prior", "uniform-orthant", "--seed", "21",
+        ],
+        "project": ["--prior", prior, "--constraints", eq, "--trace"],
+        "fit": ["--prior", prior, "--features", features, "--data", data],
+        "diagnose": ["--random", "--instances", "2", "--seed", "4"],
+        "sanov-mc": [
+            "--prior", prior, "--constraints", ge, "--n", "10",
+            "--monte-carlo", "--trials", "5000", "--seed", "3", "--threads", "2",
+        ],
+        "sanov-exact": [
+            "--prior", prior, "--constraints", ge, "--n", "10", "--cap", "50",
+            "--nested", write("b.json", CONSTRAINTS_GE9), "--curve", "10,20",
+            "--curve-output", str(tmp / "curve.csv"),
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["entropy-approx", "project", "fit", "diagnose", "sanov-mc", "sanov-exact"],
+)
+def test_dump_config_replays_every_command(files, capsys, case):
+    # The dump is the resolved options as one flat object, booleans
+    # included; fed back to --config it reruns the same computation.
+    tmp, write = files
+    command = "sanov" if case.startswith("sanov") else case
+    flags = _replay_cases(write, tmp)[case]
+    dump = tmp / "dump.json"
+    out1, out2 = tmp / "first.out", tmp / "replay.out"
+    code1 = main([command, *flags, "--output", str(out1), "--dump-config", str(dump)])
+    stdout1 = capsys.readouterr().out
+    saved = json.loads(dump.read_text())
+    assert saved["command"] == command
+    for flag in ("--trace", "--random", "--monte-carlo"):
+        if flag in flags:
+            assert saved[flag[2:].replace("-", "_")] is True
+    code2 = main([command, "--config", str(dump), "--output", str(out2)])
+    assert capsys.readouterr().out == stdout1
+    assert code1 == code2 == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_config_booleans_follow_flag_precedence(files):
+    tmp, write = files
+    base = ["project", "--prior", write("p.json", PRIOR)]
+    base += ["--constraints", write("a.json", CONSTRAINTS_EQ)]
+    for config, flags, traced in (
+        ({"trace": True}, [], True),
+        ({"trace": False}, [], False),
+        ({"trace": None}, [], False),
+        ({"trace": False}, ["--trace"], True),
+    ):
+        out = tmp / "r.json"
+        cfg = write("c.json", config)
+        assert main(base + ["--config", cfg, "--output", str(out)] + flags) == 0
+        assert ("trace" in json.loads(out.read_text())) is traced
+
+
+def test_trace_flag_wins_over_solver_options_file(files):
+    tmp, write = files
+    base = ["project", "--prior", write("p.json", PRIOR)]
+    base += ["--constraints", write("a.json", CONSTRAINTS_EQ)]
+    for opts, flags, traced in (
+        ({"trace": False, "max_iter": 50}, ["--trace"], True),
+        ({"trace": True}, [], True),
+        ({"max_iter": 50}, [], False),
+    ):
+        out = tmp / "r.json"
+        opts_path = write("o.json", opts)
+        code = main(base + ["--solver-options", opts_path, "--output", str(out)] + flags)
+        assert code == 0
+        assert ("trace" in json.loads(out.read_text())) is traced
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"params": {"n": 10}}, "'params'"),
+        ({"config": "other.json"}, "'config'"),
+        ({"dump_config": "other.json"}, "'dump_config'"),
+        ({"func": "cmd_fit"}, "'func'"),
+        ({"command": "project"}, "'command'"),
+        ({"monte_carlo": "yes"}, "'monte_carlo'"),
+        ({"monte_carlo": 1}, "'monte_carlo'"),
+        ({"n": [10, 20]}, "'n'"),
+        ({"n": True}, "'n'"),
+    ],
+)
+def test_bad_config_key_or_value_exits_2(files, capsys, config, named):
+    tmp, write = files
+    code = main(
+        [
+            "sanov",
+            "--prior",
+            write("p.json", PRIOR),
+            "--constraints",
+            write("a.json", CONSTRAINTS_GE),
+            "--config",
+            write("c.json", config),
+            "--output",
+            str(tmp / "s.json"),
+        ]
+    )
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp / "s.json").exists()
+
+
+def test_config_value_goes_through_the_parser_type_check(files, capsys):
+    tmp, write = files
+    argv = ["sanov", "--config", write("c.json", {"command": "sanov", "n": "ten"})]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--n: invalid int value: 'ten'" in capsys.readouterr().err
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxentlab", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "--n" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "opts", [{"max_iter": "5"}, {"moment_tol": -1}, {"seed": 3}]
+)
+def test_bad_solver_options_exit_2(files, capsys, opts):
+    tmp, write = files
+    code = main(
+        [
+            "project",
+            "--prior",
+            write("p.json", PRIOR),
+            "--constraints",
+            write("a.json", CONSTRAINTS_EQ),
+            "--solver-options",
+            write("o.json", opts),
+        ]
+    )
+    assert code == 2
+    assert next(iter(opts)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, lps", [("project", 1), ("fit", 2)])
+def test_equality_solves_run_one_lp_each(files, monkeypatch, command, lps):
+    # project with equality constraints runs one feasibility LP; fit runs
+    # one for the projection and one for the log-loss fit.
+    from maxentlab import projection
+
+    calls = []
+    solve = projection.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "linprog", counted)
+    tmp, write = files
+    argv = [command, "--prior", write("p.json", PRIOR), "--output", str(tmp / "r")]
+    if command == "project":
+        argv += ["--constraints", write("a.json", CONSTRAINTS_EQ)]
+    else:
+        data = {"outcomes": ["0", "1"], "probs": [0.3, 0.7]}
+        argv += ["--features", write("f.json", FEATURES), "--data", write("d.json", data)]
+    assert main(argv) == 0
+    assert len(calls) == lps
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy-approx", "--alphabet-size", "5", "--n", "x..10"],
+        ["entropy-approx", "--alphabet-size", "5", "--n", "10..y"],
+        ["entropy-approx", "--alphabet-size", "5", "--n", "10,y"],
+    ],
+)
+def test_bad_n_grid_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "bad n grid" in capsys.readouterr().err
 
 
 def test_missing_required_option_exits_2(files, capsys):

@@ -436,3 +436,41 @@ class TestSolverOptions:
     def test_unknown_field_rejected(self):
         with pytest.raises(InputError):
             SolverOptions.from_json({"momentum": 0.9})
+
+    def test_seed_is_not_an_option(self):
+        # No solver draws random numbers.
+        with pytest.raises(InputError, match="seed"):
+            SolverOptions.from_json({"seed": 0})
+
+    @pytest.mark.parametrize("value", ["1e-9", 0, -1e-9, math.inf, math.nan, True, None])
+    def test_moment_tol_validated(self, value):
+        with pytest.raises(InputError, match="moment_tol"):
+            SolverOptions.from_json({"moment_tol": value})
+
+    @pytest.mark.parametrize("value", ["5", 5.0, 0, -3, True, None])
+    def test_max_iter_validated(self, value):
+        with pytest.raises(InputError, match="max_iter"):
+            SolverOptions.from_json({"max_iter": value})
+
+    @pytest.mark.parametrize("value", ["1e4", 0.0, -1.0, math.inf, math.nan, False])
+    def test_lambda_cap_validated(self, value):
+        with pytest.raises(InputError, match="lambda_cap"):
+            SolverOptions.from_json({"lambda_cap": value})
+
+    @pytest.mark.parametrize("value", ["1e-6", 0, -1e-6, math.inf, math.nan, [1e-6]])
+    def test_equiv_tol_validated(self, value):
+        with pytest.raises(InputError, match="equiv_tol"):
+            SolverOptions.from_json({"equiv_tol": value})
+
+    @pytest.mark.parametrize("value", ["true", 1, 0, None])
+    def test_trace_validated(self, value):
+        with pytest.raises(InputError, match="trace"):
+            SolverOptions.from_json({"trace": value})
+
+    def test_valid_values_accepted(self):
+        opts = SolverOptions.from_json(
+            {"moment_tol": 1, "max_iter": 3, "lambda_cap": 50, "equiv_tol": 0.5}
+        )
+        assert opts == SolverOptions(
+            moment_tol=1.0, max_iter=3, lambda_cap=50.0, equiv_tol=0.5
+        )
