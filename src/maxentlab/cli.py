@@ -59,22 +59,37 @@ def _require_args(args, *names: str) -> None:
         )
 
 
-def _parse_n_grid(text: str) -> list[int]:
-    """Comma list (``5000,10000``) or doubling span (``5000..80000``)."""
+def _parse_n_grid(text: str, option: str) -> list[int]:
+    """Comma list (``5000,10000``) or doubling span (``5000..80000``) given
+    to ``option``; an empty list is an error."""
     text = text.strip()
     try:
         if ".." not in text:
-            return [int(tok) for tok in text.split(",") if tok.strip()]
+            grid = [int(tok) for tok in text.split(",") if tok.strip()]
+            if not grid:
+                raise InputError(f"{option}: empty n grid {text!r}")
+            return grid
         lo, hi = (int(tok) for tok in text.split("..", 1))
     except ValueError as exc:
-        raise InputError(f"bad n grid {text!r}") from exc
+        raise InputError(f"{option}: bad n grid {text!r}") from exc
     if lo < 1 or hi < lo:
-        raise InputError(f"bad n range {text!r}")
+        raise InputError(f"{option}: bad n range {text!r}")
     grid = []
     while lo <= hi:
         grid.append(lo)
         lo *= 2
     return grid
+
+
+def _count(text: str) -> int:
+    """Parser type of a count option: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -105,7 +120,7 @@ def _solver_options(args) -> SolverOptions:
 
 def cmd_entropy_approx(args) -> int:
     _require_args(args, "alphabet-size", "n")
-    grid = _parse_n_grid(args.n)
+    grid = _parse_n_grid(args.n, "--n")
     rows = mn.entropy_approx_experiment(
         alphabet_size=args.alphabet_size,
         n_grid=grid,
@@ -263,7 +278,7 @@ def cmd_sanov(args) -> int:
         _check_cap(args.n, k, args.cap, "; pass --monte-carlo to estimate instead")
     elif args.nested is not None:
         _check_cap(args.n, k, args.cap, " (--nested)")
-    n_list = _parse_n_grid(args.curve) if args.curve is not None else []
+    n_list = _parse_n_grid(args.curve, "--curve") if args.curve is not None else []
     if n_list:
         _check_cap(max(n_list), k, args.cap, " (--curve)")
     if args.monte_carlo:
@@ -319,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker threads (results identical)"
+            "--threads",
+            type=_count,
+            default=1,
+            help="worker threads (results identical)",
         )
         p.add_argument("--output", default=None, help="output file (default stdout)")
         p.add_argument(
@@ -364,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="run the identity diagnostics suite")
     add_common(p)
     p.add_argument("--random", action="store_true", help="seeded random instances")
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--instances", type=_count, default=100)
     p.add_argument("--prior", default=None)
     p.add_argument("--features", default=None)
     p.add_argument("--data", default=None)

@@ -198,9 +198,17 @@ class ConstraintKind(str, enum.Enum):
     LE = "le"
 
 
+_KIND_SIGN = {ConstraintKind.EQ: 0.0, ConstraintKind.GE: 1.0, ConstraintKind.LE: -1.0}
+
+
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Moment constraints ``E_Q[f_i] (=, >=, <=) targets[i]``."""
+    """Moment constraints ``E_Q[f_i] (=, >=, <=) targets[i]``.
+
+    ``_sign[i]`` is +1 for ``ge``, -1 for ``le`` and 0 for ``eq``, so
+    ``_sign[i] * (E_Q[f_i] - targets[i]) >= 0`` on the satisfied side of a
+    one-sided constraint.
+    """
 
     features: FeatureSet
     kinds: tuple[ConstraintKind, ...]
@@ -219,6 +227,8 @@ class ConstraintSet:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "targets", _frozen_array(t))
+        sign = _frozen_array([_KIND_SIGN[k] for k in kinds])
+        object.__setattr__(self, "_sign", sign)
 
     @property
     def dim(self) -> int:
@@ -373,9 +383,9 @@ def constraint_mask(
     satisfy every constraint within slack ``tol``, as a length-M mask."""
     if tol < 0:
         raise DomainError("membership tolerance must be non-negative")
-    kinds = constraints.kinds
-    lower = np.array([-math.inf if k is ConstraintKind.LE else -tol for k in kinds])
-    upper = np.array([math.inf if k is ConstraintKind.GE else tol for k in kinds])
+    sign = constraints._sign
+    lower = np.where(sign < 0, -math.inf, -tol)
+    upper = np.where(sign > 0, math.inf, tol)
     diff = values - constraints.targets[:, None]
     return np.all((diff >= lower[:, None]) & (diff <= upper[:, None]), axis=0)
 

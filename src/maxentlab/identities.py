@@ -55,6 +55,10 @@ _MAX_OUTCOMES = 20
 _MAX_FEATURES = 4
 _LAMBDA_SCALE = 3.0
 _INSTANCE_OPTS = SolverOptions(moment_tol=1e-11, max_iter=500)
+# Variational candidates tried per target parameter draw, and draws of the
+# target parameters before random_instance gives up.
+_CANDIDATES = 64
+_TARGET_DRAWS = 8
 
 
 @dataclass(frozen=True)
@@ -403,13 +407,49 @@ def _random_simplex(rng: np.random.Generator, k: int, floor: float) -> np.ndarra
     return w / w.sum()
 
 
+def _bracketed_variational(rng: np.random.Generator, model: ExpFamModel):
+    """A seeded variational family whose Bogoliubov bounds for ``model``
+    have finite energy-matched gaps, with those two reports; ``None`` when
+    none of ``_CANDIDATES`` candidates has one."""
+    prior, features, lam = model.prior, model.features, model.lam
+    d, k = features.matrix.shape
+    for attempt in range(_CANDIDATES):
+        if attempt < 4:
+            # Unstructured candidate first, for diversity.
+            d_var = int(rng.integers(1, _MAX_FEATURES + 1))
+            g_matrix = rng.normal(0.0, 1.0, size=(d_var, k))
+            psi = rng.uniform(-_LAMBDA_SCALE, _LAMBDA_SCALE, d_var)
+        else:
+            # Affinely perturbed copy of the target family; its energy
+            # curves usually cross the target's near c = 1/s.
+            s = rng.uniform(0.5, 2.0)
+            g_matrix = features.matrix + rng.normal(0.0, 0.1, size=(d, k))
+            psi = s * lam + rng.normal(0.0, 0.1 * max(np.max(np.abs(lam)), 0.1), d)
+            d_var = d
+        g = FeatureSet(tuple(f"g{i}" for i in range(d_var)), g_matrix)
+        cand = ExpFamModel(prior, g, psi)
+        try:
+            reports = bogoliubov(model, cand)
+        except EnergyMatchingError:
+            continue
+        # Extreme matching scales can underflow the scaled model's tail to
+        # exact zero, making the gap float-infinite; resample those.
+        if all(
+            math.isfinite(r.residual) and math.isfinite(r.details["gap"])
+            for r in reports
+        ):
+            return cand, reports
+    return None
+
+
 def random_instance(seed: int) -> IdentityInstance:
     """Deterministically generate one diagnostics instance from a seed.
 
     Data distributions are drawn on the simplex and the constraint targets
     are set to the data's own moments, so membership holds by
     construction.  The variational family is resampled (seeded) until its
-    energy-matching bracket exists; the Bogoliubov reports of the accepted
+    energy-matching bracket exists, and the target parameters are redrawn
+    when no candidate has one; the Bogoliubov reports of the accepted
     candidate are kept on the instance.
     """
     rng = substream(seed, 0)
@@ -428,50 +468,28 @@ def random_instance(seed: int) -> IdentityInstance:
     constraints = ConstraintSet.equalities(features, moments(data, features))
     star = project(prior, constraints, _INSTANCE_OPTS)
     lam = rng.uniform(-_LAMBDA_SCALE, _LAMBDA_SCALE, size=d)
-    model = ExpFamModel(prior, features, lam)
+    perturbed = FiniteDistribution(outcomes, _random_simplex(rng, k, 0.05))
+    # The target parameters are redrawn when no variational candidate
+    # brackets its energy match (seen when the target's internal energy is
+    # near 0, which moves the match below c = 1e-3).
+    for _ in range(_TARGET_DRAWS):
+        model = ExpFamModel(prior, features, lam)
+        found = _bracketed_variational(rng, model)
+        if found is not None:
+            break
+        lam = rng.uniform(-_LAMBDA_SCALE, _LAMBDA_SCALE, size=d)
+    else:
+        raise EnergyMatchingError(f"no variational bracket found for seed {seed}")
+    variational, bogoliubov_reports = found
 
     # A second member of the family plus a distribution matched to its
     # moments (via projection of a perturbed simplex point).
-    perturbed = FiniteDistribution(outcomes, _random_simplex(rng, k, 0.05))
     matched = project(
         perturbed,
         ConstraintSet.equalities(features, mean_parameters(model)),
         _INSTANCE_OPTS,
     )
     matched_data = matched.model.to_distribution()
-
-    variational = None
-    for attempt in range(64):
-        if attempt < 4:
-            # Unstructured candidate first, for diversity.
-            d_var = int(rng.integers(1, _MAX_FEATURES + 1))
-            g_matrix = rng.normal(0.0, 1.0, size=(d_var, k))
-            psi = rng.uniform(-_LAMBDA_SCALE, _LAMBDA_SCALE, d_var)
-        else:
-            # Affinely perturbed copy of the target family; its energy
-            # curves always cross the target's near c = 1/s, so the
-            # matching bracket exists.
-            s = rng.uniform(0.5, 2.0)
-            g_matrix = features.matrix + rng.normal(0.0, 0.1, size=(d, k))
-            psi = s * lam + rng.normal(0.0, 0.1 * max(np.max(np.abs(lam)), 0.1), d)
-            d_var = d
-        g = FeatureSet(tuple(f"g{i}" for i in range(d_var)), g_matrix)
-        cand = ExpFamModel(prior, g, psi)
-        try:
-            upper, lower = bogoliubov(model, cand)
-        except EnergyMatchingError:
-            continue
-        # Extreme matching scales can underflow the scaled model's tail to
-        # exact zero, making the gap float-infinite; resample those.
-        if not all(
-            math.isfinite(r.residual) and math.isfinite(r.details["gap"])
-            for r in (upper, lower)
-        ):
-            continue
-        variational = cand
-        break
-    if variational is None:  # pragma: no cover - astronomically unlikely
-        raise EnergyMatchingError(f"no variational bracket found for seed {seed}")
 
     descriptor = InstanceDescriptor(
         seed=seed,
@@ -488,7 +506,7 @@ def random_instance(seed: int) -> IdentityInstance:
         model=model,
         matched_data=matched_data,
         variational=variational,
-        bogoliubov_reports=(upper, lower),
+        bogoliubov_reports=bogoliubov_reports,
     )
 
 

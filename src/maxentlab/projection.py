@@ -3,8 +3,15 @@
 For equality constraints ``E_Q[f] = alpha`` the dual objective is
 ``g(lam) = A(lam) - lam . alpha``, a smooth convex function whose gradient
 is ``E_{P_lam}[f] - alpha`` and whose Hessian is the Fisher information.
-The solver runs damped Newton with a Levenberg shift when the Fisher
-matrix is near-singular and Armijo backtracking on ``g``.
+The same function, up to the constant ``H(data, P)``, is the log loss
+``H(data, P_lam)`` of the family when ``alpha`` is the data's moments, so
+:func:`project` and :func:`fit_log_loss` share one descent loop,
+:func:`_solve`: its trace, tolerance test, cap on ``|lam|``, Armijo
+backtracking on ``g`` and result are the same for both.  They differ only
+in the direction rule and the iteration budget.  :func:`project` takes
+damped Newton steps (a Levenberg shift when the Fisher matrix is
+near-singular); :func:`fit_log_loss` takes gradient steps and never forms
+the Fisher matrix, so the agreement of the two is an independent check.
 
 Inequality constraints are handled by an active-set loop around the
 equality solver.  Feasibility and boundary detection are linear programs
@@ -25,7 +32,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .dist import (
-    ConstraintKind,
     ConstraintSet,
     FeatureSet,
     FiniteDistribution,
@@ -151,20 +157,13 @@ class FeasibilityReport:
 
 
 def _constraint_rows(constraints: ConstraintSet, support: np.ndarray):
-    """Split constraints into linprog-style equality/upper-bound rows."""
+    """Split constraints into linprog-style equality/upper-bound rows; a
+    ``ge`` row is negated into ``-f . q <= -target``."""
     f = constraints.features.matrix[:, support]
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for i, kind in enumerate(constraints.kinds):
-        if kind is ConstraintKind.EQ:
-            a_eq.append(f[i])
-            b_eq.append(constraints.targets[i])
-        elif kind is ConstraintKind.GE:
-            a_ub.append(-f[i])
-            b_ub.append(-constraints.targets[i])
-        else:
-            a_ub.append(f[i])
-            b_ub.append(constraints.targets[i])
-    return a_eq, b_eq, a_ub, b_ub
+    sign, targets = constraints._sign, constraints.targets
+    eq, ub = sign == 0, sign != 0
+    flip = -sign[ub]
+    return f[eq], targets[eq], f[ub] * flip[:, None], targets[ub] * flip
 
 
 def _separating_witness(
@@ -183,15 +182,10 @@ def _separating_witness(
     c = np.concatenate([-constraints.targets, [1.0]])
     a_ub = np.hstack([f.T, -np.ones((k, 1))])  # v . f(x) - s <= 0
     b_ub = np.zeros(k)
-    bounds = []
-    for kind in constraints.kinds:
-        if kind is ConstraintKind.GE:
-            bounds.append((0.0, 1.0))
-        elif kind is ConstraintKind.LE:
-            bounds.append((-1.0, 0.0))
-        else:
-            bounds.append((-1.0, 1.0))
-    bounds.append((None, None))
+    sign = constraints._sign
+    lower = np.where(sign > 0, 0.0, -1.0)
+    upper = np.where(sign < 0, 0.0, 1.0)
+    bounds = [*zip(lower, upper), (None, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         return None
@@ -200,14 +194,13 @@ def _separating_witness(
     return res.x[:d]
 
 
-def _with_t_column(rows: list) -> np.ndarray | None:
-    """Stack LP rows over ``s`` and append the column of ``t``.
+def _with_t_column(block: np.ndarray) -> np.ndarray | None:
+    """Append the column of ``t`` to LP rows over ``s``.
 
     With ``q = s + t 1`` a row ``a . q`` becomes ``a . s + (sum a) t``.
     """
-    if not rows:
+    if not len(block):
         return None
-    block = np.vstack(rows)
     return np.hstack([block, block.sum(axis=1, keepdims=True)])
 
 
@@ -235,17 +228,17 @@ def check_feasibility(
     support = prior.support
     k = int(support.sum())
     a_eq, b_eq, a_ub, b_ub = _constraint_rows(constraints, support)
-    a_eq.append(np.ones(k))
-    b_eq.append(1.0)
+    a_eq = np.vstack([a_eq, np.ones(k)])
+    b_eq = np.append(b_eq, 1.0)
 
     c = np.zeros(k + 1)
     c[-1] = -1.0  # maximize t
     res = linprog(
         c,
         A_eq=_with_t_column(a_eq),
-        b_eq=np.asarray(b_eq),
+        b_eq=b_eq,
         A_ub=_with_t_column(a_ub),
-        b_ub=np.asarray(b_ub) if b_ub else None,
+        b_ub=b_ub if len(b_ub) else None,
         bounds=(0.0, None),
         method="highs",
     )
@@ -262,17 +255,12 @@ def check_feasibility(
     )
 
 
-def _empty_projection(
-    prior: FiniteDistribution, features: FeatureSet
-) -> ProjectionResult:
-    model = ExpFamModel(prior, FeatureSet.empty(len(prior)), np.zeros(0))
-    if features.dim:
-        model = ExpFamModel(prior, features, np.zeros(features.dim))
+def _empty_projection(prior: FiniteDistribution) -> ProjectionResult:
     return ProjectionResult(
-        lambda_star=np.zeros(features.dim),
-        model=model,
+        lambda_star=np.zeros(0),
+        model=ExpFamModel(prior, FeatureSet.empty(len(prior)), np.zeros(0)),
         min_divergence=0.0,
-        moment_residual=np.zeros(features.dim),
+        moment_residual=np.zeros(0),
         iterations=0,
         status=Status.CONVERGED,
     )
@@ -292,6 +280,25 @@ def _infeasible_result(
     )
 
 
+def _result(
+    prior: FiniteDistribution,
+    model: ExpFamModel,
+    residual: np.ndarray,
+    iterations: int,
+    status: Status,
+    trace,
+) -> ProjectionResult:
+    return ProjectionResult(
+        lambda_star=np.array(model.lam, copy=True),
+        model=model,
+        min_divergence=kl_divergence(model.to_distribution(), prior),
+        moment_residual=residual,
+        iterations=iterations,
+        status=status,
+        trace=tuple(trace),
+    )
+
+
 def _levenberg_shift(hessian: np.ndarray) -> float:
     """Shift ensuring the Newton system is positive definite.
 
@@ -299,22 +306,59 @@ def _levenberg_shift(hessian: np.ndarray) -> float:
     such as Gershgorin bounds overdamp correlated features badly enough to
     stall convergence.
     """
-    if hessian.shape[0] == 0:
-        return 0.0
     smallest = float(np.linalg.eigvalsh(hessian)[0])
     return max(0.0, 1e-10 - smallest)
 
 
-def _newton_on_dual(
+def _newton_direction(model: ExpFamModel, grad: np.ndarray, t: float):
+    """Levenberg-shifted Newton step, or steepest descent if the solve was
+    bad; every iteration tries the full step first."""
+    hessian = fisher_information(model)
+    system = hessian + np.diag(np.full(len(grad), _levenberg_shift(hessian)))
+    try:
+        step = np.linalg.solve(system, -grad)
+    except np.linalg.LinAlgError:
+        step, *_ = np.linalg.lstsq(system, -grad, rcond=None)
+    slope = float(np.dot(grad, step))
+    if slope >= 0.0:
+        step = -grad
+        slope = -float(np.dot(grad, grad))
+    return step, slope, 1.0, 1.0
+
+
+def _gradient_direction(model: ExpFamModel, grad: np.ndarray, t: float):
+    """Steepest descent; the line search starts at twice the last accepted
+    length ``t``, and the float-resolution step keeps ``t``."""
+    return -grad, -float(np.dot(grad, grad)), t, min(t * 2.0, 1e6)
+
+
+def _solve(
     prior: FiniteDistribution,
-    features: FeatureSet,
-    alpha: np.ndarray,
+    constraints: ConstraintSet,
     opts: SolverOptions,
     lambda0: np.ndarray | None,
-    boundary_expected: bool,
-):
-    """Minimize ``A(lam) - lam . alpha``; shared by both projection paths."""
-    d = features.dim
+    direction,
+    max_iter: int,
+    what: str,
+) -> ProjectionResult:
+    """Minimize ``g(lam) = A(lam) - lam . alpha`` for the equality
+    constraints ``E[f] = alpha`` by line search along ``direction``.
+
+    ``direction(model, grad, t)`` returns ``(step, slope, short_t,
+    first_t)``: the search direction, the directional derivative
+    ``grad . step``, the length taken when the predicted decrease is below
+    the float resolution of ``g``, and the first length that Armijo
+    backtracking tries; ``t`` is the last accepted length.  A budget of
+    ``max_iter`` steps that runs out is a :class:`ConvergenceError`, unless
+    the feasibility LP put the targets on the boundary.
+    """
+    features, alpha, d = constraints.features, constraints.targets, constraints.dim
+    features.check_alphabet(prior)
+    if d == 0:
+        return _empty_projection(prior)
+    feas = check_feasibility(prior, constraints)
+    if not feas.in_hull:
+        return _infeasible_result(prior, constraints)
     lam = np.zeros(d) if lambda0 is None else np.asarray(lambda0, dtype=float)
     model = ExpFamModel(prior, features, lam)
     trace: list[TracePoint] = []
@@ -323,36 +367,30 @@ def _newton_on_dual(
         return m.log_partition - float(np.dot(m.lam, alpha))
 
     g = dual_value(model)
-    for iteration in range(opts.max_iter):
+    t = 1.0
+    for iteration in range(max_iter):
         grad = mean_parameters(model) - alpha
-        gnorm = float(np.max(np.abs(grad))) if d else 0.0
+        gnorm = float(np.max(np.abs(grad)))
         if opts.trace:
             trace.append(TracePoint(iteration, g, gnorm))
         if gnorm <= opts.moment_tol:
-            return model, grad, iteration, Status.CONVERGED, trace
+            status = Status.CONVERGED
+            break
         if float(np.max(np.abs(model.lam))) > opts.lambda_cap:
             capped = np.clip(model.lam, -opts.lambda_cap, opts.lambda_cap)
             model = ExpFamModel(prior, features, capped)
             grad = mean_parameters(model) - alpha
-            return model, grad, iteration, Status.BOUNDARY_NONATTAINED, trace
-        hessian = fisher_information(model)
-        system = hessian + np.diag(np.full(d, _levenberg_shift(hessian)))
-        try:
-            step = np.linalg.solve(system, -grad)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(system, -grad, rcond=None)
-        slope = float(np.dot(grad, step))
-        if slope >= 0.0:  # fall back to steepest descent if the solve was bad
-            step = -grad
-            slope = -float(np.dot(grad, grad))
+            status = Status.BOUNDARY_NONATTAINED
+            break
+        step, slope, short_t, t = direction(model, grad, t)
         # Near the optimum the predicted decrease drops below the float
         # resolution of g; Armijo cannot certify progress there, but the
-        # undamped Newton step is locally contracting, so take it.
+        # short step is locally contracting, so take it.
         if -slope <= 1e-13 * max(1.0, abs(g)):
-            candidate = ExpFamModel(prior, features, model.lam + step)
+            t = short_t
+            candidate = ExpFamModel(prior, features, model.lam + t * step)
             g_new = dual_value(candidate)
         else:
-            t = 1.0
             for _ in range(_MAX_BACKTRACKS):
                 candidate = ExpFamModel(prior, features, model.lam + t * step)
                 g_new = dual_value(candidate)
@@ -361,13 +399,19 @@ def _newton_on_dual(
                 t *= 0.5
         model = candidate
         g = g_new
-    if boundary_expected:
+    else:
+        if not feas.on_boundary:
+            raise ConvergenceError(
+                f"{what} did not reach tolerance {opts.moment_tol} in "
+                f"{max_iter} iterations"
+            )
+        iteration = max_iter
         grad = mean_parameters(model) - alpha
-        return model, grad, opts.max_iter, Status.BOUNDARY_NONATTAINED, trace
-    raise ConvergenceError(
-        f"dual Newton did not reach tolerance {opts.moment_tol} in "
-        f"{opts.max_iter} iterations"
-    )
+    if feas.on_boundary:
+        # The optimum lives on a face the family only approaches; the
+        # returned model is the (possibly tolerance-converged) iterate.
+        status = Status.BOUNDARY_NONATTAINED
+    return _result(prior, model, grad, iteration, status, trace)
 
 
 def project(
@@ -396,47 +440,15 @@ def project(
             "project handles equality constraints only; "
             "use project_inequality for ge/le kinds"
         )
-    constraints.features.check_alphabet(prior)
-    if constraints.dim == 0:
-        return _empty_projection(prior, constraints.features)
-    feas = check_feasibility(prior, constraints)
-    if not feas.in_hull:
-        return _infeasible_result(prior, constraints)
-    model, grad, iterations, status, trace = _newton_on_dual(
+    return _solve(
         prior,
-        constraints.features,
-        constraints.targets,
+        constraints,
         opts,
         lambda0,
-        boundary_expected=feas.on_boundary,
+        _newton_direction,
+        opts.max_iter,
+        "dual Newton",
     )
-    if feas.on_boundary:
-        # The optimum lives on a face the family only approaches; the
-        # returned model is the (possibly tolerance-converged) iterate.
-        status = Status.BOUNDARY_NONATTAINED
-    return ProjectionResult(
-        lambda_star=np.array(model.lam, copy=True),
-        model=model,
-        min_divergence=kl_divergence(model.to_distribution(), prior),
-        moment_residual=grad,
-        iterations=iterations,
-        status=status,
-        trace=tuple(trace),
-    )
-
-
-def _clamped_residual(
-    constraints: ConstraintSet, mean: np.ndarray
-) -> np.ndarray:
-    """Signed residuals; the satisfied side of an inequality clamps to 0."""
-    res = mean - constraints.targets
-    out = np.array(res)
-    for i, kind in enumerate(constraints.kinds):
-        if kind is ConstraintKind.GE:
-            out[i] = min(res[i], 0.0)
-        elif kind is ConstraintKind.LE:
-            out[i] = max(res[i], 0.0)
-    return out
 
 
 def project_inequality(
@@ -463,12 +475,12 @@ def project_inequality(
     if not feas.in_hull:
         return _infeasible_result(prior, constraints)
 
-    eq_idx = [i for i, k in enumerate(constraints.kinds) if k is ConstraintKind.EQ]
+    sign = constraints._sign
+    eq_idx = np.flatnonzero(sign == 0).tolist()
     working: list[int] = []
     seen: set[frozenset] = set()
     last_divergence = -math.inf
     kkt_tol = 10.0 * opts.moment_tol
-    sub_result = None
     for _ in range(_ACTIVE_SET_MAX_PASSES):
         key = frozenset(working)
         if key in seen:
@@ -480,7 +492,9 @@ def project_inequality(
         if sub_result.status is Status.INFEASIBLE:
             return _infeasible_result(prior, constraints)
         mean = moments(sub_result.model.to_distribution(), constraints.features)
-        residual = _clamped_residual(constraints, mean)
+        # Signed residuals; the satisfied side of an inequality clamps to 0.
+        residual = mean - constraints.targets
+        residual = np.where(sign * residual > 0.0, 0.0, residual)
         violated = [
             i
             for i in range(d)
@@ -495,29 +509,22 @@ def project_inequality(
             worst = max(violated, key=lambda i: abs(residual[i]))
             working.append(worst)
             continue
-        # KKT sign check on active inequality multipliers.
+        # KKT sign check: a ge multiplier must be >= 0, an le one <= 0.
         lam_by_index = dict(zip(active, sub_result.lambda_star))
-        wrong = []
-        for i in working:
-            if constraints.kinds[i] is ConstraintKind.GE and lam_by_index[i] < -kkt_tol:
-                wrong.append(i)
-            if constraints.kinds[i] is ConstraintKind.LE and lam_by_index[i] > kkt_tol:
-                wrong.append(i)
+        wrong = [i for i in working if sign[i] * lam_by_index[i] < -kkt_tol]
         if wrong and sub_result.status is Status.CONVERGED:
             working.remove(wrong[0])
             continue
         lam_full = np.zeros(d)
-        for i in active:
-            lam_full[i] = lam_by_index[i]
+        lam_full[active] = sub_result.lambda_star
         model = ExpFamModel(prior, constraints.features, lam_full)
-        return ProjectionResult(
-            lambda_star=lam_full,
-            model=model,
-            min_divergence=kl_divergence(model.to_distribution(), prior),
-            moment_residual=residual,
-            iterations=sub_result.iterations,
-            status=sub_result.status,
-            trace=sub_result.trace,
+        return _result(
+            prior,
+            model,
+            residual,
+            sub_result.iterations,
+            sub_result.status,
+            sub_result.trace,
         )
     raise ConvergenceError("active-set loop exceeded its pass budget")
 
@@ -541,73 +548,16 @@ def fit_log_loss(
     features.check_alphabet(data)
     if np.any(data.probs[~prior.support] > 0):
         raise SupportViolation("data puts mass outside the prior's support")
-    d = features.dim
-    if d == 0:
-        return _empty_projection(prior, features)
-    target = moments(data, features)
-    on_boundary = check_feasibility(
-        prior, ConstraintSet.equalities(features, target)
-    ).on_boundary
-    lam = np.zeros(d) if lambda0 is None else np.asarray(lambda0, dtype=float)
-    model = ExpFamModel(prior, features, lam)
-
-    def loss(m: ExpFamModel) -> float:
-        # H(data, P_lam) up to the constant H(data, prior).
-        return m.log_partition - float(np.dot(m.lam, target))
-
-    value = loss(model)
-    step_size = 1.0
-    iterations = 0
-    status = None
-    trace: list[TracePoint] = []
-    for iterations in range(_GD_MAX_ITER):
-        grad = mean_parameters(model) - target
-        gnorm = float(np.max(np.abs(grad)))
-        if opts.trace:
-            trace.append(TracePoint(iterations, value, gnorm))
-        if gnorm <= opts.moment_tol:
-            status = Status.CONVERGED
-            break
-        if float(np.max(np.abs(model.lam))) > opts.lambda_cap:
-            capped = np.clip(model.lam, -opts.lambda_cap, opts.lambda_cap)
-            model = ExpFamModel(prior, features, capped)
-            status = Status.BOUNDARY_NONATTAINED
-            break
-        slope = -float(np.dot(grad, grad))
-        if -slope <= 1e-13 * max(1.0, abs(value)):
-            # Predicted decrease below float resolution of the loss; keep
-            # stepping at the last accepted size, which is contracting.
-            t = step_size
-            candidate = ExpFamModel(prior, features, model.lam - t * grad)
-            value_new = loss(candidate)
-        else:
-            t = min(step_size * 2.0, 1e6)
-            for _ in range(_MAX_BACKTRACKS):
-                candidate = ExpFamModel(prior, features, model.lam - t * grad)
-                value_new = loss(candidate)
-                if value_new <= value + _ARMIJO_C * t * slope:
-                    break
-                t *= 0.5
-        model = candidate
-        value = value_new
-        step_size = t
-    if status is None:
-        if not on_boundary:
-            raise ConvergenceError(
-                f"log-loss gradient descent did not converge in {_GD_MAX_ITER} steps"
-            )
-        status = Status.BOUNDARY_NONATTAINED
-    elif on_boundary:
-        status = Status.BOUNDARY_NONATTAINED
-    grad = mean_parameters(model) - target
-    return ProjectionResult(
-        lambda_star=np.array(model.lam, copy=True),
-        model=model,
-        min_divergence=kl_divergence(model.to_distribution(), prior),
-        moment_residual=grad,
-        iterations=iterations,
-        status=status,
-        trace=tuple(trace),
+    # At the data's moments, H(data, P_lam) = g(lam) + H(data, prior).
+    constraints = ConstraintSet.equalities(features, moments(data, features))
+    return _solve(
+        prior,
+        constraints,
+        opts,
+        lambda0,
+        _gradient_direction,
+        _GD_MAX_ITER,
+        "log-loss gradient descent",
     )
 
 

@@ -893,6 +893,59 @@ def test_equality_solves_run_one_lp_each(files, monkeypatch, command, lps):
     assert len(calls) == lps
 
 
+def test_fit_half_of_cli_fit_forms_no_fisher_matrix(files, monkeypatch):
+    from maxentlab import cli, projection
+
+    calls = []
+    fisher = projection.fisher_information
+    fit = cli.fit_log_loss
+
+    def counted(model):
+        calls.append("fisher")
+        return fisher(model)
+
+    def marked(*args, **kwargs):
+        calls.append("fit")
+        result = fit(*args, **kwargs)
+        calls.append("fit done")
+        return result
+
+    monkeypatch.setattr(projection, "fisher_information", counted)
+    monkeypatch.setattr(cli, "fit_log_loss", marked)
+    tmp, write = files
+    data = {"outcomes": ["0", "1"], "probs": [0.3, 0.7]}
+    argv = ["fit", "--prior", write("p.json", PRIOR), "--output", str(tmp / "r")]
+    argv += ["--features", write("f.json", FEATURES), "--data", write("d.json", data)]
+    assert main(argv) == 0
+    assert calls[-2:] == ["fit", "fit done"]
+    assert "fisher" in calls[:-2]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["diagnose", "--random"], "instances", -3),
+        (["diagnose", "--random", "--instances", "1"], "threads", 0),
+        (["entropy-approx", "--alphabet-size", "5"], "n", ","),
+    ],
+)
+def test_count_option_out_of_range_exits_2(files, capsys, route, argv, option, value):
+    tmp, write = files
+    out = tmp / "out"
+    if route == "flag":
+        argv = argv + [f"--{option}", str(value)]
+    else:
+        argv = argv + ["--config", write("c.json", {option: value})]
+    try:
+        code = main(argv + ["--output", str(out)])
+    except SystemExit as exc:  # the parser's own range check
+        code = exc.code
+    assert code == 2
+    assert f"--{option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -301,6 +301,15 @@ class TestSuite:
                     assert rep.details["gap"] <= 1e-10
 
 
+class TestHardSeeds:
+    @pytest.mark.parametrize("seed", [241, 245, 533, 871, 1750, 1754598617])
+    def test_target_redrawn_when_no_candidate_brackets(self, seed):
+        # No variational candidate brackets the first target parameters of
+        # these seeds; the instance redraws them instead of failing.
+        reports = run_instance(random_instance(seed))
+        assert all(r.passed for r in reports)
+
+
 class TestIdentitySuiteWork:
     def test_scale_scan_matches_full_grid_reference(self, monkeypatch):
         # Every energy-matching objective the suite solves on instances

@@ -153,6 +153,22 @@ class TestFeasibility:
         rep = check_feasibility(three(), a)
         assert rep.in_hull and rep.on_boundary
 
+    def test_constraint_rows_per_kind(self):
+        # eq rows are split off; ge rows are negated (0.0 becomes -0.0), le
+        # rows kept, both in constraint order.
+        f = FeatureSet(
+            ["a", "b", "c", "d"],
+            [[0.0, 1.0, 2.0], [0.0, -1.0, 3.0], [1.0, 0.0, -2.0], [2.0, 0.0, 1.0]],
+        )
+        a = ConstraintSet(f, ["ge", "eq", "le", "ge"], [0.5, 0.0, -0.0, 1.0])
+        a_eq, b_eq, a_ub, b_ub = projection._constraint_rows(a, np.ones(3, bool))
+        m = f.matrix
+        expected = (m[[1]], [0.0], np.vstack([-m[0], m[2], -m[3]]), [-0.5, -0.0, -1.0])
+        for got, want in zip((a_eq, b_eq, a_ub, b_ub), expected):
+            want = np.asarray(want, dtype=float)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     def test_one_sided_relaxation(self):
         a = ConstraintSet(three_feature(), ["ge"], [1.5])
         rep = check_feasibility(three(), a)
@@ -369,6 +385,36 @@ class TestFitLogLoss:
         data = FiniteDistribution(["0", "1"], [0.0, 1.0])
         res = fit_log_loss(coin(), coin_feature(), data)
         assert res.status is Status.BOUNDARY_NONATTAINED
+
+    def test_budget_exhausted_on_boundary_reports_the_budget(self, monkeypatch):
+        monkeypatch.setattr(projection, "_GD_MAX_ITER", 5)
+        data = FiniteDistribution(["0", "1", "2"], [0.0, 0.0, 1.0])
+        res = fit_log_loss(three(), three_feature(), data)
+        assert res.status is Status.BOUNDARY_NONATTAINED
+        assert res.iterations == 5
+
+    def test_budget_exhausted_inside_raises(self, monkeypatch):
+        monkeypatch.setattr(projection, "_GD_MAX_ITER", 5)
+        prior, features, data, _ = random_instance(3)
+        with pytest.raises(ConvergenceError, match="gradient descent"):
+            fit_log_loss(prior, features, data)
+
+    def test_never_forms_the_fisher_matrix(self, monkeypatch):
+        # The fit stays first order, so its agreement with project is an
+        # independent check; project's Newton steps do use the matrix.
+        calls = []
+        fisher = projection.fisher_information
+
+        def counted(model):
+            calls.append(1)
+            return fisher(model)
+
+        monkeypatch.setattr(projection, "fisher_information", counted)
+        prior, features, data, _ = random_instance(3)
+        fit_log_loss(prior, features, data)
+        assert calls == []
+        project(prior, ConstraintSet.equalities(features, moments(data, features)))
+        assert calls
 
     def test_support_violation(self):
         prior = FiniteDistribution(["0", "1", "2"], [0.5, 0.5, 0.0])
