@@ -160,7 +160,8 @@ def cmd_fit(args) -> int:
         raise InputError("provide exactly one of --samples or --data")
     if args.samples is not None:
         try:
-            text = open(args.samples).read()
+            with open(args.samples) as fh:
+                text = fh.read()
         except OSError as exc:
             raise InputError(f"{args.samples}: {exc.strerror or exc}") from exc
         labels = [line.strip() for line in text.splitlines() if line.strip()]

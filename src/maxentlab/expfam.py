@@ -102,12 +102,13 @@ class ExpFamModel:
         return lp
 
     def to_distribution(self) -> FiniteDistribution:
-        """The member distribution; sums to 1 within 1e-12 by construction."""
-        return FiniteDistribution(self.prior.outcomes, np.exp(self._log_probs))
+        """The member distribution, built once per model and shared (it is
+        immutable); sums to 1 within 1e-12 by construction."""
+        return self._dist
 
     @cached_property
     def _dist(self) -> FiniteDistribution:
-        return self.to_distribution()
+        return FiniteDistribution(self.prior.outcomes, np.exp(self._log_probs))
 
     def with_lambda(self, lam) -> "ExpFamModel":
         return ExpFamModel(self.prior, self.features, lam)

@@ -4,20 +4,20 @@ approximations, plus the accuracy experiment comparing them.
 The count vector ``(n_1, ..., n_D)`` of ``n`` i.i.d. draws from ``P`` has
 probability ``n!/(n_1! ... n_D!) * prod_i P_i^{n_i}``.  Everything here is
 computed in the log domain via ``lgamma`` so that alphabets of tens of
-thousands of outcomes are exact to float precision.
+thousands of outcomes are exact to float precision.  Each formula exists
+once here; :mod:`maxentlab.sanov` scores histograms with ``_log_likelihood``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from ._rng import substream
+from ._rng import ordered_map, substream
 from .dist import EmpiricalMeasure, FiniteDistribution
 from .errors import DomainError, ShapeMismatch
 
@@ -29,10 +29,25 @@ class StirlingOrder(enum.Enum):
     FIRST = "first"
 
 
+def _log_multinomial(c: np.ndarray, n: int) -> float:
+    """``log(n! / (c_1! ... c_D!))`` for a count vector ``c`` summing to ``n``."""
+    return float(gammaln(n + 1) - gammaln(c + 1).sum())
+
+
 def log_multinomial(counts: EmpiricalMeasure) -> float:
     """Log of the multinomial coefficient ``n! / (n_1! ... n_D!)``."""
-    c = counts.counts
-    return float(gammaln(counts.n + 1) - gammaln(c + 1).sum())
+    return _log_multinomial(counts.counts, counts.n)
+
+
+def _log_likelihood(counts: np.ndarray, p: FiniteDistribution) -> np.ndarray:
+    """``counts @ log p`` for each histogram row of ``counts``, ``-inf`` for a
+    row that counts an outcome outside ``p``'s support."""
+    supported = p.support
+    out = np.full(counts.shape[0], -math.inf)
+    ok = ~(counts[:, ~supported] > 0).any(axis=1)
+    if np.any(ok):
+        out[ok] = counts[np.ix_(ok, supported)] @ p.log_probs[supported]
+    return out
 
 
 def log_histogram_prob(counts: EmpiricalMeasure, p: FiniteDistribution) -> float:
@@ -45,16 +60,21 @@ def log_histogram_prob(counts: EmpiricalMeasure, p: FiniteDistribution) -> float
         raise ShapeMismatch(
             f"histogram over {c.shape[0]} outcomes, distribution over {len(p)}"
         )
-    pos = c > 0
-    if np.any(p.probs[pos] == 0.0):
-        return -math.inf
-    return log_multinomial(counts) + float(np.dot(c[pos], p.log_probs[pos]))
+    return log_multinomial(counts) + float(_log_likelihood(c[None, :], p)[0])
 
 
 def _counts_entropy_nats(c: np.ndarray, n: int) -> float:
     """``n * H(c / n)`` computed as ``n log n - sum_i c_i log c_i``."""
     pos = c[c > 0]
     return float(n * math.log(n) - np.dot(pos, np.log(pos)))
+
+
+def _first_order_correction(pos: np.ndarray, n: int) -> float:
+    """``0.5 * [log(2 pi n) - sum_i log(2 pi c_i)]`` over the positive counts
+    ``pos`` of a histogram of ``n`` samples."""
+    return 0.5 * (
+        LOG_2PI + math.log(n) - float(np.sum(LOG_2PI + np.log(pos)))
+    )
 
 
 def stirling_log_multinomial(
@@ -76,10 +96,7 @@ def stirling_log_multinomial(
             "first-order correction diverges on zero counts; "
             "every bin must be observed at least once"
         )
-    correction = 0.5 * (
-        LOG_2PI + math.log(n) - float(np.sum(LOG_2PI + np.log(c)))
-    )
-    return zeroth + correction
+    return zeroth + _first_order_correction(c, n)
 
 
 @dataclass(frozen=True)
@@ -102,16 +119,15 @@ def describe_histogram(
     The first-order correction is ``None`` when a zero count makes it
     undefined.
     """
-    lm = log_multinomial(counts)
-    zeroth = _counts_entropy_nats(counts.counts, counts.n)
-    if np.any(counts.counts == 0):
+    c, n = counts.counts, counts.n
+    if np.any(c == 0):
         correction = None
     else:
-        correction = stirling_log_multinomial(counts, StirlingOrder.FIRST) - zeroth
+        correction = _first_order_correction(c, n)
     return HistogramLogProb(
         exact_log_prob=log_histogram_prob(counts, p),
-        log_multinomial=lm,
-        stirling_zeroth=zeroth,
+        log_multinomial=log_multinomial(counts),
+        stirling_zeroth=_counts_entropy_nats(c, n),
         stirling_first_correction=correction,
         n=counts.n,
         alphabet_size=counts.alphabet_size,
@@ -165,16 +181,13 @@ def _experiment_cell(
     weights = _sample_weights(rng, mode, alphabet_size)
     counts = rng.multinomial(n, weights)
     pos = counts > 0
-    exact = float(gammaln(n + 1) - gammaln(counts + 1).sum())
+    exact = _log_multinomial(counts, n)
     zeroth = _counts_entropy_nats(counts, n)
     # The correction product runs over observed bins only: Stirling is not
     # valid at 0!, whose exact contribution (log 1 = 0) is kept instead.
     # Rows where that truncation happened carry skipped_first = 1.
     skipped = bool(np.any(~pos))
-    correction = 0.5 * (
-        LOG_2PI + math.log(n) - float(np.sum(LOG_2PI + np.log(counts[pos])))
-    )
-    first = zeroth + correction
+    first = zeroth + _first_order_correction(counts[pos], n)
     return ExperimentRow(
         prior_mode=mode.value,
         alphabet_size=alphabet_size,
@@ -224,12 +237,7 @@ def entropy_approx_experiment(
         n, trial, idx = cell
         return _experiment_cell(alphabet_size, n, trial, mode, seed, idx)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(c) for c in cells]
-    return rows
+    return ordered_map(run, cells, threads)
 
 
 EXPERIMENT_CSV_HEADER = (

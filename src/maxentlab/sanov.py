@@ -1,10 +1,12 @@
 """Exact small-sample large-deviations laboratory.
 
 Events are sets of empirical measures defined by moment constraints.  For
-sample size ``n`` over ``D`` outcomes all ``C(n+D-1, D-1)`` histograms are
-enumerated (microstates are grouped by histogram, which is exact by
-exchangeability), giving the event probability, the projection rate term,
-and the conditional-law residual of the finite-sample identity
+sample size ``n >= 1`` over ``D`` outcomes all ``C(n+D-1, D-1)`` histograms
+are enumerated (microstates are grouped by histogram, which is exact by
+exchangeability) and scored under ``P`` and ``P*`` with the likelihood
+kernel of :mod:`maxentlab.multinomial`, giving the event probability, the
+projection rate term, and the conditional-law residual of the finite-sample
+identity
 
     (1/n) log Pr(event) + D(P*||P) + residual = 0.
 
@@ -23,17 +25,17 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from ._rng import substream
+from ._rng import ordered_map, substream
 from .dist import ConstraintSet, FiniteDistribution, constraint_mask
 from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .expfam import _logsumexp
 from .identities import IdentityReport
+from .multinomial import _log_likelihood
 from .projection import ProjectionResult, SolverOptions, Status, project_inequality
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -166,52 +168,52 @@ def _event_mask(counts: np.ndarray, constraints: ConstraintSet, n: int) -> np.nd
     return constraint_mask(constraints, values)
 
 
-def _score_histograms(
-    comps: np.ndarray, p: FiniteDistribution
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact log multinomial coefficients and log-probabilities under ``p``
-    of each histogram row, as ``(log_w, log_probs)``.
-
-    ``log Gamma`` comes from a table over ``0..n``, which holds the same
-    float64 values as evaluating it cell by cell.
-    """
-    n = int(comps[0].sum())
-    lgamma = gammaln(np.arange(1, n + 2))
-    log_w = lgamma[n] - lgamma[comps].sum(axis=1)
-    supported = p.support
-    out = np.full(comps.shape[0], -math.inf)
-    ok = ~(comps[:, ~supported] > 0).any(axis=1)
-    if np.any(ok):
-        out[ok] = log_w[ok] + comps[np.ix_(ok, supported)] @ p.log_probs[supported]
-    return log_w, out
-
-
 def _masked_log_ratio(
     weights: np.ndarray, num_log: np.ndarray, den_log: np.ndarray
 ) -> float:
     """``sum_i weights[i] * (num_log[i] - den_log[i])`` with 0 * (+-inf) = 0.
 
     Returns ``inf`` when positive weight meets a ``-inf`` numerator term's
-    counterpart (support violation of the denominator distribution).
+    counterpart (support violation of the denominator distribution); the
+    first infinite term decides.  Finite terms are summed left to right.
     """
-    total = 0.0
-    for w, a, b in zip(weights, num_log, den_log):
-        if w == 0.0:
-            continue
-        term = a - b
-        if math.isinf(term):
-            return math.inf if (term > 0) == (w > 0) else -math.inf
-        total += float(w) * float(term)
-    return total
+    used = weights != 0.0
+    w = weights[used]
+    terms = num_log[used] - den_log[used]
+    infinite = np.isinf(terms)
+    if np.any(infinite):
+        i = int(np.argmax(infinite))
+        return math.inf if (terms[i] > 0) == (w[i] > 0) else -math.inf
+    return float(np.cumsum(np.append(0.0, w * terms))[-1])
 
 
 def _enumerate(p: FiniteDistribution, constraints: ConstraintSet, n: int, cap: int):
+    """Every histogram of ``n >= 1`` samples over ``p``'s alphabet, as
+    ``(histograms, event mask, log multinomial coefficients, log
+    probabilities under p)``.
+
+    ``log Gamma`` comes from a table over ``0..n``: the batch form of
+    :func:`maxentlab.multinomial.log_multinomial` for many histograms at
+    one ``n``, holding the same float64 values as evaluating it cell by cell.
+    """
+    if n < 1:
+        raise DomainError("sample size must be at least 1")
     if constraints.dim:
         constraints.features.check_alphabet(p)
     comps = compositions(n, len(p), cap)
     mask = _event_mask(comps, constraints, n)
-    log_w, log_probs = _score_histograms(comps, p)
+    lgamma = gammaln(np.arange(1, n + 2))
+    log_w = lgamma[n] - lgamma[comps].sum(axis=1)
+    log_probs = _log_likelihood(comps, p)
+    log_probs += log_w
     return comps, mask, log_w, log_probs
+
+
+def _condition(lhp: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(log Pr, conditional weights)`` of histograms with finite
+    log-probabilities ``lhp``."""
+    log_prob = _logsumexp(lhp)
+    return log_prob, np.exp(lhp - log_prob)
 
 
 def _event_stats(
@@ -233,15 +235,9 @@ def _event_stats(
     """
     sub = comps[sel]
     sel_lhp = lhp[sel]
-    log_prob = _logsumexp(sel_lhp)
-    weights = np.exp(sel_lhp - log_prob)
-    star_scores = np.full(sub.shape[0], -math.inf)
-    star_ok = ~(sub[:, ~p_star.support] > 0).any(axis=1)
-    if np.any(star_ok):
-        star_scores[star_ok] = (
-            sub[np.ix_(star_ok, p_star.support)] @ p_star.log_probs[p_star.support]
-        )
-    if np.any(~star_ok & (weights > 0)):
+    log_prob, weights = _condition(sel_lhp)
+    star_scores = _log_likelihood(sub, p_star)
+    if np.any(np.isneginf(star_scores) & (weights > 0)):
         divergence = math.inf
     else:
         per_hist = (sel_lhp - log_prob) - log_w[sel] - star_scores
@@ -264,43 +260,30 @@ def enumerate_event(
     capped parameters and flagged.  A caller that has already solved that
     projection passes it as ``projection``, and it is not solved again.
     """
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
     comps, mask, log_w, lhp = _enumerate(p, constraints, n, cap)
     sel = mask & (lhp > -math.inf)
 
     if projection is None:
         projection = project_inequality(p, constraints, opts)
-    if projection.status is Status.INFEASIBLE or not np.any(sel):
-        return SanovReport(
-            n=n,
-            log_prob=-math.inf,
-            rate=projection.min_divergence,
-            residual=math.nan,
-            num_histograms_in_event=int(mask.sum()),
-            method=Method.EXACT,
-            projection=projection,
-            empty_event=True,
-            boundary_projection=projection.status is Status.BOUNDARY_NONATTAINED,
-        )
-    p_star = projection.model.to_distribution()
-    log_prob, divergence, mu_bar = _event_stats(comps, log_w, lhp, sel, p_star, n)
-    if math.isinf(divergence):
-        # The capped projection has no support on part of the event; the
-        # conditional divergence is infinite and the identity cannot close.
-        conditional_div = math.inf
-        gap = math.nan
-        residual = math.inf
-    else:
-        # Grouped conditional divergence (1/n) D(mu_A || P*^n).
+    empty = projection.status is Status.INFEASIBLE or not np.any(sel)
+    log_prob, conditional_div, gap, residual = -math.inf, math.nan, math.nan, math.nan
+    if not empty:
+        p_star = projection.model.to_distribution()
+        log_prob, divergence, mu_bar = _event_stats(comps, log_w, lhp, sel, p_star, n)
+        # Grouped conditional divergence (1/n) D(mu_A || P*^n).  It is
+        # infinite when the capped projection has no support on part of the
+        # event, and then the identity cannot close.
         conditional_div = divergence / n
-        # Pythagorean gap: (E_mu_bar - E_P*)[log(P*/P)].
-        log_ratio_mu = _masked_log_ratio(mu_bar, p_star.log_probs, p.log_probs)
-        log_ratio_star = _masked_log_ratio(
-            p_star.probs, p_star.log_probs, p.log_probs
-        )
-        gap = log_ratio_mu - log_ratio_star
-        residual = conditional_div + gap
+        if math.isinf(divergence):
+            residual = math.inf
+        else:
+            # Pythagorean gap: (E_mu_bar - E_P*)[log(P*/P)].
+            log_ratio_mu = _masked_log_ratio(mu_bar, p_star.log_probs, p.log_probs)
+            log_ratio_star = _masked_log_ratio(
+                p_star.probs, p_star.log_probs, p.log_probs
+            )
+            gap = log_ratio_mu - log_ratio_star
+            residual = conditional_div + gap
     return SanovReport(
         n=n,
         log_prob=log_prob,
@@ -312,6 +295,7 @@ def enumerate_event(
         conditional_divergence=conditional_div,
         pythagorean_gap=gap,
         boundary_projection=projection.status is Status.BOUNDARY_NONATTAINED,
+        empty_event=empty,
     )
 
 
@@ -323,14 +307,11 @@ def conditional_law(
 ) -> ConditionalLaw:
     """Histogram-level conditional law given the event; masses sum to 1."""
     comps, mask, _, lhp = _enumerate(p, constraints, n, cap)
-    member_lhp = lhp[mask]
-    finite = member_lhp > -math.inf
-    if not np.any(finite):
+    sel = mask & (lhp > -math.inf)
+    if not np.any(sel):
         raise EmptyEvent("the event has probability zero at this sample size")
-    histograms = comps[mask][finite]
-    log_prob = _logsumexp(member_lhp[finite])
-    masses = np.exp(member_lhp[finite] - log_prob)
-    return ConditionalLaw(histograms=histograms, masses=masses, n=n)
+    _, masses = _condition(lhp[sel])
+    return ConditionalLaw(histograms=comps[sel], masses=masses, n=n)
 
 
 def gibbs_conditioning_curve(
@@ -471,11 +452,7 @@ def monte_carlo_event(
         counts = rng.multinomial(n, p.probs, size=size)
         return int(_event_mask(counts, constraints, n).sum())
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run_chunk, range(num_chunks)))
-    else:
-        hits = sum(run_chunk(i) for i in range(num_chunks))
+    hits = sum(ordered_map(run_chunk, range(num_chunks), threads))
 
     projection = project_inequality(p, constraints, opts)
     rate = projection.min_divergence

@@ -84,6 +84,20 @@ def binomial_tail_prob(n: int, k_min: int) -> Fraction:
     return Fraction(num, 2**n)
 
 
+def masked_log_ratio_loop(weights, num_log, den_log) -> float:
+    """``sum_i w_i (a_i - b_i)`` term by term, skipping zero weights; the
+    first infinite term returns an infinity of its sign times its weight's."""
+    total = 0.0
+    for w, a, b in zip(weights, num_log, den_log):
+        if w == 0.0:
+            continue
+        term = a - b
+        if math.isinf(term):
+            return math.inf if (term > 0) == (w > 0) else -math.inf
+        total += float(w) * float(term)
+    return total
+
+
 def interior_lp_reference(
     prior_probs, feature_matrix, kinds, targets, interior_tol: float = 1e-12
 ) -> tuple[bool, bool]:

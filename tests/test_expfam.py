@@ -87,6 +87,9 @@ class TestLogPartition:
             m = ExpFamModel(prior, f, lam)
             assert abs(m.to_distribution().probs.sum() - 1.0) <= 1e-12
 
+    def test_member_distribution_built_once(self, bernoulli):
+        assert bernoulli.to_distribution() is bernoulli.to_distribution()
+
     def test_convexity(self):
         rng = substream(6, 22)
         for _ in range(100):

@@ -2,11 +2,15 @@
 identity; the conditional law; nested events; Monte Carlo estimates."""
 
 import math
+import struct
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxentlab import (
     ConstraintSet,
@@ -27,7 +31,7 @@ from maxentlab import sanov
 from maxentlab.sanov import gibbs_curve_csv, num_compositions
 from maxentlab._rng import substream
 
-from oracles import binomial_tail_prob, iter_compositions
+from oracles import binomial_tail_prob, iter_compositions, masked_log_ratio_loop
 
 
 def coin():
@@ -209,6 +213,27 @@ class TestConditionalLaw:
         with pytest.raises(EmptyEvent):
             conditional_law(coin(), ConstraintSet.equalities(f, [0.95]), 10)
 
+    def test_sample_size_must_be_positive(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sample size must be at least 1"):
+                conditional_law(coin(), tail_event(0.8), 0)
+
+    def test_masses_are_the_event_stats_weights(self):
+        # The law and the identity decomposition condition the same
+        # histograms with the same weights, to the bit.
+        p, event, n = coin(), tail_event(0.8), 10
+        law = conditional_law(p, event, n)
+        comps, mask, log_w, lhp = sanov._enumerate(
+            p, event, n, sanov.DEFAULT_ENUMERATION_CAP
+        )
+        sel = mask & (lhp > -math.inf)
+        p_star = enumerate_event(p, event, n).projection.model.to_distribution()
+        log_prob, _, mu_bar = sanov._event_stats(comps, log_w, lhp, sel, p_star, n)
+        assert np.array_equal(law.histograms, comps[sel])
+        assert np.array_equal(law.masses, np.exp(lhp[sel] - log_prob))
+        assert np.array_equal(law.masses @ (law.histograms / n), mu_bar)
+
 
 class TestGibbsConditioning:
     def test_residual_shrinks_from_10_to_40(self):
@@ -268,6 +293,14 @@ class TestNestedEvents:
         rep = nested_relative_probability(coin(), tail_event(0.8), tail_event(1.0), 10)
         assert rep.passed
         assert rep.lhs == pytest.approx(math.log(1 / 56), abs=1e-10)
+
+    def test_sample_size_must_be_positive(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sample size must be at least 1"):
+                nested_relative_probability(
+                    coin(), tail_event(0.8), tail_event(0.9), 0
+                )
 
     def test_not_nested_raises(self):
         f = FeatureSet(["x"], [[0.0, 1.0]])
@@ -335,3 +368,56 @@ class TestMonteCarlo:
             if r.wilson_low <= exact <= r.wilson_high:
                 inside += 1
         assert inside >= 17
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Bit equality, which tells -0.0 from +0.0."""
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestMaskedLogRatio:
+    """The vectorised ratio against the term-by-term loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5000),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.2, 0.9]),
+        st.sampled_from([0.0, 0.0005, 0.01, 0.3]),
+    )
+    def test_bit_equal_to_loop(self, k, seed, zero_share, inf_share):
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=k)
+        weights[rng.random(k) < zero_share] = 0.0
+        num_log = rng.normal(scale=3.0, size=k)
+        den_log = rng.normal(scale=3.0, size=k)
+        # A -inf numerator gives a -inf term, a -inf denominator a +inf one.
+        u = rng.random(k)
+        num_log[u < inf_share / 2] = -math.inf
+        den_log[(u >= inf_share / 2) & (u < inf_share)] = -math.inf
+        want = masked_log_ratio_loop(weights, num_log, den_log)
+        got = sanov._masked_log_ratio(weights, num_log, den_log)
+        assert _same_float(got, want), (got, want)
+
+    def test_first_infinity_decides(self):
+        fin, ninf = 0.5, -math.inf
+        weights = np.array([1.0, 0.0, 2.0, 3.0, -1.0])
+        # Term 1 is infinite under zero weight and is skipped; term 2 is
+        # -inf, term 3 +inf: the first one met wins.
+        num_log = np.array([fin, ninf, ninf, fin, fin])
+        den_log = np.array([0.1, 0.2, 0.3, ninf, 0.4])
+        assert sanov._masked_log_ratio(weights, num_log, den_log) == -math.inf
+        assert masked_log_ratio_loop(weights, num_log, den_log) == -math.inf
+        flipped = np.array([fin, ninf, fin, fin, fin]), np.array(
+            [0.1, 0.2, ninf, 0.3, 0.4]
+        )
+        assert sanov._masked_log_ratio(weights, *flipped) == math.inf
+        # A negative weight flips the sign of its infinite term.
+        assert sanov._masked_log_ratio(-weights, *flipped) == -math.inf
+
+    def test_zero_weights_and_signed_zero(self):
+        zeros = np.zeros(4)
+        assert _same_float(sanov._masked_log_ratio(zeros, zeros, zeros), 0.0)
+        neg = np.full(3, -0.0)
+        got = sanov._masked_log_ratio(np.ones(3), neg, np.zeros(3))
+        assert _same_float(got, masked_log_ratio_loop(np.ones(3), neg, np.zeros(3)))
