@@ -10,8 +10,9 @@ The same function, up to the constant ``H(data, P)``, is the log loss
 backtracking on ``g`` and result are the same for both.  They differ only
 in the direction rule and the iteration budget.  :func:`project` takes
 damped Newton steps (a Levenberg shift when the Fisher matrix is
-near-singular); :func:`fit_log_loss` takes gradient steps and never forms
-the Fisher matrix, so the agreement of the two is an independent check.
+near-singular); :func:`fit_log_loss` takes gradient steps with
+Barzilai-Borwein lengths and never forms the Fisher matrix, so the
+agreement of the two is an independent check.
 
 Inequality constraints are handled by an active-set loop around the
 equality solver.  Feasibility and boundary detection are linear programs
@@ -326,10 +327,32 @@ def _newton_direction(model: ExpFamModel, grad: np.ndarray, t: float):
     return step, slope, 1.0, 1.0
 
 
-def _gradient_direction(model: ExpFamModel, grad: np.ndarray, t: float):
-    """Steepest descent; the line search starts at twice the last accepted
-    length ``t``, and the float-resolution step keeps ``t``."""
-    return -grad, -float(np.dot(grad, grad)), t, min(t * 2.0, 1e6)
+def _gradient_direction():
+    """A fresh steepest-descent rule with Barzilai-Borwein lengths.
+
+    The step is ``-grad``.  Its first length is the BB2 length
+    ``s . y / y . y`` (Barzilai & Borwein 1988), where ``s`` and ``y`` are
+    the changes in ``lam`` and in the gradient since the rule's last call,
+    capped at 1e6; the float-resolution step takes the same length.  On
+    the first call, and whenever ``s . y <= 0``, the line search starts at
+    twice the last accepted length ``t`` and the float-resolution step
+    keeps ``t``.  The rule remembers the last ``lam`` and gradient, so
+    each solve needs its own.
+    """
+    last = None
+
+    def direction(model: ExpFamModel, grad: np.ndarray, t: float):
+        nonlocal last
+        short_t, first_t = t, min(t * 2.0, 1e6)
+        if last is not None:
+            s, y = model.lam - last[0], grad - last[1]
+            sy = float(np.dot(s, y))
+            if sy > 0.0:
+                short_t = first_t = min(sy / float(np.dot(y, y)), 1e6)
+        last = model.lam, grad
+        return -grad, -float(np.dot(grad, grad)), short_t, first_t
+
+    return direction
 
 
 def _solve(
@@ -346,11 +369,12 @@ def _solve(
 
     ``direction(model, grad, t)`` returns ``(step, slope, short_t,
     first_t)``: the search direction, the directional derivative
-    ``grad . step``, the length taken when the predicted decrease is below
-    the float resolution of ``g``, and the first length that Armijo
-    backtracking tries; ``t`` is the last accepted length.  A budget of
-    ``max_iter`` steps that runs out is a :class:`ConvergenceError`, unless
-    the feasibility LP put the targets on the boundary.
+    ``grad . step``, the length taken when the decrease predicted at the
+    first length is below the float resolution of ``g``, and the first
+    length, which Armijo backtracking tries first; ``t`` is the last
+    accepted length.  A budget of ``max_iter`` steps that runs out is a
+    :class:`ConvergenceError`, unless the feasibility LP put the targets
+    on the boundary.
     """
     features, alpha, d = constraints.features, constraints.targets, constraints.dim
     features.check_alphabet(prior)
@@ -383,10 +407,10 @@ def _solve(
             status = Status.BOUNDARY_NONATTAINED
             break
         step, slope, short_t, t = direction(model, grad, t)
-        # Near the optimum the predicted decrease drops below the float
-        # resolution of g; Armijo cannot certify progress there, but the
-        # short step is locally contracting, so take it.
-        if -slope <= 1e-13 * max(1.0, abs(g)):
+        # Near the optimum the decrease predicted at the first length drops
+        # below the float resolution of g; Armijo cannot certify progress
+        # there, but the short step is locally contracting, so take it.
+        if -t * slope <= 1e-13 * max(1.0, abs(g)):
             t = short_t
             candidate = ExpFamModel(prior, features, model.lam + t * step)
             g_new = dual_value(candidate)
@@ -538,10 +562,12 @@ def fit_log_loss(
 ) -> ProjectionResult:
     """Minimize the log loss ``H(data, P_lam)`` directly over ``lam``.
 
-    Plain gradient descent with Armijo backtracking; the gradient is
-    ``E_{P_lam}[f] - E_data[f]``.  No dual reformulation is used, so
-    agreement with :func:`project` at the data's moments is an independent
-    check of the two learning prescriptions being one problem.
+    Gradient descent with Barzilai-Borwein step lengths and Armijo
+    backtracking; the gradient is ``E_{P_lam}[f] - E_data[f]``.  No dual
+    reformulation or second-order information is used, so agreement with
+    :func:`project` at the data's moments is an independent check of the
+    two learning prescriptions being one problem.  The budget is 100,000
+    steps.
     """
     opts = opts or SolverOptions()
     features.check_alphabet(prior)
@@ -555,7 +581,7 @@ def fit_log_loss(
         constraints,
         opts,
         lambda0,
-        _gradient_direction,
+        _gradient_direction(),
         _GD_MAX_ITER,
         "log-loss gradient descent",
     )

@@ -10,6 +10,7 @@ from scipy.optimize import OptimizeResult
 from maxentlab import (
     ConstraintSet,
     ConvergenceError,
+    ExpFamModel,
     FeatureSet,
     FiniteDistribution,
     InputError,
@@ -61,6 +62,23 @@ def random_instance(seed, k_max=40, d_max=5):
     w = rng.random(k) + 0.05
     data = FiniteDistribution(outcomes, w / w.sum())
     return prior, features, data, rng
+
+
+def criterion_4_instance(seed):
+    """Acceptance criterion 4's generator: K in 3..30, d in 1..5, a
+    uniform prior on even seeds, interior data."""
+    rng = substream(seed, 61)
+    k = int(rng.integers(3, 31))
+    d = int(rng.integers(1, 6))
+    outcomes = [str(i) for i in range(k)]
+    if seed % 2 == 0:
+        prior = FiniteDistribution.uniform(outcomes)
+    else:
+        w = rng.random(k) + 0.1
+        prior = FiniteDistribution(outcomes, w / w.sum())
+    features = FeatureSet([f"f{i}" for i in range(d)], rng.normal(size=(d, k)))
+    w = rng.random(k) + 0.05
+    return prior, features, FiniteDistribution(outcomes, w / w.sum())
 
 
 LP_CASES = ("interior", "face", "zero_prior", "mixed", "infeasible")
@@ -440,6 +458,103 @@ class TestFitLogLoss:
                 via_newton.model.to_distribution(), via_gd.model.to_distribution()
             )
             assert tv <= 1e-6
+
+    def test_converges_where_fixed_lengths_ran_out_of_budget(self):
+        # Plain gradient steps hit the 100,000-step budget on these two.
+        for seed in (505, 1094):
+            prior, features, data = criterion_4_instance(seed)
+            a = ConstraintSet.equalities(features, moments(data, features))
+            res = fit_log_loss(prior, features, data)
+            assert res.status is Status.CONVERGED, seed
+            tv = total_variation(
+                project(prior, a).model.to_distribution(),
+                res.model.to_distribution(),
+            )
+            assert tv <= 1e-6, seed
+
+    def test_step_counts_on_criterion_4_instances(self):
+        steps = [
+            fit_log_loss(*criterion_4_instance(seed)).iterations
+            for seed in range(100)
+        ]
+        assert sum(steps) <= 3_000
+        assert max(steps) <= 200
+
+    def test_uncertified_steps_predict_a_decrease_below_resolution(self):
+        # Steps that skip the Armijo test are the ones whose predicted
+        # decrease at the proposed length is below the float resolution of
+        # g.  Judged at unit length instead, a long BB step skips the test
+        # and raises g by up to 3e-10 of |g| on these instances.
+        for seed in (127, 169):
+            opts = SolverOptions(trace=True)
+            res = fit_log_loss(*criterion_4_instance(seed), opts)
+            g = [point.dual_value for point in res.trace]
+            rise = max((b - a) / max(1.0, abs(a)) for a, b in zip(g, g[1:]))
+            assert rise <= 1e-12, seed
+
+
+class TestGradientDirection:
+    def model(self, lam):
+        features = FeatureSet(["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
+        return ExpFamModel(three(), features, lam)
+
+    def test_first_call_doubles_the_unit_length(self):
+        rule = projection._gradient_direction()
+        grad = np.array([0.5, -1.0])
+        step, slope, short_t, first_t = rule(self.model([0.0, 0.0]), grad, 1.0)
+        np.testing.assert_array_equal(step, -grad)
+        assert slope == -1.25
+        assert (short_t, first_t) == (1.0, 2.0)
+
+    def test_curved_step_proposes_the_bb2_length(self):
+        rule = projection._gradient_direction()
+        rule(self.model([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
+        # s = (-1, -1), y = (-0.5, -0.25): s.y / y.y = 0.75 / 0.3125.
+        _, _, short_t, first_t = rule(
+            self.model([-1.0, -1.0]), np.array([0.5, 0.75]), 0.25
+        )
+        assert short_t == first_t == 0.75 / 0.3125
+
+    def test_bb2_length_is_capped(self):
+        rule = projection._gradient_direction()
+        rule(self.model([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)
+        _, _, short_t, first_t = rule(
+            self.model([-1.0, 0.0]), np.array([1.0 - 1e-7, 0.0]), 1.0
+        )
+        assert short_t == first_t == 1e6
+
+    @pytest.mark.parametrize("t, first", [(0.3, 0.6), (8e5, 1e6)])
+    def test_no_curvature_falls_back_to_doubling(self, t, first):
+        rule = projection._gradient_direction()
+        rule(self.model([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
+        # s = (-1, -1), y = (0.5, 0): s.y < 0.
+        _, _, short_t, first_t = rule(
+            self.model([-1.0, -1.0]), np.array([1.5, 1.0]), t
+        )
+        assert (short_t, first_t) == (t, first)
+
+    def test_zero_curvature_falls_back_to_doubling(self):
+        rule = projection._gradient_direction()
+        rule(self.model([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
+        # s = (-1, 0), y = (0, 0.5): s.y == 0.
+        _, _, short_t, first_t = rule(
+            self.model([-1.0, 0.0]), np.array([1.0, 1.5]), 0.5
+        )
+        assert (short_t, first_t) == (0.5, 1.0)
+
+    def test_each_fit_starts_a_fresh_rule(self, monkeypatch):
+        made = []
+        make = projection._gradient_direction
+
+        def counted():
+            made.append(1)
+            return make()
+
+        monkeypatch.setattr(projection, "_gradient_direction", counted)
+        prior, features, data, _ = random_instance(3)
+        fit_log_loss(prior, features, data)
+        fit_log_loss(prior, features, data)
+        assert len(made) == 2
 
 
 class TestRobustBayes:
