@@ -35,7 +35,15 @@ from .dist import (
 from .errors import ConvergenceError, InputError, MaxentError
 from .expfam import ExpFamModel
 from .jsonio import atomic_write_text, dump_json, load_json
-from .projection import SolverOptions, Status, fit_log_loss, project_inequality
+from .projection import (
+    SolverOptions,
+    Status,
+    check_feasibility,
+    fit_log_loss,
+    project,
+    project_inequality,
+    witnessed_feasibility,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -175,10 +183,14 @@ def cmd_fit(args) -> int:
         sample_count = None
     opts = _solver_options(args)
     alpha = moments(data, features)
-    projected = project_inequality(
-        prior, ConstraintSet.equalities(features, alpha), opts
-    )
-    fitted = fit_log_loss(prior, features, data, opts)
+    constraints = ConstraintSet.equalities(features, alpha)
+    # Both halves solve on the data's moments: one verdict serves both, read
+    # off the data when they decide it, else from one LP.
+    feasibility = witnessed_feasibility(prior, constraints, data)
+    if feasibility is None:
+        feasibility = check_feasibility(prior, constraints)
+    projected = project(prior, constraints, opts, feasibility=feasibility)
+    fitted = fit_log_loss(prior, features, data, opts, feasibility=feasibility)
     tv = total_variation(
         projected.model.to_distribution(), fitted.model.to_distribution()
     )
@@ -206,8 +218,12 @@ def _diagnose_from_files(args, opts: SolverOptions):
             raise InputError(f"{args.model_lambda}: expected a JSON array")
         lam = np.asarray(obj, dtype=float)
     model = ExpFamModel(prior, features, lam)
-    star = project_inequality(
-        prior, ConstraintSet.equalities(features, moments(data, features)), opts
+    constraints = ConstraintSet.equalities(features, moments(data, features))
+    star = project(
+        prior,
+        constraints,
+        opts,
+        feasibility=witnessed_feasibility(prior, constraints, data),
     )
     reports = [
         ident.pythagorean(data, star, model),

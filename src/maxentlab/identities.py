@@ -11,6 +11,13 @@ Identities whose textbook form assumes a uniform prior (the entropy form
 of the approximation error, and loss evaluation by substituting the
 projected distribution) are checked in their prior-relative general form
 for non-uniform priors; the mode used is recorded in the report details.
+
+Random instances build no object and solve no LP in their inner loops:
+the Bogoliubov energy-matching scan evaluates its objective on arrays
+fixed once per solve, and each projection of an instance takes its
+feasibility verdict from the distribution whose moments it matches
+(:func:`~maxentlab.projection.witnessed_feasibility`).  Both give the bits
+of the object and LP paths they replace.
 """
 
 from __future__ import annotations
@@ -35,11 +42,17 @@ from .dist import (
 from .errors import ConstraintViolation, DomainError, EnergyMatchingError
 from .expfam import (
     ExpFamModel,
+    _logsumexp,
     free_energy,
     internal_energy,
     mean_parameters,
 )
-from .projection import ProjectionResult, SolverOptions, project
+from .projection import (
+    ProjectionResult,
+    SolverOptions,
+    project,
+    witnessed_feasibility,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sanov import SanovReport
@@ -185,6 +198,48 @@ def _scaled(variational: ExpFamModel, c: float) -> ExpFamModel:
     return variational.with_lambda(c * variational.lam)
 
 
+def _energy(lam: np.ndarray, matrix: np.ndarray, q: np.ndarray) -> float:
+    """``internal_energy`` of parameters ``lam`` on features ``matrix``
+    under the probability vector ``q``."""
+    if not len(lam):
+        return 0.0
+    return float(-np.dot(lam, matrix @ q))
+
+
+def _upper_defect(target: ExpFamModel, variational: ExpFamModel):
+    """The upper bound's energy-matching objective of the scale ``c``:
+    ``U_target(P_c) - U_c(P_c)`` with ``P_c`` the variational member at
+    parameters ``c psi``.
+
+    It repeats, on arrays fixed once per call, the float operations of
+    building ``_scaled(variational, c)`` and its distribution (the tilt,
+    one log-sum-exp, the shifted log-probabilities, their exponential and
+    its normalization) and of the two ``internal_energy`` calls, in the
+    same order, so it returns the same bits without building either
+    object.
+    """
+    prior = target.prior
+    mask = prior.support
+    log_prior = prior.log_probs
+    log_p0 = log_prior[mask]
+    g = variational.features.matrix
+    g_support = g[:, mask]
+    f, lam, psi = target.features.matrix, target.lam, variational.lam
+
+    def upper_defect(c: float) -> float:
+        c_psi = c * psi
+        tilt = c_psi @ g_support
+        log_z = _logsumexp(log_p0 + tilt)
+        lp = np.array(log_prior, copy=True)
+        lp[mask] += tilt
+        lp[mask] += -log_z
+        q = np.exp(lp)
+        q = q / float(q.sum())
+        return _energy(lam, f, q) - _energy(c_psi, g, q)
+
+    return upper_defect
+
+
 def _match_scale(objective, lo: float = 1e-3, hi: float = 1e3) -> float:
     """Root of a scalar energy-matching condition on the scale ``c``.
 
@@ -217,6 +272,10 @@ def bogoliubov(
     bound: match the energies under the target distribution instead; the
     gap is ``D(P_lam || P_psi)``.  Each report's residual is the gap
     mismatch; the sign condition is folded into the pass flag.
+
+    The upper matching condition is solved on arrays (:func:`_upper_defect`)
+    and the lower one is linear in the scale, so the scan builds models and
+    distributions only for the two matched scales.
     """
     if target.prior.outcomes != variational.prior.outcomes or not np.array_equal(
         target.prior.probs, variational.prior.probs
@@ -227,17 +286,12 @@ def bogoliubov(
     psi = variational.lam
     g_target = moments(p_target, variational.features)
 
-    def upper_defect(c: float) -> float:
-        scaled = _scaled(variational, c)
-        p_psi = scaled.to_distribution()
-        return internal_energy(target, p_psi) - internal_energy(scaled, p_psi)
-
     def lower_defect(c: float) -> float:
         # internal_energy(_scaled(variational, c), p_target), without
         # building the scaled model and its log-partition.
         return u_target - float(-np.dot(c * psi, g_target))
 
-    c_up = _match_scale(upper_defect)
+    c_up = _match_scale(_upper_defect(target, variational))
     up_model = _scaled(variational, c_up)
     p_psi = up_model.to_distribution()
     gap_up = free_energy(up_model, p_psi) - free_energy(target, p_target)
@@ -466,7 +520,12 @@ def random_instance(seed: int) -> IdentityInstance:
     )
     data = FiniteDistribution(outcomes, _random_simplex(rng, k, 0.05))
     constraints = ConstraintSet.equalities(features, moments(data, features))
-    star = project(prior, constraints, _INSTANCE_OPTS)
+    star = project(
+        prior,
+        constraints,
+        _INSTANCE_OPTS,
+        feasibility=witnessed_feasibility(prior, constraints, data),
+    )
     lam = rng.uniform(-_LAMBDA_SCALE, _LAMBDA_SCALE, size=d)
     perturbed = FiniteDistribution(outcomes, _random_simplex(rng, k, 0.05))
     # The target parameters are redrawn when no variational candidate
@@ -484,10 +543,13 @@ def random_instance(seed: int) -> IdentityInstance:
 
     # A second member of the family plus a distribution matched to its
     # moments (via projection of a perturbed simplex point).
+    target = model.to_distribution()
+    matched_constraints = ConstraintSet.equalities(features, mean_parameters(model))
     matched = project(
         perturbed,
-        ConstraintSet.equalities(features, mean_parameters(model)),
+        matched_constraints,
         _INSTANCE_OPTS,
+        feasibility=witnessed_feasibility(perturbed, matched_constraints, target),
     )
     matched_data = matched.model.to_distribution()
 

@@ -19,7 +19,11 @@ equality solver.  Feasibility and boundary detection are linear programs
 over the simplex restricted to the prior's support: the interior LP
 substitutes ``q = s + t 1`` so that "every outcome has mass at least t"
 needs no per-outcome row, leaving d + 1 rows and K + 1 columns for K
-supported outcomes and d constraints.
+supported outcomes and d constraints.  A distribution whose moments are
+the targets and which puts more than the interior tolerance on every
+supported outcome answers that LP without running it
+(:func:`witnessed_feasibility`); :func:`project` and :func:`fit_log_loss`
+take such a verdict in place of the LP.
 """
 
 from __future__ import annotations
@@ -256,6 +260,32 @@ def check_feasibility(
     )
 
 
+def witnessed_feasibility(
+    prior: FiniteDistribution, constraints: ConstraintSet, q: FiniteDistribution
+) -> FeasibilityReport | None:
+    """The verdict of :func:`check_feasibility`, read off a distribution
+    ``q`` whose moments are exactly the targets, or ``None``.
+
+    The interior LP maximizes the smallest mass ``t`` a feasible
+    distribution puts on the supported outcomes, so its optimum is at least
+    ``min_j q_j`` when ``q`` itself is feasible.  When ``q`` puts no mass
+    outside the prior's support and more than the interior tolerance on
+    every supported outcome, the targets therefore lie in the relative
+    interior and no LP is needed.  In every other case (moments that differ
+    from the targets in any bit, a different alphabet size, mass outside
+    the support, a supported outcome at or below the tolerance) the answer
+    is ``None`` and the LP must decide.
+    """
+    if constraints.dim == 0 or len(q) != len(prior):
+        return None
+    if not np.array_equal(moments(q, constraints.features), constraints.targets):
+        return None
+    support = prior.support
+    if np.any(q.probs[~support] > 0) or np.any(q.probs[support] <= _INTERIOR_TOL):
+        return None
+    return FeasibilityReport(in_hull=True, on_boundary=False, witness=None)
+
+
 def _empty_projection(prior: FiniteDistribution) -> ProjectionResult:
     return ProjectionResult(
         lambda_star=np.zeros(0),
@@ -363,6 +393,7 @@ def _solve(
     direction,
     max_iter: int,
     what: str,
+    feasibility: FeasibilityReport | None = None,
 ) -> ProjectionResult:
     """Minimize ``g(lam) = A(lam) - lam . alpha`` for the equality
     constraints ``E[f] = alpha`` by line search along ``direction``.
@@ -374,13 +405,14 @@ def _solve(
     length, which Armijo backtracking tries first; ``t`` is the last
     accepted length.  A budget of ``max_iter`` steps that runs out is a
     :class:`ConvergenceError`, unless the feasibility LP put the targets
-    on the boundary.
+    on the boundary.  A ``feasibility`` verdict known in advance replaces
+    the LP.
     """
     features, alpha, d = constraints.features, constraints.targets, constraints.dim
     features.check_alphabet(prior)
     if d == 0:
         return _empty_projection(prior)
-    feas = check_feasibility(prior, constraints)
+    feas = feasibility or check_feasibility(prior, constraints)
     if not feas.in_hull:
         return _infeasible_result(prior, constraints)
     lam = np.zeros(d) if lambda0 is None else np.asarray(lambda0, dtype=float)
@@ -443,6 +475,7 @@ def project(
     constraints: ConstraintSet,
     opts: SolverOptions | None = None,
     lambda0: np.ndarray | None = None,
+    feasibility: FeasibilityReport | None = None,
 ) -> ProjectionResult:
     """Project ``prior`` onto equality moment constraints.
 
@@ -457,6 +490,10 @@ def project(
     lambda0 : array, optional
         Starting parameters; the converged result does not depend on the
         start beyond the moment tolerance.
+    feasibility : FeasibilityReport, optional
+        The verdict of :func:`check_feasibility` on these arguments, when
+        it is already known (from an earlier LP or from
+        :func:`witnessed_feasibility`); the LP then does not run.
     """
     opts = opts or SolverOptions()
     if not constraints.is_equality_only():
@@ -472,6 +509,7 @@ def project(
         _newton_direction,
         opts.max_iter,
         "dual Newton",
+        feasibility,
     )
 
 
@@ -559,6 +597,7 @@ def fit_log_loss(
     data: FiniteDistribution,
     opts: SolverOptions | None = None,
     lambda0: np.ndarray | None = None,
+    feasibility: FeasibilityReport | None = None,
 ) -> ProjectionResult:
     """Minimize the log loss ``H(data, P_lam)`` directly over ``lam``.
 
@@ -567,7 +606,9 @@ def fit_log_loss(
     reformulation or second-order information is used, so agreement with
     :func:`project` at the data's moments is an independent check of the
     two learning prescriptions being one problem.  The budget is 100,000
-    steps.
+    steps.  The data witness the feasibility of their own moments
+    (:func:`witnessed_feasibility`); the LP runs only when they cannot
+    decide it and no ``feasibility`` verdict is passed in.
     """
     opts = opts or SolverOptions()
     features.check_alphabet(prior)
@@ -584,6 +625,7 @@ def fit_log_loss(
         _gradient_direction(),
         _GD_MAX_ITER,
         "log-loss gradient descent",
+        feasibility or witnessed_feasibility(prior, constraints, data),
     )
 
 

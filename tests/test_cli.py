@@ -868,20 +868,11 @@ def test_bad_solver_options_exit_2(files, capsys, opts):
     assert next(iter(opts)) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, lps", [("project", 1), ("fit", 2)])
-def test_equality_solves_run_one_lp_each(files, monkeypatch, command, lps):
-    # project with equality constraints runs one feasibility LP; fit runs
-    # one for the projection and one for the log-loss fit.
-    from maxentlab import projection
-
-    calls = []
-    solve = projection.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(projection, "linprog", counted)
+@pytest.mark.parametrize("command, lps", [("project", 1), ("fit", 0)])
+def test_equality_solves_run_one_lp_each(files, linprog_calls, command, lps):
+    # project with equality constraints runs one feasibility LP; fit's data
+    # have full support, so they decide feasibility for both halves and no
+    # LP runs.
     tmp, write = files
     argv = [command, "--prior", write("p.json", PRIOR), "--output", str(tmp / "r")]
     if command == "project":
@@ -890,7 +881,32 @@ def test_equality_solves_run_one_lp_each(files, monkeypatch, command, lps):
         data = {"outcomes": ["0", "1"], "probs": [0.3, 0.7]}
         argv += ["--features", write("f.json", FEATURES), "--data", write("d.json", data)]
     assert main(argv) == 0
-    assert len(calls) == lps
+    assert len(linprog_calls) == lps
+
+
+def test_fit_shares_one_lp_when_data_miss_an_outcome(files, linprog_calls):
+    # Data with an empty outcome cannot witness an interior target: one LP
+    # decides it, for the projection and the log-loss fit alike.
+    tmp, write = files
+    prior = {"outcomes": ["0", "1", "2"], "probs": [0.2, 0.3, 0.5]}
+    data = {"outcomes": ["0", "1", "2"], "probs": [0.5, 0.5, 0.0]}
+    out = tmp / "r"
+    argv = [
+        "fit",
+        "--prior",
+        write("p.json", prior),
+        "--features",
+        write("f.json", THREE_FEATURES),
+        "--data",
+        write("d.json", data),
+        "--output",
+        str(out),
+    ]
+    assert main(argv) == 0
+    assert len(linprog_calls) == 1
+    report = json.loads(out.read_text())
+    assert report["projection"]["status"] == "converged"
+    assert report["prescriptions_agree"]
 
 
 def test_fit_half_of_cli_fit_forms_no_fisher_matrix(files, monkeypatch):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxentlab import (
     ConstraintSet,
@@ -19,6 +21,7 @@ from maxentlab import (
     entropy_multiplicity_bound,
     enumerate_event,
     kl_divergence,
+    moments,
     pretend_data_identity,
     project,
     pythagorean,
@@ -30,7 +33,12 @@ from maxentlab.cli import main
 from maxentlab.errors import EnergyMatchingError
 from maxentlab.identities import random_instance, run_instance
 from maxentlab._rng import substream
-from oracles import match_scale_full_grid
+from maxentlab.jsonio import dump_json
+from oracles import (
+    match_scale_full_grid,
+    object_path_identity_suite,
+    upper_defect_objects,
+)
 
 LOG4 = math.log(4.0)
 
@@ -365,3 +373,97 @@ class TestIdentitySuiteWork:
         args = ["diagnose", "--random", "--instances", "3", "--output", str(out)]
         assert main(args) == 0
         assert len(calls) == len(attempts) > 3
+
+
+_SCALE_GRID = np.geomspace(1e-3, 1e3, 61)
+
+
+@st.composite
+def _bogoliubov_pairs(draw):
+    """A target and a variational model on one prior that may give some
+    outcomes zero mass; the target may have no features."""
+    k = draw(st.integers(2, 8))
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=k, max_size=k
+        ).filter(lambda w: sum(w) > 0)
+    )
+    prior = FiniteDistribution(
+        [f"x{i}" for i in range(k)], np.array(weights) / sum(weights)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def family(d: int, name: str) -> ExpFamModel:
+        features = FeatureSet(
+            [f"{name}{i}" for i in range(d)], rng.normal(size=(d, k))
+        )
+        return ExpFamModel(prior, features, rng.uniform(-3.0, 3.0, d))
+
+    target = family(draw(st.integers(0, 3)), "f")
+    variational = family(draw(st.integers(1, 4)), "g")
+    return target, variational
+
+
+# Scales on the scan's grid, and between two neighbouring grid points.
+_scales = st.one_of(
+    st.sampled_from(_SCALE_GRID.tolist()),
+    st.tuples(st.integers(0, 59), st.floats(0.0, 1.0)).map(
+        lambda t: float(
+            _SCALE_GRID[t[0]] * (_SCALE_GRID[t[0] + 1] / _SCALE_GRID[t[0]]) ** t[1]
+        )
+    ),
+)
+
+
+class TestArrayObjective:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_bogoliubov_pairs(), scales=st.lists(_scales, min_size=1, max_size=4))
+    def test_upper_defect_bit_equal_to_object_path(self, pair, scales):
+        target, variational = pair
+        arrays = ident._upper_defect(target, variational)
+        objects = upper_defect_objects(target, variational)
+        for c in scales:
+            for scale in (c, np.float64(c)):
+                assert arrays(scale).hex() == objects(scale).hex(), c
+
+    def test_suite_bytes_match_object_and_lp_paths(self, monkeypatch, linprog_calls):
+        def suite_bytes() -> str:
+            return dump_json(
+                [
+                    {
+                        "instance": descriptor.to_json(),
+                        "reports": [r.to_json() for r in reports],
+                    }
+                    for descriptor, reports in run_identity_suite(50, 0)
+                ]
+            )
+
+        fast = suite_bytes()
+        assert linprog_calls == []
+        object_path_identity_suite(monkeypatch)
+        assert suite_bytes() == fast
+        # Both projections of every instance went through the LP.
+        assert len(linprog_calls) == 2 * 50
+
+
+class TestWitnessedProjections:
+    def test_random_diagnose_runs_no_lp(self, linprog_calls, tmp_path):
+        out = tmp_path / "d.json"
+        argv = ["diagnose", "--random", "--instances", "3", "--seed", "4"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert linprog_calls == []
+
+    def test_star_bit_equal_to_lp_path(self):
+        for seed in range(200):
+            instance = random_instance(seed)
+            features = instance.features
+            constraints = ConstraintSet.equalities(
+                features, moments(instance.data, features)
+            )
+            solved = project(instance.prior, constraints, ident._INSTANCE_OPTS)
+            star = instance.star
+            assert star.lambda_star.tobytes() == solved.lambda_star.tobytes(), seed
+            assert (star.status, star.iterations) == (
+                solved.status,
+                solved.iterations,
+            ), seed

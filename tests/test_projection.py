@@ -228,6 +228,49 @@ class TestFeasibility:
             check_feasibility(three(), a)
 
 
+class TestWitnessedFeasibility:
+    """A distribution whose moments are the targets gives the LP's verdict
+    when it is strictly inside the prior's support; otherwise the LP runs."""
+
+    def test_interior_witness_replaces_the_lp(self, linprog_calls):
+        prior = FiniteDistribution(["0", "1", "2"], [0.2, 0.3, 0.5])
+        q = FiniteDistribution(["0", "1", "2"], [0.1, 0.6, 0.3])
+        a = ConstraintSet.equalities(three_feature(), moments(q, three_feature()))
+        verdict = projection.witnessed_feasibility(prior, a, q)
+        assert verdict == check_feasibility(prior, a)
+        linprog_calls.clear()
+        witnessed = project(prior, a, feasibility=verdict)
+        assert linprog_calls == []
+        solved = project(prior, a)
+        assert len(linprog_calls) == 1
+        assert witnessed.lambda_star.tobytes() == solved.lambda_star.tobytes()
+        assert witnessed.status is solved.status is Status.CONVERGED
+
+    @pytest.mark.parametrize(
+        "case", ["zero-mass", "mass-at-tolerance", "outside-support", "moments-off"]
+    )
+    def test_undecided_witness_leaves_it_to_the_lp(self, linprog_calls, case):
+        tol = projection._INTERIOR_TOL
+        prior = three()
+        probs = {
+            "zero-mass": [0.0, 0.4, 0.6],
+            "mass-at-tolerance": [tol, 0.5, 0.5 - tol],
+        }.get(case, [0.4, 0.4, 0.2])
+        if case == "outside-support":
+            prior = FiniteDistribution(["0", "1", "2"], [0.5, 0.5, 0.0])
+        q = FiniteDistribution(["0", "1", "2"], probs)
+        assert q.probs[0] == probs[0]
+        targets = moments(q, three_feature())
+        if case == "moments-off":
+            targets = np.nextafter(targets, math.inf)
+        a = ConstraintSet.equalities(three_feature(), targets)
+        verdict = projection.witnessed_feasibility(prior, a, q)
+        assert verdict is None
+        result = project(prior, a, feasibility=verdict)
+        assert len(linprog_calls) == 1
+        assert result.status is Status.CONVERGED
+
+
 class TestProject:
     def test_no_constraints_returns_prior(self):
         prior = three()
