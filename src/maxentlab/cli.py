@@ -29,6 +29,7 @@ from .dist import (
     EmpiricalMeasure,
     FeatureSet,
     FiniteDistribution,
+    _float_array,
     moments,
     total_variation,
 )
@@ -69,13 +70,15 @@ def _require_args(args, *names: str) -> None:
 
 def _parse_n_grid(text: str, option: str) -> list[int]:
     """Comma list (``5000,10000``) or doubling span (``5000..80000``) given
-    to ``option``; an empty list is an error."""
+    to ``option``; an empty list or an entry below 1 is an error."""
     text = text.strip()
     try:
         if ".." not in text:
             grid = [int(tok) for tok in text.split(",") if tok.strip()]
             if not grid:
                 raise InputError(f"{option}: empty n grid {text!r}")
+            if min(grid) < 1:
+                raise InputError(f"{option}: bad n grid {text!r}")
             return grid
         lo, hi = (int(tok) for tok in text.split("..", 1))
     except ValueError as exc:
@@ -188,7 +191,7 @@ def cmd_fit(args) -> int:
     # off the data when they decide it, else from one LP.
     feasibility = witnessed_feasibility(prior, constraints, data)
     if feasibility is None:
-        feasibility = check_feasibility(prior, constraints)
+        feasibility = check_feasibility(prior, constraints, separate=False)
     projected = project(prior, constraints, opts, feasibility=feasibility)
     fitted = fit_log_loss(prior, features, data, opts, feasibility=feasibility)
     tv = total_variation(
@@ -216,15 +219,9 @@ def _diagnose_from_files(args, opts: SolverOptions):
         obj = load_json(args.model_lambda)
         if not isinstance(obj, list):
             raise InputError(f"{args.model_lambda}: expected a JSON array")
-        lam = np.asarray(obj, dtype=float)
+        lam = _float_array(obj, "--model-lambda")
     model = ExpFamModel(prior, features, lam)
-    constraints = ConstraintSet.equalities(features, moments(data, features))
-    star = project(
-        prior,
-        constraints,
-        opts,
-        feasibility=witnessed_feasibility(prior, constraints, data),
-    )
+    star = ident._project_to_moments(prior, features, data, opts)
     reports = [
         ident.pythagorean(data, star, model),
         ident.robustness(data, star.model, model),
@@ -246,25 +243,19 @@ def cmd_diagnose(args) -> int:
             "instances use their own solver settings"
         )
     opts = _solver_options(args)
-    blocks = []
-    failures = []
     if args.random:
         suite = ident.run_identity_suite(args.instances, seed=args.seed)
-        for descriptor, reports in suite:
-            blocks.append(
-                {
-                    "instance": descriptor.to_json(),
-                    "reports": [r.to_json() for r in reports],
-                }
-            )
-            failures.extend(r.name for r in reports if not r.passed)
+        suite = [(descriptor.to_json(), reports) for descriptor, reports in suite]
     else:
         for name in ("prior", "features", "data"):
             if getattr(args, name) is None:
                 raise InputError(
                     "diagnose needs --random or --prior/--features/--data"
                 )
-        descriptor, reports = _diagnose_from_files(args, opts)
+        suite = [_diagnose_from_files(args, opts)]
+    blocks = []
+    failures = []
+    for descriptor, reports in suite:
         blocks.append(
             {"instance": descriptor, "reports": [r.to_json() for r in reports]}
         )

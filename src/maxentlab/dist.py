@@ -33,6 +33,15 @@ NORMALIZATION_SLACK = 1e-9
 MEMBERSHIP_TOL = 1e-9
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; values that are not numbers, or lists
+    of unequal lengths, raise :class:`InputError` naming ``what``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be numbers in a rectangular array") from None
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr = np.array(arr, copy=True)
@@ -74,7 +83,7 @@ class FiniteDistribution:
             outcomes = _Labels(str(x) for x in outcomes)
             if len(set(outcomes)) != len(outcomes):
                 raise InputError("outcome labels must be unique")
-        p = np.asarray(probs, dtype=float)
+        p = _float_array(probs, "probs")
         if p.ndim != 1 or p.shape[0] != len(outcomes):
             raise ShapeMismatch(
                 f"probs has shape {p.shape}, expected ({len(outcomes)},)"
@@ -146,7 +155,7 @@ class FeatureSet:
 
     def __init__(self, names, matrix):
         names = tuple(str(x) for x in names)
-        m = np.asarray(matrix, dtype=float)
+        m = _float_array(matrix, "feature matrix")
         if m.ndim == 1:
             m = m.reshape(1, -1) if len(names) == 1 else m.reshape(len(names), 0)
         if m.ndim != 2 or m.shape[0] != len(names):
@@ -215,8 +224,13 @@ class ConstraintSet:
     targets: np.ndarray
 
     def __init__(self, features, kinds, targets):
-        t = np.asarray(targets, dtype=float)
-        kinds = tuple(ConstraintKind(k) for k in kinds)
+        t = _float_array(targets, "constraint targets")
+        try:
+            kinds = tuple(ConstraintKind(k) for k in kinds)
+        except (TypeError, ValueError):
+            raise InputError(
+                f"constraint kinds must be 'eq', 'ge' or 'le', got {kinds!r}"
+            ) from None
         if t.ndim != 1 or t.shape[0] != features.dim or len(kinds) != features.dim:
             raise ShapeMismatch(
                 f"{features.dim} features but {len(kinds)} kinds and "
@@ -282,7 +296,8 @@ class EmpiricalMeasure:
         if c.ndim != 1:
             raise ShapeMismatch("counts must be a vector")
         if not np.issubdtype(c.dtype, np.integer):
-            rounded = np.rint(np.asarray(c, dtype=float))
+            c = _float_array(c, "counts")
+            rounded = np.rint(c)
             if np.any(np.abs(c - rounded) > 0):
                 raise InputError("counts must be integers")
             c = rounded.astype(np.int64)

@@ -4,8 +4,13 @@ reusable diagnostics suite.
 Each check returns an :class:`IdentityReport` with the two sides, their
 residual, the tolerance applied, and a pass flag.  Inequality checks are
 one-sided: only violations in the forbidden direction count.  Tolerances
-follow a fixed ladder: 1e-10 for closed-form identities, 1e-8 when one
-solver output participates, 1e-6 when two solver outputs are compared.
+follow a fixed ladder: 1e-10 (``TOL_CLOSED_FORM``) for identities with no
+solver output (the multiplicity bound, the nested-event formula) and for
+the sign of each Bogoliubov gap; 1e-9 (``TOL_BOUND``) for the Bogoliubov
+gap-versus-divergence residuals and the data-approximates-family
+sandwich; 1e-8 (``TOL_ONE_SOLVER``) for the identities that take a
+projection's output.  A distribution a check requires to meet a model's
+moments must do so within 1e-9.
 
 Identities whose textbook form assumes a uniform prior (the entropy form
 of the approximation error, and loss evaluation by substituting the
@@ -16,14 +21,14 @@ Random instances build no object and solve no LP in their inner loops:
 the Bogoliubov energy-matching scan evaluates its objective on arrays
 fixed once per solve, and each projection of an instance takes its
 feasibility verdict from the distribution whose moments it matches
-(:func:`~maxentlab.projection.witnessed_feasibility`).  Both give the bits
-of the object and LP paths they replace.
+(:func:`_project_to_moments`).  Both give the bits of the object and LP
+paths they replace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,8 +63,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .sanov import SanovReport
 
 TOL_CLOSED_FORM = 1e-10
+TOL_BOUND = 1e-9
 TOL_ONE_SOLVER = 1e-8
-TOL_TWO_SOLVERS = 1e-6
 _MOMENT_MATCH_TOL = 1e-9
 
 # Random instances: alphabet sizes 3.._MAX_OUTCOMES, 1.._MAX_FEATURES
@@ -87,51 +92,56 @@ class IdentityReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "tol": self.tol,
-            "pass": self.passed,
-            "details": dict(self.details),
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
-def _two_sided(name: str, lhs: float, rhs: float, tol: float, **details) -> IdentityReport:
-    residual = lhs - rhs
-    return IdentityReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tol=tol,
-        passed=bool(abs(residual) <= tol),
-        details=details,
-    )
+def _report(
+    name: str,
+    lhs: float,
+    rhs: float,
+    tol: float,
+    details: dict,
+    one_sided: bool = False,
+    residual: float | None = None,
+) -> IdentityReport:
+    """The report of one check.  The residual is ``lhs - rhs`` unless given;
+    a two-sided check passes when ``|residual| <= tol``, a one-sided one
+    (``lhs <= rhs``) when ``residual <= tol``."""
+    if residual is None:
+        residual = lhs - rhs
+    passed = residual <= tol if one_sided else abs(residual) <= tol
+    return IdentityReport(name, lhs, rhs, residual, tol, bool(passed), details)
 
 
-def _one_sided(name: str, lhs: float, rhs: float, tol: float, **details) -> IdentityReport:
-    """Check ``lhs <= rhs + tol``; the residual is the signed excess."""
-    residual = lhs - rhs
-    return IdentityReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tol=tol,
-        passed=bool(residual <= tol),
-        details=details,
-    )
-
-
-def _require_member(p: FiniteDistribution, star: ProjectionResult, what: str) -> None:
-    mean = moments(p, star.model.features)
-    target = mean_parameters(star.model)
-    if star.model.dim and float(np.max(np.abs(mean - target))) > _MOMENT_MATCH_TOL:
+def _require_member(p: FiniteDistribution, model: ExpFamModel, what: str) -> None:
+    """Raise unless ``p`` meets the moments of ``model``."""
+    if not model.dim:
+        return
+    mism = float(np.max(np.abs(moments(p, model.features) - mean_parameters(model))))
+    if mism > _MOMENT_MATCH_TOL:
         raise ConstraintViolation(
-            f"{what}: distribution does not meet the projected moments"
+            f"{what}: distribution does not meet the model's moments "
+            f"(off by {mism:.2e})"
         )
+
+
+def _project_to_moments(
+    prior: FiniteDistribution,
+    features: FeatureSet,
+    q: FiniteDistribution,
+    opts: SolverOptions,
+) -> ProjectionResult:
+    """Project ``prior`` onto the moments of ``q``, which witnesses their
+    feasibility (:func:`~maxentlab.projection.witnessed_feasibility`)."""
+    constraints = ConstraintSet.equalities(features, moments(q, features))
+    return project(
+        prior,
+        constraints,
+        opts,
+        feasibility=witnessed_feasibility(prior, constraints, q),
+    )
 
 
 def pythagorean(
@@ -144,20 +154,17 @@ def pythagorean(
     """
     if not star.model.same_family(model):
         raise DomainError("model must share the projection's prior and features")
-    _require_member(p, star, "pythagorean")
+    _require_member(p, star.model, "pythagorean")
     p_star = star.model.to_distribution()
     p_model = model.to_distribution()
     regret = kl_divergence(p, p_model)
     estimation = kl_divergence(p_star, p_model)
     approximation = kl_divergence(p, p_star)
-    return _two_sided(
-        "pythagorean",
-        regret,
-        estimation + approximation,
-        TOL_ONE_SOLVER,
-        regret=regret,
-        estimation_error=estimation,
-        approximation_error=approximation,
+    details = dict(
+        regret=regret, estimation_error=estimation, approximation_error=approximation
+    )
+    return _report(
+        "pythagorean", regret, estimation + approximation, TOL_ONE_SOLVER, details
     )
 
 
@@ -170,32 +177,22 @@ def robustness(
     """
     if not a.same_family(b):
         raise DomainError("both models must share prior and features")
-    mism = float(np.max(np.abs(moments(q, a.features) - mean_parameters(a))))
-    if mism > _MOMENT_MATCH_TOL:
-        raise ConstraintViolation(
-            f"robustness requires matched moments (off by {mism:.2e})"
-        )
+    _require_member(q, a, "robustness")
     pa = a.to_distribution()
     pb = b.to_distribution()
     rhs = kl_divergence(pa, pb)
     lhs_kl = kl_divergence(q, pb) - kl_divergence(q, pa)
     lhs_ce = cross_entropy(q, pb) - cross_entropy(q, pa)
-    report_kl = _two_sided("robustness", lhs_kl, rhs, TOL_ONE_SOLVER)
+    residual_kl = lhs_kl - rhs
     residual_ce = lhs_ce - rhs
-    worst = max(abs(report_kl.residual), abs(residual_ce))
-    return IdentityReport(
-        name="robustness",
-        lhs=lhs_kl,
-        rhs=rhs,
-        residual=report_kl.residual if abs(report_kl.residual) >= abs(residual_ce) else residual_ce,
-        tol=TOL_ONE_SOLVER,
-        passed=bool(worst <= TOL_ONE_SOLVER),
-        details={"kl_form_residual": report_kl.residual, "cross_entropy_form_residual": residual_ce},
+    return _report(
+        "robustness",
+        lhs_kl,
+        rhs,
+        TOL_ONE_SOLVER,
+        {"kl_form_residual": residual_kl, "cross_entropy_form_residual": residual_ce},
+        residual=max(residual_kl, residual_ce, key=abs),
     )
-
-
-def _scaled(variational: ExpFamModel, c: float) -> ExpFamModel:
-    return variational.with_lambda(c * variational.lam)
 
 
 def _energy(lam: np.ndarray, matrix: np.ndarray, q: np.ndarray) -> float:
@@ -212,9 +209,9 @@ def _upper_defect(target: ExpFamModel, variational: ExpFamModel):
     parameters ``c psi``.
 
     It repeats, on arrays fixed once per call, the float operations of
-    building ``_scaled(variational, c)`` and its distribution (the tilt,
-    one log-sum-exp, the shifted log-probabilities, their exponential and
-    its normalization) and of the two ``internal_energy`` calls, in the
+    building ``variational.with_lambda(c * psi)`` and its distribution (the
+    tilt, one log-sum-exp, the shifted log-probabilities, their exponential
+    and its normalization) and of the two ``internal_energy`` calls, in the
     same order, so it returns the same bits without building either
     object.
     """
@@ -270,12 +267,13 @@ def bogoliubov(
     agree under the variational distribution; then its free energy sits
     above the target's, with gap exactly ``D(P_psi || P_lam)``.  Lower
     bound: match the energies under the target distribution instead; the
-    gap is ``D(P_lam || P_psi)``.  Each report's residual is the gap
+    gap is ``-D(P_lam || P_psi)``.  Each report's residual is the gap
     mismatch; the sign condition is folded into the pass flag.
 
     The upper matching condition is solved on arrays (:func:`_upper_defect`)
     and the lower one is linear in the scale, so the scan builds models and
-    distributions only for the two matched scales.
+    distributions only for the two matched scales.  Both bounds share one
+    body and the target's free energy.
     """
     if target.prior.outcomes != variational.prior.outcomes or not np.array_equal(
         target.prior.probs, variational.prior.probs
@@ -291,38 +289,29 @@ def bogoliubov(
         # building the scaled model and its log-partition.
         return u_target - float(-np.dot(c * psi, g_target))
 
-    c_up = _match_scale(_upper_defect(target, variational))
-    up_model = _scaled(variational, c_up)
-    p_psi = up_model.to_distribution()
-    gap_up = free_energy(up_model, p_psi) - free_energy(target, p_target)
-    kl_up = kl_divergence(p_psi, p_target)
-    residual_up = gap_up - kl_up
-    upper = IdentityReport(
-        name="bogoliubov_upper",
-        lhs=free_energy(up_model, p_psi),
-        rhs=free_energy(target, p_target),
-        residual=residual_up,
-        tol=1e-9,
-        passed=bool(abs(residual_up) <= 1e-9 and gap_up >= -1e-10),
-        details={"gap": gap_up, "kl": kl_up, "scale": c_up},
-    )
-
-    c_lo = _match_scale(lower_defect)
-    lo_model = _scaled(variational, c_lo)
-    p_psi_lo = lo_model.to_distribution()
-    gap_lo = free_energy(lo_model, p_psi_lo) - free_energy(target, p_target)
-    kl_lo = kl_divergence(p_target, p_psi_lo)
-    residual_lo = gap_lo + kl_lo
-    lower = IdentityReport(
-        name="bogoliubov_lower",
-        lhs=free_energy(lo_model, p_psi_lo),
-        rhs=free_energy(target, p_target),
-        residual=residual_lo,
-        tol=1e-9,
-        passed=bool(abs(residual_lo) <= 1e-9 and gap_lo <= 1e-10),
-        details={"gap": gap_lo, "kl": kl_lo, "scale": c_lo},
-    )
-    return upper, lower
+    f_target = free_energy(target, p_target)
+    reports = []
+    # sign +1: the upper bound, gap = +D(P_c || P_lam) >= 0; sign -1: the
+    # lower bound, gap = -D(P_lam || P_c) <= 0.
+    for name, sign, objective in (
+        ("bogoliubov_upper", 1.0, _upper_defect(target, variational)),
+        ("bogoliubov_lower", -1.0, lower_defect),
+    ):
+        c = _match_scale(objective)
+        scaled = variational.with_lambda(c * psi)
+        p_c = scaled.to_distribution()
+        f_c = free_energy(scaled, p_c)
+        gap = f_c - f_target
+        kl = kl_divergence(p_c, p_target) if sign > 0 else kl_divergence(p_target, p_c)
+        residual = gap - sign * kl
+        passed = abs(residual) <= TOL_BOUND and sign * gap >= -TOL_CLOSED_FORM
+        details = {"gap": gap, "kl": kl, "scale": c}
+        reports.append(
+            IdentityReport(
+                name, f_c, f_target, residual, TOL_BOUND, bool(passed), details
+            )
+        )
+    return tuple(reports)
 
 
 def approximation_error_entropy(
@@ -333,7 +322,7 @@ def approximation_error_entropy(
     Uniform prior: ``D(P||P*) = H(P*) - H(P)``.  Other priors use the
     general form ``D(P||P*) = D(P||P0) - D(P*||P0)``; the mode is recorded.
     """
-    _require_member(p, star, "approximation_error_entropy")
+    _require_member(p, star.model, "approximation_error_entropy")
     p_star = star.model.to_distribution()
     prior = star.model.prior
     lhs = kl_divergence(p, p_star)
@@ -343,9 +332,9 @@ def approximation_error_entropy(
     else:
         rhs = kl_divergence(p, prior) - kl_divergence(p_star, prior)
         mode = "prior-relative"
-    report = _two_sided("approximation_error_entropy", lhs, rhs, TOL_ONE_SOLVER)
-    report.details["mode"] = mode
-    return report
+    return _report(
+        "approximation_error_entropy", lhs, rhs, TOL_ONE_SOLVER, {"mode": mode}
+    )
 
 
 def pretend_data_identity(
@@ -360,7 +349,7 @@ def pretend_data_identity(
     """
     if not star.model.same_family(model):
         raise DomainError("model must share the projection's prior and features")
-    _require_member(p, star, "pretend_data_identity")
+    _require_member(p, star.model, "pretend_data_identity")
     p_star = star.model.to_distribution()
     p_model = model.to_distribution()
     prior = star.model.prior
@@ -371,9 +360,7 @@ def pretend_data_identity(
     else:
         rhs = rhs + (cross_entropy(p, prior) - cross_entropy(p_star, prior))
         mode = "prior-relative"
-    report = _two_sided("pretend_data_identity", lhs, rhs, TOL_ONE_SOLVER)
-    report.details["mode"] = mode
-    return report
+    return _report("pretend_data_identity", lhs, rhs, TOL_ONE_SOLVER, {"mode": mode})
 
 
 def entropy_multiplicity_bound(
@@ -387,9 +374,14 @@ def entropy_multiplicity_bound(
     h_star = entropy(star.model.to_distribution())
     lhs = sanov.log_prob / sanov.n
     rhs = h_star - math.log(len(prior))
-    report = _one_sided("entropy_multiplicity_bound", lhs, rhs, TOL_CLOSED_FORM)
-    report.details["entropy_star"] = h_star
-    return report
+    return _report(
+        "entropy_multiplicity_bound",
+        lhs,
+        rhs,
+        TOL_CLOSED_FORM,
+        {"entropy_star": h_star},
+        one_sided=True,
+    )
 
 
 def data_approximates_family(
@@ -405,22 +397,20 @@ def data_approximates_family(
     upper = -kl_divergence(p_star, prior)
     lower = -cross_entropy(p_star, prior)
     mid = sanov.log_prob / sanov.n
-    excess_upper = mid - upper
-    excess_lower = lower - mid
-    worst = max(excess_upper, excess_lower)
-    return IdentityReport(
-        name="data_approximates_family",
-        lhs=mid,
-        rhs=upper,
-        residual=worst,
-        tol=1e-9,
-        passed=bool(worst <= 1e-9),
-        details={
+    return _report(
+        "data_approximates_family",
+        mid,
+        upper,
+        TOL_BOUND,
+        {
             "upper": upper,
             "lower": lower,
             "sandwich_width": upper - lower,
             "entropy_star": entropy(p_star),
         },
+        one_sided=True,
+        # The larger excess over the two ends of the sandwich.
+        residual=max(mid - upper, lower - mid),
     )
 
 
@@ -432,12 +422,7 @@ class InstanceDescriptor:
     prior_mode: str
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "alphabet_size": self.alphabet_size,
-            "num_features": self.num_features,
-            "prior_mode": self.prior_mode,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -519,13 +504,7 @@ def random_instance(seed: int) -> IdentityInstance:
         tuple(f"f{i}" for i in range(d)), rng.normal(0.0, 1.0, size=(d, k))
     )
     data = FiniteDistribution(outcomes, _random_simplex(rng, k, 0.05))
-    constraints = ConstraintSet.equalities(features, moments(data, features))
-    star = project(
-        prior,
-        constraints,
-        _INSTANCE_OPTS,
-        feasibility=witnessed_feasibility(prior, constraints, data),
-    )
+    star = _project_to_moments(prior, features, data, _INSTANCE_OPTS)
     lam = rng.uniform(-_LAMBDA_SCALE, _LAMBDA_SCALE, size=d)
     perturbed = FiniteDistribution(outcomes, _random_simplex(rng, k, 0.05))
     # The target parameters are redrawn when no variational candidate
@@ -543,13 +522,8 @@ def random_instance(seed: int) -> IdentityInstance:
 
     # A second member of the family plus a distribution matched to its
     # moments (via projection of a perturbed simplex point).
-    target = model.to_distribution()
-    matched_constraints = ConstraintSet.equalities(features, mean_parameters(model))
-    matched = project(
-        perturbed,
-        matched_constraints,
-        _INSTANCE_OPTS,
-        feasibility=witnessed_feasibility(perturbed, matched_constraints, target),
+    matched = _project_to_moments(
+        perturbed, features, model.to_distribution(), _INSTANCE_OPTS
     )
     matched_data = matched.model.to_distribution()
 

@@ -152,8 +152,9 @@ class ProjectionResult:
 class FeasibilityReport:
     """Whether the targets intersect the moment polytope of the features.
 
-    ``witness``, present when ``in_hull`` is false, is a direction ``v``
-    with ``min over the target set of v . t  >  max_x v . f(x)``.
+    ``witness``, present when ``in_hull`` is false and the check was asked
+    to separate, is a direction ``v`` with
+    ``min over the target set of v . t  >  max_x v . f(x)``.
     """
 
     in_hull: bool
@@ -210,7 +211,7 @@ def _with_t_column(block: np.ndarray) -> np.ndarray | None:
 
 
 def check_feasibility(
-    prior: FiniteDistribution, constraints: ConstraintSet
+    prior: FiniteDistribution, constraints: ConstraintSet, *, separate: bool = True
 ) -> FeasibilityReport:
     """Decide whether the targets are attainable by a distribution on the
     prior's support, and whether only on the polytope boundary.
@@ -223,6 +224,10 @@ def check_feasibility(
     maximizing ``t`` has d + 1 rows (the moment rows and the normalization
     ``sum s + K t = 1``, which also bounds ``t <= 1/K``) and K + 1 columns
     over the K supported outcomes.
+
+    Targets outside the polytope get a separating ``witness`` from a second
+    LP; ``separate=False`` skips it, for callers that read only the
+    verdict.
 
     Raises :class:`ConvergenceError` when the LP solver stops without
     either an optimum or a proof of infeasibility.
@@ -253,7 +258,7 @@ def check_feasibility(
             in_hull=True, on_boundary=t_star <= _INTERIOR_TOL, witness=None
         )
     if res.status == 2:
-        witness = _separating_witness(constraints, support)
+        witness = _separating_witness(constraints, support) if separate else None
         return FeasibilityReport(in_hull=False, on_boundary=False, witness=witness)
     raise ConvergenceError(
         f"feasibility LP stopped with HiGHS status {res.status}: {res.message}"
@@ -286,10 +291,12 @@ def witnessed_feasibility(
     return FeasibilityReport(in_hull=True, on_boundary=False, witness=None)
 
 
-def _empty_projection(prior: FiniteDistribution) -> ProjectionResult:
+def _empty_projection(
+    prior: FiniteDistribution, features: FeatureSet
+) -> ProjectionResult:
     return ProjectionResult(
         lambda_star=np.zeros(0),
-        model=ExpFamModel(prior, FeatureSet.empty(len(prior)), np.zeros(0)),
+        model=ExpFamModel(prior, features, np.zeros(0)),
         min_divergence=0.0,
         moment_residual=np.zeros(0),
         iterations=0,
@@ -411,8 +418,8 @@ def _solve(
     features, alpha, d = constraints.features, constraints.targets, constraints.dim
     features.check_alphabet(prior)
     if d == 0:
-        return _empty_projection(prior)
-    feas = feasibility or check_feasibility(prior, constraints)
+        return _empty_projection(prior, features)
+    feas = feasibility or check_feasibility(prior, constraints, separate=False)
     if not feas.in_hull:
         return _infeasible_result(prior, constraints)
     lam = np.zeros(d) if lambda0 is None else np.asarray(lambda0, dtype=float)
@@ -533,7 +540,7 @@ def project_inequality(
     opts = opts or SolverOptions()
     constraints.features.check_alphabet(prior)
     d = constraints.dim
-    feas = check_feasibility(prior, constraints)
+    feas = check_feasibility(prior, constraints, separate=False)
     if not feas.in_hull:
         return _infeasible_result(prior, constraints)
 

@@ -34,7 +34,7 @@ from ._rng import ordered_map, substream
 from .dist import ConstraintSet, FiniteDistribution, constraint_mask
 from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .expfam import _logsumexp
-from .identities import IdentityReport
+from .identities import TOL_CLOSED_FORM, IdentityReport, _report
 from .multinomial import _log_likelihood
 from .projection import ProjectionResult, SolverOptions, Status, project_inequality
 
@@ -391,15 +391,12 @@ def nested_relative_probability(
         mu_bar_inner - mu_bar_outer, p.log_probs, p_star.log_probs
     )
     formula = -(div_inner - div_outer) + slack
-    residual = direct - formula
-    return IdentityReport(
-        name="nested_relative_probability",
-        lhs=direct,
-        rhs=formula,
-        residual=residual,
-        tol=1e-10,
-        passed=bool(abs(residual) <= 1e-10),
-        details={
+    return _report(
+        "nested_relative_probability",
+        direct,
+        formula,
+        TOL_CLOSED_FORM,
+        {
             "divergence_inner": div_inner / n,
             "divergence_outer": div_outer / n,
             "slack": slack,

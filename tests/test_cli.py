@@ -323,6 +323,57 @@ def test_diagnose_corrupted_model_file(files, capsys):
     assert code == 2
 
 
+def test_diagnose_featureless_files(files):
+    # With no features, the projection keeps the caller's empty feature set,
+    # so the model read from the same files is in its family.
+    tmp, write = files
+    data = {"outcomes": ["0", "1"], "probs": [0.2, 0.8]}
+    out = tmp / "diag.json"
+    argv = ["diagnose", "--prior", write("p.json", PRIOR), "--output", str(out)]
+    argv += ["--features", write("f.json", {"names": [], "matrix": []})]
+    argv += ["--data", write("d.json", data)]
+    assert main(argv) == 0
+    reports = json.loads(out.read_text())["instances"][0]["reports"]
+    assert len(reports) == 4
+    assert all(r["pass"] for r in reports)
+
+
+@pytest.mark.parametrize(
+    "command, name, bad, field",
+    [
+        ("project", "prior", {**PRIOR, "probs": ["x", 0.5]}, "probs"),
+        ("fit", "data", {**PRIOR, "probs": {"0": 0.2, "1": 0.8}}, "probs"),
+        ("diagnose", "features", {"names": ["x", "y"], "matrix": [[0, 1], [0]]}, "matrix"),
+        ("project", "constraints", {**CONSTRAINTS_EQ, "kinds": ["gt"]}, "kinds"),
+        ("diagnose", "model-lambda", ["a"], "--model-lambda"),
+    ],
+    ids=["string-prob", "object-probs", "ragged-matrix", "unknown-kind", "text-lambda"],
+)
+def test_malformed_values_exit_2(files, capsys, command, name, bad, field):
+    # A value of the wrong type is an input error naming its field, not a
+    # numpy traceback.
+    tmp, write = files
+    good = {
+        "prior": PRIOR,
+        "constraints": CONSTRAINTS_EQ,
+        "features": FEATURES,
+        "data": {"outcomes": ["0", "1"], "probs": [0.2, 0.8]},
+    }
+    needs = {
+        "project": ["prior", "constraints"],
+        "fit": ["prior", "features", "data"],
+        "diagnose": ["prior", "features", "data", name],
+    }[command]
+    out = tmp / "out.json"
+    argv = [command, "--output", str(out)]
+    for option in needs:
+        obj = bad if option == name else good[option]
+        argv += [f"--{option}", write(f"{option}.json", obj)]
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sanov_fixture(files):
     tmp, write = files
     out = tmp / "sanov.json"
@@ -884,6 +935,29 @@ def test_equality_solves_run_one_lp_each(files, linprog_calls, command, lps):
     assert len(linprog_calls) == lps
 
 
+@pytest.mark.parametrize(
+    "constraints",
+    [
+        {"kinds": ["eq"], "targets": [3.0], "featureset": THREE_FEATURES},
+        {
+            "kinds": ["ge", "eq"],
+            "targets": [2.5, 0.5],
+            "featureset": {"names": ["x", "y"], "matrix": [[0, 1, 2], [1, 0, 1]]},
+        },
+    ],
+    ids=["eq", "ge-eq"],
+)
+def test_infeasible_project_runs_one_lp(files, linprog_calls, constraints):
+    # The verdict LP alone decides an infeasible solve; no separating
+    # witness is computed for it.
+    tmp, write = files
+    prior3 = {"outcomes": ["0", "1", "2"], "probs": [1 / 3, 1 / 3, 1 / 3]}
+    argv = ["project", "--prior", write("p.json", prior3), "--output", str(tmp / "r")]
+    argv += ["--constraints", write("a.json", constraints)]
+    assert main(argv) == 3
+    assert len(linprog_calls) == 1
+
+
 def test_fit_shares_one_lp_when_data_miss_an_outcome(files, linprog_calls):
     # Data with an empty outcome cannot witness an interior target: one LP
     # decides it, for the projection and the log-loss fit alike.
@@ -968,11 +1042,19 @@ def test_count_option_out_of_range_exits_2(files, capsys, route, argv, option, v
         ["entropy-approx", "--alphabet-size", "5", "--n", "x..10"],
         ["entropy-approx", "--alphabet-size", "5", "--n", "10..y"],
         ["entropy-approx", "--alphabet-size", "5", "--n", "10,y"],
+        ["entropy-approx", "--alphabet-size", "5", "--n", "0,10"],
+        ["sanov", "--n", "4", "--monte-carlo", "--curve", "0,10"],
     ],
 )
-def test_bad_n_grid_exits_2(capsys, argv):
-    assert main(argv) == 2
+def test_bad_n_grid_exits_2(files, capsys, argv):
+    tmp, write = files
+    if argv[0] == "sanov":
+        argv = argv + ["--prior", write("p.json", PRIOR)]
+        argv += ["--constraints", write("a.json", CONSTRAINTS_GE)]
+    out = tmp / "out"
+    assert main(argv + ["--output", str(out)]) == 2
     assert "bad n grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_required_option_exits_2(files, capsys):

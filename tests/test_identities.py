@@ -105,6 +105,16 @@ class TestRobustness:
         with pytest.raises(ConstraintViolation):
             robustness(q, star.model, star.model.with_lambda([0.0]))
 
+    def test_featureless_models(self):
+        # With no features every distribution meets the (empty) moments,
+        # and both models are the prior.
+        prior = FiniteDistribution(["0", "1", "2"], [0.2, 0.3, 0.5])
+        a = ExpFamModel(prior, FeatureSet.empty(3), [])
+        q = FiniteDistribution(["0", "1", "2"], [0.6, 0.3, 0.1])
+        rep = robustness(q, a, a)
+        assert rep.passed
+        assert rep.lhs == rep.rhs == 0.0
+
 
 class TestBogoliubov:
     def test_variational_equals_target(self, bernoulli_star):
