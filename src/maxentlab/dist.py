@@ -140,7 +140,7 @@ class FiniteDistribution:
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteDistribution":
         _require_keys(obj, ("outcomes", "probs"), "distribution")
-        return cls(obj["outcomes"], obj["probs"])
+        return cls(_json_labels(obj, "outcomes", "distribution"), obj["probs"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,19 +186,13 @@ class FeatureSet:
                 f"distribution has {len(dist)}"
             )
 
-    def subset(self, indices) -> "FeatureSet":
-        indices = list(indices)
-        return FeatureSet(
-            tuple(self.names[i] for i in indices), self.matrix[indices, :]
-        )
-
     def to_json(self) -> dict:
         return {"names": list(self.names), "matrix": self.matrix.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "FeatureSet":
         _require_keys(obj, ("names", "matrix"), "featureset")
-        return cls(obj["names"], obj["matrix"])
+        return cls(_json_labels(obj, "names", "featureset"), obj["matrix"])
 
 
 class ConstraintKind(str, enum.Enum):
@@ -254,17 +248,6 @@ class ConstraintSet:
 
     def is_equality_only(self) -> bool:
         return all(k is ConstraintKind.EQ for k in self.kinds)
-
-    def subset(self, indices) -> "ConstraintSet":
-        indices = list(indices)
-        return ConstraintSet(
-            self.features.subset(indices),
-            tuple(self.kinds[i] for i in indices),
-            self.targets[indices],
-        )
-
-    def as_equalities(self) -> "ConstraintSet":
-        return ConstraintSet.equalities(self.features, self.targets)
 
     def contains(self, dist: FiniteDistribution, tol: float = MEMBERSHIP_TOL) -> bool:
         return constraint_contains(self, dist, tol)
@@ -346,6 +329,15 @@ def _require_keys(obj: dict, keys, what: str) -> None:
     for k in keys:
         if k not in obj:
             raise InputError(f"{what}: missing field {k!r}")
+
+
+def _json_labels(obj: dict, key: str, what: str) -> list:
+    """The labels under ``key``, which must be a JSON array: a number would
+    not iterate, and a string would split into one-character labels."""
+    labels = obj[key]
+    if not isinstance(labels, list):
+        raise InputError(f"{what}: {key} must be an array of labels, got {labels!r}")
+    return labels
 
 
 def _check_same_alphabet(a: FiniteDistribution, b: FiniteDistribution) -> None:

@@ -14,10 +14,11 @@ near-singular); :func:`fit_log_loss` takes gradient steps with
 Barzilai-Borwein lengths and never forms the Fisher matrix, so the
 agreement of the two is an independent check.
 
-Inequality constraints are handled by an active-set loop around the
-equality solver.  Feasibility and boundary detection are linear programs
-over the simplex restricted to the prior's support: the interior LP
-substitutes ``q = s + t 1`` so that "every outcome has mass at least t"
+One-sided constraints confine the dual to an orthant (``lam_i >= 0`` for
+``ge``, ``lam_i <= 0`` for ``le``), where the same loop runs projected
+Newton (Bertsekas 1982).  Feasibility and boundary detection are linear
+programs over the simplex restricted to the prior's support: the interior
+LP substitutes ``q = s + t 1`` so that "every outcome has mass at least t"
 needs no per-outcome row, leaving d + 1 rows and K + 1 columns for K
 supported outcomes and d constraints.  A distribution whose moments are
 the targets and which puts more than the interior tolerance on every
@@ -50,7 +51,6 @@ from .expfam import ExpFamModel, fisher_information, mean_parameters
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _INTERIOR_TOL = 1e-12
-_ACTIVE_SET_MAX_PASSES = 50
 _GD_MAX_ITER = 100_000
 
 
@@ -348,19 +348,29 @@ def _levenberg_shift(hessian: np.ndarray) -> float:
     return max(0.0, 1e-10 - smallest)
 
 
-def _newton_direction(model: ExpFamModel, grad: np.ndarray, t: float):
+def _newton_direction(model: ExpFamModel, grad: np.ndarray, t: float, free=None):
     """Levenberg-shifted Newton step, or steepest descent if the solve was
-    bad; every iteration tries the full step first."""
-    hessian = fisher_information(model)
-    system = hessian + np.diag(np.full(len(grad), _levenberg_shift(hessian)))
-    try:
-        step = np.linalg.solve(system, -grad)
-    except np.linalg.LinAlgError:
-        step, *_ = np.linalg.lstsq(system, -grad, rcond=None)
-    slope = float(np.dot(grad, step))
+    bad; every iteration tries the full step first.  With a ``free`` mask
+    the step solves on the free coordinates only, and the others (the
+    binding ones) step to 0."""
+    hessian, g = fisher_information(model), grad
+    if free is not None:
+        hessian, g = hessian[np.ix_(free, free)], grad[free]
+    step = np.zeros(0)
+    if len(g):
+        system = hessian + np.diag(np.full(len(g), _levenberg_shift(hessian)))
+        try:
+            step = np.linalg.solve(system, -g)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(system, -g, rcond=None)
+    slope = float(np.dot(g, step))
     if slope >= 0.0:
-        step = -grad
-        slope = -float(np.dot(grad, grad))
+        step = -g
+        slope = -float(np.dot(g, g))
+    if free is not None:
+        full = -model.lam
+        full[free] = step
+        step, slope = full, float(np.dot(grad, full))
     return step, slope, 1.0, 1.0
 
 
@@ -374,11 +384,12 @@ def _gradient_direction():
     the first call, and whenever ``s . y <= 0``, the line search starts at
     twice the last accepted length ``t`` and the float-resolution step
     keeps ``t``.  The rule remembers the last ``lam`` and gradient, so
-    each solve needs its own.
+    each solve needs its own.  The log-loss fit has equality constraints
+    only, so every coordinate is free and ``free`` is not read.
     """
     last = None
 
-    def direction(model: ExpFamModel, grad: np.ndarray, t: float):
+    def direction(model: ExpFamModel, grad: np.ndarray, t: float, free=None):
         nonlocal last
         short_t, first_t = t, min(t * 2.0, 1e6)
         if last is not None:
@@ -402,18 +413,24 @@ def _solve(
     what: str,
     feasibility: FeasibilityReport | None = None,
 ) -> ProjectionResult:
-    """Minimize ``g(lam) = A(lam) - lam . alpha`` for the equality
-    constraints ``E[f] = alpha`` by line search along ``direction``.
+    """Minimize ``g(lam) = A(lam) - lam . alpha`` over the orthant
+    ``sign_i lam_i >= 0`` by projected line search along ``direction``.
 
-    ``direction(model, grad, t)`` returns ``(step, slope, short_t,
-    first_t)``: the search direction, the directional derivative
+    ``direction(model, grad, t, free)`` returns ``(step, slope, short_t,
+    first_t)``: a step that takes the coordinates outside the ``free`` mask
+    (``None`` when all are free) to 0, the directional derivative
     ``grad . step``, the length taken when the decrease predicted at the
     first length is below the float resolution of ``g``, and the first
     length, which Armijo backtracking tries first; ``t`` is the last
-    accepted length.  A budget of ``max_iter`` steps that runs out is a
-    :class:`ConvergenceError`, unless the feasibility LP put the targets
-    on the boundary.  A ``feasibility`` verdict known in advance replaces
-    the LP.
+    accepted length.  Outside ``free`` are the binding coordinates:
+    one-sided ones within ``min(1e-6, |projected gradient|)`` of their
+    bound that the gradient pushes outward.  A candidate clipped to the
+    orthant must decrease ``g`` by ``c grad . (lam(t) - lam)``.  The
+    tolerance test reads the projected gradient, 0 where a coordinate sits
+    at its bound and is pushed outward.  A budget of ``max_iter`` steps
+    that runs out is a :class:`ConvergenceError`, unless the feasibility
+    LP put the targets on the boundary.  A ``feasibility``
+    verdict known in advance replaces the LP.
     """
     features, alpha, d = constraints.features, constraints.targets, constraints.dim
     features.check_alphabet(prior)
@@ -422,6 +439,8 @@ def _solve(
     feas = feasibility or check_feasibility(prior, constraints, separate=False)
     if not feas.in_hull:
         return _infeasible_result(prior, constraints)
+    sign = constraints._sign
+    one_sided = bool(np.count_nonzero(sign))
     lam = np.zeros(d) if lambda0 is None else np.asarray(lambda0, dtype=float)
     model = ExpFamModel(prior, features, lam)
     trace: list[TracePoint] = []
@@ -429,11 +448,28 @@ def _solve(
     def dual_value(m: ExpFamModel) -> float:
         return m.log_partition - float(np.dot(m.lam, alpha))
 
+    def candidate_at(t: float):
+        """The current iterate moved by ``t step`` and clipped to the
+        orthant, and the change of ``g`` Armijo's test allows it."""
+        lam_t = model.lam + t * step
+        change = _ARMIJO_C * t * slope
+        if one_sided:
+            outside = sign * lam_t < 0.0
+            if outside.any():
+                lam_t[outside] = 0.0
+                change = _ARMIJO_C * float(np.dot(grad, lam_t - model.lam))
+        return ExpFamModel(prior, features, lam_t), change
+
     g = dual_value(model)
     t = 1.0
+    free = None
     for iteration in range(max_iter):
         grad = mean_parameters(model) - alpha
-        gnorm = float(np.max(np.abs(grad)))
+        projected = grad
+        if one_sided:
+            outward, slack = sign * grad > 0.0, sign * model.lam
+            projected = np.where(outward & (slack <= 0.0), 0.0, grad)
+        gnorm = float(np.max(np.abs(projected)))
         if opts.trace:
             trace.append(TracePoint(iteration, g, gnorm))
         if gnorm <= opts.moment_tol:
@@ -445,19 +481,22 @@ def _solve(
             grad = mean_parameters(model) - alpha
             status = Status.BOUNDARY_NONATTAINED
             break
-        step, slope, short_t, t = direction(model, grad, t)
+        if one_sided:
+            binding = outward & (slack <= min(1e-6, gnorm))
+            free = ~binding if binding.any() else None
+        step, slope, short_t, t = direction(model, grad, t, free)
         # Near the optimum the decrease predicted at the first length drops
         # below the float resolution of g; Armijo cannot certify progress
         # there, but the short step is locally contracting, so take it.
         if -t * slope <= 1e-13 * max(1.0, abs(g)):
             t = short_t
-            candidate = ExpFamModel(prior, features, model.lam + t * step)
+            candidate, _ = candidate_at(t)
             g_new = dual_value(candidate)
         else:
             for _ in range(_MAX_BACKTRACKS):
-                candidate = ExpFamModel(prior, features, model.lam + t * step)
+                candidate, change = candidate_at(t)
                 g_new = dual_value(candidate)
-                if g_new <= g + _ARMIJO_C * t * slope:
+                if g_new <= g + change:
                     break
                 t *= 0.5
         model = candidate
@@ -474,6 +513,9 @@ def _solve(
         # The optimum lives on a face the family only approaches; the
         # returned model is the (possibly tolerance-converged) iterate.
         status = Status.BOUNDARY_NONATTAINED
+    if one_sided:
+        # The satisfied side of a one-sided constraint clamps to 0.
+        grad = np.where(sign * grad > 0.0, 0.0, grad)
     return _result(prior, model, grad, iteration, status, trace)
 
 
@@ -527,75 +569,26 @@ def project_inequality(
 ) -> ProjectionResult:
     """Project ``prior`` onto a mix of equality and one-sided constraints.
 
-    Active-set strategy: solve with only the equalities active, then move
-    violated inequalities into the active set (and drop any active
-    inequality whose multiplier takes the wrong sign) until the KKT
-    conditions hold.  Divergence grows monotonically as constraints
-    activate; a violation of that order, or a repeated working set, aborts
-    with :class:`ConvergenceError`.  Equality-only constraints go straight
-    to :func:`project`.
+    The dual is ``g`` minimized over the orthant ``lam_i >= 0`` for ``ge``,
+    ``lam_i <= 0`` for ``le`` (free for ``eq``), solved by projected Newton
+    after one feasibility LP on the whole set.  Its stopping test, the
+    projected gradient within the moment tolerance, certifies the KKT
+    conditions: the clamped residual is within tolerance, and a constraint
+    with a nonzero multiplier holds as an equality within tolerance.
+    Equality-only constraints go straight to :func:`project`.
     """
     if constraints.is_equality_only():
         return project(prior, constraints, opts)
     opts = opts or SolverOptions()
-    constraints.features.check_alphabet(prior)
-    d = constraints.dim
-    feas = check_feasibility(prior, constraints, separate=False)
-    if not feas.in_hull:
-        return _infeasible_result(prior, constraints)
-
-    sign = constraints._sign
-    eq_idx = np.flatnonzero(sign == 0).tolist()
-    working: list[int] = []
-    seen: set[frozenset] = set()
-    last_divergence = -math.inf
-    kkt_tol = 10.0 * opts.moment_tol
-    for _ in range(_ACTIVE_SET_MAX_PASSES):
-        key = frozenset(working)
-        if key in seen:
-            raise ConvergenceError("active-set cycling detected")
-        seen.add(key)
-        active = sorted(eq_idx + working)
-        sub = constraints.subset(active).as_equalities()
-        sub_result = project(prior, sub, opts)
-        if sub_result.status is Status.INFEASIBLE:
-            return _infeasible_result(prior, constraints)
-        mean = moments(sub_result.model.to_distribution(), constraints.features)
-        # Signed residuals; the satisfied side of an inequality clamps to 0.
-        residual = mean - constraints.targets
-        residual = np.where(sign * residual > 0.0, 0.0, residual)
-        violated = [
-            i
-            for i in range(d)
-            if i not in active and abs(residual[i]) > opts.moment_tol
-        ]
-        if violated and sub_result.status is Status.CONVERGED:
-            if sub_result.min_divergence < last_divergence - 1e-12:
-                raise ConvergenceError(
-                    "divergence decreased while activating a constraint"
-                )
-            last_divergence = sub_result.min_divergence
-            worst = max(violated, key=lambda i: abs(residual[i]))
-            working.append(worst)
-            continue
-        # KKT sign check: a ge multiplier must be >= 0, an le one <= 0.
-        lam_by_index = dict(zip(active, sub_result.lambda_star))
-        wrong = [i for i in working if sign[i] * lam_by_index[i] < -kkt_tol]
-        if wrong and sub_result.status is Status.CONVERGED:
-            working.remove(wrong[0])
-            continue
-        lam_full = np.zeros(d)
-        lam_full[active] = sub_result.lambda_star
-        model = ExpFamModel(prior, constraints.features, lam_full)
-        return _result(
-            prior,
-            model,
-            residual,
-            sub_result.iterations,
-            sub_result.status,
-            sub_result.trace,
-        )
-    raise ConvergenceError("active-set loop exceeded its pass budget")
+    return _solve(
+        prior,
+        constraints,
+        opts,
+        None,
+        _newton_direction,
+        opts.max_iter,
+        "projected Newton",
+    )
 
 
 def fit_log_loss(

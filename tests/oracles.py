@@ -2,11 +2,13 @@
 
 Everything here is deliberately simple and slow: exact big-integer and
 rational arithmetic for histogram probabilities, brute-force enumeration,
-dense grids, a dense-LP interior test, and a full-grid root bracket.  None
-of it shares code paths with the library, except the object-path
-energy-matching objective and the harness that swaps it (and the LP
-feasibility verdict) back into the identity suite, which are the library's
-earlier code paths kept as references for their array replacements.
+dense grids, a dense-LP interior test, a full-grid root bracket and a KKT
+certificate for one-sided projections.  None of it shares code paths with
+the library, except the object-path energy-matching objective and the
+harness that swaps it (and the LP feasibility verdict) back into the
+identity suite, which are the library's earlier code paths kept as
+references for their array replacements, and the certificate's last
+condition, which re-runs the library's equality projection.
 """
 
 from __future__ import annotations
@@ -185,3 +187,50 @@ def object_path_identity_suite(monkeypatch) -> None:
 
     monkeypatch.setattr(identities, "_upper_defect", upper_defect_objects)
     monkeypatch.setattr(identities, "witnessed_feasibility", lambda *args: None)
+
+
+def kkt_violations(prior, constraints, result, moment_tol: float) -> list[str]:
+    """The KKT conditions a converged projection onto ``eq``/``ge``/``le``
+    constraints breaks, as messages; empty when it is certified optimal.
+
+    The problem is convex, so these conditions certify the optimum with no
+    second solver:
+
+    - each multiplier has its kind's sign (``>= 0`` for ``ge``, ``<= 0``
+      for ``le``);
+    - the residual ``E f - alpha``, recomputed from the model and clamped
+      to 0 on the satisfied side of a one-sided constraint, is within
+      ``moment_tol``;
+    - complementary slackness: ``|lam_i (E f_i - alpha_i)|`` is within
+      ``moment_tol`` times ``max(1, |lam_i|)``;
+    - the model is, within 1e-9 in total variation, the equality
+      projection onto the equalities and the one-sided constraints with a
+      nonzero multiplier.
+    """
+    from maxentlab import ConstraintSet, FeatureSet, project, total_variation
+
+    sign = {"eq": 0.0, "ge": 1.0, "le": -1.0}
+    signs = np.array([sign[kind.value] for kind in constraints.kinds])
+    lam = np.asarray(result.lambda_star, dtype=float)
+    q = result.model.to_distribution()
+    residual = constraints.features.matrix @ q.probs - constraints.targets
+    clamped = np.where(signs * residual > 0.0, 0.0, residual)
+    out = []
+    wrong_sign = np.flatnonzero(signs * lam < 0.0)
+    if wrong_sign.size:
+        out.append(f"multipliers {wrong_sign.tolist()} have the wrong sign")
+    if np.max(np.abs(clamped), initial=0.0) > moment_tol:
+        out.append(f"clamped residual {np.max(np.abs(clamped))} > {moment_tol}")
+    slack = np.abs(lam * residual) > moment_tol * np.maximum(1.0, np.abs(lam))
+    if slack.any():
+        out.append(f"complementary slackness fails on {np.flatnonzero(slack).tolist()}")
+    active = [i for i in range(constraints.dim) if signs[i] == 0.0 or lam[i] != 0.0]
+    f = constraints.features
+    equalities = ConstraintSet.equalities(
+        FeatureSet([f.names[i] for i in active], f.matrix[active]),
+        constraints.targets[active],
+    )
+    tv = total_variation(q, project(prior, equalities).model.to_distribution())
+    if tv > 1e-9:
+        out.append(f"TV {tv} to the projection onto the active constraints")
+    return out

@@ -121,6 +121,16 @@ def test_project_nonconvergence_exit_code(files, capsys):
     assert "did not reach tolerance" in capsys.readouterr().err
     assert not out.exists()
 
+
+def test_one_sided_project_nonconvergence_names_the_solve(files, capsys):
+    tmp, write = files
+    argv = ["project", "--prior", write("p.json", PRIOR)]
+    argv += ["--constraints", write("a.json", CONSTRAINTS_GE)]
+    argv += ["--solver-options", write("o.json", {"max_iter": 1})]
+    assert main(argv + ["--output", str(tmp / "r.json")]) == 6
+    assert "projected Newton did not reach tolerance" in capsys.readouterr().err
+
+
 def test_project_schema_violation_diagnostic(files, capsys):
     tmp, write = files
     bad = {"outcomes": ["0", "1"], "probs": [0.9, 0.4]}  # sums to 1.3
@@ -346,8 +356,22 @@ def test_diagnose_featureless_files(files):
         ("diagnose", "features", {"names": ["x", "y"], "matrix": [[0, 1], [0]]}, "matrix"),
         ("project", "constraints", {**CONSTRAINTS_EQ, "kinds": ["gt"]}, "kinds"),
         ("diagnose", "model-lambda", ["a"], "--model-lambda"),
+        ("project", "prior", {**PRIOR, "outcomes": 5}, "outcomes"),
+        ("project", "prior", {**PRIOR, "outcomes": "01"}, "outcomes"),
+        ("fit", "features", {**FEATURES, "names": 3}, "names"),
+        ("fit", "features", {"names": "xy", "matrix": [[0, 1], [1, 0]]}, "names"),
     ],
-    ids=["string-prob", "object-probs", "ragged-matrix", "unknown-kind", "text-lambda"],
+    ids=[
+        "string-prob",
+        "object-probs",
+        "ragged-matrix",
+        "unknown-kind",
+        "text-lambda",
+        "number-outcomes",
+        "string-outcomes",
+        "number-names",
+        "string-names",
+    ],
 )
 def test_malformed_values_exit_2(files, capsys, command, name, bad, field):
     # A value of the wrong type is an input error naming its field, not a
@@ -933,6 +957,16 @@ def test_equality_solves_run_one_lp_each(files, linprog_calls, command, lps):
         argv += ["--features", write("f.json", FEATURES), "--data", write("d.json", data)]
     assert main(argv) == 0
     assert len(linprog_calls) == lps
+
+
+def test_one_sided_sanov_runs_one_lp(files, linprog_calls):
+    # The event's projection runs one verdict LP on the whole constraint
+    # set, and no LP on its binding constraints as equalities.
+    tmp, write = files
+    argv = ["sanov", "--prior", write("p.json", PRIOR), "--n", "10"]
+    argv += ["--constraints", write("a.json", CONSTRAINTS_GE)]
+    assert main(argv + ["--output", str(tmp / "r")]) == 0
+    assert len(linprog_calls) == 1
 
 
 @pytest.mark.parametrize(

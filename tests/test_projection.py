@@ -1,5 +1,6 @@
-"""Information projection: feasibility, the dual Newton solver, the
-active-set inequality path, the direct log-loss fit, and their agreement."""
+"""Information projection: feasibility, the dual Newton solver, projected
+Newton for one-sided constraints, the direct log-loss fit, and their
+agreement."""
 
 import math
 
@@ -30,7 +31,11 @@ from maxentlab import projection
 from maxentlab.projection import SolverOptions
 from maxentlab._rng import substream
 
-from oracles import grid_min_divergence_on_segment, interior_lp_reference
+from oracles import (
+    grid_min_divergence_on_segment,
+    interior_lp_reference,
+    kkt_violations,
+)
 
 LOG4 = math.log(4.0)
 
@@ -79,6 +84,28 @@ def criterion_4_instance(seed):
     features = FeatureSet([f"f{i}" for i in range(d)], rng.normal(size=(d, k)))
     w = rng.random(k) + 0.05
     return prior, features, FiniteDistribution(outcomes, w / w.sum())
+
+
+def one_sided_instance(seed):
+    """K in 5..400, d in 1..6, random eq/ge/le kinds.  The targets are the
+    moments of ``q``, the prior tilted by a random ``theta``, each
+    one-sided one moved by up to a twentieth of its feature's range to the
+    side ``q`` satisfies: the targets are interior, and a one-sided
+    constraint binds when it cuts the prior's moments off."""
+    rng = substream(seed, 32)
+    k = int(rng.integers(5, 401))
+    d = int(rng.integers(1, 7))
+    outcomes = [str(i) for i in range(k)]
+    w = rng.random(k) + 0.1
+    prior = FiniteDistribution(outcomes, w / w.sum())
+    f = rng.normal(size=(d, k))
+    q = w * np.exp(rng.normal(size=d) @ f)
+    kinds = [str(kind) for kind in rng.choice(["eq", "ge", "le"], size=d)]
+    sign = np.array([{"eq": 0.0, "ge": 1.0, "le": -1.0}[kind] for kind in kinds])
+    spread = f.max(axis=1) - f.min(axis=1)
+    targets = f @ (q / q.sum()) - sign * 0.05 * spread * rng.random(d)
+    features = FeatureSet([f"f{i}" for i in range(d)], f)
+    return prior, ConstraintSet(features, kinds, targets)
 
 
 LP_CASES = ("interior", "face", "zero_prior", "mixed", "infeasible")
@@ -379,12 +406,14 @@ class TestProjectInequality:
         assert res.status is Status.CONVERGED
         np.testing.assert_allclose(res.lambda_star, [0.0], atol=1e-12)
         assert res.min_divergence == pytest.approx(0.0, abs=1e-12)
+        assert kkt_violations(coin(), a, res, 1e-9) == []
 
     def test_active_constraint_matches_equality_projection(self):
         a = ConstraintSet(coin_feature(), ["ge"], [0.8])
         res = project_inequality(coin(), a)
         eq = project(coin(), ConstraintSet.equalities(coin_feature(), [0.8]))
         assert res.status is Status.CONVERGED
+        assert kkt_violations(coin(), a, res, 1e-9) == []
         assert total_variation(
             res.model.to_distribution(), eq.model.to_distribution()
         ) <= 1e-9
@@ -408,6 +437,7 @@ class TestProjectInequality:
         b = ConstraintSet(coin_feature(), ["le"], [0.2])
         res = project_inequality(coin(), b)
         assert res.lambda_star[0] <= 1e-9
+        assert kkt_violations(coin(), b, res, 1e-9) == []
 
     def test_mixed_random_instances_satisfy_constraints(self):
         for seed in range(50):
@@ -418,6 +448,18 @@ class TestProjectInequality:
             res = project_inequality(prior, a)
             assert res.status is Status.CONVERGED
             assert a.contains(res.model.to_distribution(), tol=1e-7)
+            assert kkt_violations(prior, a, res, 1e-9) == [], seed
+
+    def test_kkt_certificate_on_random_instances(self):
+        binding = 0
+        for seed in range(200):
+            prior, a = one_sided_instance(seed)
+            res = project_inequality(prior, a)
+            assert res.status is Status.CONVERGED, seed
+            assert np.max(np.abs(res.moment_residual)) <= 1e-9, seed
+            assert kkt_violations(prior, a, res, 1e-9) == [], seed
+            binding += int(np.count_nonzero(a._sign * res.lambda_star > 0.0))
+        assert binding >= 100  # the one-sided constraints do bind
 
     def test_dual_value_with_inactive_zeros(self):
         a = ConstraintSet(
@@ -429,6 +471,30 @@ class TestProjectInequality:
         assert res.status is Status.CONVERGED
         dual = float(res.lambda_star @ a.targets) - res.model.log_partition
         assert abs(res.min_divergence - dual) <= 1e-9
+        assert kkt_violations(coin(), a, res, 1e-9) == []
+
+    def test_one_lp_per_solve(self, linprog_calls):
+        # The verdict LP on the whole set is the only one: no LP per
+        # binding constraint.
+        prior, a = one_sided_instance(2)
+        assert {kind.value for kind in a.kinds} == {"eq", "ge", "le"}
+        res = project_inequality(prior, a)
+        assert res.status is Status.CONVERGED
+        assert np.count_nonzero(a._sign * res.lambda_star > 0.0) >= 1
+        assert len(linprog_calls) == 1
+
+    def test_budget_exhausted_inside_raises(self):
+        prior, a = one_sided_instance(2)
+        with pytest.raises(ConvergenceError, match="projected Newton"):
+            project_inequality(prior, a, SolverOptions(max_iter=1))
+
+    def test_budget_exhausted_on_boundary_reports_the_budget(self):
+        # x >= 2 leaves only the outcome "2", a vertex of the polytope.
+        f = FeatureSet(["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
+        a = ConstraintSet(f, ["ge", "le"], [2.0, 0.5])
+        res = project_inequality(three(), a, SolverOptions(max_iter=1))
+        assert res.status is Status.BOUNDARY_NONATTAINED
+        assert res.iterations == 1
 
 
 class TestFitLogLoss:
