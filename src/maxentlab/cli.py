@@ -68,6 +68,13 @@ def _require_args(args, *names: str) -> None:
         )
 
 
+def _reject_args(args, names, reason: str) -> None:
+    """Reject the options among ``names`` that are set, as ignored ``reason``."""
+    given = [f"--{n}" for n in names if getattr(args, n.replace("-", "_")) is not None]
+    if given:
+        raise InputError(f"{', '.join(given)} would be ignored {reason}")
+
+
 def _parse_n_grid(text: str, option: str) -> list[int]:
     """Comma list (``5000,10000``) or doubling span (``5000..80000``) given
     to ``option``; an empty list or an entry below 1 is an error."""
@@ -191,7 +198,7 @@ def cmd_fit(args) -> int:
     # off the data when they decide it, else from one LP.
     feasibility = witnessed_feasibility(prior, constraints, data)
     if feasibility is None:
-        feasibility = check_feasibility(prior, constraints, separate=False)
+        feasibility = check_feasibility(prior, constraints)
     projected = project(prior, constraints, opts, feasibility=feasibility)
     fitted = fit_log_loss(prior, features, data, opts, feasibility=feasibility)
     tv = total_variation(
@@ -237,22 +244,19 @@ def _diagnose_from_files(args, opts: SolverOptions):
 
 
 def cmd_diagnose(args) -> int:
-    if args.random and args.solver_options is not None:
-        raise InputError(
-            "--solver-options does not apply to diagnose --random, whose "
-            "instances use their own solver settings"
-        )
-    opts = _solver_options(args)
     if args.random:
-        suite = ident.run_identity_suite(args.instances, seed=args.seed)
+        inputs = ("prior", "features", "data", "model-lambda", "solver-options")
+        _reject_args(args, inputs, "by diagnose --random, which draws its instances")
+        suite = ident.run_identity_suite(args.instances or 100, seed=args.seed)
         suite = [(descriptor.to_json(), reports) for descriptor, reports in suite]
     else:
+        _reject_args(args, ("instances",), "without --random")
         for name in ("prior", "features", "data"):
             if getattr(args, name) is None:
                 raise InputError(
                     "diagnose needs --random or --prior/--features/--data"
                 )
-        suite = [_diagnose_from_files(args, opts)]
+        suite = [_diagnose_from_files(args, _solver_options(args))]
     blocks = []
     failures = []
     for descriptor, reports in suite:
@@ -289,12 +293,16 @@ def cmd_sanov(args) -> int:
     n_list = _parse_n_grid(args.curve, "--curve") if args.curve is not None else []
     if n_list:
         _check_cap(max(n_list), k, args.cap, " (--curve)")
+    if args.curve is None:
+        _reject_args(args, ("curve-output",), "without --curve")
+    if not args.monte_carlo:
+        _reject_args(args, ("trials",), "without --monte-carlo")
     if args.monte_carlo:
         report = sv.monte_carlo_event(
             prior,
             constraints,
             args.n,
-            trials=args.trials,
+            trials=20 if args.trials is None else args.trials,
             seed=args.seed,
             opts=opts,
             threads=args.threads,
@@ -390,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="run the identity diagnostics suite")
     add_common(p)
     p.add_argument("--random", action="store_true", help="seeded random instances")
-    p.add_argument("--instances", type=_count, default=100)
+    p.add_argument("--instances", type=_count, default=None)  # --random: 100
     p.add_argument("--prior", default=None)
     p.add_argument("--features", default=None)
     p.add_argument("--data", default=None)
@@ -405,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--cap", type=int, default=sv.DEFAULT_ENUMERATION_CAP)
     p.add_argument("--monte-carlo", action="store_true")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int, default=None)  # --monte-carlo: 20
     p.add_argument("--nested", default=None, help="inner constraint-set JSON file")
     p.add_argument("--curve", default=None, help="n grid for the conditioning curve")
     p.add_argument("--curve-output", default=None)

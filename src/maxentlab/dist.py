@@ -100,7 +100,19 @@ class FiniteDistribution:
                 f"probs sum to {total!r}; deviation from 1 exceeds "
                 f"{NORMALIZATION_SLACK}"
             )
-        p = p / total
+        self._store(outcomes, p / total)
+
+    @classmethod
+    def _normalised(cls, outcomes: _Labels, p: np.ndarray) -> "FiniteDistribution":
+        """The distribution with probabilities ``p``, weights already divided
+        by their float sum as construction does; only finiteness is checked."""
+        if not np.all(np.isfinite(p)):
+            raise InputError("probs must be finite")
+        dist = object.__new__(cls)
+        dist._store(outcomes, p)
+        return dist
+
+    def _store(self, outcomes: _Labels, p: np.ndarray) -> None:
         with np.errstate(divide="ignore"):
             lp = np.log(p)
         object.__setattr__(self, "outcomes", outcomes)

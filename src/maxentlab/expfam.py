@@ -20,6 +20,7 @@ import numpy as np
 from .dist import (
     FeatureSet,
     FiniteDistribution,
+    _frozen_array,
     cross_entropy,
     entropy,
     kl_divergence,
@@ -44,24 +45,69 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(np.log1p(s) + np.log(m) + top)
 
 
+def _member(
+    log_prior: np.ndarray, mask: np.ndarray, f_support: np.ndarray, lam: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """``A(lam)`` and the probabilities of the member ``P0 exp(lam . f - A)``
+    of the family whose arrays (:func:`_family_arrays`) are the first three
+    arguments; the feature rows are unread when ``lam`` is empty.
+
+    Every member the package evaluates (a model, a solver iterate, a scaled
+    variational family) goes through this function, so one ``lam`` gives
+    the same bits on every path; the probabilities are divided by their
+    float sum as :class:`FiniteDistribution` divides its weights.
+    """
+    scores = log_prior[mask]
+    if len(lam):
+        scores = scores + lam @ f_support
+    log_z = _logsumexp(scores)
+    lp = np.array(log_prior, copy=True)
+    lp[mask] = scores - log_z
+    q = np.exp(lp)
+    return log_z, q / float(q.sum())
+
+
+def _covariance(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The symmetrized covariance of the feature rows ``matrix`` under
+    ``q``: the Hessian of the log-partition at the member ``q``."""
+    m = matrix @ q
+    cov = (matrix * q) @ matrix.T - np.outer(m, m)
+    return 0.5 * (cov + cov.T)
+
+
+def _natural_parameters(lam, dim: int) -> np.ndarray:
+    """``lam`` as a read-only float vector of length ``dim``; a wrong shape
+    or a non-finite entry raises :class:`InputError`."""
+    lam = _frozen_array(lam)
+    if lam.ndim != 1 or lam.shape[0] != dim:
+        raise InputError(f"lambda has shape {lam.shape}, expected ({dim},)")
+    if lam.size and not np.all(np.isfinite(lam)):
+        raise InputError("natural parameters must be finite")
+    return lam
+
+
+def _family_arrays(prior: FiniteDistribution, features: FeatureSet) -> tuple:
+    """The arrays of one family that :func:`_member` reads: the prior's
+    log-probabilities, its support and the feature rows on the support."""
+    features.check_alphabet(prior)
+    rows = features.matrix[:, prior.support] if features.dim else features.matrix
+    return prior.log_probs, prior.support, rows
+
+
 def compute_log_partition(
     prior: FiniteDistribution, features: FeatureSet, lam: np.ndarray
 ) -> float:
     """``A(lam) = log sum_x P0(x) exp(lam . f(x))`` via log-sum-exp."""
-    features.check_alphabet(prior)
-    mask = prior.support
-    scores = prior.log_probs[mask]
-    if features.dim:
-        scores = scores + lam @ features.matrix[:, mask]
-    return _logsumexp(scores)
+    return _member(*_family_arrays(prior, features), lam)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class ExpFamModel:
     """An exponential-family member: prior, features, natural parameters.
 
-    The cached ``log_partition`` is computed at construction; instances are
-    immutable and safe to share across threads.
+    The log-partition and the member's probabilities are computed at
+    construction (:func:`_member`); instances are immutable and safe to
+    share across threads.
     """
 
     prior: FiniteDistribution
@@ -70,36 +116,17 @@ class ExpFamModel:
     log_partition: float
 
     def __init__(self, prior, features, lam):
-        lam = np.asarray(lam, dtype=float)
-        if lam.ndim != 1 or lam.shape[0] != features.dim:
-            raise InputError(
-                f"lambda has shape {lam.shape}, expected ({features.dim},)"
-            )
-        if lam.size and not np.all(np.isfinite(lam)):
-            raise InputError("natural parameters must be finite")
-        features.check_alphabet(prior)
-        lam = np.array(lam, copy=True)
-        lam.flags.writeable = False
+        lam = _natural_parameters(lam, features.dim)
+        log_z, probs = _member(*_family_arrays(prior, features), lam)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(
-            self, "log_partition", compute_log_partition(prior, features, lam)
-        )
+        object.__setattr__(self, "log_partition", log_z)
+        object.__setattr__(self, "_probs", probs)
 
     @property
     def dim(self) -> int:
         return self.features.dim
-
-    @cached_property
-    def _log_probs(self) -> np.ndarray:
-        lp = np.array(self.prior.log_probs, copy=True)
-        mask = self.prior.support
-        shift = -self.log_partition
-        if self.dim:
-            lp[mask] += self.lam @ self.features.matrix[:, mask]
-        lp[mask] += shift
-        return lp
 
     def to_distribution(self) -> FiniteDistribution:
         """The member distribution, built once per model and shared (it is
@@ -108,7 +135,7 @@ class ExpFamModel:
 
     @cached_property
     def _dist(self) -> FiniteDistribution:
-        return FiniteDistribution(self.prior.outcomes, np.exp(self._log_probs))
+        return FiniteDistribution._normalised(self.prior.outcomes, self._probs)
 
     def with_lambda(self, lam) -> "ExpFamModel":
         return ExpFamModel(self.prior, self.features, lam)
@@ -155,11 +182,7 @@ def fisher_information(model: ExpFamModel) -> np.ndarray:
     Symmetric positive semidefinite; exactly singular when features are
     linearly dependent on the support.
     """
-    w = model._dist.probs
-    f = model.features.matrix
-    m = f @ w
-    cov = (f * w) @ f.T - np.outer(m, m)
-    return 0.5 * (cov + cov.T)
+    return _covariance(model.features.matrix, model._probs)
 
 
 def internal_energy(model: ExpFamModel, p: FiniteDistribution) -> float:

@@ -18,11 +18,11 @@ projected distribution) are checked in their prior-relative general form
 for non-uniform priors; the mode used is recorded in the report details.
 
 Random instances build no object and solve no LP in their inner loops:
-the Bogoliubov energy-matching scan evaluates its objective on arrays
-fixed once per solve, and each projection of an instance takes its
-feasibility verdict from the distribution whose moments it matches
-(:func:`_project_to_moments`).  Both give the bits of the object and LP
-paths they replace.
+the Bogoliubov energy-matching scan evaluates each scaled variational
+member on arrays, through the exponential family's one member kernel, and
+each projection of an instance takes its feasibility verdict from the
+distribution whose moments it matches (:func:`_project_to_moments`).
+Both give the bits of the object and LP paths they replace.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from .dist import (
 from .errors import ConstraintViolation, DomainError, EnergyMatchingError
 from .expfam import (
     ExpFamModel,
-    _logsumexp,
+    _family_arrays,
+    _member,
     free_energy,
     internal_energy,
     mean_parameters,
@@ -195,44 +196,23 @@ def robustness(
     )
 
 
-def _energy(lam: np.ndarray, matrix: np.ndarray, q: np.ndarray) -> float:
-    """``internal_energy`` of parameters ``lam`` on features ``matrix``
-    under the probability vector ``q``."""
-    if not len(lam):
-        return 0.0
-    return float(-np.dot(lam, matrix @ q))
-
-
 def _upper_defect(target: ExpFamModel, variational: ExpFamModel):
     """The upper bound's energy-matching objective of the scale ``c``:
     ``U_target(P_c) - U_c(P_c)`` with ``P_c`` the variational member at
     parameters ``c psi``.
 
-    It repeats, on arrays fixed once per call, the float operations of
-    building ``variational.with_lambda(c * psi)`` and its distribution (the
-    tilt, one log-sum-exp, the shifted log-probabilities, their exponential
-    and its normalization) and of the two ``internal_energy`` calls, in the
-    same order, so it returns the same bits without building either
-    object.
+    ``P_c`` comes from :func:`~maxentlab.expfam._member`, with the bits of
+    ``variational.with_lambda(c * psi).to_distribution()`` and without
+    either object; the objective is ``c psi . E_c[g] - lam . E_c[f]``.
     """
-    prior = target.prior
-    mask = prior.support
-    log_prior = prior.log_probs
-    log_p0 = log_prior[mask]
-    g = variational.features.matrix
-    g_support = g[:, mask]
-    f, lam, psi = target.features.matrix, target.lam, variational.lam
+    family = _family_arrays(target.prior, variational.features)
+    f, g = target.features.matrix, variational.features.matrix
+    lam, psi = target.lam, variational.lam
 
     def upper_defect(c: float) -> float:
         c_psi = c * psi
-        tilt = c_psi @ g_support
-        log_z = _logsumexp(log_p0 + tilt)
-        lp = np.array(log_prior, copy=True)
-        lp[mask] += tilt
-        lp[mask] += -log_z
-        q = np.exp(lp)
-        q = q / float(q.sum())
-        return _energy(lam, f, q) - _energy(c_psi, g, q)
+        q = _member(*family, c_psi)[1]
+        return float(np.dot(c_psi, g @ q)) - float(np.dot(lam, f @ q))
 
     return upper_defect
 

@@ -1,27 +1,28 @@
 """Information projection ``argmin_{Q in A} D(Q || P)`` via its convex dual.
 
-For equality constraints ``E_Q[f] = alpha`` the dual objective is
+For constraints ``E_Q[f] = alpha`` the dual objective is
 ``g(lam) = A(lam) - lam . alpha``, a smooth convex function whose gradient
 is ``E_{P_lam}[f] - alpha`` and whose Hessian is the Fisher information.
 The same function, up to the constant ``H(data, P)``, is the log loss
 ``H(data, P_lam)`` of the family when ``alpha`` is the data's moments, so
 :func:`project` and :func:`fit_log_loss` share one descent loop,
-:func:`_solve`: its trace, tolerance test, cap on ``|lam|``, Armijo
-backtracking on ``g`` and result are the same for both.  They differ only
-in the direction rule and the iteration budget.  :func:`project` takes
-damped Newton steps (a Levenberg shift when the Fisher matrix is
-near-singular); :func:`fit_log_loss` takes gradient steps with
-Barzilai-Borwein lengths and never forms the Fisher matrix, so the
-agreement of the two is an independent check.
+:func:`_solve`, which evaluates iterates on arrays through the family's
+one member kernel and builds one model per result.  They differ only in
+the direction rule and the iteration budget.  :func:`project` takes damped
+Newton steps (a Levenberg shift when the Fisher matrix is near-singular);
+:func:`fit_log_loss` takes gradient steps with Barzilai-Borwein lengths
+and never forms the Fisher matrix, so the agreement of the two is an
+independent check.
 
-One-sided constraints confine the dual to an orthant (``lam_i >= 0`` for
-``ge``, ``lam_i <= 0`` for ``le``), where the same loop runs projected
-Newton (Bertsekas 1982).  Feasibility and boundary detection are linear
-programs over the simplex restricted to the prior's support: the interior
-LP substitutes ``q = s + t 1`` so that "every outcome has mass at least t"
-needs no per-outcome row, leaving d + 1 rows and K + 1 columns for K
-supported outcomes and d constraints.  A distribution whose moments are
-the targets and which puts more than the interior tolerance on every
+``ge`` and ``le`` constraints confine the dual to an orthant (``lam_i >= 0``,
+``lam_i <= 0``), where the same loop on the same path runs projected Newton
+(Bertsekas 1982); an ``eq`` coordinate is never clipped or held at a bound,
+so :func:`project` takes every kind.  Feasibility and boundary detection
+are linear programs over the simplex restricted to the prior's support:
+the interior LP substitutes ``q = s + t 1`` so that "every outcome has mass
+at least t" needs no per-outcome row, leaving d + 1 rows and K + 1 columns
+for K supported outcomes and d constraints.  A distribution whose moments
+are the targets and which puts more than the interior tolerance on every
 supported outcome answers that LP without running it
 (:func:`witnessed_feasibility`); :func:`project` and :func:`fit_log_loss`
 take such a verdict in place of the LP.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +48,14 @@ from .dist import (
     moments,
 )
 from .errors import ConvergenceError, InputError, SupportViolation
-from .expfam import ExpFamModel, fisher_information, mean_parameters
+from .expfam import (
+    ExpFamModel,
+    _covariance,
+    _family_arrays,
+    _member,
+    _natural_parameters,
+    mean_parameters,
+)
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -137,14 +146,7 @@ class ProjectionResult:
             "status": self.status.value,
         }
         if self.trace:
-            out["trace"] = [
-                {
-                    "iteration": t.iteration,
-                    "dual_value": t.dual_value,
-                    "grad_norm": t.grad_norm,
-                }
-                for t in self.trace
-            ]
+            out["trace"] = [asdict(t) for t in self.trace]
         return out
 
 
@@ -152,14 +154,19 @@ class ProjectionResult:
 class FeasibilityReport:
     """Whether the targets intersect the moment polytope of the features.
 
-    ``witness``, present when ``in_hull`` is false and the check was asked
-    to separate, is a direction ``v`` with
-    ``min over the target set of v . t  >  max_x v . f(x)``.
+    ``witness``, present when ``in_hull`` is false, is a direction ``v``
+    with ``min over the target set of v . t  >  max_x v . f(x)``.  A second
+    LP finds it on first read, over the ``(constraints, support)`` kept in
+    ``_separation``; a verdict nobody separates costs one LP.
     """
 
     in_hull: bool
     on_boundary: bool
-    witness: np.ndarray | None
+    _separation: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> np.ndarray | None:
+        return self._separation and _separating_witness(*self._separation)
 
 
 def _constraint_rows(constraints: ConstraintSet, support: np.ndarray):
@@ -211,7 +218,7 @@ def _with_t_column(block: np.ndarray) -> np.ndarray | None:
 
 
 def check_feasibility(
-    prior: FiniteDistribution, constraints: ConstraintSet, *, separate: bool = True
+    prior: FiniteDistribution, constraints: ConstraintSet
 ) -> FeasibilityReport:
     """Decide whether the targets are attainable by a distribution on the
     prior's support, and whether only on the polytope boundary.
@@ -225,16 +232,15 @@ def check_feasibility(
     ``sum s + K t = 1``, which also bounds ``t <= 1/K``) and K + 1 columns
     over the K supported outcomes.
 
-    Targets outside the polytope get a separating ``witness`` from a second
-    LP; ``separate=False`` skips it, for callers that read only the
-    verdict.
+    Targets outside the polytope get a separating ``witness``, from a
+    second LP that runs when the witness is first read.
 
     Raises :class:`ConvergenceError` when the LP solver stops without
     either an optimum or a proof of infeasibility.
     """
     constraints.features.check_alphabet(prior)
     if constraints.dim == 0:
-        return FeasibilityReport(in_hull=True, on_boundary=False, witness=None)
+        return FeasibilityReport(in_hull=True, on_boundary=False)
     support = prior.support
     k = int(support.sum())
     a_eq, b_eq, a_ub, b_ub = _constraint_rows(constraints, support)
@@ -254,12 +260,9 @@ def check_feasibility(
     )
     if res.status == 0:
         t_star = float(res.x[-1])
-        return FeasibilityReport(
-            in_hull=True, on_boundary=t_star <= _INTERIOR_TOL, witness=None
-        )
+        return FeasibilityReport(in_hull=True, on_boundary=t_star <= _INTERIOR_TOL)
     if res.status == 2:
-        witness = _separating_witness(constraints, support) if separate else None
-        return FeasibilityReport(in_hull=False, on_boundary=False, witness=witness)
+        return FeasibilityReport(False, False, (constraints, support))
     raise ConvergenceError(
         f"feasibility LP stopped with HiGHS status {res.status}: {res.message}"
     )
@@ -288,44 +291,35 @@ def witnessed_feasibility(
     support = prior.support
     if np.any(q.probs[~support] > 0) or np.any(q.probs[support] <= _INTERIOR_TOL):
         return None
-    return FeasibilityReport(in_hull=True, on_boundary=False, witness=None)
+    return FeasibilityReport(in_hull=True, on_boundary=False)
 
 
-def _empty_projection(
-    prior: FiniteDistribution, features: FeatureSet
+def _unsolved(
+    prior: FiniteDistribution, constraints: ConstraintSet, status: Status
 ) -> ProjectionResult:
-    return ProjectionResult(
-        lambda_star=np.zeros(0),
-        model=ExpFamModel(prior, features, np.zeros(0)),
-        min_divergence=0.0,
-        moment_residual=np.zeros(0),
-        iterations=0,
-        status=Status.CONVERGED,
-    )
-
-
-def _infeasible_result(
-    prior: FiniteDistribution, constraints: ConstraintSet
-) -> ProjectionResult:
+    """The result at ``lam = 0`` of a solve that takes no step: an empty
+    constraint set (``CONVERGED``) or infeasible targets (``INFEASIBLE``)."""
     model = ExpFamModel(prior, constraints.features, np.zeros(constraints.dim))
     return ProjectionResult(
         lambda_star=np.zeros(constraints.dim),
         model=model,
-        min_divergence=math.inf,
+        min_divergence=0.0 if status is Status.CONVERGED else math.inf,
         moment_residual=mean_parameters(model) - constraints.targets,
         iterations=0,
-        status=Status.INFEASIBLE,
+        status=status,
     )
 
 
 def _result(
     prior: FiniteDistribution,
-    model: ExpFamModel,
+    features: FeatureSet,
+    lam: np.ndarray,
     residual: np.ndarray,
     iterations: int,
     status: Status,
     trace,
 ) -> ProjectionResult:
+    model = ExpFamModel(prior, features, lam)
     return ProjectionResult(
         lambda_star=np.array(model.lam, copy=True),
         model=model,
@@ -348,12 +342,13 @@ def _levenberg_shift(hessian: np.ndarray) -> float:
     return max(0.0, 1e-10 - smallest)
 
 
-def _newton_direction(model: ExpFamModel, grad: np.ndarray, t: float, free=None):
-    """Levenberg-shifted Newton step, or steepest descent if the solve was
-    bad; every iteration tries the full step first.  With a ``free`` mask
-    the step solves on the free coordinates only, and the others (the
-    binding ones) step to 0."""
-    hessian, g = fisher_information(model), grad
+def _newton_direction(matrix: np.ndarray, lam, q, grad, t, free=None):
+    """Levenberg-shifted Newton step on the Fisher matrix of the feature
+    rows ``matrix`` under ``q``, or steepest descent if the solve was bad;
+    every iteration tries the full step first.  With a ``free`` mask the
+    step solves on the free coordinates only, and the others (the binding
+    ones) step to 0."""
+    hessian, g = _covariance(matrix, q), grad
     if free is not None:
         hessian, g = hessian[np.ix_(free, free)], grad[free]
     step = np.zeros(0)
@@ -368,7 +363,7 @@ def _newton_direction(model: ExpFamModel, grad: np.ndarray, t: float, free=None)
         step = -g
         slope = -float(np.dot(g, g))
     if free is not None:
-        full = -model.lam
+        full = -lam
         full[free] = step
         step, slope = full, float(np.dot(grad, full))
     return step, slope, 1.0, 1.0
@@ -385,19 +380,20 @@ def _gradient_direction():
     twice the last accepted length ``t`` and the float-resolution step
     keeps ``t``.  The rule remembers the last ``lam`` and gradient, so
     each solve needs its own.  The log-loss fit has equality constraints
-    only, so every coordinate is free and ``free`` is not read.
+    only, so every coordinate is free; the rule reads neither ``q`` nor
+    ``free``.
     """
     last = None
 
-    def direction(model: ExpFamModel, grad: np.ndarray, t: float, free=None):
+    def direction(lam, q, grad, t, free=None):
         nonlocal last
         short_t, first_t = t, min(t * 2.0, 1e6)
         if last is not None:
-            s, y = model.lam - last[0], grad - last[1]
+            s, y = lam - last[0], grad - last[1]
             sy = float(np.dot(s, y))
             if sy > 0.0:
                 short_t = first_t = min(sy / float(np.dot(y, y)), 1e6)
-        last = model.lam, grad
+        last = lam, grad
         return -grad, -float(np.dot(grad, grad)), short_t, first_t
 
     return direction
@@ -416,91 +412,87 @@ def _solve(
     """Minimize ``g(lam) = A(lam) - lam . alpha`` over the orthant
     ``sign_i lam_i >= 0`` by projected line search along ``direction``.
 
-    ``direction(model, grad, t, free)`` returns ``(step, slope, short_t,
-    first_t)``: a step that takes the coordinates outside the ``free`` mask
-    (``None`` when all are free) to 0, the directional derivative
-    ``grad . step``, the length taken when the decrease predicted at the
-    first length is below the float resolution of ``g``, and the first
-    length, which Armijo backtracking tries first; ``t`` is the last
-    accepted length.  Outside ``free`` are the binding coordinates:
-    one-sided ones within ``min(1e-6, |projected gradient|)`` of their
-    bound that the gradient pushes outward.  A candidate clipped to the
-    orthant must decrease ``g`` by ``c grad . (lam(t) - lam)``.  The
+    Iterates are arrays, each evaluated by :func:`~maxentlab.expfam._member`
+    into ``A(lam)`` and the member's probabilities ``q``; the result's one
+    model is built at the end.  ``direction(lam, q, grad, t, free)`` returns
+    ``(step, slope, short_t, first_t)``: a step that takes the coordinates
+    outside the ``free`` mask (``None`` when all are free) to 0, the
+    directional derivative ``grad . step``, the length taken when the
+    decrease predicted at the first length is below the float resolution of
+    ``g``, and the first length, which Armijo backtracking tries first;
+    ``t`` is the last accepted length.  Outside ``free`` are the binding
+    coordinates: one-sided ones within ``min(1e-6, |projected gradient|)``
+    of their bound that the gradient pushes outward.  A candidate clipped to
+    the orthant must decrease ``g`` by ``c grad . (lam(t) - lam)``.  The
     tolerance test reads the projected gradient, 0 where a coordinate sits
-    at its bound and is pushed outward.  A budget of ``max_iter`` steps
-    that runs out is a :class:`ConvergenceError`, unless the feasibility
-    LP put the targets on the boundary.  A ``feasibility``
+    at its bound and is pushed outward; an ``eq`` coordinate (sign 0) is
+    never clipped, projected, binding or clamped.  A budget of ``max_iter``
+    steps that runs out is a :class:`ConvergenceError`, unless the
+    feasibility LP put the targets on the boundary.  A ``feasibility``
     verdict known in advance replaces the LP.
     """
     features, alpha, d = constraints.features, constraints.targets, constraints.dim
-    features.check_alphabet(prior)
     if d == 0:
-        return _empty_projection(prior, features)
-    feas = feasibility or check_feasibility(prior, constraints, separate=False)
+        return _unsolved(prior, constraints, Status.CONVERGED)
+    feas = feasibility or check_feasibility(prior, constraints)
     if not feas.in_hull:
-        return _infeasible_result(prior, constraints)
+        return _unsolved(prior, constraints, Status.INFEASIBLE)
+    matrix, family = features.matrix, _family_arrays(prior, features)
     sign = constraints._sign
-    one_sided = bool(np.count_nonzero(sign))
-    lam = np.zeros(d) if lambda0 is None else np.asarray(lambda0, dtype=float)
-    model = ExpFamModel(prior, features, lam)
+    lam = np.zeros(d) if lambda0 is None else _natural_parameters(lambda0, d)
     trace: list[TracePoint] = []
 
-    def dual_value(m: ExpFamModel) -> float:
-        return m.log_partition - float(np.dot(m.lam, alpha))
+    def dual_value(lam_t: np.ndarray):
+        """``g(lam_t)`` and the member's probabilities at ``lam_t``."""
+        log_z, q_t = _member(*family, lam_t)
+        return log_z - float(np.dot(lam_t, alpha)), q_t
 
     def candidate_at(t: float):
         """The current iterate moved by ``t step`` and clipped to the
         orthant, and the change of ``g`` Armijo's test allows it."""
-        lam_t = model.lam + t * step
+        lam_t = lam + t * step
         change = _ARMIJO_C * t * slope
-        if one_sided:
-            outside = sign * lam_t < 0.0
-            if outside.any():
-                lam_t[outside] = 0.0
-                change = _ARMIJO_C * float(np.dot(grad, lam_t - model.lam))
-        return ExpFamModel(prior, features, lam_t), change
+        outside = sign * lam_t < 0.0
+        if outside.any():
+            lam_t[outside] = 0.0
+            change = _ARMIJO_C * float(np.dot(grad, lam_t - lam))
+        return lam_t, change
 
-    g = dual_value(model)
+    g, q = dual_value(lam)
     t = 1.0
-    free = None
     for iteration in range(max_iter):
-        grad = mean_parameters(model) - alpha
-        projected = grad
-        if one_sided:
-            outward, slack = sign * grad > 0.0, sign * model.lam
-            projected = np.where(outward & (slack <= 0.0), 0.0, grad)
+        grad = matrix @ q - alpha
+        outward, slack = sign * grad > 0.0, sign * lam
+        projected = np.where(outward & (slack <= 0.0), 0.0, grad)
         gnorm = float(np.max(np.abs(projected)))
         if opts.trace:
             trace.append(TracePoint(iteration, g, gnorm))
         if gnorm <= opts.moment_tol:
             status = Status.CONVERGED
             break
-        if float(np.max(np.abs(model.lam))) > opts.lambda_cap:
-            capped = np.clip(model.lam, -opts.lambda_cap, opts.lambda_cap)
-            model = ExpFamModel(prior, features, capped)
-            grad = mean_parameters(model) - alpha
+        if float(np.max(np.abs(lam))) > opts.lambda_cap:
+            lam = np.clip(lam, -opts.lambda_cap, opts.lambda_cap)
+            grad = matrix @ dual_value(lam)[1] - alpha
             status = Status.BOUNDARY_NONATTAINED
             break
-        if one_sided:
-            binding = outward & (slack <= min(1e-6, gnorm))
-            free = ~binding if binding.any() else None
-        step, slope, short_t, t = direction(model, grad, t, free)
+        binding = outward & (slack <= min(1e-6, gnorm))
+        free = ~binding if binding.any() else None
+        step, slope, short_t, t = direction(lam, q, grad, t, free)
         # Near the optimum the decrease predicted at the first length drops
         # below the float resolution of g; Armijo cannot certify progress
         # there, but the short step is locally contracting, so take it.
         if -t * slope <= 1e-13 * max(1.0, abs(g)):
             t = short_t
-            candidate, _ = candidate_at(t)
-            g_new = dual_value(candidate)
+            lam_new, _ = candidate_at(t)
+            g_new, q_new = dual_value(lam_new)
         else:
             for _ in range(_MAX_BACKTRACKS):
-                candidate, change = candidate_at(t)
-                g_new = dual_value(candidate)
+                lam_new, change = candidate_at(t)
+                g_new, q_new = dual_value(lam_new)
                 if g_new <= g + change:
                     break
                 t *= 0.5
-        model = candidate
-        g = g_new
+        lam, g, q = lam_new, g_new, q_new
     else:
         if not feas.on_boundary:
             raise ConvergenceError(
@@ -508,15 +500,14 @@ def _solve(
                 f"{max_iter} iterations"
             )
         iteration = max_iter
-        grad = mean_parameters(model) - alpha
+        grad = matrix @ q - alpha
     if feas.on_boundary:
         # The optimum lives on a face the family only approaches; the
         # returned model is the (possibly tolerance-converged) iterate.
         status = Status.BOUNDARY_NONATTAINED
-    if one_sided:
-        # The satisfied side of a one-sided constraint clamps to 0.
-        grad = np.where(sign * grad > 0.0, 0.0, grad)
-    return _result(prior, model, grad, iteration, status, trace)
+    # The satisfied side of a one-sided constraint clamps to 0.
+    grad = np.where(sign * grad > 0.0, 0.0, grad)
+    return _result(prior, features, lam, grad, iteration, status, trace)
 
 
 def project(
@@ -526,15 +517,20 @@ def project(
     lambda0: np.ndarray | None = None,
     feasibility: FeasibilityReport | None = None,
 ) -> ProjectionResult:
-    """Project ``prior`` onto equality moment constraints.
+    """Project ``prior`` onto moment constraints of every kind.
+
+    Newton steps minimize ``g`` over the orthant ``lam_i >= 0`` for ``ge``,
+    ``lam_i <= 0`` for ``le`` (free for ``eq``) after one feasibility LP.
+    The stopping test, the projected gradient within the moment tolerance,
+    certifies the KKT conditions: the clamped residual is within tolerance,
+    and a constraint with a nonzero multiplier holds as an equality.
 
     Parameters
     ----------
     prior : FiniteDistribution
         The reference distribution ``P`` of ``min_Q D(Q || P)``.
     constraints : ConstraintSet
-        Equality constraints only; use :func:`project_inequality` for
-        one-sided constraints.
+        ``eq``, ``ge`` and ``le`` constraints, in any mix.
     opts : SolverOptions, optional
     lambda0 : array, optional
         Starting parameters; the converged result does not depend on the
@@ -545,19 +541,14 @@ def project(
         :func:`witnessed_feasibility`); the LP then does not run.
     """
     opts = opts or SolverOptions()
-    if not constraints.is_equality_only():
-        raise InputError(
-            "project handles equality constraints only; "
-            "use project_inequality for ge/le kinds"
-        )
     return _solve(
         prior,
         constraints,
         opts,
         lambda0,
-        _newton_direction,
+        partial(_newton_direction, constraints.features.matrix),
         opts.max_iter,
-        "dual Newton",
+        "dual Newton" if constraints.is_equality_only() else "projected Newton",
         feasibility,
     )
 
@@ -567,28 +558,8 @@ def project_inequality(
     constraints: ConstraintSet,
     opts: SolverOptions | None = None,
 ) -> ProjectionResult:
-    """Project ``prior`` onto a mix of equality and one-sided constraints.
-
-    The dual is ``g`` minimized over the orthant ``lam_i >= 0`` for ``ge``,
-    ``lam_i <= 0`` for ``le`` (free for ``eq``), solved by projected Newton
-    after one feasibility LP on the whole set.  Its stopping test, the
-    projected gradient within the moment tolerance, certifies the KKT
-    conditions: the clamped residual is within tolerance, and a constraint
-    with a nonzero multiplier holds as an equality within tolerance.
-    Equality-only constraints go straight to :func:`project`.
-    """
-    if constraints.is_equality_only():
-        return project(prior, constraints, opts)
-    opts = opts or SolverOptions()
-    return _solve(
-        prior,
-        constraints,
-        opts,
-        None,
-        _newton_direction,
-        opts.max_iter,
-        "projected Newton",
-    )
+    """:func:`project`, under its name from when only it took ``ge``/``le``."""
+    return project(prior, constraints, opts)
 
 
 def fit_log_loss(
@@ -648,7 +619,7 @@ def robust_bayes_value(
     opts: SolverOptions | None = None,
 ) -> RobustBayesValue:
     """Minimax log-loss value of the game over the constraint set."""
-    result = project_inequality(prior, constraints, opts)
+    result = project(prior, constraints, opts)
     if result.status is Status.INFEASIBLE:
         raise InputError("constraint set is infeasible; the game has no value")
     if prior.is_uniform():

@@ -4,11 +4,13 @@ Everything here is deliberately simple and slow: exact big-integer and
 rational arithmetic for histogram probabilities, brute-force enumeration,
 dense grids, a dense-LP interior test, a full-grid root bracket and a KKT
 certificate for one-sided projections.  None of it shares code paths with
-the library, except the object-path energy-matching objective and the
-harness that swaps it (and the LP feasibility verdict) back into the
-identity suite, which are the library's earlier code paths kept as
-references for their array replacements, and the certificate's last
-condition, which re-runs the library's equality projection.
+the library, except the object-path member evaluation (around the
+library's log-sum-exp, which has its own tests against scipy), the
+object-path energy-matching objective and the harness that swaps it (and
+the LP feasibility verdict) back into the identity suite, which are the
+library's earlier code paths kept as references for their array
+replacements, and the certificate's last condition, which re-runs the
+library's equality projection.
 """
 
 from __future__ import annotations
@@ -162,6 +164,27 @@ def match_scale_full_grid(objective, lo: float = 1e-3, hi: float = 1e3):
                 brentq(objective, grid[k], grid[k + 1], xtol=1e-14, rtol=1e-15)
             )
     return None
+
+
+def member_objects(log_prior, mask, f_support, lam):
+    """``A(lam)`` and the member's probabilities by the float operations the
+    object path used before the member kernel, in its order: the
+    log-partition's tilt and log-sum-exp, the model's log-probabilities
+    shifted in place (the tilt computed a second time), their exponential,
+    and the distribution's division by the float sum."""
+    from maxentlab.expfam import _logsumexp
+
+    scores = log_prior[mask]
+    if len(lam):
+        scores = scores + lam @ f_support
+    log_z = _logsumexp(scores)
+    lp = np.array(log_prior, copy=True)
+    if len(lam):
+        lp[mask] += lam @ f_support
+    lp[mask] += -log_z
+    q = np.exp(lp)
+    total = float(q.sum())
+    return log_z, q / total
 
 
 def upper_defect_objects(target, variational):

@@ -289,6 +289,47 @@ def test_diagnose_random_rejects_solver_options(files, capsys):
     assert not out.exists()
 
 
+def _ignored_option_cases(write, tmp):
+    prior = write("p.json", PRIOR)
+    data = write("d.json", {"outcomes": ["0", "1"], "probs": [0.3, 0.7]})
+    sanov = ["sanov", "--prior", prior, "--n", "10"]
+    sanov += ["--constraints", write("g.json", CONSTRAINTS_GE)]
+    return {
+        "diagnose-random": (
+            ["diagnose", "--random", "--instances", "1", "--prior", "nonexistent.json"]
+            + ["--model-lambda", "nope.json"],
+            ["--prior", "--model-lambda"],
+        ),
+        "diagnose-files": (
+            ["diagnose", "--instances", "3", "--prior", prior, "--data", data]
+            + ["--features", write("f.json", FEATURES)],
+            ["--instances"],
+        ),
+        "sanov-curve-output": (
+            sanov + ["--curve-output", str(tmp / "curve.csv")],
+            ["--curve-output"],
+        ),
+        "sanov-trials": (sanov + ["--trials", "7"], ["--trials"]),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["diagnose-random", "diagnose-files", "sanov-curve-output", "sanov-trials"]
+)
+def test_ignored_options_exit_2(files, capsys, case):
+    # diagnose --random takes no input files, --instances needs --random,
+    # --curve-output needs --curve and --trials needs --monte-carlo: an
+    # option the command would drop is an input error naming it.
+    tmp, write = files
+    argv, named = _ignored_option_cases(write, tmp)[case]
+    out = tmp / "out.json"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(option in err for option in named), err
+    assert not out.exists()
+    assert not (tmp / "curve.csv").exists()
+
+
 def test_diagnose_fixture_files(files):
     tmp, write = files
     data = {"outcomes": ["0", "1"], "probs": [0.2, 0.8]}
@@ -1021,12 +1062,12 @@ def test_fit_half_of_cli_fit_forms_no_fisher_matrix(files, monkeypatch):
     from maxentlab import cli, projection
 
     calls = []
-    fisher = projection.fisher_information
+    fisher = projection._covariance
     fit = cli.fit_log_loss
 
-    def counted(model):
+    def counted(matrix, q):
         calls.append("fisher")
-        return fisher(model)
+        return fisher(matrix, q)
 
     def marked(*args, **kwargs):
         calls.append("fit")
@@ -1034,7 +1075,7 @@ def test_fit_half_of_cli_fit_forms_no_fisher_matrix(files, monkeypatch):
         calls.append("fit done")
         return result
 
-    monkeypatch.setattr(projection, "fisher_information", counted)
+    monkeypatch.setattr(projection, "_covariance", counted)
     monkeypatch.setattr(cli, "fit_log_loss", marked)
     tmp, write = files
     data = {"outcomes": ["0", "1"], "probs": [0.3, 0.7]}

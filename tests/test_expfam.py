@@ -30,8 +30,10 @@ from maxentlab import (
     model_cross_entropy,
     model_entropy,
 )
-from maxentlab.expfam import _logsumexp, compute_log_partition
+from maxentlab.expfam import _logsumexp, _member, compute_log_partition
 from maxentlab._rng import substream
+
+from oracles import member_objects
 
 LOG4 = math.log(4.0)
 # scipy 1.15 took the maximal terms out of the sum; earlier releases used a
@@ -138,6 +140,37 @@ class TestLogSumExpKernel:
     def test_single_term_is_exact(self):
         for x in (-1e3, -0.5, 0.0, 3.25, 1e3):
             assert _logsumexp(np.array([x])) == x
+
+
+@st.composite
+def _members(draw):
+    """A prior with zero-mass outcomes, 0 to 4 features and ``|lam| <= 30``."""
+    k = draw(st.integers(1, 30))
+    d = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(k) + 0.01
+    empty = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    empty[draw(st.integers(0, k - 1))] = False
+    w[empty] = 0.0
+    prior = FiniteDistribution([str(i) for i in range(k)], w / w.sum())
+    features = FeatureSet([f"f{i}" for i in range(d)], rng.normal(0.0, 2.0, (d, k)))
+    lam = np.array(draw(st.lists(st.floats(-30.0, 30.0), min_size=d, max_size=d)))
+    return prior, features, lam
+
+
+class TestMemberKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(member=_members())
+    def test_bit_equal_to_object_path(self, member):
+        prior, features, lam = member
+        args = (prior.log_probs, prior.support, features.matrix[:, prior.support], lam)
+        log_z, q = _member(*args)
+        ref_z, ref_q = member_objects(*args)
+        assert log_z.hex() == ref_z.hex()
+        assert q.tobytes() == ref_q.tobytes()
+        model = ExpFamModel(prior, features, lam)
+        assert model.log_partition.hex() == ref_z.hex()
+        assert model.to_distribution().probs.tobytes() == ref_q.tobytes()
 
 
 class TestMeanParameters:

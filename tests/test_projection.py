@@ -30,6 +30,7 @@ from maxentlab import (
 from maxentlab import projection
 from maxentlab.projection import SolverOptions
 from maxentlab._rng import substream
+from maxentlab.jsonio import dump_json
 
 from oracles import (
     grid_min_divergence_on_segment,
@@ -330,10 +331,14 @@ class TestProject:
         res = project(three(), ConstraintSet.equalities(three_feature(), [2.0]))
         assert res.status is Status.BOUNDARY_NONATTAINED
 
-    def test_rejects_inequality_kinds(self):
-        a = ConstraintSet(coin_feature(), ["ge"], [0.8])
-        with pytest.raises(InputError):
-            project(coin(), a)
+    def test_takes_every_constraint_kind(self):
+        # project_inequality is project under its older name: one solve,
+        # the same bits, on ge/le sets as on equalities.
+        for seed in range(20):
+            prior, a = one_sided_instance(seed)
+            direct, forwarded = project(prior, a), project_inequality(prior, a)
+            assert direct.status is forwarded.status, seed
+            assert dump_json(direct.to_json()) == dump_json(forwarded.to_json()), seed
 
     def test_primal_dual_agreement(self):
         for seed in range(100):
@@ -530,13 +535,13 @@ class TestFitLogLoss:
         # The fit stays first order, so its agreement with project is an
         # independent check; project's Newton steps do use the matrix.
         calls = []
-        fisher = projection.fisher_information
+        fisher = projection._covariance
 
-        def counted(model):
+        def counted(matrix, q):
             calls.append(1)
-            return fisher(model)
+            return fisher(matrix, q)
 
-        monkeypatch.setattr(projection, "fisher_information", counted)
+        monkeypatch.setattr(projection, "_covariance", counted)
         prior, features, data, _ = random_instance(3)
         fit_log_loss(prior, features, data)
         assert calls == []
@@ -602,52 +607,86 @@ class TestFitLogLoss:
             assert rise <= 1e-12, seed
 
 
+class TestOneModelPerSolve:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        init = ExpFamModel.__init__
+
+        def counted(model, *args):
+            built.append(1)
+            init(model, *args)
+
+        monkeypatch.setattr(ExpFamModel, "__init__", counted)
+        return built
+
+    def test_project_builds_one_model(self, built):
+        # Iterates and Armijo candidates are arrays; only the result is a
+        # model, however many steps the solve takes.
+        prior, features, data, _ = random_instance(3)
+        equalities = ConstraintSet.equalities(features, moments(data, features))
+        for prior, a in ((prior, equalities), one_sided_instance(2)):
+            built.clear()
+            res = project(prior, a)
+            assert res.status is Status.CONVERGED and res.iterations > 1
+            assert len(built) == 1
+
+    def test_fit_builds_one_model(self, built):
+        prior, features, data, _ = random_instance(3)
+        res = fit_log_loss(prior, features, data)
+        assert res.status is Status.CONVERGED and res.iterations > 1
+        assert len(built) == 1
+
+
 class TestGradientDirection:
-    def model(self, lam):
+    def at(self, lam):
+        """The rule's first two arguments at ``lam``: the parameters and the
+        member's probabilities."""
         features = FeatureSet(["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
-        return ExpFamModel(three(), features, lam)
+        model = ExpFamModel(three(), features, lam)
+        return model.lam, model.to_distribution().probs
 
     def test_first_call_doubles_the_unit_length(self):
         rule = projection._gradient_direction()
         grad = np.array([0.5, -1.0])
-        step, slope, short_t, first_t = rule(self.model([0.0, 0.0]), grad, 1.0)
+        step, slope, short_t, first_t = rule(*self.at([0.0, 0.0]), grad, 1.0)
         np.testing.assert_array_equal(step, -grad)
         assert slope == -1.25
         assert (short_t, first_t) == (1.0, 2.0)
 
     def test_curved_step_proposes_the_bb2_length(self):
         rule = projection._gradient_direction()
-        rule(self.model([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
+        rule(*self.at([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
         # s = (-1, -1), y = (-0.5, -0.25): s.y / y.y = 0.75 / 0.3125.
         _, _, short_t, first_t = rule(
-            self.model([-1.0, -1.0]), np.array([0.5, 0.75]), 0.25
+            *self.at([-1.0, -1.0]), np.array([0.5, 0.75]), 0.25
         )
         assert short_t == first_t == 0.75 / 0.3125
 
     def test_bb2_length_is_capped(self):
         rule = projection._gradient_direction()
-        rule(self.model([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)
+        rule(*self.at([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)
         _, _, short_t, first_t = rule(
-            self.model([-1.0, 0.0]), np.array([1.0 - 1e-7, 0.0]), 1.0
+            *self.at([-1.0, 0.0]), np.array([1.0 - 1e-7, 0.0]), 1.0
         )
         assert short_t == first_t == 1e6
 
     @pytest.mark.parametrize("t, first", [(0.3, 0.6), (8e5, 1e6)])
     def test_no_curvature_falls_back_to_doubling(self, t, first):
         rule = projection._gradient_direction()
-        rule(self.model([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
+        rule(*self.at([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
         # s = (-1, -1), y = (0.5, 0): s.y < 0.
         _, _, short_t, first_t = rule(
-            self.model([-1.0, -1.0]), np.array([1.5, 1.0]), t
+            *self.at([-1.0, -1.0]), np.array([1.5, 1.0]), t
         )
         assert (short_t, first_t) == (t, first)
 
     def test_zero_curvature_falls_back_to_doubling(self):
         rule = projection._gradient_direction()
-        rule(self.model([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
+        rule(*self.at([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
         # s = (-1, 0), y = (0, 0.5): s.y == 0.
         _, _, short_t, first_t = rule(
-            self.model([-1.0, 0.0]), np.array([1.0, 1.5]), 0.5
+            *self.at([-1.0, 0.0]), np.array([1.0, 1.5]), 0.5
         )
         assert (short_t, first_t) == (0.5, 1.0)
 
