@@ -16,6 +16,7 @@ from its configuration alone, at any thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -272,12 +273,6 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _check_cap(n: int, parts: int, cap: int, hint: str) -> None:
-    total = sv.num_compositions(n, parts)
-    if total > cap:
-        raise InputError(f"{total} histograms exceed the cap of {cap}{hint}")
-
-
 def cmd_sanov(args) -> int:
     _require_args(args, "prior", "constraints", "n")
     prior = _load(FiniteDistribution, args.prior)
@@ -287,12 +282,12 @@ def cmd_sanov(args) -> int:
     # before any of them starts; a Monte Carlo report alone needs no count.
     k = len(prior)
     if not args.monte_carlo:
-        _check_cap(args.n, k, args.cap, "; pass --monte-carlo to estimate instead")
+        sv._check_cap(args.n, k, args.cap, "; pass --monte-carlo to estimate instead")
     elif args.nested is not None:
-        _check_cap(args.n, k, args.cap, " (--nested)")
+        sv._check_cap(args.n, k, args.cap, " (--nested)")
     n_list = _parse_n_grid(args.curve, "--curve") if args.curve is not None else []
     if n_list:
-        _check_cap(max(n_list), k, args.cap, " (--curve)")
+        sv._check_cap(max(n_list), k, args.cap, " (--curve)")
     if args.curve is None:
         _reject_args(args, ("curve-output",), "without --curve")
     if not args.monte_carlo:
@@ -337,6 +332,7 @@ def cmd_sanov(args) -> int:
     return _STATUS_EXIT[report.projection.status]
 
 
+@functools.cache  # one parser per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxentlab",

@@ -168,8 +168,10 @@ class FeatureSet:
     def __init__(self, names, matrix):
         names = tuple(str(x) for x in names)
         m = _float_array(matrix, "feature matrix")
-        if m.ndim == 1:
-            m = m.reshape(1, -1) if len(names) == 1 else m.reshape(len(names), 0)
+        if m.ndim == 1 and len(names) == 1:
+            m = m.reshape(1, -1)
+        elif m.ndim == 1 and not m.size:
+            m = m.reshape(len(names), 0)
         if m.ndim != 2 or m.shape[0] != len(names):
             raise ShapeMismatch(
                 f"matrix has shape {m.shape}, expected ({len(names)}, |X|)"

@@ -1,12 +1,16 @@
 """File I/O helpers for the CLI: schema-checked JSON loading with
-line/field diagnostics, and atomic output writes (no partial files)."""
+line/field diagnostics, result serialization, and atomic output writes
+(no partial files)."""
 
 from __future__ import annotations
 
+import enum
 import json
 import os
-import tempfile
+from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InputError
 
@@ -25,17 +29,44 @@ def load_json(path: str | Path) -> object:
         ) from exc
 
 
+def _fields_json(obj) -> dict:
+    """The dataclass ``obj``'s fields as JSON data, keyed by field name.
+
+    Enums become their values, arrays lists, nested results their own
+    ``to_json()`` and a tuple of dataclasses (a solver trace) a list of
+    their fields.  ``None`` and an empty tuple are left out.
+    """
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, tuple):
+            value = [_fields_json(item) for item in value] or None
+        elif isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif hasattr(value, "to_json"):
+            value = value.to_json()
+        if value is not None:
+            out[f.name] = value
+    return out
+
+
 def dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    The temp file is created with mode 0o666 less the umask, as ``open``
+    creates a new file, so the output's mode does not depend on how it
+    was written.
+    """
     path = Path(path)
+    tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(6).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent if str(path.parent) else ".", prefix=f".{path.name}."
-        )
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)

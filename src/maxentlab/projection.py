@@ -43,6 +43,7 @@ from .dist import (
     ConstraintSet,
     FeatureSet,
     FiniteDistribution,
+    _check_same_alphabet,
     entropy,
     kl_divergence,
     moments,
@@ -56,6 +57,7 @@ from .expfam import (
     _natural_parameters,
     mean_parameters,
 )
+from .jsonio import _fields_json
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -137,17 +139,7 @@ class ProjectionResult:
     trace: tuple[TracePoint, ...] = field(default=())
 
     def to_json(self) -> dict:
-        out = {
-            "lambda_star": np.asarray(self.lambda_star).tolist(),
-            "model": self.model.to_json(),
-            "min_divergence": self.min_divergence,
-            "moment_residual": np.asarray(self.moment_residual).tolist(),
-            "iterations": self.iterations,
-            "status": self.status.value,
-        }
-        if self.trace:
-            out["trace"] = [asdict(t) for t in self.trace]
-        return out
+        return _fields_json(self)
 
 
 @dataclass(frozen=True)
@@ -584,6 +576,7 @@ def fit_log_loss(
     opts = opts or SolverOptions()
     features.check_alphabet(prior)
     features.check_alphabet(data)
+    _check_same_alphabet(prior, data)
     if np.any(data.probs[~prior.support] > 0):
         raise SupportViolation("data puts mass outside the prior's support")
     # At the data's moments, H(data, P_lam) = g(lam) + H(data, prior).

@@ -35,12 +35,14 @@ from .dist import ConstraintSet, FiniteDistribution, constraint_mask
 from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .expfam import _logsumexp
 from .identities import TOL_CLOSED_FORM, IdentityReport, _report
+from .jsonio import _fields_json
 from .multinomial import _log_likelihood
 from .projection import ProjectionResult, SolverOptions, Status, project_inequality
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 _WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 _MC_CHUNK = 1 << 16
+_MC_BLOCK_CELLS = 1 << 20  # histogram cells drawn at once in a chunk
 
 
 class Method(str, enum.Enum):
@@ -79,27 +81,17 @@ class SanovReport:
         return self.log_prob / self.n + self.rate + self.residual
 
     def to_json(self) -> dict:
-        out = {
-            "n": self.n,
-            "log_prob": self.log_prob,
-            "rate": self.rate,
-            "residual": self.residual,
-            "num_histograms_in_event": self.num_histograms_in_event,
-            "method": self.method.value,
-            "conditional_divergence": self.conditional_divergence,
-            "pythagorean_gap": self.pythagorean_gap,
-            "boundary_projection": self.boundary_projection,
-            "empty_event": self.empty_event,
-            "projection": self.projection.to_json(),
-        }
-        if self.method is Method.MONTE_CARLO:
-            out.update(
-                hits=self.hits,
-                trials=self.trials,
-                wilson_low=self.wilson_low,
-                wilson_high=self.wilson_high,
-            )
-        return out
+        return _fields_json(self)
+
+
+def _sanov_report(projection: ProjectionResult, **values) -> SanovReport:
+    """A report whose rate and boundary flag are read off ``projection``."""
+    return SanovReport(
+        rate=projection.min_divergence,
+        projection=projection,
+        boundary_projection=projection.status is Status.BOUNDARY_NONATTAINED,
+        **values,
+    )
 
 
 @dataclass(frozen=True)
@@ -126,6 +118,18 @@ def num_compositions(n: int, parts: int) -> int:
     return math.comb(n + parts - 1, parts - 1)
 
 
+def _check_cap(n: int, parts: int, cap: int, hint: str = "") -> int:
+    """The number of histograms of ``n`` samples over ``parts`` outcomes;
+    past ``cap`` it raises :class:`EnumerationCapExceeded`, with ``hint``
+    appended to the message."""
+    total = num_compositions(n, parts)
+    if total > cap:
+        raise EnumerationCapExceeded(
+            f"{total} histograms exceed the cap of {cap}{hint}"
+        )
+    return total
+
+
 def compositions(n: int, parts: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """All vectors of ``parts`` non-negative integers summing to ``n``, as
     ``int64`` rows in lexicographic order.
@@ -139,11 +143,7 @@ def compositions(n: int, parts: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.n
     Raises :class:`EnumerationCapExceeded` when the count would pass ``cap``,
     before anything is allocated.
     """
-    total = num_compositions(n, parts)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"{total} histograms exceed the cap of {cap}"
-        )
+    total = _check_cap(n, parts, cap)
     slots = n + parts - 1
     bars = itertools.chain.from_iterable(
         itertools.combinations(range(slots), parts - 1)
@@ -187,6 +187,13 @@ def _masked_log_ratio(
     return float(np.cumsum(np.append(0.0, w * terms))[-1])
 
 
+def _check_sample(p: FiniteDistribution, constraints: ConstraintSet, n: int) -> None:
+    """Reject a sample size below 1 and features over another alphabet."""
+    if n < 1:
+        raise DomainError("sample size must be at least 1")
+    constraints.features.check_alphabet(p)
+
+
 def _enumerate(p: FiniteDistribution, constraints: ConstraintSet, n: int, cap: int):
     """Every histogram of ``n >= 1`` samples over ``p``'s alphabet, as
     ``(histograms, event mask, log multinomial coefficients, log
@@ -196,10 +203,7 @@ def _enumerate(p: FiniteDistribution, constraints: ConstraintSet, n: int, cap: i
     :func:`maxentlab.multinomial.log_multinomial` for many histograms at
     one ``n``, holding the same float64 values as evaluating it cell by cell.
     """
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
-    if constraints.dim:
-        constraints.features.check_alphabet(p)
+    _check_sample(p, constraints, n)
     comps = compositions(n, len(p), cap)
     mask = _event_mask(comps, constraints, n)
     lgamma = gammaln(np.arange(1, n + 2))
@@ -284,17 +288,15 @@ def enumerate_event(
             )
             gap = log_ratio_mu - log_ratio_star
             residual = conditional_div + gap
-    return SanovReport(
+    return _sanov_report(
+        projection,
         n=n,
         log_prob=log_prob,
-        rate=projection.min_divergence,
         residual=residual,
         num_histograms_in_event=int(mask.sum()),
         method=Method.EXACT,
-        projection=projection,
         conditional_divergence=conditional_div,
         pythagorean_gap=gap,
-        boundary_projection=projection.status is Status.BOUNDARY_NONATTAINED,
         empty_event=empty,
     )
 
@@ -329,14 +331,9 @@ def gibbs_conditioning_curve(
     residual tends to zero but is not asserted monotone; consumers compare
     endpoints.
     """
-    reports = []
-    for n in n_list:
-        report = enumerate_event(
-            p, constraints, n, opts, cap, projection=projection
-        )
-        projection = report.projection
-        reports.append(report)
-    return reports
+    if projection is None:
+        projection = project_inequality(p, constraints, opts)
+    return [enumerate_event(p, constraints, n, opts, cap, projection) for n in n_list]
 
 
 def gibbs_curve_csv(reports: list[SanovReport]) -> str:
@@ -367,6 +364,7 @@ def nested_relative_probability(
     ``projection``, and it is not solved again.
     """
     comps, mask_outer, log_w, lhp = _enumerate(p, outer, n, cap)
+    inner.features.check_alphabet(p)
     mask_inner = _event_mask(comps, inner, n)
     if np.any(mask_inner & ~mask_outer):
         raise DomainError(
@@ -434,41 +432,41 @@ def monte_carlo_event(
     rate term stays exact (projection); the residual is the
     identity-implied estimate and is flagged by ``method``.
     """
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
+    _check_sample(p, constraints, n)
     if trials < 1:
         raise DomainError("need at least one trial")
-    if constraints.dim:
-        constraints.features.check_alphabet(p)
 
     num_chunks = (trials + _MC_CHUNK - 1) // _MC_CHUNK
+    block = max(1, _MC_BLOCK_CELLS // len(p))
 
     def run_chunk(idx: int) -> int:
+        # One generator per chunk, drawn in row blocks: consecutive draws
+        # give the same histograms as one draw of the whole chunk.
         size = min(_MC_CHUNK, trials - idx * _MC_CHUNK)
         rng = substream(seed, idx)
-        counts = rng.multinomial(n, p.probs, size=size)
-        return int(_event_mask(counts, constraints, n).sum())
+        hits = 0
+        for start in range(0, size, block):
+            counts = rng.multinomial(n, p.probs, size=min(block, size - start))
+            hits += int(_event_mask(counts, constraints, n).sum())
+        return hits
 
     hits = sum(ordered_map(run_chunk, range(num_chunks), threads))
 
     projection = project_inequality(p, constraints, opts)
-    rate = projection.min_divergence
     low, high = _wilson_interval(hits, trials)
     if hits == 0:
         log_prob = -math.inf
         residual = math.nan
     else:
         log_prob = math.log(hits / trials)
-        residual = -log_prob / n - rate
-    return SanovReport(
+        residual = -log_prob / n - projection.min_divergence
+    return _sanov_report(
+        projection,
         n=n,
         log_prob=log_prob,
-        rate=rate,
         residual=residual,
         num_histograms_in_event=0,
         method=Method.MONTE_CARLO,
-        projection=projection,
-        boundary_projection=projection.status is Status.BOUNDARY_NONATTAINED,
         empty_event=hits == 0,
         hits=hits,
         trials=trials,

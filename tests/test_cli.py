@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, schemas, and determinism."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
 from maxentlab.cli import main
+from maxentlab.errors import InputError
+from maxentlab.jsonio import atomic_write_text
 
 PRIOR = {"outcomes": ["0", "1"], "probs": [0.5, 0.5]}
 FEATURES = {"names": ["x"], "matrix": [[0.0, 1.0]]}
@@ -235,6 +239,67 @@ def test_fit_unknown_label_exit_code(files, capsys):
     assert "unknown outcome label" in capsys.readouterr().err
 
 
+def test_fit_data_on_other_labels_exit_code(files, capsys):
+    # Data over other labels are not read by position: fit refuses them,
+    # as diagnose does.
+    tmp, write = files
+    out = tmp / "fit.json"
+    code = main(
+        [
+            "fit",
+            "--prior",
+            write("p.json", PRIOR),
+            "--features",
+            write("f.json", FEATURES),
+            "--data",
+            write("d.json", {"outcomes": ["b", "a"], "probs": [0.2, 0.8]}),
+            "--output",
+            str(out),
+        ]
+    )
+    assert code == 2
+    assert "alphabets differ" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_files_follow_the_umask(files):
+    tmp, write = files
+    old = os.umask(0o022)
+    try:
+        code = main(
+            [
+                "project",
+                "--prior",
+                write("p.json", PRIOR),
+                "--constraints",
+                write("a.json", CONSTRAINTS_EQ),
+                "--output",
+                str(tmp / "out.json"),
+                "--dump-config",
+                str(tmp / "config.json"),
+            ]
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    for name in ("out.json", "config.json"):
+        assert stat.S_IMODE((tmp / name).stat().st_mode) == 0o644, name
+    assert sorted(p.name for p in tmp.iterdir()) == [
+        "a.json",
+        "config.json",
+        "out.json",
+        "p.json",
+    ]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(InputError):
+        atomic_write_text(target, "text")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_fit_empty_samples_exit_code(files):
     tmp, write = files
     samples = tmp / "samples.txt"
@@ -401,6 +466,8 @@ def test_diagnose_featureless_files(files):
         ("project", "prior", {**PRIOR, "outcomes": "01"}, "outcomes"),
         ("fit", "features", {**FEATURES, "names": 3}, "names"),
         ("fit", "features", {"names": "xy", "matrix": [[0, 1], [1, 0]]}, "names"),
+        ("fit", "features", {"names": ["u", "v"], "matrix": [1, 2, 3]}, "matrix"),
+        ("fit", "features", {"names": [], "matrix": [1, 2]}, "matrix"),
     ],
     ids=[
         "string-prob",
@@ -412,6 +479,8 @@ def test_diagnose_featureless_files(files):
         "string-outcomes",
         "number-names",
         "string-names",
+        "flat-matrix-two-names",
+        "flat-matrix-no-names",
     ],
 )
 def test_malformed_values_exit_2(files, capsys, command, name, bad, field):

@@ -1,6 +1,7 @@
 """Exact enumeration of empirical-measure events and the finite-sample
 identity; the conditional law; nested events; Monte Carlo estimates."""
 
+import dataclasses
 import math
 import struct
 import time
@@ -20,6 +21,7 @@ from maxentlab import (
     FeatureSet,
     FiniteDistribution,
     Method,
+    ShapeMismatch,
     compositions,
     conditional_law,
     enumerate_event,
@@ -30,6 +32,7 @@ from maxentlab import (
 from maxentlab import sanov
 from maxentlab.sanov import gibbs_curve_csv, num_compositions
 from maxentlab._rng import substream
+from maxentlab.projection import SolverOptions
 
 from oracles import binomial_tail_prob, iter_compositions, masked_log_ratio_loop
 
@@ -302,6 +305,11 @@ class TestNestedEvents:
                     coin(), tail_event(0.8), tail_event(0.9), 0
                 )
 
+    def test_inner_event_on_another_alphabet_raises(self):
+        inner = ConstraintSet(FeatureSet(["x"], [[0.0, 1.0, 2.0]]), ["ge"], [0.8])
+        with pytest.raises(ShapeMismatch, match="3 outcomes"):
+            nested_relative_probability(coin(), tail_event(0.5), inner, 5)
+
     def test_not_nested_raises(self):
         f = FeatureSet(["x"], [[0.0, 1.0]])
         outer = tail_event(0.8)
@@ -358,6 +366,25 @@ class TestMonteCarlo:
             coin(), tail_event(0.8), 10, trials=200_000, seed=9, threads=8
         )
         assert a.hits == b.hits
+
+    def test_memory_bounded_at_large_alphabets(self):
+        # A chunk is drawn in row blocks: at K=2000 one 8192-row chunk held
+        # ~260 MB of counts and their float copy; the hits are unchanged.
+        k = 2000
+        rng = substream(5, 91)
+        w = rng.random(k) + 0.1
+        prior = FiniteDistribution([str(i) for i in range(k)], w / w.sum())
+        features = FeatureSet(["x", "y"], rng.normal(size=(2, k)))
+        mean = features.matrix @ prior.probs
+        event = ConstraintSet(features, ["ge", "le"], [mean[0] + 0.05, mean[1] + 0.1])
+        tracemalloc.start()
+        try:
+            report = monte_carlo_event(prior, event, 50, trials=8192, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.hits == 2252
+        assert peak <= 100 * 2**20
 
     def test_wilson_calibration_sample(self):
         # Small calibration run; the acceptance suite runs the full one.
@@ -421,3 +448,34 @@ class TestMaskedLogRatio:
         neg = np.full(3, -0.0)
         got = sanov._masked_log_ratio(np.ones(3), neg, np.zeros(3))
         assert _same_float(got, masked_log_ratio_loop(np.ones(3), neg, np.zeros(3)))
+
+
+class TestJson:
+    """Results serialize from their fields: every field that holds a value
+    is a key, so a new field needs no edit to ``to_json``."""
+
+    @staticmethod
+    def _keys(result) -> set:
+        values = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+        return {
+            name
+            for name, value in values.items()
+            if value is not None and not (isinstance(value, tuple) and not value)
+        }
+
+    def test_every_set_field_is_a_key(self):
+        opts = SolverOptions(trace=True)
+        exact = enumerate_event(coin(), tail_event(0.8), 10, opts)
+        mc = monte_carlo_event(coin(), tail_event(0.8), 10, trials=100, opts=opts)
+        for report in (exact, mc):
+            out = report.to_json()
+            assert set(out) == self._keys(report)
+            assert out["method"] == report.method.value
+            assert set(out["projection"]) == self._keys(report.projection)
+            assert out["projection"]["trace"][0] == dataclasses.asdict(
+                report.projection.trace[0]
+            )
+        assert not {"hits", "trials", "wilson_low", "wilson_high"} & set(exact.to_json())
+        untraced = enumerate_event(coin(), tail_event(0.8), 10).projection
+        assert "trace" not in untraced.to_json()
+        assert set(untraced.to_json()) == self._keys(untraced)
