@@ -280,18 +280,21 @@ def cmd_sanov(args) -> int:
     opts = _solver_options(args)
     # Every enumeration the command will run is checked against the cap
     # before any of them starts; a Monte Carlo report alone needs no count.
+    cap = sv.DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
     k = len(prior)
     if not args.monte_carlo:
-        sv._check_cap(args.n, k, args.cap, "; pass --monte-carlo to estimate instead")
+        sv._check_cap(args.n, k, cap, "; pass --monte-carlo to estimate instead")
     elif args.nested is not None:
-        sv._check_cap(args.n, k, args.cap, " (--nested)")
+        sv._check_cap(args.n, k, cap, " (--nested)")
     n_list = _parse_n_grid(args.curve, "--curve") if args.curve is not None else []
     if n_list:
-        sv._check_cap(max(n_list), k, args.cap, " (--curve)")
+        sv._check_cap(max(n_list), k, cap, " (--curve)")
     if args.curve is None:
         _reject_args(args, ("curve-output",), "without --curve")
     if not args.monte_carlo:
         _reject_args(args, ("trials",), "without --monte-carlo")
+    elif args.nested is None and args.curve is None:
+        _reject_args(args, ("cap",), "by --monte-carlo without --nested or --curve")
     if args.monte_carlo:
         report = sv.monte_carlo_event(
             prior,
@@ -303,7 +306,7 @@ def cmd_sanov(args) -> int:
             threads=args.threads,
         )
     else:
-        report = sv.enumerate_event(prior, constraints, args.n, opts, cap=args.cap)
+        report = sv.enumerate_event(prior, constraints, args.n, opts, cap=cap)
     out = report.to_json()
     if args.nested is not None:
         inner = _load(ConstraintSet, args.nested)
@@ -313,13 +316,13 @@ def cmd_sanov(args) -> int:
             inner,
             args.n,
             opts,
-            cap=args.cap,
+            cap=cap,
             projection=report.projection,
         )
         out["nested"] = nested.to_json()
     if args.curve is not None:
         curve = sv.gibbs_conditioning_curve(
-            prior, constraints, n_list, opts, args.cap, projection=report.projection
+            prior, constraints, n_list, opts, cap, projection=report.projection
         )
         curve_path = args.curve_output or (
             (args.output or "sanov") + ".curve.csv"
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--n", default=None, help="comma list or doubling span a..b")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_count, default=20)
     p.add_argument(
         "--prior",
         choices=[m.value for m in mn.PriorMode],
@@ -407,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", default=None, help="sampling distribution JSON file")
     p.add_argument("--constraints", default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--cap", type=int, default=sv.DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=_count, default=None)  # enumerations: 2e6
     p.add_argument("--monte-carlo", action="store_true")
-    p.add_argument("--trials", type=int, default=None)  # --monte-carlo: 20
+    p.add_argument("--trials", type=_count, default=None)  # --monte-carlo: 20
     p.add_argument("--nested", default=None, help="inner constraint-set JSON file")
     p.add_argument("--curve", default=None, help="n grid for the conditioning curve")
     p.add_argument("--curve-output", default=None)

@@ -32,9 +32,9 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._rng import substream
+from ._scipy import brentq
 from .dist import (
     ConstraintSet,
     FeatureSet,

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._rng import ordered_map, substream
+from ._scipy import gammaln
 from .dist import EmpiricalMeasure, FiniteDistribution
 from .errors import DomainError, ShapeMismatch
 

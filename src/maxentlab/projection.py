@@ -37,8 +37,8 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
+from ._scipy import linprog
 from .dist import (
     ConstraintSet,
     FeatureSet,

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -375,16 +376,25 @@ def _ignored_option_cases(write, tmp):
             ["--curve-output"],
         ),
         "sanov-trials": (sanov + ["--trials", "7"], ["--trials"]),
+        "sanov-mc-cap": (sanov + ["--monte-carlo", "--cap", "50"], ["--cap"]),
     }
 
 
 @pytest.mark.parametrize(
-    "case", ["diagnose-random", "diagnose-files", "sanov-curve-output", "sanov-trials"]
+    "case",
+    [
+        "diagnose-random",
+        "diagnose-files",
+        "sanov-curve-output",
+        "sanov-trials",
+        "sanov-mc-cap",
+    ],
 )
 def test_ignored_options_exit_2(files, capsys, case):
     # diagnose --random takes no input files, --instances needs --random,
-    # --curve-output needs --curve and --trials needs --monte-carlo: an
-    # option the command would drop is an input error naming it.
+    # --curve-output needs --curve, --trials needs --monte-carlo and --cap
+    # needs an enumeration: an option the command would drop is an input
+    # error naming it.
     tmp, write = files
     argv, named = _ignored_option_cases(write, tmp)[case]
     out = tmp / "out.json"
@@ -660,8 +670,6 @@ def test_sanov_monte_carlo_alone_counts_no_histograms(files, monkeypatch):
             write("a.json", CONSTRAINTS_GE),
             "--n",
             "100",
-            "--cap",
-            "50",
             "--monte-carlo",
             "--trials",
             "1000",
@@ -1162,6 +1170,10 @@ def test_fit_half_of_cli_fit_forms_no_fisher_matrix(files, monkeypatch):
         (["diagnose", "--random"], "instances", -3),
         (["diagnose", "--random", "--instances", "1"], "threads", 0),
         (["entropy-approx", "--alphabet-size", "5"], "n", ","),
+        (["entropy-approx", "--alphabet-size", "5", "--n", "10"], "trials", 0),
+        (["sanov", "--n", "10", "--monte-carlo"], "trials", 0),
+        (["sanov", "--n", "10"], "cap", 0),
+        (["sanov", "--n", "10"], "cap", -5),
     ],
 )
 def test_count_option_out_of_range_exits_2(files, capsys, route, argv, option, value):
@@ -1216,3 +1228,52 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "entropy-approx" in proc.stdout
+
+
+# Runs one statement in a fresh interpreter, then prints, as its last line,
+# the scipy modules the interpreter has loaded.
+_SCIPY_PROBE = """
+import json, sys
+{statement}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+_RUN_MAIN = "from maxentlab.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+@pytest.mark.parametrize(
+    "statement, argv, loads, avoids",
+    [
+        ("import maxentlab", [], [], ["scipy"]),
+        ("import maxentlab.cli", [], [], ["scipy"]),
+        (_RUN_MAIN, ["fit"], [], ["scipy"]),
+        (_RUN_MAIN, ["entropy-approx"], ["scipy.special"], ["scipy.optimize"]),
+        (_RUN_MAIN, ["project"], ["scipy.optimize"], []),
+    ],
+    ids=["import", "import-cli", "fit-full-support", "entropy-approx", "project"],
+)
+def test_scipy_is_imported_on_first_use(files, statement, argv, loads, avoids):
+    # Importing the package loads no scipy; a command loads the scipy
+    # modules its computation calls and no others.  The project case shows
+    # that the probe sees scipy when it is loaded.
+    tmp, write = files
+    prior = write("p.json", PRIOR)
+    command_args = {
+        "fit": ["--prior", prior, "--features", write("f.json", FEATURES)]
+        + ["--data", write("d.json", {"outcomes": ["0", "1"], "probs": [0.3, 0.7]})],
+        "entropy-approx": ["--alphabet-size", "5", "--n", "10", "--trials", "2"],
+        "project": ["--prior", prior, "--constraints", write("a.json", CONSTRAINTS_EQ)],
+    }
+    if argv:
+        argv = argv + command_args[argv[0]] + ["--output", str(tmp / "out")]
+    code = _SCIPY_PROBE.replace("{statement}", statement)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert set(loads) <= loaded
+    assert not loaded & set(avoids)
