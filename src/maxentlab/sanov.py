@@ -31,7 +31,7 @@ import numpy as np
 
 from ._rng import ordered_map, substream
 from ._scipy import gammaln
-from .dist import ConstraintSet, FiniteDistribution, constraint_mask
+from .dist import ConstraintSet, FeatureSet, FiniteDistribution, constraint_mask
 from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .expfam import _logsumexp
 from .identities import TOL_CLOSED_FORM, IdentityReport, _report
@@ -166,6 +166,32 @@ def _event_mask(counts: np.ndarray, constraints: ConstraintSet, n: int) -> np.nd
         return np.ones(counts.shape[0], dtype=bool)
     values = constraints.features.matrix @ (counts.T / n)  # (d, M)
     return constraint_mask(constraints, values)
+
+
+def _outcome_classes(
+    p: FiniteDistribution, constraints: ConstraintSet
+) -> tuple[np.ndarray, ConstraintSet]:
+    """Lump ``p``'s outcomes by their constraint-feature column:
+    ``(class probabilities, the constraints over the classes)``.
+
+    Outcomes of zero mass are dropped; the rest are grouped by equal
+    columns, classes ordered by their first outcome.  A class's probability
+    is the sum of its outcomes' masses and its column is its first
+    outcome's, so a histogram's moments depend only on its class counts
+    (the method of types).  With full support and distinct columns the map
+    is the identity and the probabilities are ``p.probs`` bit for bit.
+    """
+    support = np.flatnonzero(p.support)
+    matrix = constraints.features.matrix
+    columns = matrix[:, support] if constraints.dim else np.zeros((0, support.size))
+    _, first, inverse = np.unique(
+        columns.T, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.argsort(order)  # class index of each unique column
+    probs = np.bincount(rank[inverse.reshape(-1)], weights=p.probs[support])
+    features = FeatureSet(constraints.features.names, columns[:, first[order]])
+    return probs, ConstraintSet(features, constraints.kinds, constraints.targets)
 
 
 def _masked_log_ratio(
@@ -431,13 +457,22 @@ def monte_carlo_event(
     random streams, so the hit count is independent of thread count.  The
     rate term stays exact (projection); the residual is the
     identity-implied estimate and is flagged by ``method``.
+
+    Trials draw class counts, not outcome counts (:func:`_outcome_classes`):
+    Multinomial(n, p) summed over the classes is Multinomial(n, q), so the
+    hit law is exact.  An outcome-indicator tail lumps to 2 classes at any
+    alphabet size, one binomial draw per trial.  Inputs with full support
+    and distinct columns draw exactly what the unlumped sampler drew; a
+    zero-mass outcome or a repeated column among supported outcomes changes
+    the draws, and so the hits, but not their law.
     """
     _check_sample(p, constraints, n)
     if trials < 1:
         raise DomainError("need at least one trial")
 
+    probs, lumped = _outcome_classes(p, constraints)
     num_chunks = (trials + _MC_CHUNK - 1) // _MC_CHUNK
-    block = max(1, _MC_BLOCK_CELLS // len(p))
+    block = max(1, _MC_BLOCK_CELLS // probs.size)
 
     def run_chunk(idx: int) -> int:
         # One generator per chunk, drawn in row blocks: consecutive draws
@@ -446,8 +481,8 @@ def monte_carlo_event(
         rng = substream(seed, idx)
         hits = 0
         for start in range(0, size, block):
-            counts = rng.multinomial(n, p.probs, size=min(block, size - start))
-            hits += int(_event_mask(counts, constraints, n).sum())
+            counts = rng.multinomial(n, probs, size=min(block, size - start))
+            hits += int(_event_mask(counts, lumped, n).sum())
         return hits
 
     hits = sum(ordered_map(run_chunk, range(num_chunks), threads))

@@ -45,6 +45,14 @@ def tail_event(threshold):
     return ConstraintSet(FeatureSet(["x"], [[0.0, 1.0]]), ["ge"], [threshold])
 
 
+def five_outcome_tail():
+    """``count_0 / 2000 >= 1030 / 2000`` under a prior with ``p_0 = 1/2``:
+    a binomial tail over five outcomes whose last four share a column."""
+    prior = FiniteDistribution(list("abcde"), [0.5, 0.1, 0.15, 0.1, 0.15])
+    row = [[1.0, 0.0, 0.0, 0.0, 0.0]]
+    return prior, ConstraintSet(FeatureSet(["x"], row), ["ge"], [1030 / 2000])
+
+
 class TestCompositions:
     def test_counts(self):
         assert num_compositions(10, 2) == 11
@@ -385,6 +393,80 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert report.hits == 2252
         assert peak <= 100 * 2**20
+
+    def test_lumped_law_on_repeated_columns(self):
+        # Outcomes 1-2 and 3-4 share a column, so trials draw 3 classes.
+        prior = FiniteDistribution(list("abcde"), [0.1, 0.2, 0.3, 0.15, 0.25])
+        event = ConstraintSet(FeatureSet(["x"], [[0, 1, 1, 2, 2]]), ["ge"], [1.4])
+        probs, lumped = sanov._outcome_classes(prior, event)
+        assert probs.tolist() == pytest.approx([0.1, 0.5, 0.4], abs=1e-15)
+        assert lumped.features.matrix.tolist() == [[0.0, 1.0, 2.0]]
+        exact = math.exp(enumerate_event(prior, event, 10).log_prob)
+        assert exact == pytest.approx(0.40971228160, abs=1e-11)
+        for seed in range(3):
+            r = monte_carlo_event(prior, event, 10, trials=200_000, seed=seed)
+            se = math.sqrt(exact * (1 - exact) / r.trials)
+            assert abs(r.hits / r.trials - exact) <= 5 * se
+
+    def test_lumped_indicator_tail_at_benchmark_size(self):
+        # The benchmark's shape: an outcome-0 indicator tail at D=5, n=2000,
+        # which lumps to 2 classes.
+        r = monte_carlo_event(*five_outcome_tail(), 2000, trials=200_000, seed=6)
+        exact = float(binomial_tail_prob(2000, 1030))
+        se = math.sqrt(exact * (1 - exact) / r.trials)
+        assert abs(r.hits / r.trials - exact) <= 5 * se
+
+    def test_lumped_hits_thread_invariant(self):
+        a = monte_carlo_event(*five_outcome_tail(), 2000, trials=200_000, seed=8)
+        b = monte_carlo_event(
+            *five_outcome_tail(), 2000, trials=200_000, seed=8, threads=4
+        )
+        assert a.hits == b.hits
+
+    def test_distinct_columns_keep_their_draws(self):
+        # Full support and distinct columns: the class map is the identity,
+        # so the hits are those of the unlumped sampler.
+        prior = FiniteDistribution(["a", "b", "c"], [0.2, 0.3, 0.5])
+        event = ConstraintSet(FeatureSet(["x"], [[0, 1, 2]]), ["ge"], [1.5])
+        r = monte_carlo_event(prior, event, 20, trials=200_000, seed=7)
+        assert r.hits == 31_966
+
+    def test_zero_mass_outcome_is_dropped(self):
+        # The zero-mass outcome's column (5) is never drawn: the hits are
+        # those of the alphabet without it, at any thread count.
+        with_zero = (
+            FiniteDistribution(["a", "z", "b"], [0.3, 0.0, 0.7]),
+            ConstraintSet(FeatureSet(["x"], [[0, 5, 1]]), ["ge"], [0.8]),
+        )
+        without = (
+            FiniteDistribution(["a", "b"], [0.3, 0.7]),
+            ConstraintSet(FeatureSet(["x"], [[0, 1]]), ["ge"], [0.8]),
+        )
+        probs, lumped = sanov._outcome_classes(*with_zero)
+        assert probs.tolist() == [0.3, 0.7]
+        assert lumped.features.matrix.tolist() == [[0.0, 1.0]]
+        hits = {
+            monte_carlo_event(*pair, 20, trials=150_000, seed=2, threads=t).hits
+            for pair in (with_zero, without)
+            for t in (1, 3)
+        }
+        assert len(hits) == 1
+
+    @pytest.mark.parametrize("columns", [4, 0])
+    def test_featureless_event_is_one_class(self, columns):
+        # A featureless set may tabulate its zero features over no columns.
+        prior = FiniteDistribution(list("abcd"), [0.1, 0.2, 0.3, 0.4])
+        event = ConstraintSet.equalities(FeatureSet.empty(columns), [])
+        assert len(sanov._outcome_classes(prior, event)[0]) == 1
+        r = monte_carlo_event(prior, event, 7, trials=3000, seed=1)
+        assert r.hits == r.trials == 3000
+
+    def test_event_needing_a_zero_mass_outcome_is_empty(self):
+        prior = FiniteDistribution(["a", "z", "b"], [0.4, 0.0, 0.6])
+        event = ConstraintSet(FeatureSet(["z"], [[0, 1, 0]]), ["ge"], [0.1])
+        r = monte_carlo_event(prior, event, 10, trials=5000, seed=0)
+        assert r.hits == 0
+        assert r.empty_event
 
     def test_wilson_calibration_sample(self):
         # Small calibration run; the acceptance suite runs the full one.
