@@ -40,11 +40,9 @@ from .jsonio import atomic_write_text, dump_json, load_json
 from .projection import (
     SolverOptions,
     Status,
-    check_feasibility,
     fit_log_loss,
     project,
     project_inequality,
-    witnessed_feasibility,
 )
 
 EXIT_OK = 0
@@ -195,13 +193,8 @@ def cmd_fit(args) -> int:
     opts = _solver_options(args)
     alpha = moments(data, features)
     constraints = ConstraintSet.equalities(features, alpha)
-    # Both halves solve on the data's moments: one verdict serves both, read
-    # off the data when they decide it, else from one LP.
-    feasibility = witnessed_feasibility(prior, constraints, data)
-    if feasibility is None:
-        feasibility = check_feasibility(prior, constraints)
-    projected = project(prior, constraints, opts, feasibility=feasibility)
-    fitted = fit_log_loss(prior, features, data, opts, feasibility=feasibility)
+    projected = project(prior, constraints, opts, witness=data)
+    fitted = fit_log_loss(prior, features, data, opts)
     tv = total_variation(
         projected.model.to_distribution(), fitted.model.to_distribution()
     )

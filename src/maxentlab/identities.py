@@ -20,9 +20,9 @@ for non-uniform priors; the mode used is recorded in the report details.
 Random instances build no object and solve no LP in their inner loops:
 the Bogoliubov energy-matching scan evaluates each scaled variational
 member on arrays, through the exponential family's one member kernel, and
-each projection of an instance takes its feasibility verdict from the
-distribution whose moments it matches (:func:`_project_to_moments`).
-Both give the bits of the object and LP paths they replace.
+each projection of an instance certifies its targets interior by its
+member, else by the distribution whose moments it matches
+(:func:`_project_to_moments`); both give the bits of the paths they replace.
 """
 
 from __future__ import annotations
@@ -53,12 +53,7 @@ from .expfam import (
     internal_energy,
     mean_parameters,
 )
-from .projection import (
-    ProjectionResult,
-    SolverOptions,
-    project,
-    witnessed_feasibility,
-)
+from .projection import ProjectionResult, SolverOptions, project
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sanov import SanovReport
@@ -134,15 +129,10 @@ def _project_to_moments(
     q: FiniteDistribution,
     opts: SolverOptions,
 ) -> ProjectionResult:
-    """Project ``prior`` onto the moments of ``q``, which witnesses their
-    feasibility (:func:`~maxentlab.projection.witnessed_feasibility`)."""
+    """Project ``prior`` onto the moments of ``q``, which certifies them
+    interior when the converged member does not."""
     constraints = ConstraintSet.equalities(features, moments(q, features))
-    return project(
-        prior,
-        constraints,
-        opts,
-        feasibility=witnessed_feasibility(prior, constraints, q),
-    )
+    return project(prior, constraints, opts, witness=q)
 
 
 def pythagorean(

@@ -29,9 +29,15 @@ class StirlingOrder(enum.Enum):
     FIRST = "first"
 
 
+def _log_factorials(m: int) -> np.ndarray:
+    """``log k!`` at index ``k = 0..m``: indexed by counts ``c``, the values
+    of ``gammaln(c + 1)`` in the same order, so sums keep their bits."""
+    return gammaln(np.arange(1, m + 2))
+
+
 def _log_multinomial(c: np.ndarray, n: int) -> float:
     """``log(n! / (c_1! ... c_D!))`` for a count vector ``c`` summing to ``n``."""
-    return float(gammaln(n + 1) - gammaln(c + 1).sum())
+    return float(gammaln(n + 1) - _log_factorials(int(c.max()))[c].sum())
 
 
 def log_multinomial(counts: EmpiricalMeasure) -> float:

@@ -17,15 +17,16 @@ independent check.
 ``ge`` and ``le`` constraints confine the dual to an orthant (``lam_i >= 0``,
 ``lam_i <= 0``), where the same loop on the same path runs projected Newton
 (Bertsekas 1982); an ``eq`` coordinate is never clipped or held at a bound,
-so :func:`project` takes every kind.  Feasibility and boundary detection
-are linear programs over the simplex restricted to the prior's support:
-the interior LP substitutes ``q = s + t 1`` so that "every outcome has mass
-at least t" needs no per-outcome row, leaving d + 1 rows and K + 1 columns
-for K supported outcomes and d constraints.  A distribution whose moments
-are the targets and which puts more than the interior tolerance on every
-supported outcome answers that LP without running it
-(:func:`witnessed_feasibility`); :func:`project` and :func:`fit_log_loss`
-take such a verdict in place of the LP.
+so :func:`project` takes every kind.  The I-projection lies in the family
+exactly when the targets meet the relative interior of the moment polytope
+(Csiszar 1975), so a converged member, corrected onto the constraints, is
+its own certificate of feasibility (:func:`_certifies_interior`).  Only
+what neither a member nor a caller's witness certifies, and a solve that
+caps ``lam`` or spends its budget, runs the interior LP
+(:func:`check_feasibility`) over the simplex restricted to the prior's
+support.  It substitutes ``q = s + t 1`` so that "every outcome has mass at
+least t" needs no per-outcome row: d + 1 rows and K + 1 columns for K
+supported outcomes and d constraints.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .jsonio import _fields_json
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _INTERIOR_TOL = 1e-12
+_CERTIFICATE_MARGIN = 1e-9
 _GD_MAX_ITER = 100_000
 
 
@@ -225,7 +227,8 @@ def check_feasibility(
     over the K supported outcomes.
 
     Targets outside the polytope get a separating ``witness``, from a
-    second LP that runs when the witness is first read.
+    second LP that runs when the witness is first read.  The solvers run
+    this LP only when their descent certifies no interior point.
 
     Raises :class:`ConvergenceError` when the LP solver stops without
     either an optimum or a proof of infeasibility.
@@ -260,30 +263,28 @@ def check_feasibility(
     )
 
 
-def witnessed_feasibility(
-    prior: FiniteDistribution, constraints: ConstraintSet, q: FiniteDistribution
-) -> FeasibilityReport | None:
-    """The verdict of :func:`check_feasibility`, read off a distribution
-    ``q`` whose moments are exactly the targets, or ``None``.
-
-    The interior LP maximizes the smallest mass ``t`` a feasible
-    distribution puts on the supported outcomes, so its optimum is at least
-    ``min_j q_j`` when ``q`` itself is feasible.  When ``q`` puts no mass
-    outside the prior's support and more than the interior tolerance on
-    every supported outcome, the targets therefore lie in the relative
-    interior and no LP is needed.  In every other case (moments that differ
-    from the targets in any bit, a different alphabet size, mass outside
-    the support, a supported outcome at or below the tolerance) the answer
-    is ``None`` and the LP must decide.
+def _certifies_interior(f, alpha, sign, lam, p, margin: float) -> bool:
+    """Whether the masses ``p`` on the prior's support, corrected by the
+    minimum-norm ``delta`` that makes them sum to 1 and meets exactly the
+    ``eq`` rows of ``f`` (on the support), the rows with ``lam_i != 0`` and
+    the one-sided rows ``p`` violates, are a feasible point (every row held
+    within ``_INTERIOR_TOL`` times the largest feature value) with every mass
+    above ``margin``, so that the interior LP's ``t*`` is at least ``margin``.
+    ``delta`` solves on the rows' Gram matrix, so nothing K x K is built.
     """
-    if constraints.dim == 0 or len(q) != len(prior):
-        return None
-    if not np.array_equal(moments(q, constraints.features), constraints.targets):
-        return None
-    support = prior.support
-    if np.any(q.probs[~support] > 0) or np.any(q.probs[support] <= _INTERIOR_TOL):
-        return None
-    return FeasibilityReport(in_hull=True, on_boundary=False)
+    residual = f @ p - alpha
+    exact = (sign == 0) | (lam != 0) | (sign * residual < 0)
+    rows = np.concatenate([f[exact], np.ones((1, len(p)))])
+    gram, gap = rows @ rows.T, np.concatenate([-residual[exact], [1.0 - p.sum()]])
+    try:
+        point = p + np.linalg.solve(gram, gap) @ rows
+    except np.linalg.LinAlgError:  # dependent rows
+        point = p + np.linalg.lstsq(gram, gap, rcond=None)[0] @ rows
+    after = f @ point - alpha
+    slip = np.where(exact, np.abs(after), -sign * after)
+    off = max(float(slip.max()), abs(point.sum() - 1.0))
+    tol = _INTERIOR_TOL * max(1.0, float(np.abs(f).max()))
+    return bool(off <= tol and point.min() > margin)
 
 
 def _unsolved(
@@ -399,7 +400,7 @@ def _solve(
     direction,
     max_iter: int,
     what: str,
-    feasibility: FeasibilityReport | None = None,
+    witness: FiniteDistribution | None = None,
 ) -> ProjectionResult:
     """Minimize ``g(lam) = A(lam) - lam . alpha`` over the orthant
     ``sign_i lam_i >= 0`` by projected line search along ``direction``.
@@ -418,17 +419,14 @@ def _solve(
     the orthant must decrease ``g`` by ``c grad . (lam(t) - lam)``.  The
     tolerance test reads the projected gradient, 0 where a coordinate sits
     at its bound and is pushed outward; an ``eq`` coordinate (sign 0) is
-    never clipped, projected, binding or clamped.  A budget of ``max_iter``
-    steps that runs out is a :class:`ConvergenceError`, unless the
-    feasibility LP put the targets on the boundary.  A ``feasibility``
-    verdict known in advance replaces the LP.
+    never clipped, projected, binding or clamped.  The verdict follows the
+    descent: a converged member (or else the ``witness``) that certifies the
+    interior gives ``CONVERGED`` with no LP; otherwise the LP decides, and a
+    budget spent inside the polytope is a :class:`ConvergenceError`.
     """
     features, alpha, d = constraints.features, constraints.targets, constraints.dim
     if d == 0:
         return _unsolved(prior, constraints, Status.CONVERGED)
-    feas = feasibility or check_feasibility(prior, constraints)
-    if not feas.in_hull:
-        return _unsolved(prior, constraints, Status.INFEASIBLE)
     matrix, family = features.matrix, _family_arrays(prior, features)
     sign = constraints._sign
     lam = np.zeros(d) if lambda0 is None else _natural_parameters(lambda0, d)
@@ -486,17 +484,30 @@ def _solve(
                 t *= 0.5
         lam, g, q = lam_new, g_new, q_new
     else:
-        if not feas.on_boundary:
+        status, iteration = None, max_iter
+        grad = matrix @ q - alpha
+    # A member must clear a margin far above the LP's threshold (HiGHS's t*
+    # is noise there); a witness meets the targets and keeps that threshold.
+    points = [(q, _CERTIFICATE_MARGIN)]
+    if witness is not None:
+        points.append((witness.probs, _INTERIOR_TOL))
+    certified = status is Status.CONVERGED and any(
+        _certifies_interior(family[2], alpha, sign, lam, p[family[1]], margin)
+        for p, margin in points
+    )
+    if not certified:
+        feas = check_feasibility(prior, constraints)
+        if not feas.in_hull:
+            return _unsolved(prior, constraints, Status.INFEASIBLE)
+        if feas.on_boundary:
+            # The optimum lives on a face the family only approaches; the
+            # returned model is the (possibly tolerance-converged) iterate.
+            status = Status.BOUNDARY_NONATTAINED
+        elif status is None:
             raise ConvergenceError(
                 f"{what} did not reach tolerance {opts.moment_tol} in "
                 f"{max_iter} iterations"
             )
-        iteration = max_iter
-        grad = matrix @ q - alpha
-    if feas.on_boundary:
-        # The optimum lives on a face the family only approaches; the
-        # returned model is the (possibly tolerance-converged) iterate.
-        status = Status.BOUNDARY_NONATTAINED
     # The satisfied side of a one-sided constraint clamps to 0.
     grad = np.where(sign * grad > 0.0, 0.0, grad)
     return _result(prior, features, lam, grad, iteration, status, trace)
@@ -507,15 +518,17 @@ def project(
     constraints: ConstraintSet,
     opts: SolverOptions | None = None,
     lambda0: np.ndarray | None = None,
-    feasibility: FeasibilityReport | None = None,
+    witness: FiniteDistribution | None = None,
 ) -> ProjectionResult:
     """Project ``prior`` onto moment constraints of every kind.
 
     Newton steps minimize ``g`` over the orthant ``lam_i >= 0`` for ``ge``,
-    ``lam_i <= 0`` for ``le`` (free for ``eq``) after one feasibility LP.
-    The stopping test, the projected gradient within the moment tolerance,
-    certifies the KKT conditions: the clamped residual is within tolerance,
-    and a constraint with a nonzero multiplier holds as an equality.
+    ``lam_i <= 0`` for ``le`` (free for ``eq``).  The stopping test, the
+    projected gradient within the moment tolerance, certifies the KKT
+    conditions: the clamped residual is within tolerance, and a constraint
+    with a nonzero multiplier holds as an equality.  The converged member
+    (or else the ``witness``) then certifies the targets interior, and the
+    feasibility LP runs only when neither does (:func:`_solve`).
 
     Parameters
     ----------
@@ -527,12 +540,13 @@ def project(
     lambda0 : array, optional
         Starting parameters; the converged result does not depend on the
         start beyond the moment tolerance.
-    feasibility : FeasibilityReport, optional
-        The verdict of :func:`check_feasibility` on these arguments, when
-        it is already known (from an earlier LP or from
-        :func:`witnessed_feasibility`); the LP then does not run.
+    witness : FiniteDistribution, optional
+        A distribution on the prior's alphabet whose moments meet the
+        constraints, tried as the certificate when the member is not one.
     """
     opts = opts or SolverOptions()
+    if witness is not None:
+        _check_same_alphabet(prior, witness)
     return _solve(
         prior,
         constraints,
@@ -541,7 +555,7 @@ def project(
         partial(_newton_direction, constraints.features.matrix),
         opts.max_iter,
         "dual Newton" if constraints.is_equality_only() else "projected Newton",
-        feasibility,
+        witness,
     )
 
 
@@ -560,7 +574,6 @@ def fit_log_loss(
     data: FiniteDistribution,
     opts: SolverOptions | None = None,
     lambda0: np.ndarray | None = None,
-    feasibility: FeasibilityReport | None = None,
 ) -> ProjectionResult:
     """Minimize the log loss ``H(data, P_lam)`` directly over ``lam``.
 
@@ -569,9 +582,9 @@ def fit_log_loss(
     reformulation or second-order information is used, so agreement with
     :func:`project` at the data's moments is an independent check of the
     two learning prescriptions being one problem.  The budget is 100,000
-    steps.  The data witness the feasibility of their own moments
-    (:func:`witnessed_feasibility`); the LP runs only when they cannot
-    decide it and no ``feasibility`` verdict is passed in.
+    steps.  The converged member, or else the data, whose moments are the
+    targets, certify them interior; the feasibility LP runs only when
+    neither does, or the descent caps ``lam`` or spends its budget.
     """
     opts = opts or SolverOptions()
     features.check_alphabet(prior)
@@ -589,7 +602,7 @@ def fit_log_loss(
         _gradient_direction(),
         _GD_MAX_ITER,
         "log-loss gradient descent",
-        feasibility or witnessed_feasibility(prior, constraints, data),
+        data,
     )
 
 

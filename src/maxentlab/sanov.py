@@ -30,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import ordered_map, substream
-from ._scipy import gammaln
 from .dist import ConstraintSet, FeatureSet, FiniteDistribution, constraint_mask
 from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .expfam import _logsumexp
 from .identities import TOL_CLOSED_FORM, IdentityReport, _report
 from .jsonio import _fields_json
-from .multinomial import _log_likelihood
+from .multinomial import _log_factorials, _log_likelihood
 from .projection import ProjectionResult, SolverOptions, Status, project_inequality
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -225,15 +224,14 @@ def _enumerate(p: FiniteDistribution, constraints: ConstraintSet, n: int, cap: i
     ``(histograms, event mask, log multinomial coefficients, log
     probabilities under p)``.
 
-    ``log Gamma`` comes from a table over ``0..n``: the batch form of
-    :func:`maxentlab.multinomial.log_multinomial` for many histograms at
-    one ``n``, holding the same float64 values as evaluating it cell by cell.
+    The log-factorials come from one table over ``0..n``, the one
+    :func:`maxentlab.multinomial.log_multinomial` indexes.
     """
     _check_sample(p, constraints, n)
     comps = compositions(n, len(p), cap)
     mask = _event_mask(comps, constraints, n)
-    lgamma = gammaln(np.arange(1, n + 2))
-    log_w = lgamma[n] - lgamma[comps].sum(axis=1)
+    log_fact = _log_factorials(n)
+    log_w = log_fact[n] - log_fact[comps].sum(axis=1)
     log_probs = _log_likelihood(comps, p)
     log_probs += log_w
     return comps, mask, log_w, log_probs

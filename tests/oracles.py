@@ -108,13 +108,21 @@ def masked_log_ratio_loop(weights, num_log, den_log) -> float:
 def interior_lp_reference(
     prior_probs, feature_matrix, kinds, targets, interior_tol: float = 1e-12
 ) -> tuple[bool, bool]:
-    """(in_hull, on_boundary) from the direct interior LP.
+    """(in_hull, on_boundary) from the direct interior LP: the targets are
+    attainable when the LP is feasible, and only on the polytope boundary
+    when its optimum is ``t* = 0``."""
+    t_star = interior_lp_optimum(prior_probs, feature_matrix, kinds, targets)
+    if t_star is None:
+        return False, False
+    return True, t_star <= interior_tol
+
+
+def interior_lp_optimum(prior_probs, feature_matrix, kinds, targets) -> float | None:
+    """``t*`` of the direct interior LP, or ``None`` when it is infeasible.
 
     Maximizes ``t`` over ``q`` on the prior's support subject to the moment
     rows, ``sum q = 1`` and one row ``t - q_j <= 0`` per outcome (a dense
-    identity block, so only for small alphabets).  The targets are
-    attainable when the LP is feasible, and only on the polytope boundary
-    when its optimum is ``t* = 0``.
+    identity block, so only for small alphabets).
     """
     support = np.asarray(prior_probs) > 0
     f = np.asarray(feature_matrix, dtype=float)[:, support]
@@ -143,10 +151,10 @@ def interior_lp_reference(
         bounds=(0.0, None), method="highs",
     )
     if res.status == 2:
-        return False, False
+        return None
     if res.status != 0:
         raise RuntimeError(f"reference LP failed: {res.message}")
-    return True, float(res.x[-1]) <= interior_tol
+    return float(res.x[-1])
 
 
 def match_scale_full_grid(objective, lo: float = 1e-3, hi: float = 1e3):
@@ -204,12 +212,12 @@ def upper_defect_objects(target, variational):
 def object_path_identity_suite(monkeypatch) -> None:
     """Put the identity suite back on its object and LP paths: the upper
     objective builds objects per evaluation, and every projection of an
-    instance runs the feasibility LP instead of reading the verdict off its
-    witness distribution."""
-    from maxentlab import identities
+    instance runs the feasibility LP instead of certifying its targets
+    interior by its converged member or its witness distribution."""
+    from maxentlab import identities, projection
 
     monkeypatch.setattr(identities, "_upper_defect", upper_defect_objects)
-    monkeypatch.setattr(identities, "witnessed_feasibility", lambda *args: None)
+    monkeypatch.setattr(projection, "_certifies_interior", lambda *args: False)
 
 
 def kkt_violations(prior, constraints, result, moment_tol: float) -> list[str]:

@@ -1063,27 +1063,56 @@ def test_bad_solver_options_exit_2(files, capsys, opts):
 
 @pytest.mark.parametrize("command, lps", [("project", 1), ("fit", 0)])
 def test_equality_solves_run_one_lp_each(files, linprog_calls, command, lps):
-    # project with equality constraints runs one feasibility LP; fit's data
-    # have full support, so they decide feasibility for both halves and no
-    # LP runs.
+    # An equality solve runs at most one feasibility LP, and only when its
+    # converged member cannot certify the targets interior: project on a
+    # vertex target runs one (exit 4); fit on interior data none.
     tmp, write = files
     argv = [command, "--prior", write("p.json", PRIOR), "--output", str(tmp / "r")]
     if command == "project":
-        argv += ["--constraints", write("a.json", CONSTRAINTS_EQ)]
+        vertex = {"kinds": ["eq"], "targets": [1.0], "featureset": FEATURES}
+        argv += ["--constraints", write("a.json", vertex)]
     else:
         data = {"outcomes": ["0", "1"], "probs": [0.3, 0.7]}
         argv += ["--features", write("f.json", FEATURES), "--data", write("d.json", data)]
-    assert main(argv) == 0
+    assert main(argv) == (4 if lps else 0)
     assert len(linprog_calls) == lps
 
 
-def test_one_sided_sanov_runs_one_lp(files, linprog_calls):
-    # The event's projection runs one verdict LP on the whole constraint
-    # set, and no LP on its binding constraints as equalities.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", "--constraints", "eq"],
+        ["project", "--constraints", "ge"],
+        ["sanov", "--n", "10", "--constraints", "ge"],
+        ["sanov", "--n", "10", "--monte-carlo", "--trials", "100"]
+        + ["--constraints", "ge"],
+        ["fit", "--features", "f", "--data", "d"],
+    ],
+    ids=["project-eq", "project-ge", "sanov", "sanov-monte-carlo", "fit"],
+)
+def test_interior_solves_run_no_lp(files, linprog_calls, argv):
+    # The converged member certifies interior targets; no LP runs.
     tmp, write = files
-    argv = ["sanov", "--prior", write("p.json", PRIOR), "--n", "10"]
-    argv += ["--constraints", write("a.json", CONSTRAINTS_GE)]
+    named = {
+        "eq": write("eq.json", CONSTRAINTS_EQ),
+        "ge": write("ge.json", CONSTRAINTS_GE),
+        "f": write("f.json", FEATURES),
+        "d": write("d.json", {"outcomes": ["0", "1"], "probs": [0.3, 0.7]}),
+    }
+    argv = [named.get(arg, arg) for arg in argv] + ["--prior", write("p.json", PRIOR)]
     assert main(argv + ["--output", str(tmp / "r")]) == 0
+    assert linprog_calls == []
+
+
+def test_one_sided_sanov_runs_one_lp(files, linprog_calls):
+    # An event on the boundary (x >= 1 holds only at x = 1) leaves the
+    # verdict to the LP: one LP on the whole constraint set, and none on
+    # its binding constraints as equalities.
+    tmp, write = files
+    face = {"kinds": ["ge"], "targets": [1.0], "featureset": FEATURES}
+    argv = ["sanov", "--prior", write("p.json", PRIOR), "--n", "10"]
+    argv += ["--constraints", write("a.json", face)]
+    assert main(argv + ["--output", str(tmp / "r")]) == 4
     assert len(linprog_calls) == 1
 
 
@@ -1110,9 +1139,9 @@ def test_infeasible_project_runs_one_lp(files, linprog_calls, constraints):
     assert len(linprog_calls) == 1
 
 
-def test_fit_shares_one_lp_when_data_miss_an_outcome(files, linprog_calls):
-    # Data with an empty outcome cannot witness an interior target: one LP
-    # decides it, for the projection and the log-loss fit alike.
+def test_fit_runs_no_lp_when_data_miss_an_outcome(files, linprog_calls):
+    # Data with an empty outcome cannot certify an interior target, but the
+    # converged members of the projection and the log-loss fit do.
     tmp, write = files
     prior = {"outcomes": ["0", "1", "2"], "probs": [0.2, 0.3, 0.5]}
     data = {"outcomes": ["0", "1", "2"], "probs": [0.5, 0.5, 0.0]}
@@ -1129,7 +1158,7 @@ def test_fit_shares_one_lp_when_data_miss_an_outcome(files, linprog_calls):
         str(out),
     ]
     assert main(argv) == 0
-    assert len(linprog_calls) == 1
+    assert linprog_calls == []
     report = json.loads(out.read_text())
     assert report["projection"]["status"] == "converged"
     assert report["prescriptions_agree"]
@@ -1238,6 +1267,7 @@ import json, sys
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 _RUN_MAIN = "from maxentlab.cli import main\nassert main(sys.argv[1:]) == 0"
+_RUN_MAIN_BOUNDARY = _RUN_MAIN.replace("== 0", "== 4")
 
 
 @pytest.mark.parametrize(
@@ -1247,24 +1277,41 @@ _RUN_MAIN = "from maxentlab.cli import main\nassert main(sys.argv[1:]) == 0"
         ("import maxentlab.cli", [], [], ["scipy"]),
         (_RUN_MAIN, ["fit"], [], ["scipy"]),
         (_RUN_MAIN, ["entropy-approx"], ["scipy.special"], ["scipy.optimize"]),
-        (_RUN_MAIN, ["project"], ["scipy.optimize"], []),
+        (_RUN_MAIN_BOUNDARY, ["project"], ["scipy.optimize"], []),
+        (_RUN_MAIN, ["project-interior"], [], ["scipy"]),
+        (_RUN_MAIN, ["sanov"], ["scipy.special"], ["scipy.optimize"]),
     ],
-    ids=["import", "import-cli", "fit-full-support", "entropy-approx", "project"],
+    ids=[
+        "import",
+        "import-cli",
+        "fit-full-support",
+        "entropy-approx",
+        "project",
+        "project-interior",
+        "sanov",
+    ],
 )
 def test_scipy_is_imported_on_first_use(files, statement, argv, loads, avoids):
     # Importing the package loads no scipy; a command loads the scipy
-    # modules its computation calls and no others.  The project case shows
-    # that the probe sees scipy when it is loaded.
+    # modules its computation calls and no others.  The boundary project
+    # case, whose verdict needs the LP, shows that the probe sees scipy
+    # when it is loaded.
     tmp, write = files
     prior = write("p.json", PRIOR)
+    vertex = {"kinds": ["eq"], "targets": [1.0], "featureset": FEATURES}
     command_args = {
         "fit": ["--prior", prior, "--features", write("f.json", FEATURES)]
         + ["--data", write("d.json", {"outcomes": ["0", "1"], "probs": [0.3, 0.7]})],
         "entropy-approx": ["--alphabet-size", "5", "--n", "10", "--trials", "2"],
-        "project": ["--prior", prior, "--constraints", write("a.json", CONSTRAINTS_EQ)],
+        "project": ["--prior", prior, "--constraints", write("v.json", vertex)],
+        "project-interior": ["--prior", prior]
+        + ["--constraints", write("a.json", CONSTRAINTS_EQ)],
+        "sanov": ["--prior", prior, "--n", "10"]
+        + ["--constraints", write("g.json", CONSTRAINTS_GE)],
     }
     if argv:
-        argv = argv + command_args[argv[0]] + ["--output", str(tmp / "out")]
+        command = argv[0].split("-interior")[0]
+        argv = [command] + command_args[argv[0]] + ["--output", str(tmp / "out")]
     code = _SCIPY_PROBE.replace("{statement}", statement)
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

@@ -463,6 +463,41 @@ class TestWitnessedProjections:
         assert main(argv + ["--output", str(out)]) == 0
         assert linprog_calls == []
 
+    def test_witness_certifies_what_the_member_cannot(self, monkeypatch, linprog_calls):
+        # In one projection of each of these instances the converged member
+        # puts less than the margin on an outcome (2e-15, 1.2e-11, 1.3e-13),
+        # so it cannot certify its targets; the distribution whose moments
+        # it matches does (instance 180's has 1.2e-10 as its smallest
+        # mass), no LP runs, and the bytes are those of the LP path.
+        from maxentlab import projection
+
+        seeds = (22, 138, 180)
+        verdicts = []
+        certify = projection._certifies_interior
+
+        def recorded(*args):
+            verdicts.append((args[-1], certify(*args)))
+            return verdicts[-1][1]
+
+        def suite_bytes() -> str:
+            instances = [random_instance(seed) for seed in seeds]
+            return dump_json(
+                [[r.to_json() for r in run_instance(i)] for i in instances]
+            )
+
+        monkeypatch.setattr(projection, "_certifies_interior", recorded)
+        fast = suite_bytes()
+        assert linprog_calls == []
+        margin, tol = projection._CERTIFICATE_MARGIN, projection._INTERIOR_TOL
+        fallbacks = [
+            pair for pair in zip(verdicts, verdicts[1:])
+            if pair == ((margin, False), (tol, True))
+        ]
+        assert len(fallbacks) == len(seeds)
+        object_path_identity_suite(monkeypatch)
+        assert suite_bytes() == fast
+        assert len(linprog_calls) == 2 * len(seeds)
+
     def test_star_bit_equal_to_lp_path(self):
         for seed in range(200):
             instance = random_instance(seed)

@@ -1,9 +1,10 @@
 """The advertised limits: projection at 5e4 outcomes, and exact event
 enumeration at the default cap of 2e6 histograms.
 
-The feasibility LP must stay linear in the alphabet size: a dense K x K
-block at this size would need ~18.6 GiB, so a bound on the peak traced
-allocation keeps one from coming back.  Enumeration at the cap must stay
+The feasibility LP and the interior certificate that usually replaces it
+must stay linear in the alphabet size: a dense K x K block at this size
+would need ~18.6 GiB, so a bound on the peak traced allocation keeps one
+from coming back.  Enumeration at the cap must stay
 within a wall-time and memory budget.
 """
 
@@ -55,7 +56,9 @@ def test_projection_at_5e4_outcomes(monkeypatch):
     # scipy's HiGHS wrapper walks the K columns of the solution in Python,
     # which tracemalloc slows ~15x (3 s per LP here).  Tracing pauses for
     # the solver call only: the LP's arrays are built, and traced, before
-    # it, and the peak is the largest over the traced stretches.
+    # it, and the peak is the largest over the traced stretches.  The two
+    # explicit LPs record a peak each; the solves, which certify their
+    # targets interior and run no LP, record the last one.
     peaks = []
     traced_linprog = projection.linprog
 
@@ -74,6 +77,8 @@ def test_projection_at_5e4_outcomes(monkeypatch):
         for p, a in ((prior, equalities), (prior4, mixed)):
             rep = check_feasibility(p, a)
             assert rep.in_hull and not rep.on_boundary
+        assert len(peaks) == 2
+        tracemalloc.reset_peak()
         eq_result = project(prior, equalities, opts)
         mixed_result = project_inequality(prior4, mixed, opts)
         elapsed = time.perf_counter() - t0
@@ -84,7 +89,7 @@ def test_projection_at_5e4_outcomes(monkeypatch):
     for result in (eq_result, mixed_result):
         assert result.status is Status.CONVERGED
         assert float(np.max(np.abs(result.moment_residual))) <= opts.moment_tol
-    assert len(peaks) >= 5
+    assert len(peaks) == 3
     assert elapsed <= 20.0
     assert max(peaks) < 1 << 30
 

@@ -60,6 +60,29 @@ class TestLogMultinomial:
             want = exact_log_multinomial(list(counts))
             assert got == pytest.approx(want, abs=1e-9)
 
+    def test_table_bit_equal_to_gammaln_per_count(self):
+        # The shared log-factorial table holds gammaln's values in the
+        # order gammaln(c + 1) gives them, so every sum has the same bits,
+        # for one count vector and for a batch of histograms at one n.
+        from scipy.special import gammaln
+
+        from maxentlab.multinomial import _log_factorials, _log_multinomial
+        from maxentlab.sanov import compositions
+
+        rng = substream(1, 10)
+        for _ in range(200):
+            parts = int(rng.integers(1, 5000))
+            n = int(rng.integers(1, 400_000))
+            counts = rng.multinomial(n, np.ones(parts) / parts)
+            want = float(gammaln(n + 1) - gammaln(counts + 1).sum())
+            assert _log_multinomial(counts, n).hex() == want.hex()
+        comps = compositions(12, 4, 10_000)
+        table = _log_factorials(12)
+        np.testing.assert_array_equal(
+            table[12] - table[comps].sum(axis=1),
+            gammaln(13) - gammaln(comps + 1).sum(axis=1),
+        )
+
 
 class TestLogHistogramProb:
     def test_fair_coin_one_one(self):

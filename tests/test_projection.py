@@ -34,6 +34,7 @@ from maxentlab.jsonio import dump_json
 
 from oracles import (
     grid_min_divergence_on_segment,
+    interior_lp_optimum,
     interior_lp_reference,
     kkt_violations,
 )
@@ -178,6 +179,105 @@ def lp_oracle_instance(case, seed):
     return prior, ConstraintSet(features, kinds, targets), expected
 
 
+DEGENERATE_CASES = (
+    "duplicate",
+    "lattice",
+    "zero_prior",
+    "at_max",
+    "prior_moments",
+    "dependent",
+    "outside",
+    "barely_inside",
+)
+
+
+def degenerate_instance(seed):
+    """A seeded instance (K 5..60, d 1..4, random eq/ge/le kinds) of the
+    shape ``DEGENERATE_CASES[seed % 8]``; ``odd`` is the parity of
+    ``seed // 8``.  The targets are the moments of a random interior
+    distribution, each one-sided one moved by up to a twentieth of its
+    feature's range to either side, except where the shape sets them:
+
+    - ``duplicate``: feature 0 also as a last row, ``ge`` on the first copy
+      and ``le`` on the last, each target at the moment or a twentieth of
+      the range to either side (infeasible when they cross);
+    - ``lattice``: features in {0, 1, 2}; if odd, the targets are one
+      outcome's feature column, a lattice point that may be a vertex;
+    - ``zero_prior``: a third of the outcomes have no prior mass; if odd,
+      the targets' distribution charges them too;
+    - ``at_max``: target 0 at feature 0's maximum, as ``eq`` or ``ge``;
+    - ``prior_moments``: the targets are the prior's moments;
+    - ``dependent``: one more ``eq`` row, the sum of the first and last
+      features, at its moment;
+    - ``outside``: target 0 beyond feature 0's range on the side its kind
+      forbids;
+    - ``barely_inside``: the moments of mass ``1 - eta`` on the outcome
+      that maximizes feature 0 (``eq`` or ``ge``) and ``eta`` spread evenly,
+      ``eta`` log-uniform in 1e-11..1e-7, so the interior LP's ``t*`` is
+      within about ``eta / K`` of 0.
+    """
+    case = DEGENERATE_CASES[seed % len(DEGENERATE_CASES)]
+    odd = seed // len(DEGENERATE_CASES) % 2 == 1
+    rng = substream(seed, 33)
+    k = int(rng.integers(5, 61))
+    d = int(rng.integers(1, 5))
+    w = rng.random(k) + 0.1
+    f = rng.normal(size=(d, k))
+    kinds = [str(kind) for kind in rng.choice(["eq", "ge", "le"], size=d)]
+    q = rng.random(k) + 0.05
+    if case == "lattice":
+        f = rng.integers(0, 3, size=(d, k)).astype(float)
+    elif case == "zero_prior":
+        zero = rng.permutation(k)[: k // 3]
+        w[zero] = 0.0
+        if not odd:
+            q[zero] = 0.0
+    elif case == "dependent":
+        f = np.vstack([f, f[0] + f[-1]])
+        kinds.append("eq")
+    elif case == "duplicate":
+        f = np.vstack([f, f[0]])
+        kinds[0] = "ge"
+        kinds.append("le")
+    elif case == "barely_inside":
+        eta = 10.0 ** rng.uniform(-11, -7)
+        q = np.full(k, eta / k)
+        q[np.argmax(f[0])] += 1.0 - eta
+        kinds[0] = str(rng.choice(["eq", "ge"]))
+    prior = FiniteDistribution([str(i) for i in range(k)], w / w.sum())
+    sign = np.array([{"eq": 0.0, "ge": 1.0, "le": -1.0}[kind] for kind in kinds])
+    spread = f.max(axis=1) - f.min(axis=1)
+    targets = f @ (q / q.sum())
+    if case != "barely_inside":
+        targets += (sign != 0) * 0.05 * spread * rng.uniform(-1, 1, len(kinds))
+    if case == "duplicate":
+        step = 0.05 * spread[0] * rng.integers(-1, 2, size=2)
+        mean = float(f[0] @ (q / q.sum()))
+        targets[0], targets[-1] = mean - step[0], mean + step[1]
+    elif case == "lattice" and odd:
+        targets = f[:, rng.integers(k)].copy()
+    elif case == "at_max":
+        kinds[0] = str(rng.choice(["eq", "ge"]))
+        targets[0] = f[0].max()
+    elif case == "prior_moments":
+        targets = f @ prior.probs
+    elif case == "outside":
+        beyond = spread[0] * rng.uniform(0.01, 0.5)
+        low = kinds[0] == "le"
+        targets[0] = f[0].min() - beyond if low else f[0].max() + beyond
+    features = FeatureSet([f"f{i}" for i in range(len(kinds))], f)
+    return prior, ConstraintSet(features, kinds, targets)
+
+
+def solve_outcome(prior, a) -> tuple:
+    """``(status, JSON bytes)`` of a projection, or the error it raised."""
+    try:
+        result = project(prior, a)
+    except ConvergenceError as exc:
+        return "error", str(exc)
+    return result.status, dump_json(result.to_json())
+
+
 class TestFeasibility:
     def test_prior_moments_are_interior(self):
         prior, features, _, _ = random_instance(0)
@@ -256,47 +356,207 @@ class TestFeasibility:
             check_feasibility(three(), a)
 
 
+def tiny_mass_case():
+    """An interior equality target whose converged member puts less than
+    the certificate margin on outcome 0 (the prior puts 1e-15 there), and
+    a distribution ``q`` meeting it with ``q_0 = 0.1``."""
+    prior = FiniteDistribution(["0", "1", "2"], [1e-15, 0.5, 0.5 - 1e-15])
+    q = FiniteDistribution(["0", "1", "2"], [0.1, 0.4, 0.5])
+    targets = moments(q, three_feature())
+    return prior, q, ConstraintSet.equalities(three_feature(), targets)
+
+
+def lp_path(monkeypatch):
+    """Make every solve take its verdict from the feasibility LP."""
+    monkeypatch.setattr(projection, "_certifies_interior", lambda *args: False)
+
+
 class TestWitnessedFeasibility:
-    """A distribution whose moments are the targets gives the LP's verdict
-    when it is strictly inside the prior's support; otherwise the LP runs."""
+    """A distribution meeting the targets certifies them interior when the
+    converged member cannot; when it cannot either, the LP runs."""
 
     def test_interior_witness_replaces_the_lp(self, linprog_calls):
-        prior = FiniteDistribution(["0", "1", "2"], [0.2, 0.3, 0.5])
-        q = FiniteDistribution(["0", "1", "2"], [0.1, 0.6, 0.3])
-        a = ConstraintSet.equalities(three_feature(), moments(q, three_feature()))
-        verdict = projection.witnessed_feasibility(prior, a, q)
-        assert verdict == check_feasibility(prior, a)
-        linprog_calls.clear()
-        witnessed = project(prior, a, feasibility=verdict)
+        prior, q, a = tiny_mass_case()
+        witnessed = project(prior, a, witness=q)
         assert linprog_calls == []
         solved = project(prior, a)
         assert len(linprog_calls) == 1
-        assert witnessed.lambda_star.tobytes() == solved.lambda_star.tobytes()
+        assert dump_json(witnessed.to_json()) == dump_json(solved.to_json())
         assert witnessed.status is solved.status is Status.CONVERGED
+        assert witnessed.model.to_distribution().probs[0] < 1e-9
+        rep = check_feasibility(prior, a)
+        assert rep.in_hull and not rep.on_boundary
 
     @pytest.mark.parametrize(
-        "case", ["zero-mass", "mass-at-tolerance", "outside-support", "moments-off"]
+        "case", ["zero-mass", "mass-at-tolerance", "outside-support"]
     )
     def test_undecided_witness_leaves_it_to_the_lp(self, linprog_calls, case):
+        # The member puts < 1e-9 on outcome 0 in every case, so the witness
+        # alone could spare the LP.  "outside-support" restricts to the
+        # prior's support a witness that has 0.3 outside it and 0.01 on
+        # outcome 0; the correction onto the targets takes outcome 0 below
+        # zero.
         tol = projection._INTERIOR_TOL
-        prior = three()
+        prior, _, _ = tiny_mass_case()
         probs = {
-            "zero-mass": [0.0, 0.4, 0.6],
-            "mass-at-tolerance": [tol, 0.5, 0.5 - tol],
-        }.get(case, [0.4, 0.4, 0.2])
-        if case == "outside-support":
-            prior = FiniteDistribution(["0", "1", "2"], [0.5, 0.5, 0.0])
-        q = FiniteDistribution(["0", "1", "2"], probs)
+            "zero-mass": [0.0, 0.4, 0.6, 0.0],
+            "mass-at-tolerance": [tol, 0.5, 0.5 - tol, 0.0],
+            "outside-support": [0.01, 0.39, 0.3, 0.3],
+        }[case]
+        prior = FiniteDistribution(["0", "1", "2", "3"], [*prior.probs, 0.0])
+        q = FiniteDistribution(["0", "1", "2", "3"], probs)
         assert q.probs[0] == probs[0]
-        targets = moments(q, three_feature())
-        if case == "moments-off":
-            targets = np.nextafter(targets, math.inf)
-        a = ConstraintSet.equalities(three_feature(), targets)
-        verdict = projection.witnessed_feasibility(prior, a, q)
-        assert verdict is None
-        result = project(prior, a, feasibility=verdict)
+        features = FeatureSet(["x"], [[0.0, 1.0, 2.0, 2.0]])
+        a = ConstraintSet.equalities(features, moments(q, features))
+        result = project(prior, a, witness=q)
         assert len(linprog_calls) == 1
         assert result.status is Status.CONVERGED
+
+
+class TestInteriorCertificate:
+    """The converged member, corrected onto the constraints, proves the
+    targets interior exactly when every corrected mass clears the margin
+    and every row holds; no LP runs then."""
+
+    @staticmethod
+    def certifies(a, p):
+        """The member check on a full-support prior, every multiplier 0."""
+        return projection._certifies_interior(
+            a.features.matrix, a.targets, a._sign, np.zeros(a.dim), p,
+            projection._CERTIFICATE_MARGIN,
+        )
+
+    def test_exact_interior_point_needs_no_correction(self):
+        # delta = 0: a point meeting the targets with every mass above the
+        # margin is the certificate as it stands.
+        q = np.array([0.1, 0.6, 0.3])
+        a = ConstraintSet.equalities(three_feature(), three_feature().matrix @ q)
+        assert self.certifies(a, q)
+        rep = check_feasibility(three(), a)
+        assert rep.in_hull and not rep.on_boundary
+
+    @pytest.mark.parametrize(
+        "mass, certified", [(0.0, False), (1e-12, False), (2e-9, True)]
+    )
+    def test_smallest_mass_must_clear_the_margin(self, mass, certified):
+        q = np.array([mass, 0.5, 0.5 - mass])
+        a = ConstraintSet.equalities(three_feature(), three_feature().matrix @ q)
+        assert self.certifies(a, q) is certified
+
+    def test_point_off_the_targets_by_rounding_is_corrected(self):
+        q = np.array([0.1, 0.6, 0.3])
+        targets = np.nextafter(three_feature().matrix @ q, math.inf)
+        a = ConstraintSet.equalities(three_feature(), targets)
+        assert self.certifies(a, q)
+
+    def test_inconsistent_rows_do_not_certify(self):
+        # Two copies of x held 1e-10 apart: no point meets both, so no
+        # correction does.
+        f = FeatureSet(["x", "x2"], [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        q = np.array([0.2, 0.3, 0.5])
+        a = ConstraintSet.equalities(f, [1.3, 1.3 + 1e-10])
+        assert not self.certifies(a, q)
+
+    @pytest.mark.parametrize("kind, certified", [("ge", True), ("le", False)])
+    def test_other_one_sided_rows_must_still_hold(self, kind, certified):
+        # q misses x = m + 1e-10 by 1e-10 and meets the copy y of x at m
+        # exactly.  Correcting x raises y by 1e-10: y >= m still holds, and
+        # y <= m, tight at q with a zero multiplier, breaks.
+        f = FeatureSet(["x", "y"], [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        q = np.array([0.2, 0.3, 0.5])
+        mean = float(f.matrix[0] @ q)
+        a = ConstraintSet(f, ["eq", kind], [mean + 1e-10, mean])
+        assert self.certifies(a, q) is certified
+
+    def test_violated_one_sided_row_is_met_exactly(self):
+        q = np.array([0.2, 0.3, 0.5])
+        mean = float(three_feature().matrix[0] @ q)
+        a = ConstraintSet(three_feature(), ["ge"], [mean + 1e-10])
+        assert self.certifies(a, q)
+
+    def test_interior_solves_run_no_lp(self, monkeypatch, linprog_calls):
+        # The same bits as the LP path, with no LP.
+        prior, features, data, _ = random_instance(3)
+        equalities = ConstraintSet.equalities(features, moments(data, features))
+        cases = [
+            lambda: project(prior, equalities),
+            lambda: project(*one_sided_instance(2)),
+            lambda: fit_log_loss(prior, features, data),
+        ]
+        certified = [dump_json(case().to_json()) for case in cases]
+        assert linprog_calls == []
+        lp_path(monkeypatch)
+        assert [dump_json(case().to_json()) for case in cases] == certified
+        assert len(linprog_calls) == len(cases)
+
+
+class TestCertificateAgreesWithLP:
+    """On seeded and degenerate instances, certifying the interior from the
+    converged member gives the status and bytes of the LP-first order.
+
+    The LP path is the solve with the certificate turned off: the descent
+    never reads the verdict, so only the verdict's source differs.
+    A certified solve must also have an interior LP verdict.
+    """
+
+    def outcomes(self, monkeypatch, linprog_calls, instances):
+        certified, lps = [], []
+        for prior, a in instances:
+            linprog_calls.clear()
+            certified.append(solve_outcome(prior, a))
+            lps.append(len(linprog_calls))
+        with monkeypatch.context() as patch:
+            lp_path(patch)
+            via_lp = [solve_outcome(prior, a) for prior, a in instances]
+        return certified, lps, via_lp
+
+    def test_degenerate_instances(self, monkeypatch, linprog_calls):
+        instances = [degenerate_instance(seed) for seed in range(80)]
+        certified, lps, via_lp = self.outcomes(monkeypatch, linprog_calls, instances)
+        assert certified == via_lp
+        for seed, ((prior, a), (status, _), lp) in enumerate(
+            zip(instances, certified, lps)
+        ):
+            if lp == 0:
+                assert status is Status.CONVERGED, seed
+                rep = check_feasibility(prior, a)
+                assert rep.in_hull and not rep.on_boundary, seed
+        statuses = {status for status, _ in certified}
+        assert statuses == set(Status)
+        assert lps.count(0) >= 20
+
+    def test_seeded_mixes(self, monkeypatch, linprog_calls):
+        instances = [one_sided_instance(seed) for seed in range(20)]
+        certified, lps, via_lp = self.outcomes(monkeypatch, linprog_calls, instances)
+        assert certified == via_lp
+        assert lps == [0] * 20
+
+    def test_barely_inside_defers_to_the_lp(self, linprog_calls):
+        # t* between the interior tolerance and the margin (by the dense
+        # reference LP): no feasible point clears the margin, so the LP
+        # decides.  The status is then the LP's, CONVERGED where it reads
+        # the targets interior; at these t* HiGHS's own t* differs from the
+        # reference by up to 10x, and reads some of them as boundary.
+        barely = DEGENERATE_CASES.index("barely_inside")
+        converged = 0
+        for seed in range(barely, 40 * len(DEGENERATE_CASES), len(DEGENERATE_CASES)):
+            prior, a = degenerate_instance(seed)
+            kinds = [kind.value for kind in a.kinds]
+            t_star = interior_lp_optimum(
+                prior.probs, a.features.matrix, kinds, a.targets
+            )
+            if not projection._INTERIOR_TOL < t_star < projection._CERTIFICATE_MARGIN:
+                continue
+            linprog_calls.clear()
+            status, _ = solve_outcome(prior, a)
+            assert len(linprog_calls) == 1, seed
+            rep = check_feasibility(prior, a)
+            assert rep.in_hull, seed
+            assert status is (
+                Status.BOUNDARY_NONATTAINED if rep.on_boundary else Status.CONVERGED
+            ), seed
+            converged += status is Status.CONVERGED
+        assert converged >= 10
 
 
 class TestProject:
@@ -478,14 +738,18 @@ class TestProjectInequality:
         assert abs(res.min_divergence - dual) <= 1e-9
         assert kkt_violations(coin(), a, res, 1e-9) == []
 
-    def test_one_lp_per_solve(self, linprog_calls):
-        # The verdict LP on the whole set is the only one: no LP per
-        # binding constraint.
+    def test_one_lp_per_solve(self, monkeypatch, linprog_calls):
+        # The converged member certifies this interior mix, so no LP runs;
+        # made to fall back, the solve runs the verdict LP on the whole set
+        # once, and no LP per binding constraint.
         prior, a = one_sided_instance(2)
         assert {kind.value for kind in a.kinds} == {"eq", "ge", "le"}
         res = project_inequality(prior, a)
         assert res.status is Status.CONVERGED
         assert np.count_nonzero(a._sign * res.lambda_star > 0.0) >= 1
+        assert linprog_calls == []
+        lp_path(monkeypatch)
+        assert project_inequality(prior, a).status is Status.CONVERGED
         assert len(linprog_calls) == 1
 
     def test_budget_exhausted_inside_raises(self):
