@@ -42,7 +42,6 @@ from .expfam import (
     free_energy,
     heat_capacity,
     internal_energy,
-    log_partition,
     mean_parameters,
     model_cross_entropy,
     model_entropy,

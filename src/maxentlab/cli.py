@@ -31,19 +31,14 @@ from .dist import (
     FeatureSet,
     FiniteDistribution,
     _float_array,
+    _require_keys,
     moments,
     total_variation,
 )
 from .errors import ConvergenceError, InputError, MaxentError
 from .expfam import ExpFamModel
 from .jsonio import atomic_write_text, dump_json, load_json
-from .projection import (
-    SolverOptions,
-    Status,
-    fit_log_loss,
-    project,
-    project_inequality,
-)
+from .projection import SolverOptions, Status, fit_log_loss, project_inequality
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -125,11 +120,8 @@ def _solver_options(args) -> SolverOptions:
     """The ``--solver-options`` file's settings, or the defaults; the
     ``--trace`` flag wins over the file's ``trace``."""
     opts = SolverOptions()
-    if getattr(args, "solver_options", None) is not None:
-        obj = load_json(args.solver_options)
-        if not isinstance(obj, dict):
-            raise InputError(f"{args.solver_options}: expected a JSON object")
-        opts = SolverOptions.from_json(obj)
+    if args.solver_options is not None:
+        opts = _load(SolverOptions, args.solver_options)
     if getattr(args, "trace", False):
         opts = replace(opts, trace=True)
     return opts
@@ -191,15 +183,13 @@ def cmd_fit(args) -> int:
         data = _load(FiniteDistribution, args.data)
         sample_count = None
     opts = _solver_options(args)
-    alpha = moments(data, features)
-    constraints = ConstraintSet.equalities(features, alpha)
-    projected = project(prior, constraints, opts, witness=data)
+    projected = ident._project_to_moments(prior, features, data, opts)
     fitted = fit_log_loss(prior, features, data, opts)
     tv = total_variation(
         projected.model.to_distribution(), fitted.model.to_distribution()
     )
     report = {
-        "alpha": alpha.tolist(),
+        "alpha": moments(data, features).tolist(),
         "sample_count": sample_count,
         "projection": projected.to_json(),
         "log_loss_fit": fitted.to_json(),
@@ -270,7 +260,6 @@ def cmd_sanov(args) -> int:
     _require_args(args, "prior", "constraints", "n")
     prior = _load(FiniteDistribution, args.prior)
     constraints = _load(ConstraintSet, args.constraints)
-    opts = _solver_options(args)
     # Every enumeration the command will run is checked against the cap
     # before any of them starts; a Monte Carlo report alone needs no count.
     cap = sv.DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
@@ -295,27 +284,20 @@ def cmd_sanov(args) -> int:
             args.n,
             trials=20 if args.trials is None else args.trials,
             seed=args.seed,
-            opts=opts,
             threads=args.threads,
         )
     else:
-        report = sv.enumerate_event(prior, constraints, args.n, opts, cap=cap)
+        report = sv.enumerate_event(prior, constraints, args.n, cap=cap)
     out = report.to_json()
     if args.nested is not None:
         inner = _load(ConstraintSet, args.nested)
         nested = sv.nested_relative_probability(
-            prior,
-            constraints,
-            inner,
-            args.n,
-            opts,
-            cap=cap,
-            projection=report.projection,
+            prior, constraints, inner, args.n, cap=cap, projection=report.projection
         )
         out["nested"] = nested.to_json()
     if args.curve is not None:
         curve = sv.gibbs_conditioning_curve(
-            prior, constraints, n_list, opts, cap, projection=report.projection
+            prior, constraints, n_list, cap=cap, projection=report.projection
         )
         curve_path = args.curve_output or (
             (args.output or "sanov") + ".curve.csv"
@@ -426,8 +408,7 @@ def _config_tokens(args) -> list[str]:
     ``command`` key must name ``args.command``.
     """
     config = load_json(args.config)
-    if not isinstance(config, dict):
-        raise InputError(f"{args.config}: expected a JSON object")
+    _require_keys(config, (), "config")
     tokens = []
     for key, value in config.items():
         dest = key.replace("-", "_")

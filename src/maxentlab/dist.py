@@ -263,9 +263,6 @@ class ConstraintSet:
     def is_equality_only(self) -> bool:
         return all(k is ConstraintKind.EQ for k in self.kinds)
 
-    def contains(self, dist: FiniteDistribution, tol: float = MEMBERSHIP_TOL) -> bool:
-        return constraint_contains(self, dist, tol)
-
     def to_json(self) -> dict:
         return {
             "kinds": [k.value for k in self.kinds],
@@ -338,6 +335,8 @@ class EmpiricalMeasure:
 
 
 def _require_keys(obj: dict, keys, what: str) -> None:
+    """The package's one shape check of JSON input: ``obj`` must be an
+    object holding ``keys``; ``what`` names it in the message."""
     if not isinstance(obj, dict):
         raise InputError(f"{what}: expected a JSON object, got {type(obj).__name__}")
     for k in keys:

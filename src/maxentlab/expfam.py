@@ -21,6 +21,7 @@ from .dist import (
     FeatureSet,
     FiniteDistribution,
     _frozen_array,
+    _require_keys,
     cross_entropy,
     entropy,
     kl_divergence,
@@ -156,19 +157,12 @@ class ExpFamModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExpFamModel":
-        for key in ("prior", "features", "lambda"):
-            if key not in obj:
-                raise InputError(f"model: missing field {key!r}")
+        _require_keys(obj, ("prior", "features", "lambda"), "model")
         return cls(
             FiniteDistribution.from_json(obj["prior"]),
             FeatureSet.from_json(obj["features"]),
             obj["lambda"],
         )
-
-
-def log_partition(model: ExpFamModel) -> float:
-    """The model's cached log-partition value ``A(lam)``."""
-    return model.log_partition
 
 
 def mean_parameters(model: ExpFamModel) -> np.ndarray:
@@ -225,11 +219,8 @@ def free_energy(model: ExpFamModel, p: FiniteDistribution) -> float:
 
 def model_entropy(model: ExpFamModel) -> float:
     """``H(P_lam)``, assembled as ``H(P_lam, P0) - lam . grad A + A(lam)``."""
-    h_prior = cross_entropy(model._dist, model.prior)
-    if model.dim == 0:
-        return h_prior + model.log_partition
     return (
-        h_prior
+        cross_entropy(model._dist, model.prior)
         - float(np.dot(model.lam, mean_parameters(model)))
         + model.log_partition
     )

@@ -10,7 +10,7 @@ the sign of each Bogoliubov gap; 1e-9 (``TOL_BOUND``) for the Bogoliubov
 gap-versus-divergence residuals and the data-approximates-family
 sandwich; 1e-8 (``TOL_ONE_SOLVER``) for the identities that take a
 projection's output.  A distribution a check requires to meet a model's
-moments must do so within 1e-9.
+moments must do so within ``dist.MEMBERSHIP_TOL`` (1e-9).
 
 Identities whose textbook form assumes a uniform prior (the entropy form
 of the approximation error, and loss evaluation by substituting the
@@ -28,7 +28,7 @@ member, else by the distribution whose moments it matches
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,6 +36,7 @@ import numpy as np
 from ._rng import substream
 from ._scipy import brentq
 from .dist import (
+    MEMBERSHIP_TOL,
     ConstraintSet,
     FeatureSet,
     FiniteDistribution,
@@ -53,6 +54,7 @@ from .expfam import (
     internal_energy,
     mean_parameters,
 )
+from .jsonio import _fields_json
 from .projection import ProjectionResult, SolverOptions, project
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover
 TOL_CLOSED_FORM = 1e-10
 TOL_BOUND = 1e-9
 TOL_ONE_SOLVER = 1e-8
-_MOMENT_MATCH_TOL = 1e-9
 
 # Random instances: alphabet sizes 3.._MAX_OUTCOMES, 1.._MAX_FEATURES
 # features, parameters uniform in +-_LAMBDA_SCALE, solved at _INSTANCE_OPTS.
@@ -88,7 +89,7 @@ class IdentityReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = asdict(self)
+        out = _fields_json(self)
         out["pass"] = out.pop("passed")
         return out
 
@@ -116,7 +117,7 @@ def _require_member(p: FiniteDistribution, model: ExpFamModel, what: str) -> Non
     if not model.dim:
         return
     mism = float(np.max(np.abs(moments(p, model.features) - mean_parameters(model))))
-    if mism > _MOMENT_MATCH_TOL:
+    if mism > MEMBERSHIP_TOL:
         raise ConstraintViolation(
             f"{what}: distribution does not meet the model's moments "
             f"(off by {mism:.2e})"
@@ -392,7 +393,7 @@ class InstanceDescriptor:
     prior_mode: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return _fields_json(self)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,9 @@ def _fields_json(obj) -> dict:
 
     Enums become their values, arrays lists, nested results their own
     ``to_json()`` and a tuple of dataclasses (a solver trace) a list of
-    their fields.  ``None`` and an empty tuple are left out.
+    their fields.  ``None`` and an empty tuple are left out; other values
+    (an identity report's ``details`` dict among them) are shared, not
+    copied.
     """
     out = {}
     for f in fields(obj):

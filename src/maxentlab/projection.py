@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -45,6 +45,7 @@ from .dist import (
     FeatureSet,
     FiniteDistribution,
     _check_same_alphabet,
+    _require_keys,
     entropy,
     kl_divergence,
     moments,
@@ -89,12 +90,13 @@ class SolverOptions:
     trace: bool = False
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return _fields_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SolverOptions":
         """Options from a JSON object; every field is optional, and a wrong
         field, type or range raises :class:`InputError`."""
+        _require_keys(obj, (), "solver options")
         bad = set(obj) - set(cls.__dataclass_fields__)
         if bad:
             raise InputError(f"solver options: unknown fields {sorted(bad)}")

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, schemas, and determinism."""
 
 import json
+import math
 import os
 import stat
 import subprocess
@@ -430,6 +431,30 @@ def test_diagnose_fixture_files(files):
     assert abs(pyth[0]["residual"]) <= 1e-10
 
 
+def test_diagnose_identity_failure_exits_5(files, capsys):
+    # At lambda = 800 the model's probabilities of a and b underflow to 0,
+    # where the data put mass: both sides of three identities are infinite
+    # and their residuals inf - inf fail.
+    tmp, write = files
+    prior = {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]}
+    data = {"outcomes": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]}
+    out = tmp / "diag.json"
+    argv = ["diagnose", "--prior", write("p.json", prior), "--output", str(out)]
+    argv += ["--features", write("f.json", {"names": ["f"], "matrix": [[0, 1, 2]]})]
+    argv += ["--data", write("d.json", data)]
+    argv += ["--model-lambda", write("lam.json", [800.0])]
+    assert main(argv) == 5
+    assert (
+        "identity failures: ['pretend_data_identity', 'pythagorean', 'robustness']"
+        in capsys.readouterr().err
+    )
+    report = json.loads(out.read_text())
+    assert report["all_pass"] is False
+    failed = [r for r in report["instances"][0]["reports"] if not r["pass"]]
+    assert all(r["lhs"] == r["rhs"] == math.inf for r in failed)
+    assert all(math.isnan(r["residual"]) for r in failed)
+
+
 def test_diagnose_corrupted_model_file(files, capsys):
     tmp, write = files
     bad = {"outcomes": ["0", "1"], "probs": [0.7, 0.7]}
@@ -478,6 +503,24 @@ def test_diagnose_featureless_files(files):
         ("fit", "features", {"names": "xy", "matrix": [[0, 1], [1, 0]]}, "names"),
         ("fit", "features", {"names": ["u", "v"], "matrix": [1, 2, 3]}, "matrix"),
         ("fit", "features", {"names": [], "matrix": [1, 2]}, "matrix"),
+        (
+            "project",
+            "constraints",
+            {**CONSTRAINTS_EQ, "kinds": ["eq", "eq"]},
+            "1 features but 2 kinds and 1 targets",
+        ),
+        (
+            "fit",
+            "features",
+            {**FEATURES, "matrix": [[0.0, float("inf")]]},
+            "feature values must be finite",
+        ),
+        (
+            "project",
+            "constraints",
+            {**CONSTRAINTS_EQ, "targets": [float("nan")]},
+            "constraint targets must be finite",
+        ),
     ],
     ids=[
         "string-prob",
@@ -491,6 +534,9 @@ def test_diagnose_featureless_files(files):
         "string-names",
         "flat-matrix-two-names",
         "flat-matrix-no-names",
+        "kinds-outnumber-features",
+        "infinite-feature",
+        "nan-target",
     ],
 )
 def test_malformed_values_exit_2(files, capsys, command, name, bad, field):
@@ -515,6 +561,54 @@ def test_malformed_values_exit_2(files, capsys, command, name, bad, field):
         argv += [f"--{option}", write(f"{option}.json", obj)]
     assert main(argv) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_feature_flat_matrix_reads_as_its_row(files):
+    # The README allows one feature's row without the outer brackets.
+    tmp, write = files
+    outputs = []
+    for form, matrix in (("nested", [[0.0, 1.0]]), ("flat", [0.0, 1.0])):
+        featureset = {"names": ["x"], "matrix": matrix}
+        constraints = {**CONSTRAINTS_EQ, "featureset": featureset}
+        out = tmp / f"{form}.json"
+        argv = ["project", "--prior", write("p.json", PRIOR), "--output", str(out)]
+        argv += ["--constraints", write(f"a-{form}.json", constraints)]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "option, expected",
+    [
+        ("prior", "distribution: expected a JSON object, got list"),
+        ("solver-options", "solver options: expected a JSON object, got list"),
+        ("config", "config: expected a JSON object, got list"),
+    ],
+    ids=["prior", "solver-options", "config"],
+)
+def test_json_array_where_an_object_belongs_exits_2(files, capsys, option, expected):
+    tmp, write = files
+    paths = {"prior": write("p.json", PRIOR), option: write("bad.json", [1, 2])}
+    out = tmp / "r.json"
+    argv = ["project", "--prior", paths["prior"], "--output", str(out)]
+    argv += ["--constraints", write("a.json", CONSTRAINTS_EQ)]
+    if option != "prior":
+        argv += [f"--{option}", paths[option]]
+    assert main(argv) == 2
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_input_file_exits_2_naming_it(files, capsys):
+    tmp, write = files
+    missing = tmp / "no-such-prior.json"
+    out = tmp / "r.json"
+    argv = ["project", "--prior", str(missing), "--output", str(out)]
+    argv += ["--constraints", write("a.json", CONSTRAINTS_EQ)]
+    assert main(argv) == 2
+    assert f"error: {missing}: No such file or directory" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -549,6 +643,22 @@ def test_sanov_fixture(files):
     res10 = float(lines[1].split(",")[3])
     res40 = float(lines[3].split(",")[3])
     assert res40 < res10
+
+
+def test_exact_sanov_on_an_empty_event_exits_0(files):
+    # No histogram has mean 3 or more of a feature bounded by 2: the exact
+    # answer is probability 0, not an infeasible projection's exit 3.
+    tmp, write = files
+    prior = {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]}
+    event = {"kinds": ["ge"], "targets": [3.0], "featureset": THREE_FEATURES}
+    out = tmp / "sanov.json"
+    argv = ["sanov", "--prior", write("p.json", prior), "--n", "4"]
+    argv += ["--constraints", write("a.json", event), "--output", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["empty_event"] is True
+    assert report["log_prob"] == -math.inf
+    assert report["projection"]["status"] == "infeasible"
 
 
 def test_sanov_cap_requires_monte_carlo(files, capsys):

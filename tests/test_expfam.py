@@ -15,6 +15,7 @@ from maxentlab import (
     FamilyMismatch,
     FeatureSet,
     FiniteDistribution,
+    InputError,
     centered_cgf,
     cgf,
     cross_entropy,
@@ -323,6 +324,13 @@ class TestModelEntropy:
         m0 = m.with_lambda(np.zeros(m.dim))
         assert model_entropy(m0) == pytest.approx(entropy(m.prior), abs=1e-12)
 
+    def test_featureless_model_is_its_prior(self):
+        # With no features the general formula reduces to H(P0, P0) + A,
+        # bit for bit.
+        prior = FiniteDistribution(["a", "b", "c"], [0.2, 0.3, 0.5])
+        m = ExpFamModel(prior, FeatureSet.empty(3), [])
+        assert model_entropy(m) == cross_entropy(prior, prior) + m.log_partition
+
     def test_bernoulli_value(self, bernoulli):
         # log 2 - 0.8 log 4 + log 2.5
         assert model_entropy(bernoulli) == pytest.approx(0.5004024235381879, abs=1e-10)
@@ -476,3 +484,15 @@ class TestJson:
         again = ExpFamModel.from_json(bernoulli.to_json())
         assert again.log_partition == pytest.approx(bernoulli.log_partition, abs=1e-15)
         np.testing.assert_array_equal(again.lam, bernoulli.lam)
+
+    @pytest.mark.parametrize("obj", [5, "prior features lambda"])
+    def test_non_object_is_an_input_error(self, obj):
+        # A string holding every key name passes a bare key-membership test.
+        with pytest.raises(InputError, match="model: expected a JSON object"):
+            ExpFamModel.from_json(obj)
+
+    def test_missing_field_is_named(self, bernoulli):
+        obj = bernoulli.to_json()
+        del obj["lambda"]
+        with pytest.raises(InputError, match="model: missing field 'lambda'"):
+            ExpFamModel.from_json(obj)

@@ -18,6 +18,7 @@ from maxentlab import (
     Status,
     SupportViolation,
     check_feasibility,
+    constraint_contains,
     fit_log_loss,
     kl_divergence,
     mean_parameters,
@@ -712,7 +713,7 @@ class TestProjectInequality:
             a = ConstraintSet(features, kinds, targets)
             res = project_inequality(prior, a)
             assert res.status is Status.CONVERGED
-            assert a.contains(res.model.to_distribution(), tol=1e-7)
+            assert constraint_contains(a, res.model.to_distribution(), 1e-7)
             assert kkt_violations(prior, a, res, 1e-9) == [], seed
 
     def test_kkt_certificate_on_random_instances(self):
@@ -1009,6 +1010,11 @@ class TestSolverOptions:
     def test_unknown_field_rejected(self):
         with pytest.raises(InputError):
             SolverOptions.from_json({"momentum": 0.9})
+
+    @pytest.mark.parametrize("obj", [[1, 2], "max_iter", 5])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(InputError, match="solver options: expected a JSON object"):
+            SolverOptions.from_json(obj)
 
     def test_seed_is_not_an_option(self):
         # No solver draws random numbers.
