@@ -37,7 +37,7 @@ from .dist import (
 )
 from .errors import ConvergenceError, InputError, MaxentError
 from .expfam import ExpFamModel
-from .jsonio import atomic_write_text, dump_json, load_json
+from .jsonio import _read_text, atomic_write_text, dump_json, load_json
 from .projection import SolverOptions, Status, fit_log_loss, project_inequality
 
 EXIT_OK = 0
@@ -46,6 +46,9 @@ EXIT_INFEASIBLE = 3
 EXIT_BOUNDARY = 4
 EXIT_IDENTITY = 5
 EXIT_CONVERGENCE = 6
+
+# The largest sample size numpy's multinomial sampler takes (an int64).
+_MAX_SAMPLE_SIZE = 2**63 - 1
 
 _STATUS_EXIT = {
     Status.CONVERGED: EXIT_OK,
@@ -71,7 +74,8 @@ def _reject_args(args, names, reason: str) -> None:
 
 def _parse_n_grid(text: str, option: str) -> list[int]:
     """Comma list (``5000,10000``) or doubling span (``5000..80000``) given
-    to ``option``; an empty list or an entry below 1 is an error."""
+    to ``option``; an empty list, an entry below 1 or an entry above
+    :data:`_MAX_SAMPLE_SIZE` is an error."""
     text = text.strip()
     try:
         if ".." not in text:
@@ -80,16 +84,18 @@ def _parse_n_grid(text: str, option: str) -> list[int]:
                 raise InputError(f"{option}: empty n grid {text!r}")
             if min(grid) < 1:
                 raise InputError(f"{option}: bad n grid {text!r}")
-            return grid
-        lo, hi = (int(tok) for tok in text.split("..", 1))
+        else:
+            lo, hi = (int(tok) for tok in text.split("..", 1))
+            if lo < 1 or hi < lo:
+                raise InputError(f"{option}: bad n range {text!r}")
+            grid = []
+            while lo <= hi:
+                grid.append(lo)
+                lo *= 2
     except ValueError as exc:
         raise InputError(f"{option}: bad n grid {text!r}") from exc
-    if lo < 1 or hi < lo:
-        raise InputError(f"{option}: bad n range {text!r}")
-    grid = []
-    while lo <= hi:
-        grid.append(lo)
-        lo *= 2
+    if max(grid) > _MAX_SAMPLE_SIZE:
+        raise InputError(f"{option}: n {max(grid)} is above 2**63 - 1")
     return grid
 
 
@@ -101,6 +107,18 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _sample_size(text: str) -> int:
+    """Parser type of ``sanov --n``: an integer of at most
+    :data:`_MAX_SAMPLE_SIZE` (the library rejects one below 1)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > _MAX_SAMPLE_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at most 2**63 - 1, got {value}")
     return value
 
 
@@ -168,11 +186,7 @@ def cmd_fit(args) -> int:
     if (args.samples is None) == (args.data is None):
         raise InputError("provide exactly one of --samples or --data")
     if args.samples is not None:
-        try:
-            with open(args.samples) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"{args.samples}: {exc.strerror or exc}") from exc
+        text = _read_text(args.samples)
         labels = [line.strip() for line in text.splitlines() if line.strip()]
         if not labels:
             raise InputError(f"{args.samples}: no samples found")
@@ -384,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--prior", default=None, help="sampling distribution JSON file")
     p.add_argument("--constraints", default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_sample_size, default=None)
     p.add_argument("--cap", type=_count, default=None)  # enumerations: 2e6
     p.add_argument("--monte-carlo", action="store_true")
     p.add_argument("--trials", type=_count, default=None)  # --monte-carlo: 20

@@ -76,17 +76,6 @@ def _covariance(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _natural_parameters(lam, dim: int) -> np.ndarray:
-    """``lam`` as a read-only float vector of length ``dim``; a wrong shape
-    or a non-finite entry raises :class:`InputError`."""
-    lam = _frozen_array(lam)
-    if lam.ndim != 1 or lam.shape[0] != dim:
-        raise InputError(f"lambda has shape {lam.shape}, expected ({dim},)")
-    if lam.size and not np.all(np.isfinite(lam)):
-        raise InputError("natural parameters must be finite")
-    return lam
-
-
 def _family_arrays(prior: FiniteDistribution, features: FeatureSet) -> tuple:
     """The arrays of one family that :func:`_member` reads: the prior's
     log-probabilities, its support and the feature rows on the support."""
@@ -106,9 +95,10 @@ def compute_log_partition(
 class ExpFamModel:
     """An exponential-family member: prior, features, natural parameters.
 
-    The log-partition and the member's probabilities are computed at
-    construction (:func:`_member`); instances are immutable and safe to
-    share across threads.
+    ``lam`` is stored as a read-only float vector; a wrong shape or a
+    non-finite entry raises :class:`InputError`.  The log-partition and the
+    member's probabilities are computed at construction (:func:`_member`);
+    instances are immutable and safe to share across threads.
     """
 
     prior: FiniteDistribution
@@ -117,7 +107,11 @@ class ExpFamModel:
     log_partition: float
 
     def __init__(self, prior, features, lam):
-        lam = _natural_parameters(lam, features.dim)
+        lam, dim = _frozen_array(lam), features.dim
+        if lam.ndim != 1 or lam.shape[0] != dim:
+            raise InputError(f"lambda has shape {lam.shape}, expected ({dim},)")
+        if lam.size and not np.all(np.isfinite(lam)):
+            raise InputError("natural parameters must be finite")
         log_z, probs = _member(*_family_arrays(prior, features), lam)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "features", features)
@@ -214,7 +208,8 @@ def energies(model: ExpFamModel, p: FiniteDistribution) -> EnergyReport:
 
 
 def free_energy(model: ExpFamModel, p: FiniteDistribution) -> float:
-    return energies(model, p).free_energy
+    """``internal_energy + D(p || prior)``, the field of :func:`energies`."""
+    return internal_energy(model, p) + kl_divergence(p, model.prior)
 
 
 def model_entropy(model: ExpFamModel) -> float:

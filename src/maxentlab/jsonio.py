@@ -15,12 +15,21 @@ import numpy as np
 from .errors import InputError
 
 
-def load_json(path: str | Path) -> object:
-    path = Path(path)
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of the input file at ``path``; a file that cannot be
+    opened or is not UTF-8 raises :class:`InputError` naming the path."""
     try:
-        text = path.read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+
+
+def load_json(path: str | Path) -> object:
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -36,8 +36,15 @@ def _log_factorials(m: int) -> np.ndarray:
 
 
 def _log_multinomial(c: np.ndarray, n: int) -> float:
-    """``log(n! / (c_1! ... c_D!))`` for a count vector ``c`` summing to ``n``."""
-    return float(gammaln(n + 1) - _log_factorials(int(c.max()))[c].sum())
+    """``log(n! / (c_1! ... c_D!))`` for a count vector ``c`` summing to ``n``.
+
+    A table over ``0..max(c)`` costs no more than ``gammaln`` per count only
+    while ``max(c) <= len(c)``; past that ``gammaln(c + 1)`` is called
+    directly, so time and memory follow D, not n.  Both give the same bits.
+    """
+    top = int(c.max())
+    log_fact = _log_factorials(top)[c] if top <= c.size else gammaln(c + 1)
+    return float(gammaln(n + 1) - log_fact.sum())
 
 
 def log_multinomial(counts: EmpiricalMeasure) -> float:

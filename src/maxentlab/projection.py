@@ -56,7 +56,6 @@ from .expfam import (
     _covariance,
     _family_arrays,
     _member,
-    _natural_parameters,
     mean_parameters,
 )
 from .jsonio import _fields_json
@@ -398,14 +397,14 @@ def _solve(
     prior: FiniteDistribution,
     constraints: ConstraintSet,
     opts: SolverOptions,
-    lambda0: np.ndarray | None,
     direction,
     max_iter: int,
     what: str,
     witness: FiniteDistribution | None = None,
 ) -> ProjectionResult:
     """Minimize ``g(lam) = A(lam) - lam . alpha`` over the orthant
-    ``sign_i lam_i >= 0`` by projected line search along ``direction``.
+    ``sign_i lam_i >= 0`` by projected line search along ``direction``,
+    starting at ``lam = 0``.
 
     Iterates are arrays, each evaluated by :func:`~maxentlab.expfam._member`
     into ``A(lam)`` and the member's probabilities ``q``; the result's one
@@ -431,7 +430,7 @@ def _solve(
         return _unsolved(prior, constraints, Status.CONVERGED)
     matrix, family = features.matrix, _family_arrays(prior, features)
     sign = constraints._sign
-    lam = np.zeros(d) if lambda0 is None else _natural_parameters(lambda0, d)
+    lam = np.zeros(d)
     trace: list[TracePoint] = []
 
     def dual_value(lam_t: np.ndarray):
@@ -519,7 +518,6 @@ def project(
     prior: FiniteDistribution,
     constraints: ConstraintSet,
     opts: SolverOptions | None = None,
-    lambda0: np.ndarray | None = None,
     witness: FiniteDistribution | None = None,
 ) -> ProjectionResult:
     """Project ``prior`` onto moment constraints of every kind.
@@ -539,9 +537,6 @@ def project(
     constraints : ConstraintSet
         ``eq``, ``ge`` and ``le`` constraints, in any mix.
     opts : SolverOptions, optional
-    lambda0 : array, optional
-        Starting parameters; the converged result does not depend on the
-        start beyond the moment tolerance.
     witness : FiniteDistribution, optional
         A distribution on the prior's alphabet whose moments meet the
         constraints, tried as the certificate when the member is not one.
@@ -553,7 +548,6 @@ def project(
         prior,
         constraints,
         opts,
-        lambda0,
         partial(_newton_direction, constraints.features.matrix),
         opts.max_iter,
         "dual Newton" if constraints.is_equality_only() else "projected Newton",
@@ -575,7 +569,6 @@ def fit_log_loss(
     features: FeatureSet,
     data: FiniteDistribution,
     opts: SolverOptions | None = None,
-    lambda0: np.ndarray | None = None,
 ) -> ProjectionResult:
     """Minimize the log loss ``H(data, P_lam)`` directly over ``lam``.
 
@@ -600,7 +593,6 @@ def fit_log_loss(
         prior,
         constraints,
         opts,
-        lambda0,
         _gradient_direction(),
         _GD_MAX_ITER,
         "log-loss gradient descent",

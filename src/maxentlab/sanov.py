@@ -36,7 +36,7 @@ from .expfam import _logsumexp
 from .identities import TOL_CLOSED_FORM, IdentityReport, _report
 from .jsonio import _fields_json
 from .multinomial import _log_factorials, _log_likelihood
-from .projection import ProjectionResult, SolverOptions, Status, project_inequality
+from .projection import ProjectionResult, Status, project_inequality
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 _WILSON_Z = 1.959963984540054  # 97.5% normal quantile
@@ -277,7 +277,6 @@ def enumerate_event(
     p: FiniteDistribution,
     constraints: ConstraintSet,
     n: int,
-    opts: SolverOptions | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     projection: ProjectionResult | None = None,
 ) -> SanovReport:
@@ -285,14 +284,15 @@ def enumerate_event(
 
     The rate term comes from the information projection of ``p`` onto the
     constraints; boundary-nonattained projections are evaluated at the
-    capped parameters and flagged.  A caller that has already solved that
-    projection passes it as ``projection``, and it is not solved again.
+    capped parameters and flagged.  The projection is solved at the
+    default solver options unless given as ``projection``, and then it is
+    not solved again.
     """
     comps, mask, log_w, lhp = _enumerate(p, constraints, n, cap)
     sel = mask & (lhp > -math.inf)
 
     if projection is None:
-        projection = project_inequality(p, constraints, opts)
+        projection = project_inequality(p, constraints)
     empty = projection.status is Status.INFEASIBLE or not np.any(sel)
     log_prob, conditional_div, gap, residual = -math.inf, math.nan, math.nan, math.nan
     if not empty:
@@ -344,7 +344,6 @@ def gibbs_conditioning_curve(
     p: FiniteDistribution,
     constraints: ConstraintSet,
     n_list: list[int],
-    opts: SolverOptions | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     projection: ProjectionResult | None = None,
 ) -> list[SanovReport]:
@@ -356,8 +355,8 @@ def gibbs_conditioning_curve(
     endpoints.
     """
     if projection is None:
-        projection = project_inequality(p, constraints, opts)
-    return [enumerate_event(p, constraints, n, opts, cap, projection) for n in n_list]
+        projection = project_inequality(p, constraints)
+    return [enumerate_event(p, constraints, n, cap, projection) for n in n_list]
 
 
 def gibbs_curve_csv(reports: list[SanovReport]) -> str:
@@ -372,7 +371,6 @@ def nested_relative_probability(
     outer: ConstraintSet,
     inner: ConstraintSet,
     n: int,
-    opts: SolverOptions | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     projection: ProjectionResult | None = None,
 ) -> IdentityReport:
@@ -399,7 +397,7 @@ def nested_relative_probability(
         raise EmptyEvent("both events must have positive probability")
 
     if projection is None:
-        projection = project_inequality(p, outer, opts)
+        projection = project_inequality(p, outer)
     p_star = projection.model.to_distribution()
     log_prob_outer, div_outer, mu_bar_outer = _event_stats(
         comps, log_w, lhp, mask_outer & finite, p_star, n
@@ -445,15 +443,16 @@ def monte_carlo_event(
     n: int,
     trials: int,
     seed: int = 0,
-    opts: SolverOptions | None = None,
     threads: int = 1,
+    projection: ProjectionResult | None = None,
 ) -> SanovReport:
     """Monte Carlo estimate of the event probability, for instances past
     the enumeration cap.
 
     Trials are partitioned into fixed-size chunks with counter-derived
     random streams, so the hit count is independent of thread count.  The
-    rate term stays exact (projection); the residual is the
+    rate term stays exact (projection, solved at the default solver
+    options unless given as ``projection``); the residual is the
     identity-implied estimate and is flagged by ``method``.
 
     Trials draw class counts, not outcome counts (:func:`_outcome_classes`):
@@ -485,7 +484,8 @@ def monte_carlo_event(
 
     hits = sum(ordered_map(run_chunk, range(num_chunks), threads))
 
-    projection = project_inequality(p, constraints, opts)
+    if projection is None:
+        projection = project_inequality(p, constraints)
     low, high = _wilson_interval(hits, trials)
     if hits == 0:
         log_prob = -math.inf

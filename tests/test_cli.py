@@ -612,6 +612,57 @@ def test_missing_input_file_exits_2_naming_it(files, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("role", ["prior", "config", "samples"])
+def test_non_utf8_input_file_exits_2_naming_it(files, capsys, role):
+    # A file that is not UTF-8 is an input error, not a UnicodeDecodeError.
+    tmp, write = files
+    bad = tmp / "latin1.txt"
+    bad.write_bytes("caf\xe9\n".encode("latin-1"))
+    samples = tmp / "s.txt"
+    samples.write_text("0\n1\n")
+    paths = {"prior": write("p.json", PRIOR), "samples": str(samples)}
+    out = tmp / "r.json"
+    argv = ["fit", "--features", write("f.json", FEATURES), "--output", str(out)]
+    for name, path in {**paths, role: str(bad)}.items():
+        argv += [f"--{name}", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["sanov", "--monte-carlo", "--trials", "3"], "n"),
+        (["entropy-approx", "--alphabet-size", "5", "--trials", "1"], "n"),
+        (["sanov", "--n", "4", "--monte-carlo", "--trials", "3"], "curve"),
+    ],
+)
+def test_sample_size_above_int64_exits_2(files, capsys, route, argv, option):
+    # numpy's multinomial takes its sample size as an int64, so 2**63 would
+    # end in an OverflowError.
+    tmp, write = files
+    out = tmp / "out"
+    if argv[0] == "sanov":
+        argv = argv + ["--prior", write("p.json", PRIOR)]
+        argv += ["--constraints", write("a.json", CONSTRAINTS_GE)]
+    if route == "flag":
+        argv = argv + [f"--{option}", str(2**63)]
+    else:
+        argv = argv + ["--config", write("c.json", {option: 2**63})]
+    try:
+        code = main(argv + ["--output", str(out)])
+    except SystemExit as exc:  # the parser's own range check
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--{option}" in err and "2**63 - 1" in err
+    assert not out.exists()
+
+
 def test_sanov_fixture(files):
     tmp, write = files
     out = tmp / "sanov.json"

@@ -2,6 +2,7 @@
 experiment."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +83,25 @@ class TestLogMultinomial:
             table[12] - table[comps].sum(axis=1),
             gammaln(13) - gammaln(comps + 1).sum(axis=1),
         )
+
+    def test_large_counts_skip_the_table(self):
+        # Past max(c) = len(c) the counts go to gammaln directly: a table up
+        # to 1.2e7 would peak at ~210 MB (arange, its float copy, the table).
+        from scipy.special import gammaln
+
+        from maxentlab.multinomial import _log_multinomial
+
+        n = 20_000_000
+        counts = np.array([12_345_678, n - 12_345_678])
+        tracemalloc.start()
+        try:
+            got = _log_multinomial(counts, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        want = float(gammaln(n + 1) - gammaln(counts + 1).sum())
+        assert got.hex() == want.hex()
 
 
 class TestLogHistogramProb:

@@ -618,17 +618,6 @@ class TestProject:
             gap = np.max(np.abs(mean_parameters(res.model) - a.targets))
             assert gap <= 1e-8
 
-    def test_start_point_independence(self):
-        for seed in range(50):
-            prior, features, data, rng = random_instance(seed)
-            a = ConstraintSet.equalities(features, moments(data, features))
-            res0 = project(prior, a)
-            res1 = project(prior, a, lambda0=rng.normal(size=features.dim))
-            gap = np.max(
-                np.abs(mean_parameters(res0.model) - mean_parameters(res1.model))
-            )
-            assert gap <= 1e-6
-
     def test_grid_oracle_finds_nothing_better(self):
         # |X| = 3, one equality constraint: scan the feasible segment.
         for seed in range(20):

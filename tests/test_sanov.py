@@ -32,7 +32,8 @@ from maxentlab import (
 from maxentlab import sanov
 from maxentlab.sanov import gibbs_curve_csv, num_compositions
 from maxentlab._rng import substream
-from maxentlab.projection import SolverOptions
+from maxentlab.jsonio import dump_json
+from maxentlab.projection import SolverOptions, project
 
 from oracles import binomial_tail_prob, iter_compositions, masked_log_ratio_loop
 
@@ -368,6 +369,18 @@ class TestMonteCarlo:
         assert math.isnan(report.residual)
         assert report.wilson_high > 0.0
 
+    def test_given_projection_is_not_solved_again(self, monkeypatch):
+        solved = monte_carlo_event(*five_outcome_tail(), 2000, trials=5000, seed=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the projection was solved again")
+
+        monkeypatch.setattr(sanov, "project_inequality", refuse)
+        reused = monte_carlo_event(
+            *five_outcome_tail(), 2000, trials=5000, seed=2, projection=solved.projection
+        )
+        assert dump_json(reused.to_json()) == dump_json(solved.to_json())
+
     def test_deterministic_across_threads(self):
         a = monte_carlo_event(coin(), tail_event(0.8), 10, trials=200_000, seed=9)
         b = monte_carlo_event(
@@ -546,9 +559,9 @@ class TestJson:
         }
 
     def test_every_set_field_is_a_key(self):
-        opts = SolverOptions(trace=True)
-        exact = enumerate_event(coin(), tail_event(0.8), 10, opts)
-        mc = monte_carlo_event(coin(), tail_event(0.8), 10, trials=100, opts=opts)
+        traced = project(coin(), tail_event(0.8), SolverOptions(trace=True))
+        exact = enumerate_event(coin(), tail_event(0.8), 10, projection=traced)
+        mc = monte_carlo_event(coin(), tail_event(0.8), 10, 100, projection=traced)
         for report in (exact, mc):
             out = report.to_json()
             assert set(out) == self._keys(report)
