@@ -22,6 +22,8 @@ from .dist import EmpiricalMeasure, FiniteDistribution
 from .errors import DomainError, ShapeMismatch
 
 LOG_2PI = math.log(2.0 * math.pi)
+# The largest sample size numpy's multinomial sampler takes (an int64).
+_MAX_SAMPLE_SIZE = 2**63 - 1
 
 
 class StirlingOrder(enum.Enum):
@@ -239,6 +241,8 @@ def entropy_approx_experiment(
         raise DomainError("need at least one trial")
     if any(n < 1 for n in n_grid):
         raise DomainError("every n must be at least 1")
+    if any(n > _MAX_SAMPLE_SIZE for n in n_grid):
+        raise DomainError("every n must be at most 2**63 - 1")
     cells = [
         (n, trial, idx)
         for idx, (n, trial) in enumerate(

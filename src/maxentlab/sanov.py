@@ -35,7 +35,7 @@ from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .expfam import _logsumexp
 from .identities import TOL_CLOSED_FORM, IdentityReport, _report
 from .jsonio import _fields_json
-from .multinomial import _log_factorials, _log_likelihood
+from .multinomial import _MAX_SAMPLE_SIZE, _log_factorials, _log_likelihood
 from .projection import ProjectionResult, Status, project_inequality
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -213,9 +213,12 @@ def _masked_log_ratio(
 
 
 def _check_sample(p: FiniteDistribution, constraints: ConstraintSet, n: int) -> None:
-    """Reject a sample size below 1 and features over another alphabet."""
+    """Reject a sample size below 1 or above 2**63 - 1 and features over
+    another alphabet."""
     if n < 1:
         raise DomainError("sample size must be at least 1")
+    if n > _MAX_SAMPLE_SIZE:
+        raise DomainError(f"sample size must be at most 2**63 - 1, got {n}")
     constraints.features.check_alphabet(p)
 
 
@@ -224,8 +227,9 @@ def _enumerate(p: FiniteDistribution, constraints: ConstraintSet, n: int, cap: i
     ``(histograms, event mask, log multinomial coefficients, log
     probabilities under p)``.
 
-    The log-factorials come from one table over ``0..n``, the one
-    :func:`maxentlab.multinomial.log_multinomial` indexes.
+    The log-factorials come from one table over ``0..n`` built by
+    :func:`maxentlab.multinomial._log_factorials`, whose values equal
+    ``gammaln(c + 1)``.
     """
     _check_sample(p, constraints, n)
     comps = compositions(n, len(p), cap)
@@ -277,6 +281,7 @@ def enumerate_event(
     p: FiniteDistribution,
     constraints: ConstraintSet,
     n: int,
+    *,
     cap: int = DEFAULT_ENUMERATION_CAP,
     projection: ProjectionResult | None = None,
 ) -> SanovReport:
@@ -344,6 +349,7 @@ def gibbs_conditioning_curve(
     p: FiniteDistribution,
     constraints: ConstraintSet,
     n_list: list[int],
+    *,
     cap: int = DEFAULT_ENUMERATION_CAP,
     projection: ProjectionResult | None = None,
 ) -> list[SanovReport]:
@@ -356,7 +362,10 @@ def gibbs_conditioning_curve(
     """
     if projection is None:
         projection = project_inequality(p, constraints)
-    return [enumerate_event(p, constraints, n, cap, projection) for n in n_list]
+    return [
+        enumerate_event(p, constraints, n, cap=cap, projection=projection)
+        for n in n_list
+    ]
 
 
 def gibbs_curve_csv(reports: list[SanovReport]) -> str:
@@ -371,6 +380,7 @@ def nested_relative_probability(
     outer: ConstraintSet,
     inner: ConstraintSet,
     n: int,
+    *,
     cap: int = DEFAULT_ENUMERATION_CAP,
     projection: ProjectionResult | None = None,
 ) -> IdentityReport:
@@ -443,6 +453,7 @@ def monte_carlo_event(
     n: int,
     trials: int,
     seed: int = 0,
+    *,
     threads: int = 1,
     projection: ProjectionResult | None = None,
 ) -> SanovReport:

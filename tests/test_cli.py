@@ -634,14 +634,13 @@ def test_non_utf8_input_file_exits_2_naming_it(files, capsys, role):
 
 @pytest.mark.parametrize("route", ["flag", "config"])
 @pytest.mark.parametrize(
-    "argv, option",
+    "argv",
     [
-        (["sanov", "--monte-carlo", "--trials", "3"], "n"),
-        (["entropy-approx", "--alphabet-size", "5", "--trials", "1"], "n"),
-        (["sanov", "--n", "4", "--monte-carlo", "--trials", "3"], "curve"),
+        ["sanov", "--monte-carlo", "--trials", "3"],
+        ["entropy-approx", "--alphabet-size", "5", "--trials", "1"],
     ],
 )
-def test_sample_size_above_int64_exits_2(files, capsys, route, argv, option):
+def test_sample_size_above_int64_exits_2(files, capsys, route, argv):
     # numpy's multinomial takes its sample size as an int64, so 2**63 would
     # end in an OverflowError.
     tmp, write = files
@@ -650,16 +649,11 @@ def test_sample_size_above_int64_exits_2(files, capsys, route, argv, option):
         argv = argv + ["--prior", write("p.json", PRIOR)]
         argv += ["--constraints", write("a.json", CONSTRAINTS_GE)]
     if route == "flag":
-        argv = argv + [f"--{option}", str(2**63)]
+        argv = argv + ["--n", str(2**63)]
     else:
-        argv = argv + ["--config", write("c.json", {option: 2**63})]
-    try:
-        code = main(argv + ["--output", str(out)])
-    except SystemExit as exc:  # the parser's own range check
-        code = exc.code
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"--{option}" in err and "2**63 - 1" in err
+        argv = argv + ["--config", write("c.json", {"n": 2**63})]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert "2**63 - 1" in capsys.readouterr().err
     assert not out.exists()
 
 

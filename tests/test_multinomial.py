@@ -306,3 +306,5 @@ class TestExperiment:
             entropy_approx_experiment(3, [0], "dirichlet1", trials=1, seed=0)
         with pytest.raises(DomainError):
             entropy_approx_experiment(3, [5], "dirichlet1", trials=0, seed=0)
+        with pytest.raises(DomainError, match="2\\*\\*63 - 1"):
+            entropy_approx_experiment(3, [2**63], "dirichlet1", trials=1, seed=0)

@@ -360,6 +360,18 @@ class TestMonteCarlo:
                 coin(), ConstraintSet.equalities(FeatureSet.empty(2), []), 0, 10
             )
 
+    def test_sample_size_must_fit_int64(self):
+        # numpy's multinomial sampler takes its sample size as an int64.
+        with pytest.raises(DomainError, match=r"at most 2\*\*63 - 1"):
+            monte_carlo_event(coin(), tail_event(0.8), 2**63, 10)
+
+    def test_options_after_the_sample_size_are_keyword_only(self):
+        # A call that passed SolverOptions positionally fails at the call.
+        with pytest.raises(TypeError):
+            monte_carlo_event(coin(), tail_event(0.8), 10, 10, 0, SolverOptions())
+        with pytest.raises(TypeError):
+            enumerate_event(coin(), tail_event(0.8), 10, SolverOptions())
+
     def test_impossible_event_flagged(self):
         f = FeatureSet(["x"], [[0.0, 1.0]])
         constraints = ConstraintSet.equalities(f, [0.95])

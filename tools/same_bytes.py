@@ -91,14 +91,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     parser.add_argument(
         "--workdir", type=Path, default=None, help="default: a new temporary directory"
     )
     args = parser.parse_args(argv)
     base = args.workdir or Path(tempfile.mkdtemp(prefix="same-bytes-"))
     total = differing = 0
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         for seed in args.seeds:
             workdir = base / f"{workload}-{seed}"
             ops = build(workload, seed, workdir)
