@@ -18,11 +18,11 @@ projected distribution) are checked in their prior-relative general form
 for non-uniform priors; the mode used is recorded in the report details.
 
 Random instances build no object and solve no LP in their inner loops:
-the Bogoliubov energy-matching scan evaluates each scaled variational
-member on arrays, through the exponential family's one member kernel, and
-each projection of an instance certifies its targets interior by its
-member, else by the distribution whose moments it matches
-(:func:`_project_to_moments`); both give the bits of the paths they replace.
+the Bogoliubov energy-matching scan evaluates its objective on the whole
+scale grid in one array call, and each projection of an instance
+certifies its targets interior by its member, else by the distribution
+whose moments it matches (:func:`_project_to_moments`); both give the
+output of the paths they replace.
 """
 
 from __future__ import annotations
@@ -192,15 +192,25 @@ def _upper_defect(target: ExpFamModel, variational: ExpFamModel):
     ``U_target(P_c) - U_c(P_c)`` with ``P_c`` the variational member at
     parameters ``c psi``.
 
-    ``P_c`` comes from :func:`~maxentlab.expfam._member`, with the bits of
-    ``variational.with_lambda(c * psi).to_distribution()`` and without
-    either object; the objective is ``c psi . E_c[g] - lam . E_c[f]``.
+    For a scalar ``c``, ``P_c`` comes from :func:`~maxentlab.expfam._member`,
+    with the bits of ``variational.with_lambda(c * psi).to_distribution()``;
+    the objective is ``c psi . E_c[g] - lam . E_c[f]``.  A 1-D array of
+    scales stacks the members, one row each, in one max-shifted log-sum-exp
+    pass over the support: the same values up to rounding.
     """
     family = _family_arrays(target.prior, variational.features)
     f, g = target.features.matrix, variational.features.matrix
     lam, psi = target.lam, variational.lam
+    mask = family[1]
+    log_prior, f_support, g_support = family[0][mask], f[:, mask], g[:, mask]
 
-    def upper_defect(c: float) -> float:
+    def upper_defect(c):
+        if np.ndim(c):
+            c_psi = np.outer(c, psi)
+            scores = log_prior + c_psi @ g_support
+            q = np.exp(scores - scores.max(axis=1, keepdims=True))
+            q /= q.sum(axis=1, keepdims=True)
+            return (c_psi * (q @ g_support.T)).sum(1) - (q @ f_support.T) @ lam
         c_psi = c * psi
         q = _member(*family, c_psi)[1]
         return float(np.dot(c_psi, g @ q)) - float(np.dot(lam, f @ q))
@@ -208,25 +218,30 @@ def _upper_defect(target: ExpFamModel, variational: ExpFamModel):
     return upper_defect
 
 
-def _match_scale(objective, lo: float = 1e-3, hi: float = 1e3) -> float:
+# The energy-matching scan's scales, in order.
+_SCALE_GRID = np.geomspace(1e-3, 1e3, 61)
+
+
+def _match_scale(objective) -> float:
     """Root of a scalar energy-matching condition on the scale ``c``.
 
-    Scans a log-spaced grid in order, up to the first exact zero or sign
-    change, then bisects that bracket.  Raises when no bracket exists
-    inside ``[lo, hi]``.
+    ``objective`` takes a scale or a 1-D array of scales.  One array call
+    evaluates the log-spaced grid; the first exact zero or sign change in
+    grid order wins, and ``brentq`` solves that bracket on the scalar
+    objective.  Raises when no bracket exists inside ``[1e-3, 1e3]``.
     """
-    grid = np.geomspace(lo, hi, 61)
-    prev = None
-    for k, c in enumerate(grid):
-        v = objective(c)
-        if v == 0.0:
-            return float(c)
-        if prev is not None and prev * v < 0:
-            return float(brentq(objective, grid[k - 1], c, xtol=1e-14, rtol=1e-15))
-        prev = v
-    raise EnergyMatchingError(
-        "no parameter scaling in [1e-3, 1e3] matches the energies"
-    )
+    values = objective(_SCALE_GRID)
+    hits = values == 0.0
+    hits[1:] |= values[:-1] * values[1:] < 0
+    if not hits.any():
+        raise EnergyMatchingError(
+            "no parameter scaling in [1e-3, 1e3] matches the energies"
+        )
+    k = int(hits.argmax())
+    if values[k] == 0.0:
+        return float(_SCALE_GRID[k])
+    lo, hi = _SCALE_GRID[k - 1], _SCALE_GRID[k]
+    return float(brentq(objective, lo, hi, xtol=1e-14, rtol=1e-15))
 
 
 def bogoliubov(
@@ -241,10 +256,10 @@ def bogoliubov(
     gap is ``-D(P_lam || P_psi)``.  Each report's residual is the gap
     mismatch; the sign condition is folded into the pass flag.
 
-    The upper matching condition is solved on arrays (:func:`_upper_defect`)
-    and the lower one is linear in the scale, so the scan builds models and
-    distributions only for the two matched scales.  Both bounds share one
-    body and the target's free energy.
+    Each matching condition is scanned on the scale grid in one array call
+    and solved by ``brentq`` on its scalar form (:func:`_match_scale`,
+    :func:`_upper_defect`), so models are built only for the two matched
+    scales.  Both bounds share one body and the target's free energy.
     """
     if target.prior.outcomes != variational.prior.outcomes or not np.array_equal(
         target.prior.probs, variational.prior.probs
@@ -255,9 +270,11 @@ def bogoliubov(
     psi = variational.lam
     g_target = moments(p_target, variational.features)
 
-    def lower_defect(c: float) -> float:
+    def lower_defect(c):
         # internal_energy(_scaled(variational, c), p_target), without
         # building the scaled model and its log-partition.
+        if np.ndim(c):
+            return u_target + np.outer(c, psi) @ g_target
         return u_target - float(-np.dot(c * psi, g_target))
 
     f_target = free_energy(target, p_target)

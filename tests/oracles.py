@@ -198,10 +198,12 @@ def member_objects(log_prior, mask, f_support, lam):
 def upper_defect_objects(target, variational):
     """The Bogoliubov upper bound's energy-matching objective, evaluated by
     building the scaled variational model and its distribution on every
-    call."""
+    call; a 1-D array of scales is evaluated one scale at a time."""
     from maxentlab.expfam import internal_energy
 
-    def upper_defect(c: float) -> float:
+    def upper_defect(c):
+        if np.ndim(c):
+            return np.array([upper_defect(x) for x in c])
         scaled = variational.with_lambda(c * variational.lam)
         p_psi = scaled.to_distribution()
         return internal_energy(target, p_psi) - internal_energy(scaled, p_psi)

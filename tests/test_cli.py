@@ -706,6 +706,23 @@ def test_exact_sanov_on_an_empty_event_exits_0(files):
     assert report["projection"]["status"] == "infeasible"
 
 
+@pytest.mark.parametrize("extra, code", [([], 0), (["--monte-carlo"], 3)])
+def test_sanov_infeasible_event_exit_code_by_method(files, extra, code):
+    # The same infeasible event: exact enumeration answers it (probability
+    # 0, exit 0); Monte Carlo has only the infeasible projection (exit 3).
+    tmp, write = files
+    prior = {"outcomes": ["a", "b", "c"], "probs": [0.3, 0.3, 0.4]}
+    event = {"kinds": ["eq"], "targets": [3.0], "featureset": THREE_FEATURES}
+    out = tmp / "sanov.json"
+    argv = ["sanov", "--prior", write("p.json", prior), "--n", "4"]
+    argv += ["--constraints", write("a.json", event), "--output", str(out)]
+    assert main(argv + extra) == code
+    report = json.loads(out.read_text())
+    assert report["empty_event"] is True
+    assert report["projection"]["min_divergence"] == math.inf
+    assert report["projection"]["status"] == "infeasible"
+
+
 def test_sanov_cap_requires_monte_carlo(files, capsys):
     tmp, write = files
     code = main(

@@ -436,6 +436,49 @@ class TestArrayObjective:
             for scale in (c, np.float64(c)):
                 assert arrays(scale).hex() == objects(scale).hex(), c
 
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_bogoliubov_pairs())
+    def test_scan_matches_full_grid_reference(self, pair):
+        objective = ident._upper_defect(*pair)
+        try:
+            got = ident._match_scale(objective)
+        except EnergyMatchingError:
+            got = None
+        assert got == match_scale_full_grid(objective)
+
+    def test_scan_makes_one_array_call(self, monkeypatch):
+        # Each scan evaluates the grid in one array call; every scalar call
+        # is brentq's, on the bracket the array values chose.
+        instance = random_instance(3)
+        scans, solving = [], []
+        scan, brentq = ident._match_scale, ident.brentq
+
+        def traced_brentq(*args, **kwargs):
+            solving.append(True)
+            try:
+                return brentq(*args, **kwargs)
+            finally:
+                solving.pop()
+
+        def traced_scan(objective):
+            calls = []
+            scans.append(calls)
+
+            def counted(c):
+                calls.append((np.ndim(c), bool(solving)))
+                return objective(c)
+
+            return scan(counted)
+
+        monkeypatch.setattr(ident, "brentq", traced_brentq)
+        monkeypatch.setattr(ident, "_match_scale", traced_scan)
+        ident.bogoliubov(instance.model, instance.variational)
+        assert len(scans) == 2
+        for calls in scans:
+            assert calls[0] == (1, False)
+            assert len(calls) > 1
+            assert all(call == (0, True) for call in calls[1:])
+
     def test_suite_bytes_match_object_and_lp_paths(self, monkeypatch, linprog_calls):
         def suite_bytes() -> str:
             return dump_json(

@@ -8,9 +8,13 @@ built once with ``perfbench/workloads.build``, into one work directory,
 and run in order under each tree by a child interpreter that imports only
 that tree.  An op's exit code, stdout, stderr and every file it writes
 under the work directory's ``out`` (the ``--output`` file, a curve CSV)
-are compared; the ops where any of them differ are listed.  A refactor
-that must keep the CLI's output byte-identical lists none.  Exit status:
-0 when no op differs, 1 otherwise.
+are compared; the ops where any of them differ are listed.  One more op,
+``diagnose --random --instances 2000 --seed 0``, is compared the same
+way: the full seeded identity suite, whose 2,000 instances reach more of
+the Bogoliubov scan and the projection paths than the workloads'
+``diagnose`` batches.  A refactor that must keep the CLI's output
+byte-identical lists none.  Exit status: 0 when no op differs, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -67,15 +71,18 @@ json.dump(results, sys.stdout)
 _ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def run_tree(src: Path, ops, outdir: Path) -> list[dict]:
+# Compared once, apart from the workloads and their seeds.
+_DIAGNOSE = ["diagnose", "--random", "--instances", "2000", "--seed", "0"]
+
+
+def run_tree(src: Path, argvs: list[list[str]], outdir: Path) -> list[dict]:
     """Every op's exit code, stdout, stderr and output-file digests under
     the source tree ``src``."""
-    argvs = json.dumps([list(op.argv) for op in ops])
     env = {**os.environ, **_ENV}
     env.pop("PYTHONPATH", None)
     done = subprocess.run(
         [sys.executable, "-c", _CHILD, str(src), str(outdir)],
-        input=argvs,
+        input=json.dumps(argvs),
         capture_output=True,
         text=True,
         env=env,
@@ -84,6 +91,20 @@ def run_tree(src: Path, ops, outdir: Path) -> list[dict]:
     if done.returncode != 0:
         raise RuntimeError(f"{src}: the child interpreter failed:\n{done.stderr}")
     return json.loads(done.stdout)
+
+
+def compare(names, argvs, outdir: Path, old_src: Path, new_src: Path) -> int:
+    """Run the ops ``argvs`` under both trees, print each named op whose
+    results differ, and return how many do."""
+    old = run_tree(old_src, argvs, outdir)
+    new = run_tree(new_src, argvs, outdir)
+    differing = 0
+    for name, argv, a, b in zip(names, argvs, old, new):
+        fields = [key for key in a if a[key] != b[key]]
+        if fields:
+            differing += 1
+            print(f"{name}: {', '.join(fields)} differ: {' '.join(argv)}")
+    return differing
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -96,21 +117,22 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     base = args.workdir or Path(tempfile.mkdtemp(prefix="same-bytes-"))
+    trees = (args.old_src, args.new_src)
     total = differing = 0
     for workload in WORKLOADS:
         for seed in args.seeds:
             workdir = base / f"{workload}-{seed}"
             ops = build(workload, seed, workdir)
-            old = run_tree(args.old_src, ops, workdir / "out")
-            new = run_tree(args.new_src, ops, workdir / "out")
-            for op, a, b in zip(ops, old, new):
-                fields = [key for key in a if a[key] != b[key]]
-                if fields:
-                    differing += 1
-                    print(f"{workload} seed {seed} op {op.id} ({op.kind}): "
-                          f"{', '.join(fields)} differ: {' '.join(op.argv)}")
+            names = [f"{workload} seed {seed} op {op.id} ({op.kind})" for op in ops]
+            argvs = [list(op.argv) for op in ops]
+            differing += compare(names, argvs, workdir / "out", *trees)
             total += len(ops)
             print(f"{workload} seed {seed}: {len(ops)} ops", file=sys.stderr)
+    outdir = base / "diagnose" / "out"
+    outdir.mkdir(parents=True)
+    argvs = [[*_DIAGNOSE, "--output", str(outdir / "diagnose.json")]]
+    differing += compare(["diagnose"], argvs, outdir, *trees)
+    total += 1
     print(f"{differing} of {total} ops differ (work directory {base})")
     return 1 if differing else 0
 
