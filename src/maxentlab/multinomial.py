@@ -56,12 +56,16 @@ def log_multinomial(counts: EmpiricalMeasure) -> float:
 
 def _log_likelihood(counts: np.ndarray, p: FiniteDistribution) -> np.ndarray:
     """``counts @ log p`` for each histogram row of ``counts``, ``-inf`` for a
-    row that counts an outcome outside ``p``'s support."""
+    row that counts an outcome outside ``p``'s support.
+
+    The product runs over the supported columns only: a zero-mass
+    outcome's ``-inf`` never enters it, and each row's sum keeps its bits
+    whichever other rows lie outside the support."""
     supported = p.support
-    out = np.full(counts.shape[0], -math.inf)
-    ok = ~(counts[:, ~supported] > 0).any(axis=1)
-    if np.any(ok):
-        out[ok] = counts[np.ix_(ok, supported)] @ p.log_probs[supported]
+    if supported.all():
+        return counts @ p.log_probs
+    out = counts[:, supported] @ p.log_probs[supported]
+    out[(counts[:, ~supported] > 0).any(axis=1)] = -math.inf
     return out
 
 

@@ -23,7 +23,6 @@ than a bound.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,31 +130,33 @@ def _check_cap(n: int, parts: int, cap: int, hint: str = "") -> int:
 
 def compositions(n: int, parts: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """All vectors of ``parts`` non-negative integers summing to ``n``, as
-    ``int64`` rows in lexicographic order.
+    C-contiguous ``int64`` rows in lexicographic order.
 
-    Stars and bars (Knuth, TAOCP 4A, 7.2.1.3): each composition is a choice
-    of ``parts - 1`` bar positions among ``n + parts - 1`` slots, and its
-    entries are the gaps between consecutive bars, with fixed end bars at
-    ``-1`` and ``n + parts - 1``.  Bar tuples come out of
-    ``itertools.combinations`` in lexicographic order, and so do the gaps.
+    The table is built one column at a time.  Each row prefix with
+    remainder ``r`` takes the values ``0..r`` in the next column, each
+    repeated once per composition of what remains over the columns after
+    it; those counts come from a table indexed by remainder.  The last
+    column is the remainder.
 
     Raises :class:`EnumerationCapExceeded` when the count would pass ``cap``,
     before anything is allocated.
     """
     total = _check_cap(n, parts, cap)
-    slots = n + parts - 1
-    bars = itertools.chain.from_iterable(
-        itertools.combinations(range(slots), parts - 1)
-    )
-    edges = np.empty((total, parts + 1), dtype=np.int64)
-    edges[:, 0] = -1
-    edges[:, 1:-1] = np.fromiter(bars, np.int64, total * (parts - 1)).reshape(
-        total, parts - 1
-    )
-    edges[:, -1] = slots
-    gaps = np.diff(edges, axis=1)
-    gaps -= 1
-    return gaps
+    out = np.empty((total, parts), dtype=np.int64)
+    # ways[k][m]: compositions of m over k + 1 columns, at most ``total``.
+    ways = [np.ones(n + 1, dtype=np.int64)]
+    for _ in range(parts - 2):
+        ways.append(np.cumsum(ways[-1]))
+    rem = np.array([n], dtype=np.int64)  # one remainder per prefix
+    for j in range(parts - 1):
+        sizes = rem + 1
+        ends = np.cumsum(sizes)
+        value = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+        rem = np.repeat(rem, sizes) - value
+        after = parts - 2 - j  # ways[after] counts over the columns after j
+        out[:, j] = np.repeat(value, ways[after][rem]) if after else value
+    out[:, -1] = rem
+    return out
 
 
 def _event_mask(counts: np.ndarray, constraints: ConstraintSet, n: int) -> np.ndarray:
@@ -334,6 +335,7 @@ def conditional_law(
     p: FiniteDistribution,
     constraints: ConstraintSet,
     n: int,
+    *,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ConditionalLaw:
     """Histogram-level conditional law given the event; masses sum to 1."""

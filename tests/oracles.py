@@ -7,14 +7,16 @@ certificate for one-sided projections.  None of it shares code paths with
 the library, except the object-path member evaluation (around the
 library's log-sum-exp, which has its own tests against scipy), the
 object-path energy-matching objective and the harness that swaps it (and
-the LP feasibility verdict) back into the identity suite, which are the
-library's earlier code paths kept as references for their array
-replacements, and the certificate's last condition, which re-runs the
-library's equality projection.
+the LP feasibility verdict) back into the identity suite, the
+stars-and-bars histogram table and the row-and-column histogram scorer,
+which are the library's earlier code paths kept as references for their
+array replacements, and the certificate's last condition, which re-runs
+the library's equality projection.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,6 +32,41 @@ def iter_compositions(n: int, parts: int):
     for first in range(n + 1):
         for rest in iter_compositions(n - first, parts - 1):
             yield (first,) + rest
+
+
+def stars_and_bars_compositions(n: int, parts: int) -> np.ndarray:
+    """The histogram table of ``compositions(n, parts)`` by stars and bars
+    (Knuth, TAOCP 4A, 7.2.1.3): each row is a choice of ``parts - 1`` bar
+    positions among ``n + parts - 1`` slots, read off as the gaps between
+    consecutive bars, with fixed end bars at ``-1`` and ``n + parts - 1``.
+    Bar tuples come out of ``itertools.combinations`` in lexicographic
+    order, and so do the gaps."""
+    total = math.comb(n + parts - 1, parts - 1)
+    slots = n + parts - 1
+    bars = itertools.chain.from_iterable(
+        itertools.combinations(range(slots), parts - 1)
+    )
+    edges = np.empty((total, parts + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, 1:-1] = np.fromiter(bars, np.int64, total * (parts - 1)).reshape(
+        total, parts - 1
+    )
+    edges[:, -1] = slots
+    gaps = np.diff(edges, axis=1)
+    gaps -= 1
+    return gaps
+
+
+def log_likelihood_rows_and_columns(counts: np.ndarray, p) -> np.ndarray:
+    """``counts @ log p`` per histogram row, ``-inf`` for a row that counts an
+    outcome outside ``p``'s support, by one product over a copy of the
+    supported rows and columns (``np.ix_``)."""
+    supported = p.support
+    out = np.full(counts.shape[0], -math.inf)
+    ok = ~(counts[:, ~supported] > 0).any(axis=1)
+    if np.any(ok):
+        out[ok] = counts[np.ix_(ok, supported)] @ p.log_probs[supported]
+    return out
 
 
 def exact_multinomial(counts) -> int:

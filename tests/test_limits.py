@@ -114,9 +114,8 @@ def test_enumeration_at_the_histogram_cap(parts, n):
     assert abs(report.identity_defect()) <= 1e-10
     assert elapsed <= 10.0
 
-    # The peak comes from a second, traced run: tracemalloc costs a few
-    # microseconds per Python allocation, and the enumeration makes one
-    # small iterator per histogram, so a traced run is ~4x slower.
+    # The peak comes from a second, traced run, so that tracemalloc's cost
+    # per Python allocation stays out of the timing above.
     tracemalloc.start()
     try:
         traced = enumerate_event(prior, event, n)

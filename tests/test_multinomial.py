@@ -28,6 +28,7 @@ from oracles import (
     exact_log_multinomial,
     iter_compositions,
     log_fraction,
+    log_likelihood_rows_and_columns,
 )
 
 
@@ -173,6 +174,41 @@ class TestLogHistogramProb:
                 for c in iter_compositions(n, parts)
             )
             assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def seeded_prior(kind: str, seed: int) -> FiniteDistribution:
+    """A prior over 1-8 outcomes: full support, some zero-mass outcomes (at
+    least one left), or all mass on one outcome."""
+    rng = substream(seed, 13)
+    parts = int(rng.integers(1, 9))
+    w = rng.random(parts) + 0.01
+    if kind == "zero-mass":
+        w[rng.random(parts) < 0.4] = 0.0
+        w[int(rng.integers(parts))] += 0.5
+    elif kind == "one-outcome":
+        w = np.zeros(parts)
+        w[int(rng.integers(parts))] = 1.0
+    return dist(*(w / w.sum()))
+
+
+class TestLogLikelihood:
+    @pytest.mark.parametrize("kind", ["full", "zero-mass", "one-outcome"])
+    def test_bit_equal_to_rows_and_columns_copy(self, kind):
+        # The table is scored with no copy of its rows; every row keeps the
+        # bits of the earlier product over the supported rows and columns,
+        # on the whole table and on a subset of its rows.
+        from maxentlab.multinomial import _log_likelihood
+        from maxentlab.sanov import compositions
+
+        for seed in range(100):
+            p = seeded_prior(kind, seed)
+            rng = substream(seed, 14)
+            counts = compositions(int(rng.integers(0, 13)), len(p))
+            subset = counts[rng.random(counts.shape[0]) < 0.3]
+            for table in (counts, subset):
+                got = _log_likelihood(table, p)
+                want = log_likelihood_rows_and_columns(table, p)
+                assert np.array_equal(got, want), (kind, seed)
 
 
 class TestStirling:

@@ -35,7 +35,12 @@ from maxentlab._rng import substream
 from maxentlab.jsonio import dump_json
 from maxentlab.projection import SolverOptions, project
 
-from oracles import binomial_tail_prob, iter_compositions, masked_log_ratio_loop
+from oracles import (
+    binomial_tail_prob,
+    iter_compositions,
+    masked_log_ratio_loop,
+    stars_and_bars_compositions,
+)
 
 
 def coin():
@@ -61,13 +66,15 @@ class TestCompositions:
         assert compositions(6, 4).shape == (num_compositions(6, 4), 4)
 
     def test_matches_reference_enumeration(self):
-        # Same rows in the same (lexicographic) order as the recursive oracle.
-        for parts in (1, 2, 3, 6):
-            for n in (0, 1, 2, 5, 9):
-                comps = compositions(n, parts)
-                assert comps.dtype == np.int64
-                want = list(iter_compositions(n, parts))
-                assert list(map(tuple, comps)) == want, (n, parts)
+        # Same rows in the same (lexicographic) order as the recursive oracle
+        # and the stars-and-bars table, C-contiguous int64.
+        grid = [(n, parts) for parts in range(1, 9) for n in range(13)]
+        for n, parts in grid + [(300, 3), (25, 5), (12, 6)]:
+            comps = compositions(n, parts)
+            assert comps.dtype == np.int64 and comps.flags.c_contiguous
+            assert np.array_equal(comps, stars_and_bars_compositions(n, parts))
+            want = list(iter_compositions(n, parts))
+            assert list(map(tuple, comps.tolist())) == want, (n, parts)
 
     def test_rows_sum_to_n(self):
         comps = compositions(7, 4)
@@ -230,6 +237,12 @@ class TestConditionalLaw:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="sample size must be at least 1"):
                 conditional_law(coin(), tail_event(0.8), 0)
+
+    def test_cap_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            conditional_law(coin(), tail_event(0.8), 10, 1000)
+        with pytest.raises(EnumerationCapExceeded):
+            conditional_law(coin(), tail_event(0.8), 10, cap=10)
 
     def test_masses_are_the_event_stats_weights(self):
         # The law and the identity decomposition condition the same

@@ -8,13 +8,20 @@ built once with ``perfbench/workloads.build``, into one work directory,
 and run in order under each tree by a child interpreter that imports only
 that tree.  An op's exit code, stdout, stderr and every file it writes
 under the work directory's ``out`` (the ``--output`` file, a curve CSV)
-are compared; the ops where any of them differ are listed.  One more op,
-``diagnose --random --instances 2000 --seed 0``, is compared the same
-way: the full seeded identity suite, whose 2,000 instances reach more of
-the Bogoliubov scan and the projection paths than the workloads'
-``diagnose`` batches.  A refactor that must keep the CLI's output
-byte-identical lists none.  Exit status: 0 when no op differs, 1
-otherwise.
+are compared; the ops where any of them differ are listed.  A few fixed
+ops that reach paths the workloads do not are compared the same way:
+
+- ``diagnose --random --instances 2000 --seed 0``, the full seeded
+  identity suite, whose 2,000 instances reach more of the Bogoliubov
+  scan and the projection paths than the workloads' ``diagnose`` batches;
+- exact ``sanov`` on a prior with zero-mass outcomes, plain, with
+  ``--nested`` and with ``--curve``, where histograms that count an
+  outcome outside the support score ``-inf``;
+- exact ``sanov`` on boundary events, whose ``P*`` is evaluated at the
+  capped parameters, on a full-support and a zero-mass prior.
+
+A refactor that must keep the CLI's output byte-identical lists none.
+Exit status: 0 when no op differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -75,6 +82,56 @@ _ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": 
 _DIAGNOSE = ["diagnose", "--random", "--instances", "2000", "--seed", "0"]
 
 
+def _event(row: list[float], kind: str, target: float) -> dict:
+    names = {"names": ["x"], "matrix": [row]}
+    return {"kinds": [kind], "targets": [target], "featureset": names}
+
+
+# Inputs of the fixed exact sanov ops.  Outcome "b" of the zero-mass prior
+# has no mass; the two boundary events' targets lie on the boundary of the
+# moment polytope (over the prior's support), so P* is not attained.
+_SANOV_INPUTS = {
+    "full-prior": {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
+    "zero-mass-prior": {"outcomes": ["a", "b", "c", "d"], "probs": [0.3, 0.0, 0.45, 0.25]},
+    "zero-mass-event": _event([0.0, 2.0, 1.0, -0.5], "ge", 0.55),
+    "zero-mass-inner": _event([0.0, 2.0, 1.0, -0.5], "ge", 0.75),
+    "boundary-event": _event([0.0, 1.0, 1.0], "ge", 1.0),
+    "zero-mass-boundary": _event([1.0, 1.0, 0.0, 0.0], "le", 0.0),
+}
+
+
+def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
+    """The names and argvs of the fixed ops, with their inputs written to
+    ``indir`` and their outputs sent to ``outdir``."""
+    path = {}
+    for name, obj in _SANOV_INPUTS.items():
+        path[name] = str(indir / f"{name}.json")
+        Path(path[name]).write_text(json.dumps(obj, sort_keys=True))
+
+    def sanov(prior: str, event: str, n: int, *extra: str) -> list[str]:
+        return ["sanov", "--prior", path[prior], "--constraints", path[event],
+                "--n", str(n), *extra]
+
+    zero_mass = sanov("zero-mass-prior", "zero-mass-event", 40)
+    ops = {
+        "diagnose": _DIAGNOSE,
+        "sanov zero-mass": zero_mass,
+        "sanov zero-mass --nested": [*zero_mass, "--nested", path["zero-mass-inner"]],
+        "sanov zero-mass --curve": [
+            *zero_mass, "--curve", "10,20,40",
+            "--curve-output", str(outdir / "curve.csv"),
+        ],
+        "sanov boundary": sanov("full-prior", "boundary-event", 300),
+        "sanov zero-mass boundary": sanov("zero-mass-prior", "zero-mass-boundary", 40),
+    }
+    names = list(ops)
+    argvs = [
+        [*argv, "--output", str(outdir / f"op{i}.json")]
+        for i, argv in enumerate(ops.values())
+    ]
+    return names, argvs
+
+
 def run_tree(src: Path, argvs: list[list[str]], outdir: Path) -> list[dict]:
     """Every op's exit code, stdout, stderr and output-file digests under
     the source tree ``src``."""
@@ -128,11 +185,12 @@ def main(argv: list[str] | None = None) -> int:
             differing += compare(names, argvs, workdir / "out", *trees)
             total += len(ops)
             print(f"{workload} seed {seed}: {len(ops)} ops", file=sys.stderr)
-    outdir = base / "diagnose" / "out"
-    outdir.mkdir(parents=True)
-    argvs = [[*_DIAGNOSE, "--output", str(outdir / "diagnose.json")]]
-    differing += compare(["diagnose"], argvs, outdir, *trees)
-    total += 1
+    indir, outdir = base / "fixed" / "in", base / "fixed" / "out"
+    indir.mkdir(parents=True)
+    outdir.mkdir()
+    names, argvs = fixed_ops(indir, outdir)
+    differing += compare(names, argvs, outdir, *trees)
+    total += len(argvs)
     print(f"{differing} of {total} ops differ (work directory {base})")
     return 1 if differing else 0
 
