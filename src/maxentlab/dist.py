@@ -12,8 +12,8 @@ Conventions, fixed once for the whole package:
   ``kl_divergence(Q, P) == E_{x~Q}[log(Q(x)/P(x))]``.
 
 Probabilities are kept in both linear and log domain; the log domain is
-authoritative for probability computations so that alphabets of ~5e4
-outcomes do not underflow.
+authoritative, so alphabets of ~5e4 outcomes do not underflow and an
+exponential-family member keeps its support where a probability underflows.
 """
 
 from __future__ import annotations
@@ -100,21 +100,22 @@ class FiniteDistribution:
                 f"probs sum to {total!r}; deviation from 1 exceeds "
                 f"{NORMALIZATION_SLACK}"
             )
-        self._store(outcomes, p / total)
+        p = p / total
+        with np.errstate(divide="ignore"):
+            self._store(outcomes, p, np.log(p))
 
     @classmethod
-    def _normalised(cls, outcomes: _Labels, p: np.ndarray) -> "FiniteDistribution":
+    def _normalised(cls, outcomes: _Labels, p, lp) -> "FiniteDistribution":
         """The distribution with probabilities ``p``, weights already divided
-        by their float sum as construction does; only finiteness is checked."""
+        by their float sum as construction does, and log-probabilities
+        ``lp``, kept as given; only finiteness of ``p`` is checked."""
         if not np.all(np.isfinite(p)):
             raise InputError("probs must be finite")
         dist = object.__new__(cls)
-        dist._store(outcomes, p)
+        dist._store(outcomes, p, lp)
         return dist
 
-    def _store(self, outcomes: _Labels, p: np.ndarray) -> None:
-        with np.errstate(divide="ignore"):
-            lp = np.log(p)
+    def _store(self, outcomes: _Labels, p: np.ndarray, lp: np.ndarray) -> None:
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "probs", _frozen_array(p))
         object.__setattr__(self, "log_probs", _frozen_array(lp))
@@ -124,8 +125,9 @@ class FiniteDistribution:
 
     @property
     def support(self) -> np.ndarray:
-        """Boolean mask of outcomes with strictly positive probability."""
-        return self.probs > 0.0
+        """Boolean mask of outcomes with a finite log-probability: those of
+        positive probability, and in a member also those that underflowed."""
+        return self.log_probs > -math.inf
 
     @classmethod
     def uniform(cls, outcomes) -> "FiniteDistribution":
@@ -369,12 +371,12 @@ def entropy(p: FiniteDistribution) -> float:
 def cross_entropy(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """Cross entropy ``H(P, Q) = E_{x~P}[-log Q(x)]`` in nats.
 
-    Returns ``inf`` exactly when some outcome has ``P(x) > 0`` and
-    ``Q(x) = 0``.
+    Returns ``inf`` exactly when some outcome in ``P``'s support lies
+    outside ``Q``'s.
     """
     _check_same_alphabet(p, q)
     mask = p.support
-    if np.any(q.probs[mask] == 0.0):
+    if np.any(q.log_probs[mask] == -math.inf):
         return math.inf
     return float(-np.dot(p.probs[mask], q.log_probs[mask]))
 
@@ -383,7 +385,7 @@ def kl_divergence(q: FiniteDistribution, p: FiniteDistribution) -> float:
     """Relative entropy ``D(Q || P) = E_{x~Q}[log(Q(x)/P(x))]`` in nats."""
     _check_same_alphabet(q, p)
     mask = q.support
-    if np.any(p.probs[mask] == 0.0):
+    if np.any(p.log_probs[mask] == -math.inf):
         return math.inf
     return float(np.dot(q.probs[mask], q.log_probs[mask] - p.log_probs[mask]))
 

@@ -48,15 +48,17 @@ def _logsumexp(a: np.ndarray) -> float:
 
 def _member(
     log_prior: np.ndarray, mask: np.ndarray, f_support: np.ndarray, lam: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """``A(lam)`` and the probabilities of the member ``P0 exp(lam . f - A)``
-    of the family whose arrays (:func:`_family_arrays`) are the first three
-    arguments; the feature rows are unread when ``lam`` is empty.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """``A(lam)`` and the probabilities and log-probabilities of the member
+    ``P0 exp(lam . f - A)`` of the family whose arrays
+    (:func:`_family_arrays`) are the first three arguments; the feature
+    rows are unread when ``lam`` is empty.
 
     Every member the package evaluates (a model, a solver iterate, a scaled
     variational family) goes through this function, so one ``lam`` gives
     the same bits on every path; the probabilities are divided by their
-    float sum as :class:`FiniteDistribution` divides its weights.
+    float sum as :class:`FiniteDistribution` divides its weights, and the sum's
+    log is subtracted from the log-probabilities, finite on the prior's support.
     """
     scores = log_prior[mask]
     if len(lam):
@@ -65,7 +67,8 @@ def _member(
     lp = np.array(log_prior, copy=True)
     lp[mask] = scores - log_z
     q = np.exp(lp)
-    return log_z, q / float(q.sum())
+    total = float(q.sum())
+    return log_z, q / total, lp - math.log(total)
 
 
 def _covariance(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -97,7 +100,7 @@ class ExpFamModel:
 
     ``lam`` is stored as a read-only float vector; a wrong shape or a
     non-finite entry raises :class:`InputError`.  The log-partition and the
-    member's probabilities are computed at construction (:func:`_member`);
+    member's (log-)probabilities are computed at construction (:func:`_member`);
     instances are immutable and safe to share across threads.
     """
 
@@ -112,12 +115,13 @@ class ExpFamModel:
             raise InputError(f"lambda has shape {lam.shape}, expected ({dim},)")
         if lam.size and not np.all(np.isfinite(lam)):
             raise InputError("natural parameters must be finite")
-        log_z, probs = _member(*_family_arrays(prior, features), lam)
+        log_z, probs, log_probs = _member(*_family_arrays(prior, features), lam)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "log_partition", log_z)
         object.__setattr__(self, "_probs", probs)
+        object.__setattr__(self, "_log_probs", log_probs)
 
     @property
     def dim(self) -> int:
@@ -130,7 +134,9 @@ class ExpFamModel:
 
     @cached_property
     def _dist(self) -> FiniteDistribution:
-        return FiniteDistribution._normalised(self.prior.outcomes, self._probs)
+        return FiniteDistribution._normalised(
+            self.prior.outcomes, self._probs, self._log_probs
+        )
 
     def with_lambda(self, lam) -> "ExpFamModel":
         return ExpFamModel(self.prior, self.features, lam)

@@ -435,9 +435,10 @@ def _random_simplex(rng: np.random.Generator, k: int, floor: float) -> np.ndarra
 
 
 def _bracketed_variational(rng: np.random.Generator, model: ExpFamModel):
-    """A seeded variational family whose Bogoliubov bounds for ``model``
-    have finite energy-matched gaps, with those two reports; ``None`` when
-    none of ``_CANDIDATES`` candidates has one."""
+    """The first of ``_CANDIDATES`` seeded variational families whose
+    energies match ``model``'s at a scale of the grid, with its two
+    Bogoliubov reports; ``None`` when none matches.  The scaled member
+    keeps the prior's support, so both gaps are finite."""
     prior, features, lam = model.prior, model.features, model.lam
     d, k = features.matrix.shape
     for attempt in range(_CANDIDATES):
@@ -456,16 +457,9 @@ def _bracketed_variational(rng: np.random.Generator, model: ExpFamModel):
         g = FeatureSet(tuple(f"g{i}" for i in range(d_var)), g_matrix)
         cand = ExpFamModel(prior, g, psi)
         try:
-            reports = bogoliubov(model, cand)
+            return cand, bogoliubov(model, cand)
         except EnergyMatchingError:
             continue
-        # Extreme matching scales can underflow the scaled model's tail to
-        # exact zero, making the gap float-infinite; resample those.
-        if all(
-            math.isfinite(r.residual) and math.isfinite(r.details["gap"])
-            for r in reports
-        ):
-            return cand, reports
     return None
 
 

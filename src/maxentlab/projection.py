@@ -435,7 +435,7 @@ def _solve(
 
     def dual_value(lam_t: np.ndarray):
         """``g(lam_t)`` and the member's probabilities at ``lam_t``."""
-        log_z, q_t = _member(*family, lam_t)
+        log_z, q_t, _ = _member(*family, lam_t)
         return log_z - float(np.dot(lam_t, alpha)), q_t
 
     def candidate_at(t: float):

@@ -213,6 +213,18 @@ def _masked_log_ratio(
     return float(np.cumsum(np.append(0.0, w * terms))[-1])
 
 
+def _rate_projection(p: FiniteDistribution, constraints: ConstraintSet, projection):
+    """``projection``, which must have been solved on ``p`` (else
+    :class:`DomainError`), so that ``P*`` keeps ``p``'s support; when it is
+    ``None``, ``p`` projected onto ``constraints`` at the default options."""
+    if projection is None:
+        return project_inequality(p, constraints)
+    prior = projection.model.prior
+    if prior.outcomes != p.outcomes or not np.array_equal(prior.probs, p.probs):
+        raise DomainError("the projection was solved on another prior")
+    return projection
+
+
 def _check_sample(p: FiniteDistribution, constraints: ConstraintSet, n: int) -> None:
     """Reject a sample size below 1 or above 2**63 - 1 and features over
     another alphabet."""
@@ -262,20 +274,15 @@ def _event_stats(
     ``log_w[sel]`` and ``lhp[sel]`` (all finite).
 
     ``divergence`` is ``D(mu || P*^n)`` (not divided by ``n``) for the
-    conditional law ``mu`` given the selection, infinite when ``P*`` has no
-    support on a histogram of positive conditional mass; ``mu_bar`` is that
-    law's mean empirical measure.
+    conditional law ``mu`` given the selection, finite because ``P*`` keeps
+    the support of the ``p`` that scored ``lhp``; ``mu_bar`` is that law's
+    mean empirical measure.
     """
     sub = comps[sel]
     sel_lhp = lhp[sel]
     log_prob, weights = _condition(sel_lhp)
-    star_scores = _log_likelihood(sub, p_star)
-    if np.any(np.isneginf(star_scores) & (weights > 0)):
-        divergence = math.inf
-    else:
-        per_hist = (sel_lhp - log_prob) - log_w[sel] - star_scores
-        divergence = float(np.dot(weights, per_hist))
-    return log_prob, divergence, weights @ (sub / n)
+    per_hist = (sel_lhp - log_prob) - log_w[sel] - _log_likelihood(sub, p_star)
+    return log_prob, float(np.dot(weights, per_hist)), weights @ (sub / n)
 
 
 def enumerate_event(
@@ -297,27 +304,19 @@ def enumerate_event(
     comps, mask, log_w, lhp = _enumerate(p, constraints, n, cap)
     sel = mask & (lhp > -math.inf)
 
-    if projection is None:
-        projection = project_inequality(p, constraints)
+    projection = _rate_projection(p, constraints, projection)
     empty = projection.status is Status.INFEASIBLE or not np.any(sel)
     log_prob, conditional_div, gap, residual = -math.inf, math.nan, math.nan, math.nan
     if not empty:
         p_star = projection.model.to_distribution()
         log_prob, divergence, mu_bar = _event_stats(comps, log_w, lhp, sel, p_star, n)
-        # Grouped conditional divergence (1/n) D(mu_A || P*^n).  It is
-        # infinite when the capped projection has no support on part of the
-        # event, and then the identity cannot close.
+        # Grouped conditional divergence (1/n) D(mu_A || P*^n), and the
+        # Pythagorean gap (E_mu_bar - E_P*)[log(P*/P)].
         conditional_div = divergence / n
-        if math.isinf(divergence):
-            residual = math.inf
-        else:
-            # Pythagorean gap: (E_mu_bar - E_P*)[log(P*/P)].
-            log_ratio_mu = _masked_log_ratio(mu_bar, p_star.log_probs, p.log_probs)
-            log_ratio_star = _masked_log_ratio(
-                p_star.probs, p_star.log_probs, p.log_probs
-            )
-            gap = log_ratio_mu - log_ratio_star
-            residual = conditional_div + gap
+        log_ratio_mu = _masked_log_ratio(mu_bar, p_star.log_probs, p.log_probs)
+        log_ratio_star = _masked_log_ratio(p_star.probs, p_star.log_probs, p.log_probs)
+        gap = log_ratio_mu - log_ratio_star
+        residual = conditional_div + gap
     return _sanov_report(
         projection,
         n=n,
@@ -362,8 +361,7 @@ def gibbs_conditioning_curve(
     residual tends to zero but is not asserted monotone; consumers compare
     endpoints.
     """
-    if projection is None:
-        projection = project_inequality(p, constraints)
+    projection = _rate_projection(p, constraints, projection)
     return [
         enumerate_event(p, constraints, n, cap=cap, projection=projection)
         for n in n_list
@@ -408,8 +406,7 @@ def nested_relative_probability(
     if not np.any(mask_outer & finite) or not np.any(mask_inner & finite):
         raise EmptyEvent("both events must have positive probability")
 
-    if projection is None:
-        projection = project_inequality(p, outer)
+    projection = _rate_projection(p, outer, projection)
     p_star = projection.model.to_distribution()
     log_prob_outer, div_outer, mu_bar_outer = _event_stats(
         comps, log_w, lhp, mask_outer & finite, p_star, n
@@ -479,6 +476,7 @@ def monte_carlo_event(
     _check_sample(p, constraints, n)
     if trials < 1:
         raise DomainError("need at least one trial")
+    projection = _rate_projection(p, constraints, projection)
 
     probs, lumped = _outcome_classes(p, constraints)
     num_chunks = (trials + _MC_CHUNK - 1) // _MC_CHUNK
@@ -497,8 +495,6 @@ def monte_carlo_event(
 
     hits = sum(ordered_map(run_chunk, range(num_chunks), threads))
 
-    if projection is None:
-        projection = project_inequality(p, constraints)
     low, high = _wilson_interval(hits, trials)
     if hits == 0:
         log_prob = -math.inf

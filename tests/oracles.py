@@ -212,11 +212,12 @@ def match_scale_full_grid(objective, lo: float = 1e-3, hi: float = 1e3):
 
 
 def member_objects(log_prior, mask, f_support, lam):
-    """``A(lam)`` and the member's probabilities by the float operations the
-    object path used before the member kernel, in its order: the
-    log-partition's tilt and log-sum-exp, the model's log-probabilities
-    shifted in place (the tilt computed a second time), their exponential,
-    and the distribution's division by the float sum."""
+    """``A(lam)`` and the member's probabilities and log-probabilities by
+    the float operations the object path used before the member kernel, in
+    its order: the log-partition's tilt and log-sum-exp, the model's
+    log-probabilities shifted in place (the tilt computed a second time),
+    their exponential, and the distribution's division by the float sum;
+    the log of that sum is subtracted from the log-probabilities."""
     from maxentlab.expfam import _logsumexp
 
     scores = log_prior[mask]
@@ -229,7 +230,7 @@ def member_objects(log_prior, mask, f_support, lam):
     lp[mask] += -log_z
     q = np.exp(lp)
     total = float(q.sum())
-    return log_z, q / total
+    return log_z, q / total, lp - math.log(total)
 
 
 def upper_defect_objects(target, variational):

@@ -431,19 +431,27 @@ def test_diagnose_fixture_files(files):
     assert abs(pyth[0]["residual"]) <= 1e-10
 
 
-def test_diagnose_identity_failure_exits_5(files, capsys):
-    # At lambda = 800 the model's probabilities of a and b underflow to 0,
-    # where the data put mass: both sides of three identities are infinite
-    # and their residuals inf - inf fail.
-    tmp, write = files
+def _diagnose_at_lambda(write, out, lam: float) -> list[str]:
+    """``diagnose`` argv of a three-outcome model at ``lambda = lam`` whose
+    data put mass where the model's probabilities underflow for large
+    ``lam``."""
     prior = {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]}
     data = {"outcomes": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]}
-    out = tmp / "diag.json"
     argv = ["diagnose", "--prior", write("p.json", prior), "--output", str(out)]
     argv += ["--features", write("f.json", {"names": ["f"], "matrix": [[0, 1, 2]]})]
     argv += ["--data", write("d.json", data)]
-    argv += ["--model-lambda", write("lam.json", [800.0])]
-    assert main(argv) == 5
+    return argv + ["--model-lambda", write("lam.json", [lam])]
+
+
+def test_diagnose_identity_failure_exits_5(files, capsys):
+    # At lambda = 1e8 both sides of three identities are about 1.3e8 nats,
+    # whose float spacing is ~1.5e-8: their residuals, about 1.1e-6, are
+    # rounding, finite but above the 1e-8 tolerance.  (They are not
+    # inf - inf: the model keeps finite log-probabilities where its
+    # probabilities underflow to 0.)
+    tmp, write = files
+    out = tmp / "diag.json"
+    assert main(_diagnose_at_lambda(write, out, 1e8)) == 5
     assert (
         "identity failures: ['pretend_data_identity', 'pythagorean', 'robustness']"
         in capsys.readouterr().err
@@ -451,8 +459,22 @@ def test_diagnose_identity_failure_exits_5(files, capsys):
     report = json.loads(out.read_text())
     assert report["all_pass"] is False
     failed = [r for r in report["instances"][0]["reports"] if not r["pass"]]
-    assert all(r["lhs"] == r["rhs"] == math.inf for r in failed)
-    assert all(math.isnan(r["residual"]) for r in failed)
+    assert all(math.isfinite(r["lhs"]) and math.isfinite(r["rhs"]) for r in failed)
+    assert all(math.isfinite(r["residual"]) for r in failed)
+    assert all(abs(r["residual"]) > 1e-8 for r in failed)
+
+
+def test_diagnose_underflowed_model_probabilities_exit_0(files):
+    # At lambda = 800 the model's probabilities of a and b underflow to 0,
+    # where the data put mass; the divergence to the model is still finite,
+    # KL = H(data, model) - H(data) = 1039.58, and every identity holds.
+    tmp, write = files
+    out = tmp / "diag.json"
+    assert main(_diagnose_at_lambda(write, out, 800.0)) == 0
+    report = json.loads(out.read_text())
+    assert report["all_pass"] is True
+    by_name = {r["name"]: r for r in report["instances"][0]["reports"]}
+    assert by_name["pythagorean"]["lhs"] == pytest.approx(1039.5817400390024, rel=1e-12)
 
 
 def test_diagnose_corrupted_model_file(files, capsys):

@@ -165,13 +165,50 @@ class TestMemberKernel:
     def test_bit_equal_to_object_path(self, member):
         prior, features, lam = member
         args = (prior.log_probs, prior.support, features.matrix[:, prior.support], lam)
-        log_z, q = _member(*args)
-        ref_z, ref_q = member_objects(*args)
+        log_z, q, lp = _member(*args)
+        ref_z, ref_q, ref_lp = member_objects(*args)
         assert log_z.hex() == ref_z.hex()
         assert q.tobytes() == ref_q.tobytes()
+        assert lp.tobytes() == ref_lp.tobytes()
         model = ExpFamModel(prior, features, lam)
         assert model.log_partition.hex() == ref_z.hex()
         assert model.to_distribution().probs.tobytes() == ref_q.tobytes()
+        assert model.to_distribution().log_probs.tobytes() == ref_lp.tobytes()
+
+    def test_underflowed_outcomes_keep_their_log_probabilities(self):
+        # At lambda = 800 the probabilities of a and b underflow to 0, but
+        # the member keeps the log-probabilities it is computed in.
+        prior = FiniteDistribution(["a", "b", "c"], [0.2, 0.3, 0.5])
+        model = ExpFamModel(prior, FeatureSet(["f"], [[0.0, 1.0, 2.0]]), [800.0])
+        member = model.to_distribution()
+        assert member.probs.tolist() == [0.0, 0.0, 1.0]
+        want = [-1600.9162907318741, -800.5108256237661, 0.0]
+        np.testing.assert_allclose(member.log_probs, want, rtol=1e-12)
+        assert member.support.all()
+        data = FiniteDistribution(["a", "b", "c"], [0.5, 0.3, 0.2])
+        kl = kl_divergence(data, member)
+        assert kl == pytest.approx(1039.5817400390024, rel=1e-12)
+        assert kl == pytest.approx(
+            model_cross_entropy(model, data) - entropy(data), rel=1e-12
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        member=_members(),
+        lams=st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8),
+    )
+    def test_members_keep_the_prior_support(self, member, lams):
+        prior, features, _ = member
+        d = features.dim
+        a = ExpFamModel(prior, features, lams[:d])
+        b = ExpFamModel(prior, features, lams[4 : 4 + d])
+        for model in (a, b):
+            assert np.array_equal(model.to_distribution().support, prior.support)
+        # Between near-equal members both sides are differences of terms of
+        # size |lam| |f| ~ 1e4, rounded at ~1e-12: hence the absolute floor.
+        assert kl_divergence(a.to_distribution(), b.to_distribution()) == pytest.approx(
+            deviance(a, b), rel=1e-9, abs=1e-9
+        )
 
 
 class TestMeanParameters:

@@ -517,6 +517,52 @@ class TestMonteCarlo:
         assert inside >= 17
 
 
+# Each sanov entry point that takes a solved projection, called on
+# (p, constraints, projection).
+_TAKES_PROJECTION = {
+    "enumerate_event": lambda p, c, proj: enumerate_event(p, c, 10, projection=proj),
+    "gibbs_conditioning_curve": lambda p, c, proj: gibbs_conditioning_curve(
+        p, c, [5, 10], projection=proj
+    ),
+    "nested_relative_probability": lambda p, c, proj: nested_relative_probability(
+        p, c, c, 10, projection=proj
+    ),
+    "monte_carlo_event": lambda p, c, proj: monte_carlo_event(
+        p, c, 10, 100, projection=proj
+    ),
+}
+
+
+class TestRateProjection:
+    @pytest.mark.parametrize("entry", sorted(_TAKES_PROJECTION))
+    @pytest.mark.parametrize(
+        "foreign",
+        [
+            FiniteDistribution(["0", "1"], [0.4, 0.6]),
+            FiniteDistribution(["h", "t"], [0.5, 0.5]),
+        ],
+        ids=["other-probs", "other-outcomes"],
+    )
+    def test_projection_of_another_prior_is_rejected(self, entry, foreign):
+        projection = project(foreign, tail_event(0.8))
+        with pytest.raises(DomainError, match="another prior"):
+            _TAKES_PROJECTION[entry](coin(), tail_event(0.8), projection)
+
+    def test_zero_mass_boundary_event_is_finite(self):
+        # A boundary event over a prior with a zero-mass outcome: P* is the
+        # capped iterate and keeps the prior's support, so the conditional
+        # divergence and the residual are finite and the identity closes.
+        p = FiniteDistribution(list("abcd"), [0.3, 0.0, 0.45, 0.25])
+        event = ConstraintSet(FeatureSet(["x"], [[1.0, 1.0, 0.0, 0.0]]), ["le"], [0.0])
+        report = enumerate_event(p, event, 40)
+        assert report.boundary_projection
+        p_star = report.projection.model.to_distribution()
+        assert np.array_equal(p_star.support, p.support)
+        assert math.isfinite(report.conditional_divergence)
+        assert math.isfinite(report.residual)
+        assert report.identity_defect() == pytest.approx(0.0, abs=1e-12)
+
+
 def _same_float(a: float, b: float) -> bool:
     """Bit equality, which tells -0.0 from +0.0."""
     return struct.pack("<d", a) == struct.pack("<d", b)

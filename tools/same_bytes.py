@@ -14,6 +14,9 @@ ops that reach paths the workloads do not are compared the same way:
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
   identity suite, whose 2,000 instances reach more of the Bogoliubov
   scan and the projection paths than the workloads' ``diagnose`` batches;
+- ``diagnose`` on files: a three-outcome model at ``lambda = 800``, whose
+  probabilities underflow to 0 where the data put mass, so the identities
+  read the model's log-probabilities, not the logs of its probabilities;
 - exact ``sanov`` on a prior with zero-mass outcomes, plain, with
   ``--nested`` and with ``--curve``, where histograms that count an
   outcome outside the support score ``-inf``;
@@ -87,11 +90,15 @@ def _event(row: list[float], kind: str, target: float) -> dict:
     return {"kinds": [kind], "targets": [target], "featureset": names}
 
 
-# Inputs of the fixed exact sanov ops.  Outcome "b" of the zero-mass prior
-# has no mass; the two boundary events' targets lie on the boundary of the
-# moment polytope (over the prior's support), so P* is not attained.
-_SANOV_INPUTS = {
+# Inputs of the fixed ops.  Outcome "b" of the zero-mass prior has no mass;
+# the two boundary events' targets lie on the boundary of the moment polytope
+# (over the prior's support), so P* is not attained.  At lambda = 800 the
+# model on the full prior puts probability 0.0 on "a" and "b".
+_INPUTS = {
     "full-prior": {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
+    "ramp-features": {"names": ["f"], "matrix": [[0.0, 1.0, 2.0]]},
+    "ramp-data": {"outcomes": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]},
+    "lambda-800": [800.0],
     "zero-mass-prior": {"outcomes": ["a", "b", "c", "d"], "probs": [0.3, 0.0, 0.45, 0.25]},
     "zero-mass-event": _event([0.0, 2.0, 1.0, -0.5], "ge", 0.55),
     "zero-mass-inner": _event([0.0, 2.0, 1.0, -0.5], "ge", 0.75),
@@ -104,7 +111,7 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
     """The names and argvs of the fixed ops, with their inputs written to
     ``indir`` and their outputs sent to ``outdir``."""
     path = {}
-    for name, obj in _SANOV_INPUTS.items():
+    for name, obj in _INPUTS.items():
         path[name] = str(indir / f"{name}.json")
         Path(path[name]).write_text(json.dumps(obj, sort_keys=True))
 
@@ -115,6 +122,11 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
     zero_mass = sanov("zero-mass-prior", "zero-mass-event", 40)
     ops = {
         "diagnose": _DIAGNOSE,
+        "diagnose underflowed model": [
+            "diagnose", "--prior", path["full-prior"],
+            "--features", path["ramp-features"], "--data", path["ramp-data"],
+            "--model-lambda", path["lambda-800"],
+        ],
         "sanov zero-mass": zero_mass,
         "sanov zero-mass --nested": [*zero_mass, "--nested", path["zero-mass-inner"]],
         "sanov zero-mass --curve": [
