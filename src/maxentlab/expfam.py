@@ -138,6 +138,13 @@ class ExpFamModel:
             self.prior.outcomes, self._probs, self._log_probs
         )
 
+    @cached_property
+    def _energies(self) -> tuple[float, float]:
+        """The member's own :func:`internal_energy` and :func:`free_energy`,
+        evaluated once per model: every Bogoliubov candidate scaled against
+        a target reads the target's."""
+        return internal_energy(self, self._dist), free_energy(self, self._dist)
+
     def with_lambda(self, lam) -> "ExpFamModel":
         return ExpFamModel(self.prior, self.features, lam)
 

@@ -51,7 +51,6 @@ from .expfam import (
     _family_arrays,
     _member,
     free_energy,
-    internal_energy,
     mean_parameters,
 )
 from .jsonio import _fields_json
@@ -259,14 +258,16 @@ def bogoliubov(
     Each matching condition is scanned on the scale grid in one array call
     and solved by ``brentq`` on its scalar form (:func:`_match_scale`,
     :func:`_upper_defect`), so models are built only for the two matched
-    scales.  Both bounds share one body and the target's free energy.
+    scales.  Both bounds share one body and the target's energies, which
+    the target model evaluates once for every variational family scaled
+    against it.
     """
     if target.prior.outcomes != variational.prior.outcomes or not np.array_equal(
         target.prior.probs, variational.prior.probs
     ):
         raise DomainError("both families must share the same prior")
     p_target = target.to_distribution()
-    u_target = internal_energy(target, p_target)
+    u_target, f_target = target._energies
     psi = variational.lam
     g_target = moments(p_target, variational.features)
 
@@ -277,7 +278,6 @@ def bogoliubov(
             return u_target + np.outer(c, psi) @ g_target
         return u_target - float(-np.dot(c * psi, g_target))
 
-    f_target = free_energy(target, p_target)
     reports = []
     # sign +1: the upper bound, gap = +D(P_c || P_lam) >= 0; sign -1: the
     # lower bound, gap = -D(P_lam || P_c) <= 0.

@@ -21,7 +21,11 @@ ops that reach paths the workloads do not are compared the same way:
   ``--nested`` and with ``--curve``, where histograms that count an
   outcome outside the support score ``-inf``;
 - exact ``sanov`` on boundary events, whose ``P*`` is evaluated at the
-  capped parameters, on a full-support and a zero-mass prior.
+  capped parameters, on a full-support and a zero-mass prior;
+- output shapes of the JSON writer that no workload writes: ``project
+  --trace`` (a list of trace dicts) with ``--dump-config`` (the resolved
+  options), ``project`` on non-ASCII outcome labels (``\\u`` escapes) and
+  ``fit --data``.
 
 A refactor that must keep the CLI's output byte-identical lists none.
 Exit status: 0 when no op differs, 1 otherwise.
@@ -93,7 +97,9 @@ def _event(row: list[float], kind: str, target: float) -> dict:
 # Inputs of the fixed ops.  Outcome "b" of the zero-mass prior has no mass;
 # the two boundary events' targets lie on the boundary of the moment polytope
 # (over the prior's support), so P* is not attained.  At lambda = 800 the
-# model on the full prior puts probability 0.0 on "a" and "b".
+# model on the full prior puts probability 0.0 on "a" and "b".  The outcome
+# labels of the non-ASCII prior are written as ``\u`` escapes, one of them a
+# surrogate pair.
 _INPUTS = {
     "full-prior": {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
     "ramp-features": {"names": ["f"], "matrix": [[0.0, 1.0, 2.0]]},
@@ -104,6 +110,10 @@ _INPUTS = {
     "zero-mass-inner": _event([0.0, 2.0, 1.0, -0.5], "ge", 0.75),
     "boundary-event": _event([0.0, 1.0, 1.0], "ge", 1.0),
     "zero-mass-boundary": _event([1.0, 1.0, 0.0, 0.0], "le", 0.0),
+    "ramp-event": _event([0.0, 1.0, 2.0], "eq", 1.2),
+    "non-ascii-prior": {
+        "outcomes": ["\u00e4", "\u03bb", "\U0001f600"], "probs": [0.2, 0.3, 0.5],
+    },
 }
 
 
@@ -135,6 +145,19 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         ],
         "sanov boundary": sanov("full-prior", "boundary-event", 300),
         "sanov zero-mass boundary": sanov("zero-mass-prior", "zero-mass-boundary", 40),
+        "project --trace --dump-config": [
+            "project", "--prior", path["full-prior"],
+            "--constraints", path["ramp-event"],
+            "--trace", "--dump-config", str(outdir / "config.json"),
+        ],
+        "project non-ASCII labels": [
+            "project", "--prior", path["non-ascii-prior"],
+            "--constraints", path["ramp-event"],
+        ],
+        "fit --data": [
+            "fit", "--prior", path["full-prior"], "--features", path["ramp-features"],
+            "--data", path["ramp-data"],
+        ],
     }
     names = list(ops)
     argvs = [
