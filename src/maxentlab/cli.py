@@ -256,6 +256,7 @@ def cmd_sanov(args) -> int:
     _require_args(args, "prior", "constraints", "n")
     prior = _load(FiniteDistribution, args.prior)
     constraints = _load(ConstraintSet, args.constraints)
+    inner = None if args.nested is None else _load(ConstraintSet, args.nested)
     # Every enumeration the command will run is checked against the cap
     # before any of them starts; a Monte Carlo report alone needs no count.
     cap = sv.DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
@@ -285,8 +286,7 @@ def cmd_sanov(args) -> int:
     else:
         report = sv.enumerate_event(prior, constraints, args.n, cap=cap)
     out = report.to_json()
-    if args.nested is not None:
-        inner = _load(ConstraintSet, args.nested)
+    if inner is not None:
         nested = sv.nested_relative_probability(
             prior, constraints, inner, args.n, cap=cap, projection=report.projection
         )

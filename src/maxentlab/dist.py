@@ -355,6 +355,12 @@ def _json_labels(obj: dict, key: str, what: str) -> list:
     return labels
 
 
+def _same_prior(a: FiniteDistribution, b: FiniteDistribution) -> bool:
+    """Whether ``a`` and ``b`` are one prior: the same outcomes, in order,
+    and bit-equal probabilities."""
+    return a.outcomes == b.outcomes and np.array_equal(a.probs, b.probs)
+
+
 def _check_same_alphabet(a: FiniteDistribution, b: FiniteDistribution) -> None:
     if not a.same_alphabet(b):
         raise AlphabetMismatch(

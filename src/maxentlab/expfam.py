@@ -22,6 +22,7 @@ from .dist import (
     FiniteDistribution,
     _frozen_array,
     _require_keys,
+    _same_prior,
     cross_entropy,
     entropy,
     kl_divergence,
@@ -150,8 +151,7 @@ class ExpFamModel:
 
     def same_family(self, other: "ExpFamModel") -> bool:
         return (
-            self.prior.outcomes == other.prior.outcomes
-            and np.array_equal(self.prior.probs, other.prior.probs)
+            _same_prior(self.prior, other.prior)
             and np.array_equal(self.features.matrix, other.features.matrix)
         )
 

@@ -40,6 +40,7 @@ from .dist import (
     ConstraintSet,
     FeatureSet,
     FiniteDistribution,
+    _same_prior,
     cross_entropy,
     entropy,
     kl_divergence,
@@ -262,9 +263,7 @@ def bogoliubov(
     the target model evaluates once for every variational family scaled
     against it.
     """
-    if target.prior.outcomes != variational.prior.outcomes or not np.array_equal(
-        target.prior.probs, variational.prior.probs
-    ):
+    if not _same_prior(target.prior, variational.prior):
         raise DomainError("both families must share the same prior")
     p_target = target.to_distribution()
     u_target, f_target = target._energies

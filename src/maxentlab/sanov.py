@@ -18,6 +18,19 @@ projected moments, which is the textbook setting); for half-space events
 it is non-negative, and the three-term identity above closes exactly for
 *any* reference distribution, which is what makes it an identity rather
 than a bound.
+
+Every exact report is read off its event's law, in three steps.  One
+histogram table per ``(p, n)`` (:func:`_table`) holds each histogram's log
+multinomial coefficient and log-probability under ``P``; an event selects
+rows of it (:func:`_event_rows`).  One function turns a selection into the
+event's law (:func:`_event_law`): ``log Pr``, ``D(mu_A || P*^n)`` and the
+mean empirical measure ``mu_bar``.  One body (:func:`_exact_laws`) runs the
+checks, the table, the projection and the laws for both
+:func:`enumerate_event` and :func:`nested_relative_probability`, and
+:func:`conditional_law` reads the same table and selection.  ``sanov
+--nested`` still enumerates its table twice, once in each of those two
+public calls: each call stands alone, and the nested check's table is no
+larger than the main report's.
 """
 
 from __future__ import annotations
@@ -29,7 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import ordered_map, substream
-from .dist import ConstraintSet, FeatureSet, FiniteDistribution, constraint_mask
+from .dist import (
+    ConstraintSet,
+    FeatureSet,
+    FiniteDistribution,
+    _same_prior,
+    constraint_mask,
+)
 from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .expfam import _logsumexp
 from .identities import TOL_CLOSED_FORM, IdentityReport, _report
@@ -197,20 +216,16 @@ def _outcome_classes(
 def _masked_log_ratio(
     weights: np.ndarray, num_log: np.ndarray, den_log: np.ndarray
 ) -> float:
-    """``sum_i weights[i] * (num_log[i] - den_log[i])`` with 0 * (+-inf) = 0.
+    """``sum_i weights[i] * (num_log[i] - den_log[i])`` over the non-zero
+    weights, added left to right.
 
-    Returns ``inf`` when positive weight meets a ``-inf`` numerator term's
-    counterpart (support violation of the denominator distribution); the
-    first infinite term decides.  Finite terms are summed left to right.
+    The logs are ``p``'s and ``P*``'s, both ``-inf`` exactly outside ``p``'s
+    support (``P*`` keeps it), where the weights are zero; every term summed
+    is finite.
     """
     used = weights != 0.0
-    w = weights[used]
-    terms = num_log[used] - den_log[used]
-    infinite = np.isinf(terms)
-    if np.any(infinite):
-        i = int(np.argmax(infinite))
-        return math.inf if (terms[i] > 0) == (w[i] > 0) else -math.inf
-    return float(np.cumsum(np.append(0.0, w * terms))[-1])
+    terms = weights[used] * (num_log[used] - den_log[used])
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 def _rate_projection(p: FiniteDistribution, constraints: ConstraintSet, projection):
@@ -219,8 +234,7 @@ def _rate_projection(p: FiniteDistribution, constraints: ConstraintSet, projecti
     ``None``, ``p`` projected onto ``constraints`` at the default options."""
     if projection is None:
         return project_inequality(p, constraints)
-    prior = projection.model.prior
-    if prior.outcomes != p.outcomes or not np.array_equal(prior.probs, p.probs):
+    if not _same_prior(projection.model.prior, p):
         raise DomainError("the projection was solved on another prior")
     return projection
 
@@ -235,54 +249,80 @@ def _check_sample(p: FiniteDistribution, constraints: ConstraintSet, n: int) -> 
     constraints.features.check_alphabet(p)
 
 
-def _enumerate(p: FiniteDistribution, constraints: ConstraintSet, n: int, cap: int):
+def _table(p: FiniteDistribution, n: int, cap: int):
     """Every histogram of ``n >= 1`` samples over ``p``'s alphabet, as
-    ``(histograms, event mask, log multinomial coefficients, log
-    probabilities under p)``.
-
-    The log-factorials come from one table over ``0..n`` built by
-    :func:`maxentlab.multinomial._log_factorials`, whose values equal
-    ``gammaln(c + 1)``.
+    ``(histograms, log multinomial coefficients, log probabilities under
+    p)``; it depends on ``p`` and ``n`` only.  The log-factorials come from
+    one table over ``0..n`` (:func:`maxentlab.multinomial._log_factorials`),
+    whose values equal ``gammaln(c + 1)``.
     """
-    _check_sample(p, constraints, n)
     comps = compositions(n, len(p), cap)
-    mask = _event_mask(comps, constraints, n)
     log_fact = _log_factorials(n)
     log_w = log_fact[n] - log_fact[comps].sum(axis=1)
     log_probs = _log_likelihood(comps, p)
     log_probs += log_w
-    return comps, mask, log_w, log_probs
+    return comps, log_w, log_probs
 
 
-def _condition(lhp: np.ndarray) -> tuple[float, np.ndarray]:
-    """``(log Pr, conditional weights)`` of histograms with finite
-    log-probabilities ``lhp``."""
-    log_prob = _logsumexp(lhp)
-    return log_prob, np.exp(lhp - log_prob)
+def _event_rows(table, constraints: ConstraintSet, n: int):
+    """``(mask, selection)`` over the rows of ``table``: the histograms in
+    the event, and those of them with positive probability under ``p``."""
+    mask = _event_mask(table[0], constraints, n)
+    return mask, mask & (table[2] > -math.inf)
 
 
-def _event_stats(
-    comps: np.ndarray,
-    log_w: np.ndarray,
-    lhp: np.ndarray,
-    sel: np.ndarray,
-    p_star: FiniteDistribution,
-    n: int,
-) -> tuple[float, float, np.ndarray]:
-    """``(log_prob, divergence, mu_bar)`` of the histograms ``comps[sel]``,
-    whose log multinomial coefficients and log-probabilities are
-    ``log_w[sel]`` and ``lhp[sel]`` (all finite).
+def _event_law(table, sel: np.ndarray, n: int, p_star=None):
+    """``(log_prob, divergence, mu_bar)`` of the event whose supported rows
+    of ``table`` are ``sel`` (not all false).
 
-    ``divergence`` is ``D(mu || P*^n)`` (not divided by ``n``) for the
-    conditional law ``mu`` given the selection, finite because ``P*`` keeps
-    the support of the ``p`` that scored ``lhp``; ``mu_bar`` is that law's
-    mean empirical measure.
+    ``mu`` is the law conditioned on the event, with weight
+    ``exp(lhp - log_prob)`` on each selected histogram; ``mu_bar`` is its
+    mean empirical measure.  ``divergence`` is ``D(mu || P*^n)`` (not
+    divided by ``n``), summed per histogram and finite because ``P*``
+    keeps the support of the ``p`` that scored the table; it is NaN when
+    no ``p_star`` is given.
     """
+    comps, log_w, lhp = table
     sub = comps[sel]
     sel_lhp = lhp[sel]
-    log_prob, weights = _condition(sel_lhp)
+    log_prob = _logsumexp(sel_lhp)
+    weights = np.exp(sel_lhp - log_prob)
+    mu_bar = weights @ (sub / n)
+    if p_star is None:
+        return log_prob, math.nan, mu_bar
     per_hist = (sel_lhp - log_prob) - log_w[sel] - _log_likelihood(sub, p_star)
-    return log_prob, float(np.dot(weights, per_hist)), weights @ (sub / n)
+    return log_prob, float(np.dot(weights, per_hist)), mu_bar
+
+
+def _exact_laws(p, constraints, n, cap, projection, inner=None):
+    """The body of the exact reports: one table of ``p`` at ``n``, the
+    projection onto ``constraints`` (:func:`_rate_projection`) and the law
+    of each event on that table.
+
+    Returns ``(projection, P*, histograms in the event, laws)``; ``laws``
+    holds the event's law, ``None`` when no supported histogram lies in
+    it, then ``inner``'s when given.  Before anything is projected,
+    ``inner`` must lie inside the event (else :class:`DomainError`) and
+    hold a supported histogram (else :class:`EmptyEvent`).
+    """
+    _check_sample(p, constraints, n)
+    table = _table(p, n, cap)
+    mask, sel = _event_rows(table, constraints, n)
+    sels = [sel]
+    if inner is not None:
+        inner.features.check_alphabet(p)
+        inner_mask, inner_sel = _event_rows(table, inner, n)
+        if np.any(inner_mask & ~mask):
+            raise DomainError(
+                "inner event is not contained in the outer event at this n"
+            )
+        if not np.any(inner_sel):
+            raise EmptyEvent("both events must have positive probability")
+        sels.append(inner_sel)
+    projection = _rate_projection(p, constraints, projection)
+    p_star = projection.model.to_distribution()
+    laws = [_event_law(table, s, n, p_star) if np.any(s) else None for s in sels]
+    return projection, p_star, int(mask.sum()), laws
 
 
 def enumerate_event(
@@ -301,15 +341,11 @@ def enumerate_event(
     default solver options unless given as ``projection``, and then it is
     not solved again.
     """
-    comps, mask, log_w, lhp = _enumerate(p, constraints, n, cap)
-    sel = mask & (lhp > -math.inf)
-
-    projection = _rate_projection(p, constraints, projection)
-    empty = projection.status is Status.INFEASIBLE or not np.any(sel)
+    projection, p_star, count, (law,) = _exact_laws(p, constraints, n, cap, projection)
+    empty = projection.status is Status.INFEASIBLE or law is None
     log_prob, conditional_div, gap, residual = -math.inf, math.nan, math.nan, math.nan
     if not empty:
-        p_star = projection.model.to_distribution()
-        log_prob, divergence, mu_bar = _event_stats(comps, log_w, lhp, sel, p_star, n)
+        log_prob, divergence, mu_bar = law
         # Grouped conditional divergence (1/n) D(mu_A || P*^n), and the
         # Pythagorean gap (E_mu_bar - E_P*)[log(P*/P)].
         conditional_div = divergence / n
@@ -322,7 +358,7 @@ def enumerate_event(
         n=n,
         log_prob=log_prob,
         residual=residual,
-        num_histograms_in_event=int(mask.sum()),
+        num_histograms_in_event=count,
         method=Method.EXACT,
         conditional_divergence=conditional_div,
         pythagorean_gap=gap,
@@ -338,12 +374,14 @@ def conditional_law(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ConditionalLaw:
     """Histogram-level conditional law given the event; masses sum to 1."""
-    comps, mask, _, lhp = _enumerate(p, constraints, n, cap)
-    sel = mask & (lhp > -math.inf)
+    _check_sample(p, constraints, n)
+    table = _table(p, n, cap)
+    comps, _, lhp = table
+    _, sel = _event_rows(table, constraints, n)
     if not np.any(sel):
         raise EmptyEvent("the event has probability zero at this sample size")
-    _, masses = _condition(lhp[sel])
-    return ConditionalLaw(histograms=comps[sel], masses=masses, n=n)
+    log_prob, _, _ = _event_law(table, sel, n)
+    return ConditionalLaw(comps[sel], np.exp(lhp[sel] - log_prob), n)
 
 
 def gibbs_conditioning_curve(
@@ -395,39 +433,19 @@ def nested_relative_probability(
     that has already projected ``p`` onto ``outer`` passes the result as
     ``projection``, and it is not solved again.
     """
-    comps, mask_outer, log_w, lhp = _enumerate(p, outer, n, cap)
-    inner.features.check_alphabet(p)
-    mask_inner = _event_mask(comps, inner, n)
-    if np.any(mask_inner & ~mask_outer):
-        raise DomainError(
-            "inner event is not contained in the outer event at this n"
-        )
-    finite = lhp > -math.inf
-    if not np.any(mask_outer & finite) or not np.any(mask_inner & finite):
-        raise EmptyEvent("both events must have positive probability")
-
-    projection = _rate_projection(p, outer, projection)
-    p_star = projection.model.to_distribution()
-    log_prob_outer, div_outer, mu_bar_outer = _event_stats(
-        comps, log_w, lhp, mask_outer & finite, p_star, n
-    )
-    log_prob_inner, div_inner, mu_bar_inner = _event_stats(
-        comps, log_w, lhp, mask_inner & finite, p_star, n
-    )
-
-    direct = log_prob_inner - log_prob_outer
-    slack = n * _masked_log_ratio(
-        mu_bar_inner - mu_bar_outer, p.log_probs, p_star.log_probs
-    )
-    formula = -(div_inner - div_outer) + slack
+    _, p_star, _, laws = _exact_laws(p, outer, n, cap, projection, inner)
+    (log_prob_a, div_a, mu_bar_a), (log_prob_b, div_b, mu_bar_b) = laws
+    direct = log_prob_b - log_prob_a
+    slack = n * _masked_log_ratio(mu_bar_b - mu_bar_a, p.log_probs, p_star.log_probs)
+    formula = -(div_b - div_a) + slack
     return _report(
         "nested_relative_probability",
         direct,
         formula,
         TOL_CLOSED_FORM,
         {
-            "divergence_inner": div_inner / n,
-            "divergence_outer": div_outer / n,
+            "divergence_inner": div_b / n,
+            "divergence_outer": div_a / n,
             "slack": slack,
         },
     )

@@ -136,16 +136,11 @@ def binomial_tail_prob(n: int, k_min: int) -> Fraction:
 
 
 def masked_log_ratio_loop(weights, num_log, den_log) -> float:
-    """``sum_i w_i (a_i - b_i)`` term by term, skipping zero weights; the
-    first infinite term returns an infinity of its sign times its weight's."""
+    """``sum_i w_i (a_i - b_i)`` term by term, skipping zero weights."""
     total = 0.0
     for w, a, b in zip(weights, num_log, den_log):
-        if w == 0.0:
-            continue
-        term = a - b
-        if math.isinf(term):
-            return math.inf if (term > 0) == (w > 0) else -math.inf
-        total += float(w) * float(term)
+        if w != 0.0:
+            total += float(w) * float(a - b)
     return total
 
 

@@ -846,6 +846,58 @@ def test_sanov_cap_checked_before_monte_carlo(files, monkeypatch, capsys, extra)
     assert not (tmp / "curve.csv").exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--monte-carlo", "--trials", "100"]])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"kinds": ["ge"], "targets": [0.9]',
+            "b.json: line 1, column 35: Expecting ',' delimiter",
+        ),
+        (
+            json.dumps({"kinds": ["ge"], "featureset": FEATURES}),
+            "constraintset: missing field 'targets'",
+        ),
+    ],
+    ids=["syntax", "schema"],
+)
+def test_sanov_malformed_nested_file_fails_before_the_run(
+    files, monkeypatch, capsys, extra, text, message
+):
+    # The --nested file is read with the other inputs: a malformed one
+    # exits 2 before anything is enumerated or sampled.
+    from maxentlab import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the main run started before --nested was read")
+
+    monkeypatch.setattr(cli.sv, "enumerate_event", refuse)
+    monkeypatch.setattr(cli.sv, "monte_carlo_event", refuse)
+    tmp, write = files
+    bad = tmp / "b.json"
+    bad.write_text(text)
+    out = tmp / "s.json"
+    code = main(
+        [
+            "sanov",
+            "--prior",
+            write("p.json", PRIOR),
+            "--constraints",
+            write("a.json", CONSTRAINTS_GE),
+            "--n",
+            "10",
+            "--nested",
+            str(bad),
+            "--output",
+            str(out),
+        ]
+        + extra
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sanov_monte_carlo_alone_counts_no_histograms(files, monkeypatch):
     from maxentlab import cli
 

@@ -249,12 +249,11 @@ class TestConditionalLaw:
         # histograms with the same weights, to the bit.
         p, event, n = coin(), tail_event(0.8), 10
         law = conditional_law(p, event, n)
-        comps, mask, log_w, lhp = sanov._enumerate(
-            p, event, n, sanov.DEFAULT_ENUMERATION_CAP
-        )
-        sel = mask & (lhp > -math.inf)
+        table = sanov._table(p, n, sanov.DEFAULT_ENUMERATION_CAP)
+        comps, _, lhp = table
+        _, sel = sanov._event_rows(table, event, n)
         p_star = enumerate_event(p, event, n).projection.model.to_distribution()
-        log_prob, _, mu_bar = sanov._event_stats(comps, log_w, lhp, sel, p_star, n)
+        log_prob, _, mu_bar = sanov._event_law(table, sel, n, p_star)
         assert np.array_equal(law.histograms, comps[sel])
         assert np.array_equal(law.masses, np.exp(lhp[sel] - log_prob))
         assert np.array_equal(law.masses @ (law.histograms / n), mu_bar)
@@ -347,6 +346,42 @@ class TestNestedEvents:
         rep = nested_relative_probability(coin(), outer, inner, 10)
         assert rep.passed
         assert rep.details["slack"] == pytest.approx(0.0, abs=1e-9)
+
+
+def _zero_mass_events():
+    """A prior with a zero-mass outcome and a nested pair of half-spaces."""
+    p = FiniteDistribution(list("abcd"), [0.3, 0.0, 0.45, 0.25])
+    f = FeatureSet(["x"], [[0.0, 2.0, 1.0, -0.5]])
+    return p, ConstraintSet(f, ["ge"], [0.55]), ConstraintSet(f, ["ge"], [0.75]), 40
+
+
+def _boundary_events():
+    """An event whose target lies on the moment polytope's boundary, so
+    ``P*`` is the capped iterate; the inner event is the event itself."""
+    p = FiniteDistribution(list("abc"), [0.2, 0.3, 0.5])
+    event = ConstraintSet(FeatureSet(["x"], [[0.0, 1.0, 1.0]]), ["ge"], [1.0])
+    return p, event, event, 30
+
+
+class TestSharedLaw:
+    """Every exact report reads its event's law off one function."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (coin(), tail_event(0.8), tail_event(0.9), 10),
+            _zero_mass_events,
+            _boundary_events,
+        ],
+        ids=["coin", "zero-mass", "boundary"],
+    )
+    def test_outer_divergence_is_the_event_reports(self, case):
+        p, outer, inner, n = case()
+        nested = nested_relative_probability(p, outer, inner, n)
+        report = enumerate_event(p, outer, n)
+        assert _same_float(
+            nested.details["divergence_outer"], report.conditional_divergence
+        )
 
 
 class TestMonteCarlo:
@@ -576,37 +611,20 @@ class TestMaskedLogRatio:
         st.integers(1, 5000),
         st.integers(0, 2**32 - 1),
         st.sampled_from([0.0, 0.2, 0.9]),
-        st.sampled_from([0.0, 0.0005, 0.01, 0.3]),
+        st.booleans(),
     )
-    def test_bit_equal_to_loop(self, k, seed, zero_share, inf_share):
+    def test_bit_equal_to_loop(self, k, seed, zero_share, off_support):
         rng = np.random.default_rng(seed)
         weights = rng.normal(size=k)
         weights[rng.random(k) < zero_share] = 0.0
         num_log = rng.normal(scale=3.0, size=k)
         den_log = rng.normal(scale=3.0, size=k)
-        # A -inf numerator gives a -inf term, a -inf denominator a +inf one.
-        u = rng.random(k)
-        num_log[u < inf_share / 2] = -math.inf
-        den_log[(u >= inf_share / 2) & (u < inf_share)] = -math.inf
+        if off_support:
+            # Outside p's support both logs are -inf and the weight is zero.
+            num_log[weights == 0.0] = den_log[weights == 0.0] = -math.inf
         want = masked_log_ratio_loop(weights, num_log, den_log)
         got = sanov._masked_log_ratio(weights, num_log, den_log)
         assert _same_float(got, want), (got, want)
-
-    def test_first_infinity_decides(self):
-        fin, ninf = 0.5, -math.inf
-        weights = np.array([1.0, 0.0, 2.0, 3.0, -1.0])
-        # Term 1 is infinite under zero weight and is skipped; term 2 is
-        # -inf, term 3 +inf: the first one met wins.
-        num_log = np.array([fin, ninf, ninf, fin, fin])
-        den_log = np.array([0.1, 0.2, 0.3, ninf, 0.4])
-        assert sanov._masked_log_ratio(weights, num_log, den_log) == -math.inf
-        assert masked_log_ratio_loop(weights, num_log, den_log) == -math.inf
-        flipped = np.array([fin, ninf, fin, fin, fin]), np.array(
-            [0.1, 0.2, ninf, 0.3, 0.4]
-        )
-        assert sanov._masked_log_ratio(weights, *flipped) == math.inf
-        # A negative weight flips the sign of its infinite term.
-        assert sanov._masked_log_ratio(-weights, *flipped) == -math.inf
 
     def test_zero_weights_and_signed_zero(self):
         zeros = np.zeros(4)

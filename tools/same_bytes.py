@@ -22,6 +22,10 @@ ops that reach paths the workloads do not are compared the same way:
   outcome outside the support score ``-inf``;
 - exact ``sanov`` on boundary events, whose ``P*`` is evaluated at the
   capped parameters, on a full-support and a zero-mass prior;
+- exact ``sanov --nested`` on three faulty inner events, each exit 2: one
+  not contained in the outer event (``DomainError``), one that holds only
+  histograms of probability zero (``EmptyEvent``) and a file that lacks a
+  field;
 - output shapes of the JSON writer that no workload writes: ``project
   --trace`` (a list of trace dicts) with ``--dump-config`` (the resolved
   options), ``project`` on non-ASCII outcome labels (``\\u`` escapes) and
@@ -96,7 +100,9 @@ def _event(row: list[float], kind: str, target: float) -> dict:
 
 # Inputs of the fixed ops.  Outcome "b" of the zero-mass prior has no mass;
 # the two boundary events' targets lie on the boundary of the moment polytope
-# (over the prior's support), so P* is not attained.  At lambda = 800 the
+# (over the prior's support), so P* is not attained.  Of the faulty inner
+# events of the zero-mass prior, "le" admits histograms outside the outer
+# event, and a mean of 1.5 or more needs outcome "b".  At lambda = 800 the
 # model on the full prior puts probability 0.0 on "a" and "b".  The outcome
 # labels of the non-ASCII prior are written as ``\u`` escapes, one of them a
 # surrogate pair.
@@ -108,6 +114,9 @@ _INPUTS = {
     "zero-mass-prior": {"outcomes": ["a", "b", "c", "d"], "probs": [0.3, 0.0, 0.45, 0.25]},
     "zero-mass-event": _event([0.0, 2.0, 1.0, -0.5], "ge", 0.55),
     "zero-mass-inner": _event([0.0, 2.0, 1.0, -0.5], "ge", 0.75),
+    "uncontained-inner": _event([0.0, 2.0, 1.0, -0.5], "le", 0.75),
+    "empty-inner": _event([0.0, 2.0, 1.0, -0.5], "ge", 1.5),
+    "malformed-inner": {"kinds": ["ge"], "featureset": {"names": ["x"]}},
     "boundary-event": _event([0.0, 1.0, 1.0], "ge", 1.0),
     "zero-mass-boundary": _event([1.0, 1.0, 0.0, 0.0], "le", 0.0),
     "ramp-event": _event([0.0, 1.0, 2.0], "eq", 1.2),
@@ -130,6 +139,10 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
                 "--n", str(n), *extra]
 
     zero_mass = sanov("zero-mass-prior", "zero-mass-event", 40)
+
+    def nested(inner: str) -> list[str]:
+        return [*zero_mass, "--nested", path[inner]]
+
     ops = {
         "diagnose": _DIAGNOSE,
         "diagnose underflowed model": [
@@ -138,7 +151,10 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
             "--model-lambda", path["lambda-800"],
         ],
         "sanov zero-mass": zero_mass,
-        "sanov zero-mass --nested": [*zero_mass, "--nested", path["zero-mass-inner"]],
+        "sanov zero-mass --nested": nested("zero-mass-inner"),
+        "sanov --nested uncontained inner": nested("uncontained-inner"),
+        "sanov --nested empty inner": nested("empty-inner"),
+        "sanov --nested malformed inner": nested("malformed-inner"),
         "sanov zero-mass --curve": [
             *zero_mass, "--curve", "10,20,40",
             "--curve-output", str(outdir / "curve.csv"),
