@@ -31,6 +31,7 @@ from .dist import (
     FeatureSet,
     FiniteDistribution,
     _float_array,
+    _json_numbers,
     _require_keys,
     moments,
     total_variation,
@@ -206,7 +207,7 @@ def _diagnose_from_files(args, opts: SolverOptions):
         obj = load_json(args.model_lambda)
         if not isinstance(obj, list):
             raise InputError(f"{args.model_lambda}: expected a JSON array")
-        lam = _float_array(obj, "--model-lambda")
+        lam = _float_array(_json_numbers(obj, "--model-lambda"), "--model-lambda")
     model = ExpFamModel(prior, features, lam)
     star = ident._project_to_moments(prior, features, data, opts)
     reports = [

@@ -154,7 +154,8 @@ class FiniteDistribution:
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteDistribution":
         _require_keys(obj, ("outcomes", "probs"), "distribution")
-        return cls(_json_labels(obj, "outcomes", "distribution"), obj["probs"])
+        outcomes = _json_labels(obj, "outcomes", "distribution")
+        return cls(outcomes, _json_numbers(obj["probs"], "probs"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +209,8 @@ class FeatureSet:
     @classmethod
     def from_json(cls, obj: dict) -> "FeatureSet":
         _require_keys(obj, ("names", "matrix"), "featureset")
-        return cls(_json_labels(obj, "names", "featureset"), obj["matrix"])
+        names = _json_labels(obj, "names", "featureset")
+        return cls(names, _json_numbers(obj["matrix"], "feature matrix"))
 
 
 class ConstraintKind(str, enum.Enum):
@@ -275,9 +277,9 @@ class ConstraintSet:
     @classmethod
     def from_json(cls, obj: dict) -> "ConstraintSet":
         _require_keys(obj, ("kinds", "targets", "featureset"), "constraintset")
-        return cls(
-            FeatureSet.from_json(obj["featureset"]), obj["kinds"], obj["targets"]
-        )
+        features = FeatureSet.from_json(obj["featureset"])
+        targets = _json_numbers(obj["targets"], "constraint targets")
+        return cls(features, obj["kinds"], targets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +335,7 @@ class EmpiricalMeasure:
     @classmethod
     def from_json(cls, obj: dict) -> "EmpiricalMeasure":
         _require_keys(obj, ("counts",), "empirical measure")
-        return cls(obj["counts"])
+        return cls(_json_numbers(obj["counts"], "counts"))
 
 
 def _require_keys(obj: dict, keys, what: str) -> None:
@@ -353,6 +355,20 @@ def _json_labels(obj: dict, key: str, what: str) -> list:
     if not isinstance(labels, list):
         raise InputError(f"{what}: {key} must be an array of labels, got {labels!r}")
     return labels
+
+
+def _json_numbers(values, what: str):
+    """``values`` (a number or nested arrays of numbers read from JSON) as
+    given, once no JSON boolean is among them: numpy would read ``true``
+    and ``false`` as 1 and 0.  Each array's item types are collected in
+    one C-level pass; only items that are arrays are visited again."""
+    types = set(map(type, values)) if isinstance(values, list) else {type(values)}
+    if bool in types:
+        raise InputError(f"{what} must be numbers, got a JSON boolean")
+    if list in types:
+        for item in values:
+            _json_numbers(item, what)
+    return values
 
 
 def _same_prior(a: FiniteDistribution, b: FiniteDistribution) -> bool:

@@ -21,6 +21,7 @@ from .dist import (
     FeatureSet,
     FiniteDistribution,
     _frozen_array,
+    _json_numbers,
     _require_keys,
     _same_prior,
     cross_entropy,
@@ -168,7 +169,7 @@ class ExpFamModel:
         return cls(
             FiniteDistribution.from_json(obj["prior"]),
             FeatureSet.from_json(obj["features"]),
-            obj["lambda"],
+            _json_numbers(obj["lambda"], "lambda"),
         )
 
 

@@ -18,11 +18,12 @@ projected distribution) are checked in their prior-relative general form
 for non-uniform priors; the mode used is recorded in the report details.
 
 Random instances build no object and solve no LP in their inner loops:
-the Bogoliubov energy-matching scan evaluates its objective on the whole
-scale grid in one array call, and each projection of an instance
-certifies its targets interior by its member, else by the distribution
-whose moments it matches (:func:`_project_to_moments`); both give the
-output of the paths they replace.
+the lower Bogoliubov bound's energy match, linear in the scale, is solved
+in closed form before the upper bound's scan, which evaluates its
+objective on the whole scale grid in one array call; each projection of
+an instance certifies its targets interior by its member, else by the
+distribution whose moments it matches (:func:`_project_to_moments`); both
+give the output of the paths they replace.
 """
 
 from __future__ import annotations
@@ -218,12 +219,14 @@ def _upper_defect(target: ExpFamModel, variational: ExpFamModel):
     return upper_defect
 
 
-# The energy-matching scan's scales, in order.
+# The energy-matching scales: the scan's grid, in order, whose ends bound
+# every matched scale.
 _SCALE_GRID = np.geomspace(1e-3, 1e3, 61)
+_NO_MATCH = "no parameter scaling in [1e-3, 1e3] matches the energies"
 
 
 def _match_scale(objective) -> float:
-    """Root of a scalar energy-matching condition on the scale ``c``.
+    """Root of the upper bound's energy-matching condition on the scale ``c``.
 
     ``objective`` takes a scale or a 1-D array of scales.  One array call
     evaluates the log-spaced grid; the first exact zero or sign change in
@@ -234,9 +237,7 @@ def _match_scale(objective) -> float:
     hits = values == 0.0
     hits[1:] |= values[:-1] * values[1:] < 0
     if not hits.any():
-        raise EnergyMatchingError(
-            "no parameter scaling in [1e-3, 1e3] matches the energies"
-        )
+        raise EnergyMatchingError(_NO_MATCH)
     k = int(hits.argmax())
     if values[k] == 0.0:
         return float(_SCALE_GRID[k])
@@ -256,8 +257,11 @@ def bogoliubov(
     gap is ``-D(P_lam || P_psi)``.  Each report's residual is the gap
     mismatch; the sign condition is folded into the pass flag.
 
-    Each matching condition is scanned on the scale grid in one array call
-    and solved by ``brentq`` on its scalar form (:func:`_match_scale`,
+    The lower condition, ``U_target + c psi . E_target[g] = 0``, is linear
+    in ``c`` and solved in closed form first, so a family it rejects (a
+    zero slope, or a root outside ``[1e-3, 1e3]``) costs no upper scan.
+    The upper condition is scanned on the scale grid in one array call and
+    solved by ``brentq`` on its scalar form (:func:`_match_scale`,
     :func:`_upper_defect`), so models are built only for the two matched
     scales.  Both bounds share one body and the target's energies, which
     the target model evaluates once for every variational family scaled
@@ -268,23 +272,19 @@ def bogoliubov(
     p_target = target.to_distribution()
     u_target, f_target = target._energies
     psi = variational.lam
-    g_target = moments(p_target, variational.features)
-
-    def lower_defect(c):
-        # internal_energy(_scaled(variational, c), p_target), without
-        # building the scaled model and its log-partition.
-        if np.ndim(c):
-            return u_target + np.outer(c, psi) @ g_target
-        return u_target - float(-np.dot(c * psi, g_target))
+    slope = float(np.dot(psi, moments(p_target, variational.features)))
+    lower = -u_target / slope if slope else math.nan
+    if not _SCALE_GRID[0] <= lower <= _SCALE_GRID[-1]:
+        raise EnergyMatchingError(_NO_MATCH)
+    upper = _match_scale(_upper_defect(target, variational))
 
     reports = []
     # sign +1: the upper bound, gap = +D(P_c || P_lam) >= 0; sign -1: the
     # lower bound, gap = -D(P_lam || P_c) <= 0.
-    for name, sign, objective in (
-        ("bogoliubov_upper", 1.0, _upper_defect(target, variational)),
-        ("bogoliubov_lower", -1.0, lower_defect),
+    for name, sign, c in (
+        ("bogoliubov_upper", 1.0, upper),
+        ("bogoliubov_lower", -1.0, lower),
     ):
-        c = _match_scale(objective)
         scaled = variational.with_lambda(c * psi)
         p_c = scaled.to_distribution()
         f_c = free_energy(scaled, p_c)

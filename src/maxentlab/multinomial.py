@@ -5,7 +5,8 @@ The count vector ``(n_1, ..., n_D)`` of ``n`` i.i.d. draws from ``P`` has
 probability ``n!/(n_1! ... n_D!) * prod_i P_i^{n_i}``.  Everything here is
 computed in the log domain via ``lgamma`` so that alphabets of tens of
 thousands of outcomes are exact to float precision.  Each formula exists
-once here; :mod:`maxentlab.sanov` scores histograms with ``_log_likelihood``.
+once here; :mod:`maxentlab.sanov` weighs and scores its histogram tables
+with ``_log_multinomial`` and ``_log_likelihood``.
 """
 
 from __future__ import annotations
@@ -37,30 +38,38 @@ def _log_factorials(m: int) -> np.ndarray:
     return gammaln(np.arange(1, m + 2))
 
 
-def _log_multinomial(c: np.ndarray, n: int) -> float:
-    """``log(n! / (c_1! ... c_D!))`` for a count vector ``c`` summing to ``n``.
+def _log_multinomial(c: np.ndarray, n: int):
+    """``log(n! / (c_1! ... c_D!))`` for a count vector ``c`` summing to
+    ``n`` (a numpy float), or for each row of a table ``c`` of such vectors
+    (an array).
 
     A table over ``0..max(c)`` costs no more than ``gammaln`` per count only
-    while ``max(c) <= len(c)``; past that ``gammaln(c + 1)`` is called
-    directly, so time and memory follow D, not n.  Both give the same bits.
+    while ``max(c)`` is at most the number of counts; past that
+    ``gammaln(c + 1)`` is called directly, so time and memory follow the
+    counts, not n.  Both give the same bits.
     """
     top = int(c.max())
     log_fact = _log_factorials(top)[c] if top <= c.size else gammaln(c + 1)
-    return float(gammaln(n + 1) - log_fact.sum())
+    return gammaln(n + 1) - log_fact.sum(axis=-1)
 
 
 def log_multinomial(counts: EmpiricalMeasure) -> float:
     """Log of the multinomial coefficient ``n! / (n_1! ... n_D!)``."""
-    return _log_multinomial(counts.counts, counts.n)
+    return float(_log_multinomial(counts.counts, counts.n))
 
 
 def _log_likelihood(counts: np.ndarray, p: FiniteDistribution) -> np.ndarray:
     """``counts @ log p`` for each histogram row of ``counts``, ``-inf`` for a
-    row that counts an outcome outside ``p``'s support.
+    row that counts an outcome outside ``p``'s support.  Rows over an
+    alphabet of another size than ``p``'s raise :class:`ShapeMismatch`.
 
     The product runs over the supported columns only: a zero-mass
     outcome's ``-inf`` never enters it, and each row's sum keeps its bits
     whichever other rows lie outside the support."""
+    if counts.shape[1] != len(p):
+        raise ShapeMismatch(
+            f"histogram over {counts.shape[1]} outcomes, distribution over {len(p)}"
+        )
     supported = p.support
     if supported.all():
         return counts @ p.log_probs
@@ -74,12 +83,7 @@ def log_histogram_prob(counts: EmpiricalMeasure, p: FiniteDistribution) -> float
 
     Returns ``-inf`` when some outcome with zero probability was counted.
     """
-    c = counts.counts
-    if c.shape[0] != len(p):
-        raise ShapeMismatch(
-            f"histogram over {c.shape[0]} outcomes, distribution over {len(p)}"
-        )
-    return log_multinomial(counts) + float(_log_likelihood(c[None, :], p)[0])
+    return log_multinomial(counts) + float(_log_likelihood(counts.counts[None], p)[0])
 
 
 def _counts_entropy_nats(c: np.ndarray, n: int) -> float:
@@ -139,13 +143,14 @@ def describe_histogram(
     undefined.
     """
     c, n = counts.counts, counts.n
+    coefficient = log_multinomial(counts)
     if np.any(c == 0):
         correction = None
     else:
         correction = _first_order_correction(c, n)
     return HistogramLogProb(
-        exact_log_prob=log_histogram_prob(counts, p),
-        log_multinomial=log_multinomial(counts),
+        exact_log_prob=coefficient + float(_log_likelihood(c[None], p)[0]),
+        log_multinomial=coefficient,
         stirling_zeroth=_counts_entropy_nats(c, n),
         stirling_first_correction=correction,
         n=counts.n,
@@ -200,7 +205,7 @@ def _experiment_cell(
     weights = _sample_weights(rng, mode, alphabet_size)
     counts = rng.multinomial(n, weights)
     pos = counts > 0
-    exact = _log_multinomial(counts, n)
+    exact = float(_log_multinomial(counts, n))
     zeroth = _counts_entropy_nats(counts, n)
     # The correction product runs over observed bins only: Stirling is not
     # valid at 0!, whose exact contribution (log 1 = 0) is kept instead.

@@ -53,7 +53,7 @@ from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .expfam import _logsumexp
 from .identities import TOL_CLOSED_FORM, IdentityReport, _report
 from .jsonio import _fields_json
-from .multinomial import _MAX_SAMPLE_SIZE, _log_factorials, _log_likelihood
+from .multinomial import _MAX_SAMPLE_SIZE, _log_likelihood, _log_multinomial
 from .projection import ProjectionResult, Status, project_inequality
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -252,13 +252,11 @@ def _check_sample(p: FiniteDistribution, constraints: ConstraintSet, n: int) -> 
 def _table(p: FiniteDistribution, n: int, cap: int):
     """Every histogram of ``n >= 1`` samples over ``p``'s alphabet, as
     ``(histograms, log multinomial coefficients, log probabilities under
-    p)``; it depends on ``p`` and ``n`` only.  The log-factorials come from
-    one table over ``0..n`` (:func:`maxentlab.multinomial._log_factorials`),
-    whose values equal ``gammaln(c + 1)``.
+    p)``; it depends on ``p`` and ``n`` only.  The coefficients are
+    :func:`maxentlab.multinomial._log_multinomial`'s, row by row.
     """
     comps = compositions(n, len(p), cap)
-    log_fact = _log_factorials(n)
-    log_w = log_fact[n] - log_fact[comps].sum(axis=1)
+    log_w = _log_multinomial(comps, n)
     log_probs = _log_likelihood(comps, p)
     log_probs += log_w
     return comps, log_w, log_probs

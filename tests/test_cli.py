@@ -543,6 +543,26 @@ def test_diagnose_featureless_files(files):
             {**CONSTRAINTS_EQ, "targets": [float("nan")]},
             "constraint targets must be finite",
         ),
+        # JSON booleans, which numpy would read as 1 and 0.
+        (
+            "project",
+            "prior",
+            {**PRIOR, "probs": [True, False]},
+            "probs must be numbers",
+        ),
+        (
+            "fit",
+            "features",
+            {**FEATURES, "matrix": [[False, True]]},
+            "feature matrix must be numbers",
+        ),
+        (
+            "project",
+            "constraints",
+            {**CONSTRAINTS_EQ, "targets": [True]},
+            "constraint targets must be numbers",
+        ),
+        ("diagnose", "model-lambda", [True], "--model-lambda must be numbers"),
     ],
     ids=[
         "string-prob",
@@ -559,6 +579,10 @@ def test_diagnose_featureless_files(files):
         "kinds-outnumber-features",
         "infinite-feature",
         "nan-target",
+        "boolean-probs",
+        "boolean-matrix",
+        "boolean-target",
+        "boolean-lambda",
     ],
 )
 def test_malformed_values_exit_2(files, capsys, command, name, bad, field):

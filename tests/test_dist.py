@@ -318,6 +318,37 @@ class TestJsonRoundTrips:
         m = EmpiricalMeasure([1, 2])
         assert EmpiricalMeasure.from_json(m.to_json()).n == 3
 
+    @pytest.mark.parametrize(
+        "cls, obj, field",
+        [
+            (
+                FiniteDistribution,
+                {"outcomes": ["a", "b"], "probs": [True, 0.0]},
+                "probs",
+            ),
+            (
+                FeatureSet,
+                {"names": ["u", "v"], "matrix": [[0.5, 1.0], [2.0, False]]},
+                "feature matrix",
+            ),
+            (
+                ConstraintSet,
+                {
+                    "kinds": ["ge"],
+                    "targets": [False],
+                    "featureset": {"names": ["x"], "matrix": [[0.0, 1.0]]},
+                },
+                "constraint targets",
+            ),
+            (EmpiricalMeasure, {"counts": [True, 2]}, "counts"),
+        ],
+        ids=["probs", "nested-matrix", "targets", "counts"],
+    )
+    def test_booleans_are_not_numbers(self, cls, obj, field):
+        # numpy would read true and false as 1 and 0.
+        with pytest.raises(InputError, match=f"{field} must be numbers"):
+            cls.from_json(obj)
+
     def test_missing_field_diagnostic(self):
         with pytest.raises(InputError, match="probs"):
             FiniteDistribution.from_json({"outcomes": ["a"]})

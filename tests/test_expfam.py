@@ -533,3 +533,9 @@ class TestJson:
         del obj["lambda"]
         with pytest.raises(InputError, match="model: missing field 'lambda'"):
             ExpFamModel.from_json(obj)
+
+    def test_boolean_lambda_is_an_input_error(self, bernoulli):
+        # numpy would read true as 1.0.
+        obj = {**bernoulli.to_json(), "lambda": [True]}
+        with pytest.raises(InputError, match="lambda must be numbers"):
+            ExpFamModel.from_json(obj)

@@ -1,6 +1,7 @@
 """The identity diagnostics suite."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -330,9 +331,10 @@ class TestHardSeeds:
 
 class TestIdentitySuiteWork:
     def test_scale_scan_matches_full_grid_reference(self, monkeypatch):
-        # Every energy-matching objective the suite solves on instances
-        # 0-99 (accepted and rejected candidates) gets the same scale from
-        # the first-bracket scan as from the full-grid reference.
+        # Every upper energy-matching objective the suite scans on
+        # instances 0-119 (each candidate the lower condition lets through)
+        # gets the same scale, or the same lack of one, from the
+        # first-bracket scan as from the full-grid reference.
         scan = ident._match_scale
         checked = []
 
@@ -342,13 +344,14 @@ class TestIdentitySuiteWork:
                 got = scan(objective)
             except EnergyMatchingError:
                 assert expected is None
+                checked.append(None)
                 raise
             assert got == expected
             checked.append(got)
             return got
 
         monkeypatch.setattr(ident, "_match_scale", compared)
-        for seed in range(100):
+        for seed in range(120):
             random_instance(seed)
         assert len(checked) >= 200
 
@@ -446,9 +449,32 @@ class TestArrayObjective:
             got = None
         assert got == match_scale_full_grid(objective)
 
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_bogoliubov_pairs())
+    def test_lower_scale_matches_full_grid_reference(self, pair):
+        # The closed-form lower scale against the full-grid scan of the
+        # linear lower condition; the upper scan is stubbed to a scale, so
+        # bogoliubov raises only on the lower condition.
+        target, variational = pair
+        u_target, psi = target._energies[0], variational.lam
+        g_target = moments(target.to_distribution(), variational.features)
+        expected = match_scale_full_grid(
+            lambda c: u_target + float(np.dot(c * psi, g_target))
+        )
+        with mock.patch.object(ident, "_match_scale", lambda objective: 1.0):
+            try:
+                got = bogoliubov(target, variational)[1].details["scale"]
+            except EnergyMatchingError:
+                got = None
+        if got is None or expected is None:
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_scan_makes_one_array_call(self, monkeypatch):
-        # Each scan evaluates the grid in one array call; every scalar call
-        # is brentq's, on the bracket the array values chose.
+        # The upper bound's scan evaluates the grid in one array call; every
+        # scalar call is brentq's, on the bracket the array values chose.
+        # The lower bound's scale is in closed form and scans nothing.
         instance = random_instance(3)
         scans, solving = [], []
         scan, brentq = ident._match_scale, ident.brentq
@@ -473,7 +499,7 @@ class TestArrayObjective:
         monkeypatch.setattr(ident, "brentq", traced_brentq)
         monkeypatch.setattr(ident, "_match_scale", traced_scan)
         ident.bogoliubov(instance.model, instance.variational)
-        assert len(scans) == 2
+        assert len(scans) == 1
         for calls in scans:
             assert calls[0] == (1, False)
             assert len(calls) > 1

@@ -85,6 +85,20 @@ class TestLogMultinomial:
             gammaln(13) - gammaln(comps + 1).sum(axis=1),
         )
 
+    def test_table_rows_bit_equal_to_gammaln_per_count(self):
+        # A table of histograms gets one coefficient per row, in both
+        # branches: the log-factorial table (n = 999 <= the number of
+        # counts) and gammaln per count (one row of D = 1 at n = 5).
+        from scipy.special import gammaln
+
+        from maxentlab.multinomial import _log_multinomial
+        from maxentlab.sanov import compositions
+
+        for n, parts in ((999, 3), (25, 5), (5, 1)):
+            comps = compositions(n, parts, 10**6)
+            want = gammaln(n + 1) - gammaln(comps + 1).sum(axis=1)
+            np.testing.assert_array_equal(_log_multinomial(comps, n), want)
+
     def test_large_counts_skip_the_table(self):
         # Past max(c) = len(c) the counts go to gammaln directly: a table up
         # to 1.2e7 would peak at ~210 MB (arange, its float copy, the table).

@@ -8,8 +8,13 @@ built once with ``perfbench/workloads.build``, into one work directory,
 and run in order under each tree by a child interpreter that imports only
 that tree.  An op's exit code, stdout, stderr and every file it writes
 under the work directory's ``out`` (the ``--output`` file, a curve CSV)
-are compared; the ops where any of them differ are listed.  A few fixed
-ops that reach paths the workloads do not are compared the same way:
+are compared; the ops where any of them differ are listed.  Under each
+listed op, every output that is JSON under both trees (stdout or a file)
+gets one line per JSON path whose values differ, with list indices
+collapsed to ``[*]`` (``[name=...]`` for an object with a ``name``, such
+as an identity report): the number of values that differ there, and the
+largest absolute change among the numbers.  A few fixed ops that reach
+paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
   identity suite, whose 2,000 instances reach more of the Bogoliubov
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -53,7 +59,7 @@ from workloads import WORKLOADS, build  # noqa: E402
 # Runs in the child: argv[1] is the source tree, argv[2] the output
 # directory, stdin a JSON list of op argvs; stdout gets one JSON result per op.
 _CHILD = r"""
-import contextlib, hashlib, io, json, sys, traceback
+import contextlib, io, json, sys, traceback
 from pathlib import Path
 
 src, outdir = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
@@ -75,10 +81,7 @@ for argv in json.load(sys.stdin):
         except Exception:
             traceback.print_exc()
             code = 1
-    files = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(outdir.iterdir())
-    }
+    files = {p.name: p.read_text() for p in sorted(outdir.iterdir())}
     stdout, stderr = out.getvalue(), err.getvalue()
     results.append({"exit": code, "stdout": stdout, "stderr": stderr, "files": files})
 json.dump(results, sys.stdout)
@@ -184,8 +187,8 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def run_tree(src: Path, argvs: list[list[str]], outdir: Path) -> list[dict]:
-    """Every op's exit code, stdout, stderr and output-file digests under
-    the source tree ``src``."""
+    """Every op's exit code, stdout, stderr and the text of each file it
+    wrote, under the source tree ``src``."""
     env = {**os.environ, **_ENV}
     env.pop("PYTHONPATH", None)
     done = subprocess.run(
@@ -201,17 +204,75 @@ def run_tree(src: Path, argvs: list[list[str]], outdir: Path) -> list[dict]:
     return json.loads(done.stdout)
 
 
+_ABSENT = object()  # a key one side's JSON object lacks
+
+
+def _item_path(item) -> str:
+    """A list item's collapsed index: the item's ``name`` when it is an
+    object that has one, else ``*``."""
+    if isinstance(item, dict) and isinstance(item.get("name"), str):
+        return f"[name={item['name']}]"
+    return "[*]"
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_changes(a, b, path: str, changes: dict) -> None:
+    """Record in ``changes`` each collapsed path where the JSON values
+    ``a`` and ``b`` differ, as ``[count, largest absolute change]``; the
+    change is None while only non-numbers differ there."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            _json_changes(a.get(key, _ABSENT), b.get(key, _ABSENT), sub, changes)
+        return
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            _json_changes(x, y, path + _item_path(x), changes)
+        return
+    if type(a) is type(b) and (a == b or a != a and b != b):  # NaN counts as equal
+        return
+    entry = changes.setdefault(path, [0, None])
+    entry[0] += 1
+    if _is_number(a) and _is_number(b):
+        change = abs(b - a) if math.isfinite(a) and math.isfinite(b) else math.inf
+        entry[1] = change if entry[1] is None else max(entry[1], change)
+
+
+def _print_json_changes(label: str, a: str, b: str) -> None:
+    """Print the paths where the JSON texts ``a`` and ``b`` differ; texts
+    that are not JSON print nothing."""
+    try:
+        old, new = json.loads(a), json.loads(b)
+    except ValueError:
+        return
+    changes = {}
+    _json_changes(old, new, "", changes)
+    for path, (count, largest) in changes.items():
+        size = "not numbers" if largest is None else f"largest change {largest:.3g}"
+        print(f"  {label} {path or '(top level)'}: {count} values, {size}")
+
+
 def compare(names, argvs, outdir: Path, old_src: Path, new_src: Path) -> int:
     """Run the ops ``argvs`` under both trees, print each named op whose
-    results differ, and return how many do."""
+    results differ with the JSON paths that moved, and return how many
+    ops differ."""
     old = run_tree(old_src, argvs, outdir)
     new = run_tree(new_src, argvs, outdir)
     differing = 0
     for name, argv, a, b in zip(names, argvs, old, new):
         fields = [key for key in a if a[key] != b[key]]
-        if fields:
-            differing += 1
-            print(f"{name}: {', '.join(fields)} differ: {' '.join(argv)}")
+        if not fields:
+            continue
+        differing += 1
+        print(f"{name}: {', '.join(fields)} differ: {' '.join(argv)}")
+        if a["stdout"] != b["stdout"]:
+            _print_json_changes("stdout", a["stdout"], b["stdout"])
+        for file, text in a["files"].items():
+            if b["files"].get(file, text) != text:
+                _print_json_changes(file, text, b["files"][file])
     return differing
 
 
