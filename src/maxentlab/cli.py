@@ -170,7 +170,7 @@ def cmd_fit(args) -> int:
         raise InputError("provide exactly one of --samples or --data")
     if args.samples is not None:
         text = _read_text(args.samples)
-        labels = [line.strip() for line in text.splitlines() if line.strip()]
+        labels = list(filter(None, map(str.strip, text.splitlines())))
         if not labels:
             raise InputError(f"{args.samples}: no samples found")
         measure = EmpiricalMeasure.from_labels(prior.outcomes, labels)
@@ -181,7 +181,10 @@ def cmd_fit(args) -> int:
         sample_count = None
     opts = _solver_options(args)
     projected = ident._project_to_moments(prior, features, data, opts)
-    fitted = fit_log_loss(prior, features, data, opts)
+    # Both halves solve one equality set on one prior: a converged
+    # projection has shown the targets interior for the log-loss half too.
+    interior = projected.status is Status.CONVERGED
+    fitted = fit_log_loss(prior, features, data, opts, _interior=interior)
     tv = total_variation(
         projected.model.to_distribution(), fitted.model.to_distribution()
     )

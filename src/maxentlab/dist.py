@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,15 +320,25 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_labels(cls, outcomes, labels) -> "EmpiricalMeasure":
-        """Tally newline-style sample labels against an alphabet."""
+        """Tally sample labels against an alphabet, matching each label's
+        ``str()`` to an outcome's; an unknown label raises
+        :class:`InputError` naming the first one in input order.
+
+        ``Counter`` tallies in C, so Python touches only the distinct labels
+        (``Counter`` keeps them in first-occurrence order)."""
+        labels = list(labels)  # read twice when a label is not a str
+        tally = Counter(labels)
+        if any(type(label) is not str for label in tally):
+            # 1, 1.0 and True are one key but three labels.
+            tally = Counter(map(str, labels))
         index = {str(o): i for i, o in enumerate(outcomes)}
-        counts = np.zeros(len(index), dtype=np.int64)
-        for lab in labels:
-            key = str(lab)
+        counts = [0] * len(index)
+        for label, count in tally.items():
+            key = str(label)
             if key not in index:
                 raise InputError(f"unknown outcome label {key!r}")
-            counts[index[key]] += 1
-        return cls(counts)
+            counts[index[key]] += count
+        return cls(np.array(counts, dtype=np.int64))
 
     def to_json(self) -> dict:
         return {"counts": self.counts.tolist()}

@@ -86,18 +86,23 @@ def log_histogram_prob(counts: EmpiricalMeasure, p: FiniteDistribution) -> float
     return log_multinomial(counts) + float(_log_likelihood(counts.counts[None], p)[0])
 
 
-def _counts_entropy_nats(c: np.ndarray, n: int) -> float:
-    """``n * H(c / n)`` computed as ``n log n - sum_i c_i log c_i``."""
+def _positive_counts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive counts of ``c`` and their logs, which both Stirling
+    orders read."""
     pos = c[c > 0]
-    return float(n * math.log(n) - np.dot(pos, np.log(pos)))
+    return pos, np.log(pos)
 
 
-def _first_order_correction(pos: np.ndarray, n: int) -> float:
-    """``0.5 * [log(2 pi n) - sum_i log(2 pi c_i)]`` over the positive counts
-    ``pos`` of a histogram of ``n`` samples."""
-    return 0.5 * (
-        LOG_2PI + math.log(n) - float(np.sum(LOG_2PI + np.log(pos)))
-    )
+def _counts_entropy_nats(pos: np.ndarray, log_pos: np.ndarray, n: int) -> float:
+    """``n * H(c / n)`` computed as ``n log n - sum_i c_i log c_i`` from the
+    positive counts ``pos`` of ``c`` and their logs ``log_pos``."""
+    return float(n * math.log(n) - np.dot(pos, log_pos))
+
+
+def _first_order_correction(log_pos: np.ndarray, n: int) -> float:
+    """``0.5 * [log(2 pi n) - sum_i log(2 pi c_i)]`` over the logs
+    ``log_pos`` of the positive counts of a histogram of ``n`` samples."""
+    return 0.5 * (LOG_2PI + math.log(n) - float(np.sum(LOG_2PI + log_pos)))
 
 
 def stirling_log_multinomial(
@@ -109,17 +114,17 @@ def stirling_log_multinomial(
     the correction ``0.5 * [log(2 pi n) - sum_i log(2 pi n Q_i)]``, which
     requires every count to be positive.
     """
-    c = counts.counts
     n = counts.n
-    zeroth = _counts_entropy_nats(c, n)
+    pos, log_pos = _positive_counts(counts.counts)
+    zeroth = _counts_entropy_nats(pos, log_pos, n)
     if order is StirlingOrder.ZEROTH:
         return zeroth
-    if np.any(c == 0):
+    if pos.size < counts.alphabet_size:
         raise DomainError(
             "first-order correction diverges on zero counts; "
             "every bin must be observed at least once"
         )
-    return zeroth + _first_order_correction(c, n)
+    return zeroth + _first_order_correction(log_pos, n)
 
 
 @dataclass(frozen=True)
@@ -144,14 +149,15 @@ def describe_histogram(
     """
     c, n = counts.counts, counts.n
     coefficient = log_multinomial(counts)
-    if np.any(c == 0):
+    pos, log_pos = _positive_counts(c)
+    if pos.size < c.size:
         correction = None
     else:
-        correction = _first_order_correction(c, n)
+        correction = _first_order_correction(log_pos, n)
     return HistogramLogProb(
         exact_log_prob=coefficient + float(_log_likelihood(c[None], p)[0]),
         log_multinomial=coefficient,
-        stirling_zeroth=_counts_entropy_nats(c, n),
+        stirling_zeroth=_counts_entropy_nats(pos, log_pos, n),
         stirling_first_correction=correction,
         n=counts.n,
         alphabet_size=counts.alphabet_size,
@@ -204,14 +210,14 @@ def _experiment_cell(
     rng = substream(seed, cell_index)
     weights = _sample_weights(rng, mode, alphabet_size)
     counts = rng.multinomial(n, weights)
-    pos = counts > 0
+    pos, log_pos = _positive_counts(counts)
     exact = float(_log_multinomial(counts, n))
-    zeroth = _counts_entropy_nats(counts, n)
+    zeroth = _counts_entropy_nats(pos, log_pos, n)
     # The correction product runs over observed bins only: Stirling is not
     # valid at 0!, whose exact contribution (log 1 = 0) is kept instead.
     # Rows where that truncation happened carry skipped_first = 1.
-    skipped = bool(np.any(~pos))
-    first = zeroth + _first_order_correction(counts[pos], n)
+    skipped = pos.size < counts.size
+    first = zeroth + _first_order_correction(log_pos, n)
     return ExperimentRow(
         prior_mode=mode.value,
         alphabet_size=alphabet_size,

@@ -401,6 +401,7 @@ def _solve(
     max_iter: int,
     what: str,
     witness: FiniteDistribution | None = None,
+    interior: bool = False,
 ) -> ProjectionResult:
     """Minimize ``g(lam) = A(lam) - lam . alpha`` over the orthant
     ``sign_i lam_i >= 0`` by projected line search along ``direction``,
@@ -423,7 +424,9 @@ def _solve(
     never clipped, projected, binding or clamped.  The verdict follows the
     descent: a converged member (or else the ``witness``) that certifies the
     interior gives ``CONVERGED`` with no LP; otherwise the LP decides, and a
-    budget spent inside the polytope is a :class:`ConvergenceError`.
+    budget spent inside the polytope is a :class:`ConvergenceError`.  A
+    caller that already knows the targets interior (``interior``) spares a
+    converged descent the certificate.
     """
     features, alpha, d = constraints.features, constraints.targets, constraints.dim
     if d == 0:
@@ -492,9 +495,12 @@ def _solve(
     points = [(q, _CERTIFICATE_MARGIN)]
     if witness is not None:
         points.append((witness.probs, _INTERIOR_TOL))
-    certified = status is Status.CONVERGED and any(
-        _certifies_interior(family[2], alpha, sign, lam, p[family[1]], margin)
-        for p, margin in points
+    certified = status is Status.CONVERGED and (
+        interior
+        or any(
+            _certifies_interior(family[2], alpha, sign, lam, p[family[1]], margin)
+            for p, margin in points
+        )
     )
     if not certified:
         feas = check_feasibility(prior, constraints)
@@ -569,6 +575,8 @@ def fit_log_loss(
     features: FeatureSet,
     data: FiniteDistribution,
     opts: SolverOptions | None = None,
+    *,
+    _interior: bool = False,
 ) -> ProjectionResult:
     """Minimize the log loss ``H(data, P_lam)`` directly over ``lam``.
 
@@ -579,7 +587,10 @@ def fit_log_loss(
     two learning prescriptions being one problem.  The budget is 100,000
     steps.  The converged member, or else the data, whose moments are the
     targets, certify them interior; the feasibility LP runs only when
-    neither does, or the descent caps ``lam`` or spends its budget.
+    neither does, or the descent caps ``lam`` or spends its budget.  The
+    private ``_interior`` says the data's moments are already known interior
+    (a converged projection onto them, in ``fit``), so a converged descent
+    skips the certificate.
     """
     opts = opts or SolverOptions()
     features.check_alphabet(prior)
@@ -597,6 +608,7 @@ def fit_log_loss(
         _GD_MAX_ITER,
         "log-loss gradient descent",
         data,
+        _interior,
     )
 
 

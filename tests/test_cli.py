@@ -200,6 +200,71 @@ def test_fit_from_samples(files):
     assert report["prescriptions_agree"]
 
 
+def _fit_samples(files, raw: bytes, name: str = "samples.txt"):
+    """``fit --samples`` on a file holding ``raw``: the exit code and the
+    output file's text (None when none was written)."""
+    tmp, write = files
+    samples = tmp / name
+    samples.write_bytes(raw)
+    out = tmp / f"{name}.json"
+    code = main(
+        [
+            "fit",
+            "--prior",
+            write("p.json", PRIOR),
+            "--features",
+            write("f.json", FEATURES),
+            "--samples",
+            str(samples),
+            "--output",
+            str(out),
+        ]
+    )
+    return code, out.read_text() if out.exists() else None
+
+
+# One label per ``str.splitlines`` line, surrounding whitespace stripped and
+# blank lines skipped: each file reads as the labels 0, 1, 1.
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"0\r\n1\r\n1\r\n",
+        b"0\n\n   \n\t\n1\n1",
+        b"\n 0\t\n\t1 \n  1  \n\n",
+        "0\x0b1\u20281\n".encode(),
+        "0\r1\x0c1\u2029".encode(),
+    ],
+    ids=["crlf", "blank-lines", "surrounding-whitespace", "vt-and-u2028", "cr-ff-u2029"],
+)
+def test_fit_samples_file_format(files, raw):
+    code, plain = _fit_samples(files, b"0\n1\n1\n", "plain.txt")
+    assert code == 0
+    assert json.loads(plain)["sample_count"] == 3
+    assert _fit_samples(files, raw) == (0, plain)
+
+
+@pytest.mark.parametrize(
+    "raw, named, unnamed",
+    [
+        (b"0\na b\n1\n", "'a b'", None),
+        (b"1\nzeta\n0\nalpha\nalpha\nalpha\nzeta\n", "'zeta'", "alpha"),
+        (b"q\n0\nb\nb\nb\n", "'q'", "'b'"),
+    ],
+    ids=["inner-space", "first-in-file-order", "first-not-most-frequent"],
+)
+def test_fit_samples_unknown_label_names_the_first(files, capsys, raw, named, unnamed):
+    assert _fit_samples(files, raw) == (2, None)
+    err = capsys.readouterr().err
+    assert f"unknown outcome label {named}" in err
+    if unnamed is not None:
+        assert unnamed not in err
+
+
+def test_fit_samples_all_blank(files, capsys):
+    assert _fit_samples(files, b" \n\t\n\r\n\n") == (2, None)
+    assert "no samples found" in capsys.readouterr().err
+
+
 def test_fit_single_outcome_flags_boundary(files):
     tmp, write = files
     samples = tmp / "samples.txt"
@@ -1432,6 +1497,52 @@ def test_fit_runs_no_lp_when_data_miss_an_outcome(files, linprog_calls):
     report = json.loads(out.read_text())
     assert report["projection"]["status"] == "converged"
     assert report["prescriptions_agree"]
+
+
+@pytest.mark.parametrize(
+    "data, code, fit_certificates, fit_lps",
+    [
+        ([0.5, 0.3, 0.2], 0, 0, 0),  # interior: one verdict serves both halves
+        ([0.5, 0.5, 0.0], 0, 0, 0),  # interior, certified by the member only
+        ([0.0, 0.0, 1.0], 4, 2, 1),  # boundary: the log-loss half decides again
+    ],
+    ids=["interior", "missing-outcome", "boundary"],
+)
+def test_fit_certifies_the_targets_once(
+    files, monkeypatch, linprog_calls, data, code, fit_certificates, fit_lps
+):
+    from maxentlab import cli, projection
+
+    tmp, write = files
+    prior = {"outcomes": ["0", "1", "2"], "probs": [0.2, 0.3, 0.5]}
+    argv = ["fit", "--prior", write("p.json", prior)]
+    argv += ["--features", write("f.json", THREE_FEATURES)]
+    argv += ["--data", write("d.json", {"outcomes": ["0", "1", "2"], "probs": data})]
+    certificates = []
+    certify, fit = projection._certifies_interior, cli.fit_log_loss
+    in_fit = []
+
+    def recorded(*args):
+        certificates.append(bool(in_fit))
+        return certify(*args)
+
+    def marked(*args, **kwargs):
+        in_fit.append(len(linprog_calls))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "_certifies_interior", recorded)
+    monkeypatch.setattr(cli, "fit_log_loss", marked)
+    assert main([*argv, "--output", str(tmp / "once.json")]) == code
+    assert certificates[0] is False  # the projection half certifies
+    assert certificates.count(True) == fit_certificates
+    assert len(linprog_calls) - in_fit[0] == fit_lps
+
+    # The log-loss half certifying on its own gives the same bytes.
+    monkeypatch.setattr(
+        cli, "fit_log_loss", lambda *args, _interior, **kwargs: fit(*args, **kwargs)
+    )
+    assert main([*argv, "--output", str(tmp / "twice.json")]) == code
+    assert (tmp / "once.json").read_text() == (tmp / "twice.json").read_text()
 
 
 def test_fit_half_of_cli_fit_forms_no_fisher_matrix(files, monkeypatch):

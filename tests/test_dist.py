@@ -294,6 +294,37 @@ class TestEmpiricalMeasure:
         with pytest.raises(InputError):
             EmpiricalMeasure.from_labels(["a", "b"], ["a", "z"])
 
+    def test_from_labels_names_the_first_unknown_label(self):
+        labels = ["zeta", "a", "alpha", "alpha", "alpha", "zeta"]
+        with pytest.raises(InputError, match="'zeta'"):
+            EmpiricalMeasure.from_labels(["a", "b"], labels)
+
+    def test_from_labels_matches_bincount_at_5e4_outcomes(self):
+        # The advertised alphabet size, a skewed draw (many outcomes never
+        # seen) and outcomes listed in shuffled order.
+        k, n = 50_000, 500_000
+        rng = substream(25, 0)
+        outcomes = [f"o{j}" for j in rng.permutation(k)]
+        drawn = rng.choice(k, size=n, p=rng.dirichlet(np.full(k, 0.2)))
+        m = EmpiricalMeasure.from_labels(outcomes, [outcomes[j] for j in drawn])
+        expected = np.bincount(drawn, minlength=k)
+        assert (expected == 0).sum() > 1000
+        assert m.counts.dtype == np.int64
+        np.testing.assert_array_equal(m.counts, expected)
+        assert m.n == n
+
+    def test_from_labels_matches_through_str(self):
+        m = EmpiricalMeasure.from_labels([0, 1, 2], [1, "2", np.int64(1), "0", 2])
+        np.testing.assert_array_equal(m.counts, [1, 2, 2])
+        # 1, 1.0 and True are equal (one dict key) but are three labels.
+        outcomes = ["1", "1.0", "True", "x"]
+        m = EmpiricalMeasure.from_labels(outcomes, [1, 1.0, True, 1.0, "1"])
+        np.testing.assert_array_equal(m.counts, [2, 2, 1, 0])
+        m = EmpiricalMeasure.from_labels(outcomes, (x for x in [1, 1.0, True]))
+        np.testing.assert_array_equal(m.counts, [1, 1, 1, 0])
+        with pytest.raises(InputError, match="'1.0'"):
+            EmpiricalMeasure.from_labels(["1", "True"], [True, 1, 1.0])
+
 
 class TestJsonRoundTrips:
     def test_distribution(self):

@@ -34,7 +34,12 @@ paths the workloads do not are compared the same way:
 - output shapes of the JSON writer that no workload writes: ``project
   --trace`` (a list of trace dicts) with ``--dump-config`` (the resolved
   options), ``project`` on non-ASCII outcome labels (``\\u`` escapes) and
-  ``fit --data``.
+  ``fit --data``;
+- ``fit --samples`` on sample files the workloads never write: CRLF line
+  ends, blank and whitespace-only lines, tabs and spaces around labels,
+  ``\\x0b`` and ``\\u2028`` line breaks, and the files that exit 2 (a
+  label with an inner space, several unknown labels, only blank lines),
+  whose stderr names the label or the file.
 
 A refactor that must keep the CLI's output byte-identical lists none.
 Exit status: 0 when no op differs, 1 otherwise.
@@ -129,6 +134,19 @@ _INPUTS = {
 }
 
 
+# Sample files of the fixed ``fit --samples`` ops, over the labels a, b, c
+# of the full prior; written byte for byte.
+_SAMPLES = {
+    "crlf": "a\r\nb\r\nc\r\nc\r\n",
+    "blank lines": "a\n\n   \nb\n\t\nc\nc\n\n",
+    "surrounding whitespace": " a\t\n\tb \n  c  \nc\n",
+    "vt and u2028 breaks": "a\x0bb\u2028c\x0bc\u2028",
+    "inner space": "a\nb c\nc\n",
+    "several unknown": "a\nzeta\nb\nalpha\nalpha\nzeta\n",
+    "all blank": " \n\t\r\n\n",
+}
+
+
 def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
     """The names and argvs of the fixed ops, with their inputs written to
     ``indir`` and their outputs sent to ``outdir``."""
@@ -136,6 +154,9 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
     for name, obj in _INPUTS.items():
         path[name] = str(indir / f"{name}.json")
         Path(path[name]).write_text(json.dumps(obj, sort_keys=True))
+    for name, text in _SAMPLES.items():
+        path[name] = str(indir / f"{name.replace(' ', '-')}.txt")
+        Path(path[name]).write_bytes(text.encode())
 
     def sanov(prior: str, event: str, n: int, *extra: str) -> list[str]:
         return ["sanov", "--prior", path[prior], "--constraints", path[event],
@@ -178,6 +199,11 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
             "--data", path["ramp-data"],
         ],
     }
+    for name in _SAMPLES:
+        ops[f"fit --samples {name}"] = [
+            "fit", "--prior", path["full-prior"], "--features", path["ramp-features"],
+            "--samples", path[name],
+        ]
     names = list(ops)
     argvs = [
         [*argv, "--output", str(outdir / f"op{i}.json")]
