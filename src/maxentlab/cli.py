@@ -303,7 +303,6 @@ def cmd_sanov(args) -> int:
             (args.output or "sanov") + ".curve.csv"
         )
         atomic_write_text(curve_path, sv.gibbs_curve_csv(curve))
-        out["curve_file"] = curve_path
     _emit(args.output, dump_json(out))
     if report.empty_event and report.method is sv.Method.EXACT:
         return EXIT_OK
@@ -390,7 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count, default=None)  # --monte-carlo: 20
     p.add_argument("--nested", default=None, help="inner constraint-set JSON file")
     p.add_argument("--curve", default=None, help="n grid for the conditioning curve")
-    p.add_argument("--curve-output", default=None)
+    p.add_argument(
+        "--curve-output",
+        default=None,
+        help="curve CSV file (default: <--output>.curve.csv, or "
+        "sanov.curve.csv when writing to stdout)",
+    )
     p.set_defaults(func=cmd_sanov)
     return parser
 

@@ -21,8 +21,6 @@ from .dist import (
     FeatureSet,
     FiniteDistribution,
     _frozen_array,
-    _json_numbers,
-    _require_keys,
     _same_prior,
     cross_entropy,
     entropy,
@@ -154,22 +152,6 @@ class ExpFamModel:
         return (
             _same_prior(self.prior, other.prior)
             and np.array_equal(self.features.matrix, other.features.matrix)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "prior": self.prior.to_json(),
-            "features": self.features.to_json(),
-            "lambda": self.lam.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExpFamModel":
-        _require_keys(obj, ("prior", "features", "lambda"), "model")
-        return cls(
-            FiniteDistribution.from_json(obj["prior"]),
-            FeatureSet.from_json(obj["features"]),
-            _json_numbers(obj["lambda"], "lambda"),
         )
 
 

@@ -131,6 +131,9 @@ class ProjectionResult:
     ``BOUNDARY_NONATTAINED`` the returned model is the capped iterate (the
     supremum is approached but not attained).  On ``INFEASIBLE`` the model
     is the prior and ``min_divergence`` is infinite.
+
+    The JSON form leaves out ``model``: ``ExpFamModel(prior, features,
+    lambda_star)`` rebuilds it from the solve's inputs.
     """
 
     lambda_star: np.ndarray
@@ -142,7 +145,9 @@ class ProjectionResult:
     trace: tuple[TracePoint, ...] = field(default=())
 
     def to_json(self) -> dict:
-        return _fields_json(self)
+        out = _fields_json(self)
+        del out["model"]
+        return out
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,11 @@ the library's equality projection.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq, linprog
-
-
-def dump_json_reference(obj) -> str:
-    """The CLI's output text as the stdlib's indenting encoder writes it:
-    ``jsonio.dump_json`` must return these bytes for every input."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def iter_compositions(n: int, parts: int):

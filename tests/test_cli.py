@@ -882,6 +882,50 @@ def test_sanov_monte_carlo_mode(files):
     assert report["wilson_low"] <= 56 / 1024 + 0.01
 
 
+def _keys_and_strings(obj):
+    """Every object key and every string value at any depth of ``obj``."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _keys_and_strings(value)
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _keys_and_strings(item)
+    elif isinstance(obj, str):
+        yield obj
+
+
+def test_results_hold_no_copy_of_their_inputs(files):
+    # A projection is described by its lambda_star on the inputs' family:
+    # no result writes the prior, the features or the curve CSV's path back.
+    tmp, write = files
+    labels = [f"outcome-{i}" for i in range(1000)]
+    wide = write("wide.json", {"outcomes": labels, "probs": [0.001] * 1000})
+    ramp = {"names": ["x"], "matrix": [[i / 999 for i in range(1000)]]}
+    samples = tmp / "samples.txt"
+    samples.write_text("\n".join(labels[::7]) + "\n")
+    coin = write("coin.json", {"outcomes": ["heads", "tails"], "probs": [0.5, 0.5]})
+    sanov = ["sanov", "--prior", coin, "--constraints", write("a.json", CONSTRAINTS_GE),
+             "--n", "10", "--curve", "10,20"]
+    runs = {
+        "project": ["project", "--prior", wide, "--constraints",
+                    write("eq.json", {"kinds": ["eq"], "targets": [0.3],
+                                      "featureset": ramp})],
+        "fit --samples": ["fit", "--prior", wide, "--features", write("f.json", ramp),
+                          "--samples", str(samples)],
+        "sanov exact": [*sanov, "--nested", write("b.json", CONSTRAINTS_GE9)],
+        "sanov Monte Carlo": [*sanov, "--monte-carlo", "--trials", "100"],
+    }
+    for name, argv in runs.items():
+        out = tmp / f"{name}.json"
+        assert main([*argv, "--output", str(out)]) == 0, name
+        found = set(_keys_and_strings(json.loads(out.read_text())))
+        assert not {"model", "curve_file"} & found, name
+        assert not {*labels, "heads", "tails"} & found, name
+    # The curve goes to the documented default path, <--output>.curve.csv.
+    assert (tmp / "sanov exact.json.curve.csv").exists()
+
+
 @pytest.mark.parametrize(
     "extra",
     [

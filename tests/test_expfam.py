@@ -15,7 +15,6 @@ from maxentlab import (
     FamilyMismatch,
     FeatureSet,
     FiniteDistribution,
-    InputError,
     centered_cgf,
     cgf,
     cross_entropy,
@@ -515,27 +514,3 @@ class TestHeatCapacity:
         with pytest.raises(DomainError):
             heat_capacity(bernoulli, 1)
 
-
-class TestJson:
-    def test_round_trip(self, bernoulli):
-        again = ExpFamModel.from_json(bernoulli.to_json())
-        assert again.log_partition == pytest.approx(bernoulli.log_partition, abs=1e-15)
-        np.testing.assert_array_equal(again.lam, bernoulli.lam)
-
-    @pytest.mark.parametrize("obj", [5, "prior features lambda"])
-    def test_non_object_is_an_input_error(self, obj):
-        # A string holding every key name passes a bare key-membership test.
-        with pytest.raises(InputError, match="model: expected a JSON object"):
-            ExpFamModel.from_json(obj)
-
-    def test_missing_field_is_named(self, bernoulli):
-        obj = bernoulli.to_json()
-        del obj["lambda"]
-        with pytest.raises(InputError, match="model: missing field 'lambda'"):
-            ExpFamModel.from_json(obj)
-
-    def test_boolean_lambda_is_an_input_error(self, bernoulli):
-        # numpy would read true as 1.0.
-        obj = {**bernoulli.to_json(), "lambda": [True]}
-        with pytest.raises(InputError, match="lambda must be numbers"):
-            ExpFamModel.from_json(obj)

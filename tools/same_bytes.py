@@ -13,7 +13,8 @@ listed op, every output that is JSON under both trees (stdout or a file)
 gets one line per JSON path whose values differ, with list indices
 collapsed to ``[*]`` (``[name=...]`` for an object with a ``name``, such
 as an identity report): the number of values that differ there, and the
-largest absolute change among the numbers.  A few fixed ops that reach
+largest absolute change among the numbers, or ``removed`` or ``added``
+for a key that only the old or only the new tree writes.  A few fixed ops that reach
 paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
@@ -33,8 +34,8 @@ paths the workloads do not are compared the same way:
   field;
 - output shapes of the JSON writer that no workload writes: ``project
   --trace`` (a list of trace dicts) with ``--dump-config`` (the resolved
-  options), ``project`` on non-ASCII outcome labels (``\\u`` escapes) and
-  ``fit --data``;
+  options), ``--dump-config`` of an input file named outside ASCII
+  (``\\u`` escapes) and ``fit --data``;
 - ``fit --samples`` on sample files the workloads never write: CRLF line
   ends, blank and whitespace-only lines, tabs and spaces around labels,
   ``\\x0b`` and ``\\u2028`` line breaks, and the files that exit 2 (a
@@ -111,9 +112,9 @@ def _event(row: list[float], kind: str, target: float) -> dict:
 # (over the prior's support), so P* is not attained.  Of the faulty inner
 # events of the zero-mass prior, "le" admits histograms outside the outer
 # event, and a mean of 1.5 or more needs outcome "b".  At lambda = 800 the
-# model on the full prior puts probability 0.0 on "a" and "b".  The outcome
-# labels of the non-ASCII prior are written as ``\u`` escapes, one of them a
-# surrogate pair.
+# model on the full prior puts probability 0.0 on "a" and "b".  A
+# --dump-config file writes the path of the prior named outside ASCII as
+# ``\u`` escapes, one of them a surrogate pair.
 _INPUTS = {
     "full-prior": {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
     "ramp-features": {"names": ["f"], "matrix": [[0.0, 1.0, 2.0]]},
@@ -128,8 +129,8 @@ _INPUTS = {
     "boundary-event": _event([0.0, 1.0, 1.0], "ge", 1.0),
     "zero-mass-boundary": _event([1.0, 1.0, 0.0, 0.0], "le", 0.0),
     "ramp-event": _event([0.0, 1.0, 2.0], "eq", 1.2),
-    "non-ascii-prior": {
-        "outcomes": ["\u00e4", "\u03bb", "\U0001f600"], "probs": [0.2, 0.3, 0.5],
+    "prior-\u00e4\u03bb\U0001f600": {
+        "outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5],
     },
 }
 
@@ -190,9 +191,10 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
             "--constraints", path["ramp-event"],
             "--trace", "--dump-config", str(outdir / "config.json"),
         ],
-        "project non-ASCII labels": [
-            "project", "--prior", path["non-ascii-prior"],
+        "project --dump-config non-ASCII file name": [
+            "project", "--prior", path["prior-\u00e4\u03bb\U0001f600"],
             "--constraints", path["ramp-event"],
+            "--dump-config", str(outdir / "config.json"),
         ],
         "fit --data": [
             "fit", "--prior", path["full-prior"], "--features", path["ramp-features"],
@@ -230,9 +232,6 @@ def run_tree(src: Path, argvs: list[list[str]], outdir: Path) -> list[dict]:
     return json.loads(done.stdout)
 
 
-_ABSENT = object()  # a key one side's JSON object lacks
-
-
 def _item_path(item) -> str:
     """A list item's collapsed index: the item's ``name`` when it is an
     object that has one, else ``*``."""
@@ -247,12 +246,18 @@ def _is_number(value) -> bool:
 
 def _json_changes(a, b, path: str, changes: dict) -> None:
     """Record in ``changes`` each collapsed path where the JSON values
-    ``a`` and ``b`` differ, as ``[count, largest absolute change]``; the
-    change is None while only non-numbers differ there."""
+    ``a`` and ``b`` differ, keyed by ``(path, kind)``: ``kind`` is
+    ``"removed"`` or ``"added"`` for a key that only ``a`` or only ``b``
+    holds, else ``"values"``.  Each entry is ``[count, largest absolute
+    change]``; the change is None while only non-numbers differ there."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(a.keys() | b.keys()):
             sub = f"{path}.{key}" if path else key
-            _json_changes(a.get(key, _ABSENT), b.get(key, _ABSENT), sub, changes)
+            if key in a and key in b:
+                _json_changes(a[key], b[key], sub, changes)
+            else:
+                kind = "removed" if key in a else "added"
+                changes.setdefault((sub, kind), [0, None])[0] += 1
         return
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for x, y in zip(a, b):
@@ -260,7 +265,7 @@ def _json_changes(a, b, path: str, changes: dict) -> None:
         return
     if type(a) is type(b) and (a == b or a != a and b != b):  # NaN counts as equal
         return
-    entry = changes.setdefault(path, [0, None])
+    entry = changes.setdefault((path, "values"), [0, None])
     entry[0] += 1
     if _is_number(a) and _is_number(b):
         change = abs(b - a) if math.isfinite(a) and math.isfinite(b) else math.inf
@@ -276,7 +281,10 @@ def _print_json_changes(label: str, a: str, b: str) -> None:
         return
     changes = {}
     _json_changes(old, new, "", changes)
-    for path, (count, largest) in changes.items():
+    for (path, kind), (count, largest) in changes.items():
+        if kind != "values":
+            print(f"  {label} {path}: {kind} ({count} keys)")
+            continue
         size = "not numbers" if largest is None else f"largest change {largest:.3g}"
         print(f"  {label} {path or '(top level)'}: {count} values, {size}")
 
