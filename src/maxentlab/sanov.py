@@ -3,10 +3,9 @@
 Events are sets of empirical measures defined by moment constraints.  For
 sample size ``n >= 1`` over ``D`` outcomes all ``C(n+D-1, D-1)`` histograms
 are enumerated (microstates are grouped by histogram, which is exact by
-exchangeability) and scored under ``P`` and ``P*`` with the likelihood
-kernel of :mod:`maxentlab.multinomial`, giving the event probability, the
-projection rate term, and the conditional-law residual of the finite-sample
-identity
+exchangeability) and scored under ``P`` with the likelihood kernel of
+:mod:`maxentlab.multinomial`, giving the event probability, the projection
+rate term, and the conditional-law residual of the finite-sample identity
 
     (1/n) log Pr(event) + D(P*||P) + residual = 0.
 
@@ -19,18 +18,26 @@ it is non-negative, and the three-term identity above closes exactly for
 *any* reference distribution, which is what makes it an identity rather
 than a bound.
 
-Every exact report is read off its event's law, in three steps.  One
-histogram table per ``(p, n)`` (:func:`_table`) holds each histogram's log
-multinomial coefficient and log-probability under ``P``; an event selects
-rows of it (:func:`_event_rows`).  One function turns a selection into the
-event's law (:func:`_event_law`): ``log Pr``, ``D(mu_A || P*^n)`` and the
-mean empirical measure ``mu_bar``.  One body (:func:`_exact_laws`) runs the
-checks, the table, the projection and the laws for both
-:func:`enumerate_event` and :func:`nested_relative_probability`, and
-:func:`conditional_law` reads the same table and selection.  ``sanov
---nested`` still enumerates its table twice, once in each of those two
-public calls: each call stands alone, and the nested check's table is no
-larger than the main report's.
+Every exact report is read off its event's law ``(log Pr(A), E_mu[f])``:
+the event's log-probability and the mean of the constraint features ``f``
+under ``mu_A``, the sampling law conditioned on the event.  For ``P* = P
+exp(lam* . f - A(lam*))`` and the feature sum ``S = sum_i f(x_i)`` of a
+sample, ``log dP^n/dP*^n = -(lam* . S - n A(lam*))`` (the method of types;
+Csiszar & Shields 2004, section 2), so, with ``lam*`` and ``A(lam*)`` read
+off the projection's model and no histogram scored under ``P*``,
+
+    D(mu_A || P*^n) = -log Pr(A) - n lam* . E_mu[f] + n A(lam*),
+    gap             = lam* . (E_mu[f] - E_P*[f]),
+    nested slack    = -n lam* . (E_mu_B[f] - E_mu_A[f]).
+
+One histogram table per ``(p, n)`` (:func:`_table`) holds each histogram's
+log-probability under ``P``; an event selects rows of it and gives each
+row's feature means (:func:`_event_rows`), and :func:`_event_law` turns a
+selection into the law.  One body (:func:`_exact_laws`) serves
+:func:`enumerate_event` and :func:`nested_relative_probability`;
+:func:`conditional_law` reads the same table and selection, and ``log Pr``
+only.  ``sanov --nested`` still enumerates its table twice, once per public
+call: each call stands alone, and the nested table is no larger.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from .dist import (
     constraint_mask,
 )
 from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
-from .expfam import _logsumexp
+from .expfam import _logsumexp, mean_parameters
 from .identities import TOL_CLOSED_FORM, IdentityReport, _report
 from .jsonio import _fields_json
 from .multinomial import _MAX_SAMPLE_SIZE, _log_likelihood, _log_multinomial
@@ -178,13 +185,18 @@ def compositions(n: int, parts: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.n
     return out
 
 
+def _row_moments(counts: np.ndarray, constraints: ConstraintSet, n: int) -> np.ndarray:
+    """The ``(d, M)`` constraint-feature means of the histogram rows of
+    ``counts`` (``n`` samples each); a featureless matrix may be 0 x 0."""
+    if constraints.dim == 0:
+        return np.zeros((0, counts.shape[0]))
+    return constraints.features.matrix @ (counts.T / n)
+
+
 def _event_mask(counts: np.ndarray, constraints: ConstraintSet, n: int) -> np.ndarray:
     """Which histogram rows of ``counts`` (``n`` samples each) lie in the
     event, to the tolerance ``dist.MEMBERSHIP_TOL``."""
-    if constraints.dim == 0:
-        return np.ones(counts.shape[0], dtype=bool)
-    values = constraints.features.matrix @ (counts.T / n)  # (d, M)
-    return constraint_mask(constraints, values)
+    return constraint_mask(constraints, _row_moments(counts, constraints, n))
 
 
 def _outcome_classes(
@@ -213,29 +225,17 @@ def _outcome_classes(
     return probs, ConstraintSet(features, constraints.kinds, constraints.targets)
 
 
-def _masked_log_ratio(
-    weights: np.ndarray, num_log: np.ndarray, den_log: np.ndarray
-) -> float:
-    """``sum_i weights[i] * (num_log[i] - den_log[i])`` over the non-zero
-    weights, added left to right.
-
-    The logs are ``p``'s and ``P*``'s, both ``-inf`` exactly outside ``p``'s
-    support (``P*`` keeps it), where the weights are zero; every term summed
-    is finite.
-    """
-    used = weights != 0.0
-    terms = weights[used] * (num_log[used] - den_log[used])
-    return float(np.cumsum(np.append(0.0, terms))[-1])
-
-
 def _rate_projection(p: FiniteDistribution, constraints: ConstraintSet, projection):
-    """``projection``, which must have been solved on ``p`` (else
-    :class:`DomainError`), so that ``P*`` keeps ``p``'s support; when it is
+    """``projection``, solved on ``p`` (so ``P*`` keeps its support) and on
+    the features of ``constraints`` (else :class:`DomainError`); when it is
     ``None``, ``p`` projected onto ``constraints`` at the default options."""
     if projection is None:
         return project_inequality(p, constraints)
-    if not _same_prior(projection.model.prior, p):
+    model = projection.model
+    if not _same_prior(model.prior, p):
         raise DomainError("the projection was solved on another prior")
+    if not np.array_equal(model.features.matrix, constraints.features.matrix):
+        raise DomainError("the projection was solved on other features")
     return projection
 
 
@@ -251,45 +251,38 @@ def _check_sample(p: FiniteDistribution, constraints: ConstraintSet, n: int) -> 
 
 def _table(p: FiniteDistribution, n: int, cap: int):
     """Every histogram of ``n >= 1`` samples over ``p``'s alphabet, as
-    ``(histograms, log multinomial coefficients, log probabilities under
-    p)``; it depends on ``p`` and ``n`` only.  The coefficients are
-    :func:`maxentlab.multinomial._log_multinomial`'s, row by row.
+    ``(histograms, log probabilities under p)``; it depends on ``p`` and
+    ``n`` only.  A row's log-probability is its
+    :func:`maxentlab.multinomial._log_multinomial` coefficient plus its
+    log-likelihood.
     """
     comps = compositions(n, len(p), cap)
-    log_w = _log_multinomial(comps, n)
-    log_probs = _log_likelihood(comps, p)
-    log_probs += log_w
-    return comps, log_w, log_probs
+    log_probs = _log_multinomial(comps, n)
+    log_probs += _log_likelihood(comps, p)
+    return comps, log_probs
 
 
 def _event_rows(table, constraints: ConstraintSet, n: int):
-    """``(mask, selection)`` over the rows of ``table``: the histograms in
-    the event, and those of them with positive probability under ``p``."""
-    mask = _event_mask(table[0], constraints, n)
-    return mask, mask & (table[2] > -math.inf)
+    """``(mask, selection, moments)`` over the rows of ``table``: the
+    histograms in the event, those of them with positive probability under
+    ``p``, and every row's feature means (:func:`_row_moments`)."""
+    moments = _row_moments(table[0], constraints, n)
+    mask = constraint_mask(constraints, moments)
+    return mask, mask & (table[1] > -math.inf), moments
 
 
-def _event_law(table, sel: np.ndarray, n: int, p_star=None):
-    """``(log_prob, divergence, mu_bar)`` of the event whose supported rows
-    of ``table`` are ``sel`` (not all false).
-
-    ``mu`` is the law conditioned on the event, with weight
-    ``exp(lhp - log_prob)`` on each selected histogram; ``mu_bar`` is its
-    mean empirical measure.  ``divergence`` is ``D(mu || P*^n)`` (not
-    divided by ``n``), summed per histogram and finite because ``P*``
-    keeps the support of the ``p`` that scored the table; it is NaN when
-    no ``p_star`` is given.
-    """
-    comps, log_w, lhp = table
-    sub = comps[sel]
-    sel_lhp = lhp[sel]
+def _event_law(log_probs: np.ndarray, sel: np.ndarray, moments: np.ndarray):
+    """``(log Pr(A), E_mu[f])``, the law of the event whose supported rows
+    are ``sel`` (not all false): ``mu`` weighs each selected histogram by
+    ``exp(log_probs - log Pr(A))``, and ``E_mu[f]`` is the weighted mean of
+    the selected columns of the rows' ``(d, M)`` feature ``moments``.  The
+    reports read ``D(mu_A || P*^n) = -log Pr(A) - n lam* . E_mu[f] +
+    n A(lam*)``, the gap ``lam* . (E_mu[f] - E_P*[f])`` and the nested
+    slack ``-n lam* . (E_mu_B[f] - E_mu_A[f])`` off it;
+    :func:`conditional_law` computes ``log Pr`` only."""
+    sel_lhp = log_probs[sel]
     log_prob = _logsumexp(sel_lhp)
-    weights = np.exp(sel_lhp - log_prob)
-    mu_bar = weights @ (sub / n)
-    if p_star is None:
-        return log_prob, math.nan, mu_bar
-    per_hist = (sel_lhp - log_prob) - log_w[sel] - _log_likelihood(sub, p_star)
-    return log_prob, float(np.dot(weights, per_hist)), mu_bar
+    return log_prob, moments[:, sel] @ np.exp(sel_lhp - log_prob)
 
 
 def _exact_laws(p, constraints, n, cap, projection, inner=None):
@@ -297,30 +290,36 @@ def _exact_laws(p, constraints, n, cap, projection, inner=None):
     projection onto ``constraints`` (:func:`_rate_projection`) and the law
     of each event on that table.
 
-    Returns ``(projection, P*, histograms in the event, laws)``; ``laws``
-    holds the event's law, ``None`` when no supported histogram lies in
-    it, then ``inner``'s when given.  Before anything is projected,
-    ``inner`` must lie inside the event (else :class:`DomainError`) and
-    hold a supported histogram (else :class:`EmptyEvent`).
+    Returns ``(projection, histograms in the event, laws)``; ``laws``
+    holds the event's law ``(log Pr(A), E_mu[f])`` (:func:`_event_law`),
+    ``None`` when no supported histogram lies in it, then ``inner``'s when
+    given, its means taken over the event's features.  Before anything is
+    projected, ``inner`` must lie inside the event (else :class:`DomainError`)
+    and hold a supported histogram (else :class:`EmptyEvent`).
     """
     _check_sample(p, constraints, n)
     table = _table(p, n, cap)
-    mask, sel = _event_rows(table, constraints, n)
-    sels = [sel]
-    if inner is not None:
+    if inner is not None:  # first, so that its moments are freed before the event's
         inner.features.check_alphabet(p)
-        inner_mask, inner_sel = _event_rows(table, inner, n)
+        inner_mask, inner_sel = _event_rows(table, inner, n)[:2]
+    mask, sel, moments = _event_rows(table, constraints, n)
+    if inner is not None:
         if np.any(inner_mask & ~mask):
             raise DomainError(
                 "inner event is not contained in the outer event at this n"
             )
         if not np.any(inner_sel):
             raise EmptyEvent("both events must have positive probability")
-        sels.append(inner_sel)
     projection = _rate_projection(p, constraints, projection)
-    p_star = projection.model.to_distribution()
-    laws = [_event_law(table, s, n, p_star) if np.any(s) else None for s in sels]
-    return projection, p_star, int(mask.sum()), laws
+    sels = [sel] if inner is None else [sel, inner_sel]
+    laws = [_event_law(table[1], s, moments) if np.any(s) else None for s in sels]
+    return projection, int(mask.sum()), laws
+
+
+def _divergence(log_prob: float, means: np.ndarray, model, n: int) -> float:
+    """``D(mu_A || P*^n)`` of the event law ``(log_prob, means)``, not
+    divided by ``n``, for ``P*`` the member ``model`` (:func:`_event_law`)."""
+    return -log_prob - n * float(model.lam @ means) + n * model.log_partition
 
 
 def enumerate_event(
@@ -339,17 +338,16 @@ def enumerate_event(
     default solver options unless given as ``projection``, and then it is
     not solved again.
     """
-    projection, p_star, count, (law,) = _exact_laws(p, constraints, n, cap, projection)
+    projection, count, (law,) = _exact_laws(p, constraints, n, cap, projection)
     empty = projection.status is Status.INFEASIBLE or law is None
     log_prob, conditional_div, gap, residual = -math.inf, math.nan, math.nan, math.nan
     if not empty:
-        log_prob, divergence, mu_bar = law
+        log_prob, means = law
+        model = projection.model
         # Grouped conditional divergence (1/n) D(mu_A || P*^n), and the
-        # Pythagorean gap (E_mu_bar - E_P*)[log(P*/P)].
-        conditional_div = divergence / n
-        log_ratio_mu = _masked_log_ratio(mu_bar, p_star.log_probs, p.log_probs)
-        log_ratio_star = _masked_log_ratio(p_star.probs, p_star.log_probs, p.log_probs)
-        gap = log_ratio_mu - log_ratio_star
+        # Pythagorean gap (E_mu_bar - E_P*)[log(P*/P)] = lam* . (E_mu - E_P*)[f].
+        conditional_div = _divergence(log_prob, means, model, n) / n
+        gap = float(model.lam @ (means - mean_parameters(model)))
         residual = conditional_div + gap
     return _sanov_report(
         projection,
@@ -374,12 +372,12 @@ def conditional_law(
     """Histogram-level conditional law given the event; masses sum to 1."""
     _check_sample(p, constraints, n)
     table = _table(p, n, cap)
-    comps, _, lhp = table
-    _, sel = _event_rows(table, constraints, n)
+    comps, lhp = table
+    sel = _event_rows(table, constraints, n)[1]
     if not np.any(sel):
         raise EmptyEvent("the event has probability zero at this sample size")
-    log_prob, _, _ = _event_law(table, sel, n)
-    return ConditionalLaw(comps[sel], np.exp(lhp[sel] - log_prob), n)
+    sel_lhp = lhp[sel]
+    return ConditionalLaw(comps[sel], np.exp(sel_lhp - _logsumexp(sel_lhp)), n)
 
 
 def gibbs_conditioning_curve(
@@ -425,16 +423,18 @@ def nested_relative_probability(
 
         log Pr(inner | outer) = -(D(mu_B||P*^n) - D(mu_A||P*^n)) + slack
 
-    where the slack term ``n (E_mu_bar_B - E_mu_bar_A)[log(P/P*)]``
-    vanishes for equality-type outer constraints.  Containment of the
-    inner event in the outer one is verified by enumeration.  A caller
-    that has already projected ``p`` onto ``outer`` passes the result as
+    where the slack term ``n (E_mu_bar_B - E_mu_bar_A)[log(P/P*)] = -n
+    lam* . (E_mu_B - E_mu_A)[f]``, over the outer event's features ``f``,
+    vanishes for equality-type outer constraints.  Containment of the inner
+    event in the outer one is verified by enumeration.  A caller that has
+    already projected ``p`` onto ``outer`` passes the result as
     ``projection``, and it is not solved again.
     """
-    _, p_star, _, laws = _exact_laws(p, outer, n, cap, projection, inner)
-    (log_prob_a, div_a, mu_bar_a), (log_prob_b, div_b, mu_bar_b) = laws
-    direct = log_prob_b - log_prob_a
-    slack = n * _masked_log_ratio(mu_bar_b - mu_bar_a, p.log_probs, p_star.log_probs)
+    projection, _, (law_a, law_b) = _exact_laws(p, outer, n, cap, projection, inner)
+    model = projection.model
+    div_a, div_b = _divergence(*law_a, model, n), _divergence(*law_b, model, n)
+    direct = law_b[0] - law_a[0]
+    slack = -n * float(model.lam @ (law_b[1] - law_a[1]))
     formula = -(div_b - div_a) + slack
     return _report(
         "nested_relative_probability",

@@ -8,10 +8,12 @@ the library, except the object-path member evaluation (around the
 library's log-sum-exp, which has its own tests against scipy), the
 object-path energy-matching objective and the harness that swaps it (and
 the LP feasibility verdict) back into the identity suite, the
-stars-and-bars histogram table and the row-and-column histogram scorer,
-which are the library's earlier code paths kept as references for their
-array replacements, and the certificate's last condition, which re-runs
-the library's equality projection.
+stars-and-bars histogram table, the row-and-column histogram scorer and
+the per-histogram event law (every histogram of an event scored under
+``P*``, the gap and the nested slack summed over outcomes), which are the
+library's earlier code paths kept as references for their replacements,
+and the certificate's last condition, which re-runs the library's
+equality projection.
 """
 
 from __future__ import annotations
@@ -128,13 +130,55 @@ def binomial_tail_prob(n: int, k_min: int) -> Fraction:
     return Fraction(num, 2**n)
 
 
-def masked_log_ratio_loop(weights, num_log, den_log) -> float:
-    """``sum_i w_i (a_i - b_i)`` term by term, skipping zero weights."""
+def per_histogram_law(histograms, in_event, p, p_star):
+    """``(log Pr(A), D(mu_A || P*^n), mu_bar)`` of an event in the
+    per-histogram form, which scores every histogram of it under ``P*``.
+
+    ``histograms`` are count rows summing to ``n``; ``in_event`` marks the
+    event's rows.  Each row ``c`` that counts no outcome outside ``p``'s
+    support is scored row by row as ``log w(c) + c . log p``, with the
+    exact multinomial coefficient; the divergence sums ``mu(c) (c . (log p
+    - log p*) - log Pr(A))`` over those rows, and ``mu_bar`` is the mean
+    empirical measure over outcomes.  ``p_star`` keeps ``p``'s support."""
+    from scipy.special import logsumexp
+
+    n = int(histograms[0].sum())
+    rows, scores, ratios = [], [], []
+    for c in histograms[in_event]:
+        used = c > 0
+        if not np.all(p.support[used]):
+            continue
+        rows.append(c)
+        log_p, log_star = p.log_probs[used], p_star.log_probs[used]
+        scores.append(exact_log_multinomial(c.tolist()) + float(c[used] @ log_p))
+        ratios.append(float(c[used] @ (log_p - log_star)))
+    log_prob = float(logsumexp(scores))
+    weights = np.exp(np.array(scores) - log_prob)
+    divergence = float(weights @ (np.array(ratios) - log_prob))
+    return log_prob, divergence, weights @ (np.array(rows) / n)
+
+
+def outcome_log_ratio(weights, num, den) -> float:
+    """``sum_x w_x (log num_x - log den_x)`` term by term over the outcomes
+    of non-zero weight, where both distributions have positive mass."""
     total = 0.0
-    for w, a, b in zip(weights, num_log, den_log):
+    for w, a, b in zip(weights, num.log_probs, den.log_probs):
         if w != 0.0:
             total += float(w) * float(a - b)
     return total
+
+
+def per_outcome_gap(mu_bar, p, p_star) -> float:
+    """The Pythagorean gap ``(E_mu_bar - E_P*)[log(P*/P)]`` summed over
+    outcomes."""
+    star = outcome_log_ratio(p_star.probs, p_star, p)
+    return outcome_log_ratio(mu_bar, p_star, p) - star
+
+
+def per_outcome_slack(mu_bar_inner, mu_bar_outer, p, p_star, n: int) -> float:
+    """The nested slack ``n (E_mu_bar_B - E_mu_bar_A)[log(P/P*)]`` summed
+    over outcomes."""
+    return n * outcome_log_ratio(mu_bar_inner - mu_bar_outer, p, p_star)
 
 
 def interior_lp_reference(

@@ -817,6 +817,33 @@ def test_exact_sanov_on_an_empty_event_exits_0(files):
     assert report["projection"]["status"] == "infeasible"
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--curve", "2,4"], ["--monte-carlo", "--trials", "10"]]
+)
+def test_sanov_featureless_constraints(files, extra):
+    # A featureless constraint file (a 0x0 matrix) holds every histogram:
+    # probability 1, rate 0, residual 0, with no feature means to read.
+    tmp, write = files
+    prior = {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]}
+    event = {"kinds": [], "targets": [], "featureset": {"names": [], "matrix": []}}
+    out = tmp / "sanov.json"
+    argv = ["sanov", "--prior", write("p.json", prior), "--n", "5"]
+    argv += ["--constraints", write("a.json", event), "--output", str(out)]
+    assert main(argv + extra) == 0
+    report = json.loads(out.read_text())
+    assert report["rate"] == 0.0
+    if "--monte-carlo" in extra:
+        assert report["hits"] == report["trials"] == 10
+        return
+    assert report["num_histograms_in_event"] == math.comb(5 + 3 - 1, 3 - 1)
+    assert abs(report["log_prob"]) <= 1e-12
+    assert abs(report["residual"]) <= 1e-12
+    if extra:
+        rows = (tmp / "sanov.json.curve.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "4"]
+        assert all(abs(float(row.split(",")[3])) <= 1e-12 for row in rows)
+
+
 @pytest.mark.parametrize("extra, code", [([], 0), (["--monte-carlo"], 3)])
 def test_sanov_infeasible_event_exit_code_by_method(files, extra, code):
     # The same infeasible event: exact enumeration answers it (probability

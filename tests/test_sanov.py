@@ -10,8 +10,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from maxentlab import (
     ConstraintSet,
@@ -38,7 +36,9 @@ from maxentlab.projection import SolverOptions, project
 from oracles import (
     binomial_tail_prob,
     iter_compositions,
-    masked_log_ratio_loop,
+    per_histogram_law,
+    per_outcome_gap,
+    per_outcome_slack,
     stars_and_bars_compositions,
 )
 
@@ -246,17 +246,18 @@ class TestConditionalLaw:
 
     def test_masses_are_the_event_stats_weights(self):
         # The law and the identity decomposition condition the same
-        # histograms with the same weights, to the bit.
+        # histograms with the same weights, and the masses' feature means
+        # are the event law's, to the bit.
         p, event, n = coin(), tail_event(0.8), 10
         law = conditional_law(p, event, n)
         table = sanov._table(p, n, sanov.DEFAULT_ENUMERATION_CAP)
-        comps, _, lhp = table
-        _, sel = sanov._event_rows(table, event, n)
-        p_star = enumerate_event(p, event, n).projection.model.to_distribution()
-        log_prob, _, mu_bar = sanov._event_law(table, sel, n, p_star)
+        comps, lhp = table
+        _, sel, moments = sanov._event_rows(table, event, n)
+        log_prob, means = sanov._event_law(lhp, sel, moments)
         assert np.array_equal(law.histograms, comps[sel])
         assert np.array_equal(law.masses, np.exp(lhp[sel] - log_prob))
-        assert np.array_equal(law.masses @ (law.histograms / n), mu_bar)
+        feature_means = event.features.matrix @ (law.histograms.T / n) @ law.masses
+        assert np.array_equal(feature_means, means)
 
 
 class TestGibbsConditioning:
@@ -583,6 +584,14 @@ class TestRateProjection:
         with pytest.raises(DomainError, match="another prior"):
             _TAKES_PROJECTION[entry](coin(), tail_event(0.8), projection)
 
+    @pytest.mark.parametrize("entry", sorted(_TAKES_PROJECTION))
+    def test_projection_on_other_features_is_rejected(self, entry):
+        # lam* weighs the features it was solved on; the exact reports read
+        # the event's feature means against it.
+        projection = project(coin(), _event([1.0, 0.0], "le", 0.2))
+        with pytest.raises(DomainError, match="other features"):
+            _TAKES_PROJECTION[entry](coin(), tail_event(0.8), projection)
+
     def test_zero_mass_boundary_event_is_finite(self):
         # A boundary event over a prior with a zero-mass outcome: P* is the
         # capped iterate and keeps the prior's support, so the conditional
@@ -603,35 +612,122 @@ def _same_float(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
-class TestMaskedLogRatio:
-    """The vectorised ratio against the term-by-term loop it replaced."""
+def _event(row, kind, target):
+    return ConstraintSet(FeatureSet(["x"], [row]), [kind], [target])
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(1, 5000),
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([0.0, 0.2, 0.9]),
-        st.booleans(),
-    )
-    def test_bit_equal_to_loop(self, k, seed, zero_share, off_support):
-        rng = np.random.default_rng(seed)
-        weights = rng.normal(size=k)
-        weights[rng.random(k) < zero_share] = 0.0
-        num_log = rng.normal(scale=3.0, size=k)
-        den_log = rng.normal(scale=3.0, size=k)
-        if off_support:
-            # Outside p's support both logs are -inf and the weight is zero.
-            num_log[weights == 0.0] = den_log[weights == 0.0] = -math.inf
-        want = masked_log_ratio_loop(weights, num_log, den_log)
-        got = sanov._masked_log_ratio(weights, num_log, den_log)
-        assert _same_float(got, want), (got, want)
 
-    def test_zero_weights_and_signed_zero(self):
-        zeros = np.zeros(4)
-        assert _same_float(sanov._masked_log_ratio(zeros, zeros, zeros), 0.0)
-        neg = np.full(3, -0.0)
-        got = sanov._masked_log_ratio(np.ones(3), neg, np.zeros(3))
-        assert _same_float(got, masked_log_ratio_loop(np.ones(3), neg, np.zeros(3)))
+def _zero_mass_prior():
+    return FiniteDistribution(list("abcd"), [0.3, 0.0, 0.45, 0.25])
+
+
+_ZERO_MASS_ROW = [0, 2, 1, -0.5]
+
+
+def _full_prior():
+    return FiniteDistribution(list("abc"), [0.2, 0.3, 0.5])
+
+
+def _random_instances(count: int, seed: int):
+    """``(p, outer, inner, n)`` over 2 to 5 outcomes at ``n <= 12``: two
+    random features, each constraint ``ge`` or ``le`` at a target near the
+    prior's mean, and an inner event whose targets are tightened by a
+    random step, so it lies inside the outer one.  One prior in five has a
+    zero-mass outcome."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        k = int(rng.integers(2, 6))
+        probs = rng.dirichlet(np.ones(k))
+        if i % 5 == 4:
+            probs[rng.integers(k)] = 0.0
+            probs /= probs.sum()
+        p = FiniteDistribution([f"o{j}" for j in range(k)], probs)
+        features = FeatureSet(["u", "v"], rng.normal(size=(2, k)).round(3))
+        kinds = list(rng.choice(["ge", "le"], size=2))
+        sign = np.where(np.array(kinds) == "ge", 1.0, -1.0)
+        targets = features.matrix @ p.probs + sign * rng.uniform(-0.4, 0.2, size=2)
+        inner = targets + sign * rng.uniform(0.0, 0.3, size=2)
+        out.append(
+            (
+                p,
+                ConstraintSet(features, kinds, targets),
+                ConstraintSet(features, kinds, inner),
+                int(rng.integers(3, 13)),
+            )
+        )
+    return out
+
+
+def _oracle_law(p, constraints, n, p_star):
+    comps = compositions(n, len(p))
+    return per_histogram_law(comps, sanov._event_mask(comps, constraints, n), p, p_star)
+
+
+class TestStatisticForm:
+    """Every exact report field is a closed form in ``log Pr(A)`` and the
+    event's feature means; on enumerable instances it matches the
+    per-histogram form, which scores every histogram under ``P*``."""
+
+    _FIXED = {
+        "coin": (coin(), tail_event(0.8), 10),
+        "zero-mass prior": (_zero_mass_prior(), _event(_ZERO_MASS_ROW, "ge", 0.55), 40),
+        "boundary": (_full_prior(), _event([0, 1, 1], "ge", 1.0), 300),
+        "zero-mass boundary": (_zero_mass_prior(), _event([1, 1, 0, 0], "le", 0.0), 40),
+        "eq on a lattice feature": (_full_prior(), _event([0, 1, 2], "eq", 1.2), 30),
+    }
+
+    @staticmethod
+    def _check_report(p, constraints, n) -> bool:
+        report = enumerate_event(p, constraints, n)
+        if report.empty_event:
+            return False
+        p_star = report.projection.model.to_distribution()
+        log_prob, divergence, mu_bar = _oracle_law(p, constraints, n, p_star)
+        gap = per_outcome_gap(mu_bar, p, p_star)
+        assert report.log_prob == pytest.approx(log_prob, rel=1e-12, abs=1e-12)
+        assert report.conditional_divergence == pytest.approx(divergence / n, abs=1e-12)
+        assert report.pythagorean_gap == pytest.approx(gap, abs=1e-12)
+        assert report.residual == pytest.approx(divergence / n + gap, abs=1e-12)
+        return True
+
+    @staticmethod
+    def _check_nested(p, outer, inner, n) -> None:
+        rep = nested_relative_probability(p, outer, inner, n)
+        p_star = project(p, outer).model.to_distribution()
+        _, div_a, mu_bar_a = _oracle_law(p, outer, n, p_star)
+        _, div_b, mu_bar_b = _oracle_law(p, inner, n, p_star)
+        slack = per_outcome_slack(mu_bar_b, mu_bar_a, p, p_star, n)
+        assert rep.details["divergence_inner"] == pytest.approx(div_b / n, abs=1e-12)
+        assert rep.details["divergence_outer"] == pytest.approx(div_a / n, abs=1e-12)
+        assert rep.details["slack"] / n == pytest.approx(slack / n, abs=1e-12)
+        assert rep.passed
+
+    @pytest.mark.parametrize("name", sorted(_FIXED))
+    def test_fixed_events(self, name):
+        assert self._check_report(*self._FIXED[name])
+
+    def test_random_events(self):
+        checked = sum(
+            self._check_report(p, outer, n)
+            for p, outer, _, n in _random_instances(40, seed=0)
+        )
+        assert checked >= 30
+
+    def test_nested_pairs(self):
+        outer, inner = (_event(_ZERO_MASS_ROW, "ge", t) for t in (0.55, 0.75))
+        self._check_nested(_zero_mass_prior(), outer, inner, 40)
+        # An inner event on other features: its means are the outer's.
+        lattice = FeatureSet(["f", "c"], [[0, 1, 2], [0, 0, 1]])
+        inner = ConstraintSet(lattice, ["ge", "ge"], [1.0, 0.5])
+        self._check_nested(_full_prior(), _event([0, 1, 2], "ge", 1.0), inner, 20)
+        checked = 0
+        for p, outer, inner, n in _random_instances(40, seed=1):
+            try:
+                self._check_nested(p, outer, inner, n)
+            except EmptyEvent:
+                continue
+            checked += 1
+        assert checked >= 20
 
 
 class TestJson:

@@ -14,8 +14,10 @@ gets one line per JSON path whose values differ, with list indices
 collapsed to ``[*]`` (``[name=...]`` for an object with a ``name``, such
 as an identity report): the number of values that differ there, and the
 largest absolute change among the numbers, or ``removed`` or ``added``
-for a key that only the old or only the new tree writes.  A few fixed ops that reach
-paths the workloads do not are compared the same way:
+for a key that only the old or only the new tree writes.  A CSV output
+with a header row (a ``--curve`` or ``entropy-approx`` CSV) gets one such
+line per column that differs, its rows collapsed to ``[*]``.  A few fixed
+ops that reach paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
   identity suite, whose 2,000 instances reach more of the Bogoliubov
@@ -28,6 +30,10 @@ paths the workloads do not are compared the same way:
   outcome outside the support score ``-inf``;
 - exact ``sanov`` on boundary events, whose ``P*`` is evaluated at the
   capped parameters, on a full-support and a zero-mass prior;
+- exact ``sanov`` on a featureless constraint file (a 0x0 matrix), whose
+  event holds every histogram, and on an ``eq`` event of a lattice
+  feature (prior (0.2, 0.3, 0.5), ``f = (0, 1, 2)``, ``eq 1.2``, n = 30),
+  where the workloads run only ``ge`` events;
 - exact ``sanov --nested`` on three faulty inner events, each exit 2: one
   not contained in the outer event (``DomainError``), one that holds only
   histograms of probability zero (``EmptyEvent``) and a file that lacks a
@@ -49,6 +55,8 @@ Exit status: 0 when no op differs, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -129,6 +137,9 @@ _INPUTS = {
     "boundary-event": _event([0.0, 1.0, 1.0], "ge", 1.0),
     "zero-mass-boundary": _event([1.0, 1.0, 0.0, 0.0], "le", 0.0),
     "ramp-event": _event([0.0, 1.0, 2.0], "eq", 1.2),
+    "featureless-event": {
+        "kinds": [], "targets": [], "featureset": {"names": [], "matrix": []},
+    },
     "prior-\u00e4\u03bb\U0001f600": {
         "outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5],
     },
@@ -186,6 +197,8 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         ],
         "sanov boundary": sanov("full-prior", "boundary-event", 300),
         "sanov zero-mass boundary": sanov("zero-mass-prior", "zero-mass-boundary", 40),
+        "sanov featureless": sanov("full-prior", "featureless-event", 12),
+        "sanov eq lattice": sanov("full-prior", "ramp-event", 30),
         "project --trace --dump-config": [
             "project", "--prior", path["full-prior"],
             "--constraints", path["ramp-event"],
@@ -272,13 +285,32 @@ def _json_changes(a, b, path: str, changes: dict) -> None:
         entry[1] = change if entry[1] is None else max(entry[1], change)
 
 
-def _print_json_changes(label: str, a: str, b: str) -> None:
-    """Print the paths where the JSON texts ``a`` and ``b`` differ; texts
-    that are not JSON print nothing."""
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _csv_columns(text: str) -> dict | None:
+    """The CSV text's columns, ``{header: [cells]}`` with numeric cells
+    read as floats; None unless it has a header row of two or more names
+    and every row is as wide."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or len(rows[0]) < 2 or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    return {name: [_cell(row[j]) for row in rows[1:]] for j, name in enumerate(rows[0])}
+
+
+def _print_changes(label: str, a: str, b: str) -> None:
+    """Print the paths where the JSON texts ``a`` and ``b`` differ, or the
+    columns where the CSV texts do; other texts print nothing."""
     try:
         old, new = json.loads(a), json.loads(b)
     except ValueError:
-        return
+        old, new = _csv_columns(a), _csv_columns(b)
+        if old is None or new is None:
+            return
     changes = {}
     _json_changes(old, new, "", changes)
     for (path, kind), (count, largest) in changes.items():
@@ -291,8 +323,8 @@ def _print_json_changes(label: str, a: str, b: str) -> None:
 
 def compare(names, argvs, outdir: Path, old_src: Path, new_src: Path) -> int:
     """Run the ops ``argvs`` under both trees, print each named op whose
-    results differ with the JSON paths that moved, and return how many
-    ops differ."""
+    results differ with the JSON paths and CSV columns that moved, and
+    return how many ops differ."""
     old = run_tree(old_src, argvs, outdir)
     new = run_tree(new_src, argvs, outdir)
     differing = 0
@@ -303,10 +335,10 @@ def compare(names, argvs, outdir: Path, old_src: Path, new_src: Path) -> int:
         differing += 1
         print(f"{name}: {', '.join(fields)} differ: {' '.join(argv)}")
         if a["stdout"] != b["stdout"]:
-            _print_json_changes("stdout", a["stdout"], b["stdout"])
+            _print_changes("stdout", a["stdout"], b["stdout"])
         for file, text in a["files"].items():
             if b["files"].get(file, text) != text:
-                _print_json_changes(file, text, b["files"][file])
+                _print_changes(file, text, b["files"][file])
     return differing
 
 
