@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -117,12 +118,20 @@ def _load(cls, path: str):
     return cls.from_json(load_json(path))
 
 
-def _solver_options(args) -> SolverOptions:
+def _solver_options(args, unread: tuple[str, ...] = ()) -> SolverOptions:
     """The ``--solver-options`` file's settings, or the defaults; the
-    ``--trace`` flag wins over the file's ``trace``."""
+    ``--trace`` flag wins over the file's ``trace``.  A field among
+    ``unread``, which the command does not read, is an input error."""
     opts = SolverOptions()
     if args.solver_options is not None:
-        opts = _load(SolverOptions, args.solver_options)
+        obj = load_json(args.solver_options)
+        opts = SolverOptions.from_json(obj)
+        given = [name for name in unread if name in obj]
+        if given:
+            fields = ", ".join(given)
+            raise InputError(
+                f"solver options: {fields} would be ignored by {args.command}"
+            )
     if getattr(args, "trace", False):
         opts = replace(opts, trace=True)
     return opts
@@ -156,7 +165,7 @@ def cmd_project(args) -> int:
     _require_args(args, "prior", "constraints")
     prior = _load(FiniteDistribution, args.prior)
     constraints = _load(ConstraintSet, args.constraints)
-    opts = _solver_options(args)
+    opts = _solver_options(args, ("equiv_tol",))
     result = project_inequality(prior, constraints, opts)
     _emit(args.output, dump_json(result.to_json()))
     return _STATUS_EXIT[result.status]
@@ -240,7 +249,8 @@ def cmd_diagnose(args) -> int:
                 raise InputError(
                     "diagnose needs --random or --prior/--features/--data"
                 )
-        suite = [_diagnose_from_files(args, _solver_options(args))]
+        opts = _solver_options(args, ("equiv_tol", "trace"))
+        suite = [_diagnose_from_files(args, opts)]
     blocks = []
     failures = []
     for descriptor, reports in suite:
@@ -256,6 +266,28 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _curve_path(args) -> str:
+    """The file that ``sanov --curve`` writes its CSV to."""
+    return args.curve_output or (args.output or "sanov") + ".curve.csv"
+
+
+def _reject_shared_outputs(args) -> None:
+    """Reject a run two of whose output files resolve to one file, where
+    the later write would replace the earlier."""
+    outputs = {"--output": args.output, "--dump-config": args.dump_config}
+    if getattr(args, "curve", None) is not None:
+        outputs["the --curve CSV"] = _curve_path(args)
+    given = {option: path for option, path in outputs.items() if path is not None}
+    if len(given) < 2:  # nothing to compare: spare realpath's file-system reads
+        return
+    seen = {}
+    for option, path in given.items():
+        key = os.path.realpath(path)
+        if key in seen:
+            raise InputError(f"{seen[key]} and {option} would both write {path}")
+        seen[key] = option
+
+
 def cmd_sanov(args) -> int:
     _require_args(args, "prior", "constraints", "n")
     prior = _load(FiniteDistribution, args.prior)
@@ -265,6 +297,8 @@ def cmd_sanov(args) -> int:
     # before any of them starts; a Monte Carlo report alone needs no count.
     cap = sv.DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
     k = len(prior)
+    if args.n < 1:  # the library's rule, ahead of the count, which takes n = 0
+        raise InputError("sample size must be at least 1")
     if not args.monte_carlo:
         sv._check_cap(args.n, k, cap, "; pass --monte-carlo to estimate instead")
     elif args.nested is not None:
@@ -287,22 +321,19 @@ def cmd_sanov(args) -> int:
             seed=args.seed,
             threads=args.threads,
         )
-    else:
-        report = sv.enumerate_event(prior, constraints, args.n, cap=cap)
-    out = report.to_json()
-    if inner is not None:
-        nested = sv.nested_relative_probability(
+        nested = None if inner is None else sv.nested_relative_probability(
             prior, constraints, inner, args.n, cap=cap, projection=report.projection
         )
+    else:  # one table serves the report and the nested check
+        report, nested = sv._exact_reports(prior, constraints, args.n, cap, None, inner)
+    out = report.to_json()
+    if nested is not None:
         out["nested"] = nested.to_json()
     if args.curve is not None:
         curve = sv.gibbs_conditioning_curve(
             prior, constraints, n_list, cap=cap, projection=report.projection
         )
-        curve_path = args.curve_output or (
-            (args.output or "sanov") + ".curve.csv"
-        )
-        atomic_write_text(curve_path, sv.gibbs_curve_csv(curve))
+        atomic_write_text(_curve_path(args), sv.gibbs_curve_csv(curve))
     _emit(args.output, dump_json(out))
     if report.empty_event and report.method is sv.Method.EXACT:
         return EXIT_OK
@@ -443,6 +474,7 @@ def main(argv: list[str] | None = None) -> int:
             # The config's options parse ahead of the command line's, so
             # flags win.
             args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
+        _reject_shared_outputs(args)
         if args.dump_config is not None:
             resolved = {
                 k: v

@@ -33,11 +33,13 @@ off the projection's model and no histogram scored under ``P*``,
 One histogram table per ``(p, n)`` (:func:`_table`) holds each histogram's
 log-probability under ``P``; an event selects rows of it and gives each
 row's feature means (:func:`_event_rows`), and :func:`_event_law` turns a
-selection into the law.  One body (:func:`_exact_laws`) serves
-:func:`enumerate_event` and :func:`nested_relative_probability`;
+selection into the law.  One body (:func:`_exact_reports`) builds the
+table once, selects the event's rows and, when given, a nested inner
+event's, and returns the exact report and the nested report;
+:func:`enumerate_event` and :func:`nested_relative_probability` are views
+of it, and an exact ``sanov --nested`` command calls it once.
 :func:`conditional_law` reads the same table and selection, and ``log Pr``
-only.  ``sanov --nested`` still enumerates its table twice, once per public
-call: each call stands alone, and the nested table is no larger.
+only.
 """
 
 from __future__ import annotations
@@ -285,17 +287,17 @@ def _event_law(log_probs: np.ndarray, sel: np.ndarray, moments: np.ndarray):
     return log_prob, moments[:, sel] @ np.exp(sel_lhp - log_prob)
 
 
-def _exact_laws(p, constraints, n, cap, projection, inner=None):
+def _exact_reports(p, constraints, n, cap, projection, inner=None):
     """The body of the exact reports: one table of ``p`` at ``n``, the
     projection onto ``constraints`` (:func:`_rate_projection`) and the law
-    of each event on that table.
+    of each event on that table (:func:`_event_law`).
 
-    Returns ``(projection, histograms in the event, laws)``; ``laws``
-    holds the event's law ``(log Pr(A), E_mu[f])`` (:func:`_event_law`),
-    ``None`` when no supported histogram lies in it, then ``inner``'s when
-    given, its means taken over the event's features.  Before anything is
-    projected, ``inner`` must lie inside the event (else :class:`DomainError`)
-    and hold a supported histogram (else :class:`EmptyEvent`).
+    Returns ``(report, nested)``: the event's :class:`SanovReport` and,
+    when ``inner`` is given, the :class:`IdentityReport` of
+    :func:`nested_relative_probability`, else ``None``; ``inner``'s means
+    are taken over the event's features.  Before anything is projected,
+    ``inner`` must lie inside the event (else :class:`DomainError`) and
+    hold a supported histogram (else :class:`EmptyEvent`).
     """
     _check_sample(p, constraints, n)
     table = _table(p, n, cap)
@@ -311,9 +313,46 @@ def _exact_laws(p, constraints, n, cap, projection, inner=None):
         if not np.any(inner_sel):
             raise EmptyEvent("both events must have positive probability")
     projection = _rate_projection(p, constraints, projection)
-    sels = [sel] if inner is None else [sel, inner_sel]
-    laws = [_event_law(table[1], s, moments) if np.any(s) else None for s in sels]
-    return projection, int(mask.sum()), laws
+    model = projection.model
+    law = _event_law(table[1], sel, moments) if np.any(sel) else None
+    empty = projection.status is Status.INFEASIBLE or law is None
+    log_prob, conditional_div, gap, residual = -math.inf, math.nan, math.nan, math.nan
+    if not empty:
+        log_prob, means = law
+        # Grouped conditional divergence (1/n) D(mu_A || P*^n), and the
+        # Pythagorean gap (E_mu_bar - E_P*)[log(P*/P)] = lam* . (E_mu - E_P*)[f].
+        conditional_div = _divergence(log_prob, means, model, n) / n
+        gap = float(model.lam @ (means - mean_parameters(model)))
+        residual = conditional_div + gap
+    report = _sanov_report(
+        projection,
+        n=n,
+        log_prob=log_prob,
+        residual=residual,
+        num_histograms_in_event=int(mask.sum()),
+        method=Method.EXACT,
+        conditional_divergence=conditional_div,
+        pythagorean_gap=gap,
+        empty_event=empty,
+    )
+    if inner is None:
+        return report, None
+    # The inner event holds a supported histogram, so the event does too.
+    law_b = _event_law(table[1], inner_sel, moments)
+    div_a, div_b = _divergence(*law, model, n), _divergence(*law_b, model, n)
+    slack = -n * float(model.lam @ (law_b[1] - law[1]))
+    nested = _report(
+        "nested_relative_probability",
+        law_b[0] - law[0],
+        -(div_b - div_a) + slack,
+        TOL_CLOSED_FORM,
+        {
+            "divergence_inner": div_b / n,
+            "divergence_outer": div_a / n,
+            "slack": slack,
+        },
+    )
+    return report, nested
 
 
 def _divergence(log_prob: float, means: np.ndarray, model, n: int) -> float:
@@ -338,28 +377,7 @@ def enumerate_event(
     default solver options unless given as ``projection``, and then it is
     not solved again.
     """
-    projection, count, (law,) = _exact_laws(p, constraints, n, cap, projection)
-    empty = projection.status is Status.INFEASIBLE or law is None
-    log_prob, conditional_div, gap, residual = -math.inf, math.nan, math.nan, math.nan
-    if not empty:
-        log_prob, means = law
-        model = projection.model
-        # Grouped conditional divergence (1/n) D(mu_A || P*^n), and the
-        # Pythagorean gap (E_mu_bar - E_P*)[log(P*/P)] = lam* . (E_mu - E_P*)[f].
-        conditional_div = _divergence(log_prob, means, model, n) / n
-        gap = float(model.lam @ (means - mean_parameters(model)))
-        residual = conditional_div + gap
-    return _sanov_report(
-        projection,
-        n=n,
-        log_prob=log_prob,
-        residual=residual,
-        num_histograms_in_event=count,
-        method=Method.EXACT,
-        conditional_divergence=conditional_div,
-        pythagorean_gap=gap,
-        empty_event=empty,
-    )
+    return _exact_reports(p, constraints, n, cap, projection)[0]
 
 
 def conditional_law(
@@ -430,23 +448,7 @@ def nested_relative_probability(
     already projected ``p`` onto ``outer`` passes the result as
     ``projection``, and it is not solved again.
     """
-    projection, _, (law_a, law_b) = _exact_laws(p, outer, n, cap, projection, inner)
-    model = projection.model
-    div_a, div_b = _divergence(*law_a, model, n), _divergence(*law_b, model, n)
-    direct = law_b[0] - law_a[0]
-    slack = -n * float(model.lam @ (law_b[1] - law_a[1]))
-    formula = -(div_b - div_a) + slack
-    return _report(
-        "nested_relative_probability",
-        direct,
-        formula,
-        TOL_CLOSED_FORM,
-        {
-            "divergence_inner": div_b / n,
-            "divergence_outer": div_a / n,
-            "slack": slack,
-        },
-    )
+    return _exact_reports(p, outer, n, cap, projection, inner)[1]
 
 
 def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:

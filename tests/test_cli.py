@@ -399,6 +399,38 @@ def test_diagnose_random_instances(files):
     assert len(report["instances"]) == 5
 
 
+@pytest.mark.parametrize(
+    "outputs, named",
+    [
+        (["--curve", "5,10", "--curve-output", "x.json", "--output", "x.json"],
+         "--output and the --curve CSV would both write"),
+        (["--curve", "5,10", "--curve-output", "./x.json", "--output", "x.json"],
+         "--output and the --curve CSV would both write"),
+        (["--dump-config", "y.json", "--output", "y.json"],
+         "--output and --dump-config would both write"),
+        (["--curve", "5,10", "--dump-config", "sanov.curve.csv"],
+         "--dump-config and the --curve CSV would both write"),
+        (["--curve", "5,10", "--dump-config", "x.json.curve.csv", "--output", "x.json"],
+         "--dump-config and the --curve CSV would both write"),
+    ],
+    ids=["curve-output", "curve-output-spelled-apart", "dump-config",
+         "default-curve-stdout", "default-curve"],
+)
+def test_outputs_that_collide_exit_2_before_any_work(
+    files, monkeypatch, capsys, outputs, named
+):
+    # Two outputs that resolve to one file would lose the earlier write: the
+    # command exits 2 before it runs or writes anything.
+    tmp, write = files
+    argv = ["sanov", "--prior", write("p.json", PRIOR), "--n", "10"]
+    argv += ["--constraints", write("a.json", CONSTRAINTS_GE)]
+    monkeypatch.chdir(tmp)
+    before = sorted(tmp.iterdir())
+    assert main(argv + outputs) == 2
+    assert named in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before
+
+
 def test_diagnose_random_rejects_solver_options(files, capsys):
     # The random suite solves with its own settings; a solver-options file
     # would be ignored, so the combination is an input error.
@@ -1031,7 +1063,7 @@ def test_sanov_malformed_nested_file_fails_before_the_run(
     def refuse(*args, **kwargs):
         raise AssertionError("the main run started before --nested was read")
 
-    monkeypatch.setattr(cli.sv, "enumerate_event", refuse)
+    monkeypatch.setattr(cli.sv, "compositions", refuse)
     monkeypatch.setattr(cli.sv, "monte_carlo_event", refuse)
     tmp, write = files
     bad = tmp / "b.json"
@@ -1088,9 +1120,12 @@ def test_sanov_monte_carlo_alone_counts_no_histograms(files, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, extra", [("-5", []), ("-5", ["--monte-carlo"]), ("0", ["--monte-carlo"])]
+    "n, extra",
+    [("-5", []), ("-5", ["--monte-carlo"]), ("0", ["--monte-carlo"]), ("0", [])],
 )
 def test_sanov_bad_sample_size_is_input_error(files, capsys, n, extra):
+    # One message for every n < 1, exact or Monte Carlo: the exact run's
+    # histogram count, which takes n = 0, does not get there first.
     tmp, write = files
     code = main(
         [
@@ -1107,7 +1142,7 @@ def test_sanov_bad_sample_size_is_input_error(files, capsys, n, extra):
         + extra
     )
     assert code == 2
-    assert "sample size" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: sample size must be at least 1\n"
     assert not (tmp / "s.json").exists()
 
 
@@ -1123,6 +1158,8 @@ def test_sanov_bad_sample_size_is_input_error(files, capsys, n, extra):
 def test_sanov_projects_once_per_command(files, monkeypatch, extra):
     # The projection does not depend on n, and --nested projects onto the
     # main event: one solve serves the report, the nested check and the curve.
+    # The report and the nested check read one histogram table; each curve
+    # point builds its own.
     from maxentlab import cli, sanov
 
     calls = []
@@ -1132,12 +1169,22 @@ def test_sanov_projects_once_per_command(files, monkeypatch, extra):
         calls.append(args[1])
         return solve(*args, **kwargs)
 
+    built = []
+    enumerate_all = sanov.compositions
+
+    def counted_table(*args, **kwargs):
+        built.append(args[0])
+        return enumerate_all(*args, **kwargs)
+
     monkeypatch.setattr(cli, "project_inequality", counted)
     monkeypatch.setattr(sanov, "project_inequality", counted)
+    monkeypatch.setattr(sanov, "compositions", counted_table)
     tmp, write = files
     if "inner" in extra:
         extra[extra.index("inner")] = write("b.json", CONSTRAINTS_GE9)
+    grid = []
     if "--curve" in extra:
+        grid = extra[extra.index("--curve") + 1].split(",")
         extra += ["--curve-output", str(tmp / "curve.csv")]
     out = tmp / "s.json"
     code = main(
@@ -1157,6 +1204,7 @@ def test_sanov_projects_once_per_command(files, monkeypatch, extra):
     assert code == 0
     assert len(calls) == 1
     assert calls[0].targets.tolist() == [0.8]
+    assert len(built) == 1 + len(grid)
     report = json.loads(out.read_text())
     if "--nested" in extra:
         assert report["nested"]["pass"]
@@ -1465,6 +1513,40 @@ def test_bad_solver_options_exit_2(files, capsys, opts):
     )
     assert code == 2
     assert next(iter(opts)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, opts, code",
+    [
+        ("project", {"equiv_tol": 0.5}, 2),
+        ("diagnose", {"trace": True}, 2),
+        ("diagnose", {"equiv_tol": 0.5}, 2),
+        ("fit", {"equiv_tol": 0.5, "trace": True, "max_iter": 50}, 0),
+    ],
+)
+def test_solver_options_a_command_does_not_read_exit_2(
+    files, capsys, command, opts, code
+):
+    # project compares no two fits (equiv_tol) and diagnose writes no
+    # trace: a field the command would ignore is an input error that names
+    # the field and the command.  fit reads every field.
+    tmp, write = files
+    if command == "project":
+        inputs = ["--constraints", write("a.json", CONSTRAINTS_EQ)]
+    else:
+        data = write("d.json", {"outcomes": ["0", "1"], "probs": [0.3, 0.7]})
+        inputs = ["--features", write("f.json", FEATURES), "--data", data]
+    out = tmp / "r.json"
+    argv = [command, "--prior", write("p.json", PRIOR), *inputs]
+    argv += ["--solver-options", write("o.json", opts), "--output", str(out)]
+    assert main(argv) == code
+    if code == 2:
+        field = next(iter(opts))
+        message = f"{field} would be ignored by {command}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["equivalence_tol"] == 0.5
 
 
 @pytest.mark.parametrize("command, lps", [("project", 1), ("fit", 0)])

@@ -25,9 +25,11 @@ ops that reach paths the workloads do not are compared the same way:
 - ``diagnose`` on files: a three-outcome model at ``lambda = 800``, whose
   probabilities underflow to 0 where the data put mass, so the identities
   read the model's log-probabilities, not the logs of its probabilities;
-- exact ``sanov`` on a prior with zero-mass outcomes, plain, with
-  ``--nested`` and with ``--curve``, where histograms that count an
-  outcome outside the support score ``-inf``;
+- ``sanov`` on a prior with zero-mass outcomes, where histograms that
+  count an outcome outside the support score ``-inf``: exact, plain, with
+  ``--nested``, with ``--curve`` and with both (its curve CSV at the
+  default path beside the ``--output`` file), and Monte Carlo with
+  ``--nested``, whose nested check enumerates on its own;
 - exact ``sanov`` on boundary events, whose ``P*`` is evaluated at the
   capped parameters, on a full-support and a zero-mass prior;
 - exact ``sanov`` on a featureless constraint file (a 0x0 matrix), whose
@@ -194,6 +196,12 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         "sanov zero-mass --curve": [
             *zero_mass, "--curve", "10,20,40",
             "--curve-output", str(outdir / "curve.csv"),
+        ],
+        "sanov zero-mass --nested --curve": [
+            *nested("zero-mass-inner"), "--curve", "10,20,40",
+        ],
+        "sanov zero-mass --monte-carlo --nested": [
+            *nested("zero-mass-inner"), "--monte-carlo", "--trials", "1000",
         ],
         "sanov boundary": sanov("full-prior", "boundary-event", 300),
         "sanov zero-mass boundary": sanov("zero-mass-prior", "zero-mass-boundary", 40),
