@@ -330,9 +330,16 @@ def cmd_sanov(args) -> int:
     if nested is not None:
         out["nested"] = nested.to_json()
     if args.curve is not None:
-        curve = sv.gibbs_conditioning_curve(
-            prior, constraints, n_list, cap=cap, projection=report.projection
-        )
+        # An exact report is the curve's row at its own n: the same table,
+        # law and projection.
+        curve = [
+            report
+            if m == args.n and not args.monte_carlo
+            else sv.enumerate_event(
+                prior, constraints, m, cap=cap, projection=report.projection
+            )
+            for m in n_list
+        ]
         atomic_write_text(_curve_path(args), sv.gibbs_curve_csv(curve))
     _emit(args.output, dump_json(out))
     if report.empty_event and report.method is sv.Method.EXACT:

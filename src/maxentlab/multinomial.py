@@ -5,8 +5,10 @@ The count vector ``(n_1, ..., n_D)`` of ``n`` i.i.d. draws from ``P`` has
 probability ``n!/(n_1! ... n_D!) * prod_i P_i^{n_i}``.  Everything here is
 computed in the log domain via ``lgamma`` so that alphabets of tens of
 thousands of outcomes are exact to float precision.  Each formula exists
-once here; :mod:`maxentlab.sanov` weighs and scores its histogram tables
-with ``_log_multinomial`` and ``_log_likelihood``.
+once here.  :mod:`maxentlab.sanov` scores its histogram tables with
+``_log_likelihood`` and weighs each histogram from ``_log_factorials``
+while it enumerates the table; ``_log_multinomial`` weighs single count
+vectors.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ def _log_likelihood(counts: np.ndarray, p: FiniteDistribution) -> np.ndarray:
     row that counts an outcome outside ``p``'s support.  Rows over an
     alphabet of another size than ``p``'s raise :class:`ShapeMismatch`.
 
-    The product runs over the supported columns only: a zero-mass
-    outcome's ``-inf`` never enters it, and each row's sum keeps its bits
+    The product runs over the supported rows and columns only: a zero-mass
+    outcome's ``-inf`` never enters it, a full table of histograms scores
+    only its few supported rows, and each row's sum keeps its bits
     whichever other rows lie outside the support."""
     if counts.shape[1] != len(p):
         raise ShapeMismatch(
@@ -73,8 +76,9 @@ def _log_likelihood(counts: np.ndarray, p: FiniteDistribution) -> np.ndarray:
     supported = p.support
     if supported.all():
         return counts @ p.log_probs
-    out = counts[:, supported] @ p.log_probs[supported]
-    out[(counts[:, ~supported] > 0).any(axis=1)] = -math.inf
+    rows = ~counts[:, ~supported].any(axis=1)
+    out = np.full(counts.shape[0], -math.inf)
+    out[rows] = counts[np.ix_(rows, supported)] @ p.log_probs[supported]
     return out
 
 

@@ -3,9 +3,11 @@
 Events are sets of empirical measures defined by moment constraints.  For
 sample size ``n >= 1`` over ``D`` outcomes all ``C(n+D-1, D-1)`` histograms
 are enumerated (microstates are grouped by histogram, which is exact by
-exchangeability) and scored under ``P`` with the likelihood kernel of
-:mod:`maxentlab.multinomial`, giving the event probability, the projection
-rate term, and the conditional-law residual of the finite-sample identity
+exchangeability), each weighed by its log multinomial coefficient while
+the table is built (:func:`_enumerate`), and scored under ``P`` with the
+likelihood kernel of :mod:`maxentlab.multinomial`, giving the event
+probability, the projection rate term, and the conditional-law residual
+of the finite-sample identity
 
     (1/n) log Pr(event) + D(P*||P) + residual = 0.
 
@@ -31,7 +33,8 @@ off the projection's model and no histogram scored under ``P*``,
     nested slack    = -n lam* . (E_mu_B[f] - E_mu_A[f]).
 
 One histogram table per ``(p, n)`` (:func:`_table`) holds each histogram's
-log-probability under ``P``; an event selects rows of it and gives each
+log-probability under ``P``, its weight from the enumeration plus its
+log-likelihood; an event selects rows of it and gives each
 row's feature means (:func:`_event_rows`), and :func:`_event_law` turns a
 selection into the law.  One body (:func:`_exact_reports`) builds the
 table once, selects the event's rows and, when given, a nested inner
@@ -62,7 +65,7 @@ from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .expfam import _logsumexp, mean_parameters
 from .identities import TOL_CLOSED_FORM, IdentityReport, _report
 from .jsonio import _fields_json
-from .multinomial import _MAX_SAMPLE_SIZE, _log_likelihood, _log_multinomial
+from .multinomial import _MAX_SAMPLE_SIZE, _log_factorials, _log_likelihood
 from .projection import ProjectionResult, Status, project_inequality
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -158,33 +161,68 @@ def _check_cap(n: int, parts: int, cap: int, hint: str = "") -> int:
 
 def compositions(n: int, parts: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """All vectors of ``parts`` non-negative integers summing to ``n``, as
-    C-contiguous ``int64`` rows in lexicographic order.
+    C-contiguous ``int64`` rows in lexicographic order: the table of
+    :func:`_enumerate`.
+
+    Raises :class:`EnumerationCapExceeded` when the count would pass ``cap``,
+    before anything is allocated.
+    """
+    return _enumerate(n, parts, cap)[0]
+
+
+def _enumerate(n: int, parts: int, cap: int):
+    """Every histogram of ``n`` samples over ``parts`` outcomes and its log
+    multinomial coefficient ``log(n! / (c_1! ... c_D!))``, weighed while
+    the table is built: ``(C-contiguous int64 rows in lexicographic order,
+    their coefficients)``.
 
     The table is built one column at a time.  Each row prefix with
     remainder ``r`` takes the values ``0..r`` in the next column, each
     repeated once per composition of what remains over the columns after
     it; those counts come from a table indexed by remainder.  The last
-    column is the remainder.
+    column is the remainder.  Each prefix carries the running sum of its
+    values' ``log k!``, so the sums run on the few prefixes of the early
+    columns and only the last column's is as long as the table.  The sum
+    runs left to right over the columns, numpy's row-sum order up to 7
+    outcomes, where the coefficients are
+    :func:`maxentlab.multinomial._log_multinomial`'s bit for bit; past
+    that numpy sums pairwise and the last bits may differ.  One outcome
+    has coefficient 0 and takes no table of ``n + 1`` log-factorials.
 
     Raises :class:`EnumerationCapExceeded` when the count would pass ``cap``,
     before anything is allocated.
     """
     total = _check_cap(n, parts, cap)
     out = np.empty((total, parts), dtype=np.int64)
+    rem = np.array([n], dtype=np.int64)  # one remainder per prefix
+    if parts == 1:
+        out[:, 0] = rem
+        return out, np.zeros(1)
+    log_fact = _log_factorials(n)
     # ways[k][m]: compositions of m over k + 1 columns, at most ``total``.
     ways = [np.ones(n + 1, dtype=np.int64)]
     for _ in range(parts - 2):
         ways.append(np.cumsum(ways[-1]))
-    rem = np.array([n], dtype=np.int64)  # one remainder per prefix
+    weights = np.zeros(1)  # one running sum of log k! per prefix
     for j in range(parts - 1):
         sizes = rem + 1
         ends = np.cumsum(sizes)
         value = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
         rem = np.repeat(rem, sizes) - value
         after = parts - 2 - j  # ways[after] counts over the columns after j
-        out[:, j] = np.repeat(value, ways[after][rem]) if after else value
-    out[:, -1] = rem
-    return out
+        if after:
+            out[:, j] = np.repeat(value, ways[after][rem])
+            weights = np.repeat(weights, sizes)
+            weights += log_fact[value]
+    # The last level's prefixes are the rows.  Its values and remainders go
+    # to the table first and the sums read them back from it, so that no
+    # row-long copy of them is held while the sums run.
+    out[:, -2], out[:, -1] = value, rem
+    del value, rem
+    weights = np.repeat(weights, sizes)
+    weights += log_fact[out[:, -2]]
+    weights += log_fact[out[:, -1]]
+    return out, np.subtract(log_fact[n], weights, out=weights)
 
 
 def _row_moments(counts: np.ndarray, constraints: ConstraintSet, n: int) -> np.ndarray:
@@ -254,12 +292,11 @@ def _check_sample(p: FiniteDistribution, constraints: ConstraintSet, n: int) -> 
 def _table(p: FiniteDistribution, n: int, cap: int):
     """Every histogram of ``n >= 1`` samples over ``p``'s alphabet, as
     ``(histograms, log probabilities under p)``; it depends on ``p`` and
-    ``n`` only.  A row's log-probability is its
-    :func:`maxentlab.multinomial._log_multinomial` coefficient plus its
-    log-likelihood.
+    ``n`` only.  A row's log-probability is its log multinomial
+    coefficient, weighed while the table is enumerated (:func:`_enumerate`),
+    plus its log-likelihood.
     """
-    comps = compositions(n, len(p), cap)
-    log_probs = _log_multinomial(comps, n)
+    comps, log_probs = _enumerate(n, len(p), cap)
     log_probs += _log_likelihood(comps, p)
     return comps, log_probs
 

@@ -1158,8 +1158,8 @@ def test_sanov_bad_sample_size_is_input_error(files, capsys, n, extra):
 def test_sanov_projects_once_per_command(files, monkeypatch, extra):
     # The projection does not depend on n, and --nested projects onto the
     # main event: one solve serves the report, the nested check and the curve.
-    # The report and the nested check read one histogram table; each curve
-    # point builds its own.
+    # The report and the nested check read one histogram table, which is
+    # also the curve's row at --n; each other curve point builds its own.
     from maxentlab import cli, sanov
 
     calls = []
@@ -1170,7 +1170,7 @@ def test_sanov_projects_once_per_command(files, monkeypatch, extra):
         return solve(*args, **kwargs)
 
     built = []
-    enumerate_all = sanov.compositions
+    enumerate_all = sanov._enumerate
 
     def counted_table(*args, **kwargs):
         built.append(args[0])
@@ -1178,7 +1178,7 @@ def test_sanov_projects_once_per_command(files, monkeypatch, extra):
 
     monkeypatch.setattr(cli, "project_inequality", counted)
     monkeypatch.setattr(sanov, "project_inequality", counted)
-    monkeypatch.setattr(sanov, "compositions", counted_table)
+    monkeypatch.setattr(sanov, "_enumerate", counted_table)
     tmp, write = files
     if "inner" in extra:
         extra[extra.index("inner")] = write("b.json", CONSTRAINTS_GE9)
@@ -1204,7 +1204,7 @@ def test_sanov_projects_once_per_command(files, monkeypatch, extra):
     assert code == 0
     assert len(calls) == 1
     assert calls[0].targets.tolist() == [0.8]
-    assert len(built) == 1 + len(grid)
+    assert sorted(built) == sorted({10, *map(int, grid)})
     report = json.loads(out.read_text())
     if "--nested" in extra:
         assert report["nested"]["pass"]

@@ -98,6 +98,52 @@ class TestCompositions:
         assert elapsed < 0.5
         assert peak < 1 << 20
 
+    @staticmethod
+    def weighed_grid(outcomes):
+        """``(n, parts)`` for n 1-40 over ``outcomes``, up to 2e5 rows each."""
+        return [
+            (n, parts)
+            for parts in outcomes
+            for n in range(1, 41)
+            if num_compositions(n, parts) <= 200_000
+        ]
+
+    def test_weights_bit_equal_to_log_multinomial(self):
+        # Up to 7 outcomes the running sums add each row's log-factorials
+        # in numpy's row-sum order, so the weights keep their bits.
+        from maxentlab.multinomial import _log_multinomial
+
+        grid = self.weighed_grid(range(1, 8)) + [(999, 3), (25, 5), (44, 6)]
+        for n, parts in grid:
+            comps, weights = sanov._enumerate(n, parts, sanov.DEFAULT_ENUMERATION_CAP)
+            assert np.array_equal(weights, _log_multinomial(comps, n)), (n, parts)
+
+    def test_weights_past_seven_outcomes_agree_to_rounding(self):
+        # From 8 outcomes numpy sums rows pairwise, and the last bits of the
+        # left-to-right running sums may differ; this is the one place.
+        from maxentlab.multinomial import _log_multinomial
+
+        for n, parts in self.weighed_grid(range(8, 13)):
+            comps, weights = sanov._enumerate(n, parts, sanov.DEFAULT_ENUMERATION_CAP)
+            want = _log_multinomial(comps, n)
+            np.testing.assert_array_less(
+                np.abs(weights - want), 1e-15 * np.maximum(1.0, np.abs(want))
+            )
+
+    def test_one_outcome_takes_no_table_of_n(self):
+        # One outcome has one histogram, of weight 0, at any n up to the
+        # sampler's 2**63 - 1; no table of n + 1 log-factorials is built.
+        p = FiniteDistribution(["a"], [1.0])
+        event = ConstraintSet(FeatureSet(["x"], [[1.0]]), ["ge"], [0.5])
+        tracemalloc.start()
+        try:
+            report = enumerate_event(p, event, 10**15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report.log_prob == 0.0 and report.num_histograms_in_event == 1
+
     def test_negative_sample_size_is_domain_error(self):
         with pytest.raises(DomainError, match="sample size"):
             num_compositions(-1, 3)

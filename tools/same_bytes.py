@@ -36,6 +36,10 @@ ops that reach paths the workloads do not are compared the same way:
   event holds every histogram, and on an ``eq`` event of a lattice
   feature (prior (0.2, 0.3, 0.5), ``f = (0, 1, 2)``, ``eq 1.2``, n = 30),
   where the workloads run only ``ge`` events;
+- exact ``sanov`` over 8 outcomes (a ``ge`` event, n = 20), the smallest
+  alphabet where numpy sums a histogram's log-factorials pairwise, not
+  left to right as the enumeration weighs it, so the last bits of its
+  log multinomial coefficients may differ between the two;
 - exact ``sanov --nested`` on three faulty inner events, each exit 2: one
   not contained in the outer event (``DomainError``), one that holds only
   histograms of probability zero (``EmptyEvent``) and a file that lacks a
@@ -139,6 +143,11 @@ _INPUTS = {
     "boundary-event": _event([0.0, 1.0, 1.0], "ge", 1.0),
     "zero-mass-boundary": _event([1.0, 1.0, 0.0, 0.0], "le", 0.0),
     "ramp-event": _event([0.0, 1.0, 2.0], "eq", 1.2),
+    "eight-prior": {
+        "outcomes": list("abcdefgh"),
+        "probs": [0.05, 0.1, 0.15, 0.2, 0.1, 0.15, 0.1, 0.15],
+    },
+    "eight-event": _event([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], "ge", 4.5),
     "featureless-event": {
         "kinds": [], "targets": [], "featureset": {"names": [], "matrix": []},
     },
@@ -207,6 +216,7 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         "sanov zero-mass boundary": sanov("zero-mass-prior", "zero-mass-boundary", 40),
         "sanov featureless": sanov("full-prior", "featureless-event", 12),
         "sanov eq lattice": sanov("full-prior", "ramp-event", 30),
+        "sanov 8 outcomes": sanov("eight-prior", "eight-event", 20),
         "project --trace --dump-config": [
             "project", "--prior", path["full-prior"],
             "--constraints", path["ramp-event"],
