@@ -501,6 +501,25 @@ def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _two_class_hits(first: np.ndarray, constraints: ConstraintSet, n: int) -> int:
+    """How many of the two-class histograms ``(k, n - k)``, one per entry
+    ``k`` of ``first``, lie in the event (:func:`_event_mask`).
+
+    When the draws span no more values than there are draws, each value
+    from the smallest to the largest is tested once and the draws are
+    counted per value; past that (the span grows as ``sqrt(n q (1 - q))``:
+    65,536 draws at ``q = 1/2`` span about 65,000 values at ``n = 2e8``)
+    the drawn rows are tested, so no more rows than draws are ever held.
+    """
+    lo, hi = int(first.min()), int(first.max())
+    if hi - lo < first.size:
+        first = first - lo
+        k = np.arange(lo, hi + 1, dtype=np.int64)
+        inside = _event_mask(np.column_stack((k, n - k)), constraints, n)
+        return int(np.bincount(first, minlength=k.size) @ inside)
+    return int(_event_mask(np.column_stack((first, n - first)), constraints, n).sum())
+
+
 def monte_carlo_event(
     p: FiniteDistribution,
     constraints: ConstraintSet,
@@ -523,10 +542,18 @@ def monte_carlo_event(
     Trials draw class counts, not outcome counts (:func:`_outcome_classes`):
     Multinomial(n, p) summed over the classes is Multinomial(n, q), so the
     hit law is exact.  An outcome-indicator tail lumps to 2 classes at any
-    alphabet size, one binomial draw per trial.  Inputs with full support
-    and distinct columns draw exactly what the unlumped sampler drew; a
-    zero-mass outcome or a repeated column among supported outcomes changes
-    the draws, and so the hits, but not their law.
+    alphabet size.  Inputs with full support and distinct columns draw
+    exactly what the unlumped sampler drew; a zero-mass outcome or a
+    repeated column among supported outcomes changes the draws, and so the
+    hits, but not their law.
+
+    Two classes take one binomial draw per trial, the first class's count,
+    which is what numpy's multinomial sampler draws from the same stream
+    before it takes the remainder, and the membership test runs once per
+    distinct count (:func:`_two_class_hits`): a chunk holds its draws and
+    at most as many ``(k, n - k)`` rows and their float copy, at most 3 MB
+    at 65,536 trials.  Other class counts draw per row, in blocks of at
+    most 2^20 cells (about 16 MB of counts and their float copy).
     """
     _check_sample(p, constraints, n)
     if trials < 1:
@@ -544,8 +571,12 @@ def monte_carlo_event(
         rng = substream(seed, idx)
         hits = 0
         for start in range(0, size, block):
-            counts = rng.multinomial(n, probs, size=min(block, size - start))
-            hits += int(_event_mask(counts, lumped, n).sum())
+            m = min(block, size - start)
+            if probs.size == 2:
+                hits += _two_class_hits(rng.binomial(n, probs[0], size=m), lumped, n)
+            else:
+                counts = rng.multinomial(n, probs, size=m)
+                hits += int(_event_mask(counts, lumped, n).sum())
         return hits
 
     hits = sum(ordered_map(run_chunk, range(num_chunks), threads))

@@ -10,8 +10,9 @@ object-path energy-matching objective and the harness that swaps it (and
 the LP feasibility verdict) back into the identity suite, the
 stars-and-bars histogram table, the row-and-column histogram scorer and
 the per-histogram event law (every histogram of an event scored under
-``P*``, the gap and the nested slack summed over outcomes), which are the
-library's earlier code paths kept as references for their replacements,
+``P*``, the gap and the nested slack summed over outcomes) and the
+per-row Monte Carlo chunk loop, which are the library's earlier code
+paths kept as references for their replacements,
 and the certificate's last condition, which re-runs the library's
 equality projection.
 """
@@ -156,6 +157,27 @@ def per_histogram_law(histograms, in_event, p, p_star):
     weights = np.exp(np.array(scores) - log_prob)
     divergence = float(weights @ (np.array(ratios) - log_prob))
     return log_prob, divergence, weights @ (np.array(rows) / n)
+
+
+def monte_carlo_hits_per_row(p, constraints, n: int, trials: int, seed: int) -> int:
+    """The hits of ``monte_carlo_event(p, constraints, n, trials, seed)``
+    by the per-row chunk loop: each chunk of ``_MC_CHUNK`` trials draws
+    Multinomial(n, q) over the outcome classes from its own substream, in
+    row blocks of at most ``_MC_BLOCK_CELLS`` cells, and every drawn row
+    goes through the membership test."""
+    from maxentlab import sanov
+    from maxentlab._rng import substream
+
+    probs, lumped = sanov._outcome_classes(p, constraints)
+    block = max(1, sanov._MC_BLOCK_CELLS // probs.size)
+    hits = 0
+    for idx, start in enumerate(range(0, trials, sanov._MC_CHUNK)):
+        size = min(sanov._MC_CHUNK, trials - start)
+        rng = substream(seed, idx)
+        for row in range(0, size, block):
+            counts = rng.multinomial(n, probs, size=min(block, size - row))
+            hits += int(sanov._event_mask(counts, lumped, n).sum())
+    return hits
 
 
 def outcome_log_ratio(weights, num, den) -> float:

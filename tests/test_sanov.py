@@ -36,6 +36,7 @@ from maxentlab.projection import SolverOptions, project
 from oracles import (
     binomial_tail_prob,
     iter_compositions,
+    monte_carlo_hits_per_row,
     per_histogram_law,
     per_outcome_gap,
     per_outcome_slack,
@@ -431,6 +432,39 @@ class TestSharedLaw:
         )
 
 
+def two_class_events(n: int):
+    """Ten seeded ``(prior, event)`` pairs over 3-6 outcomes that lump to
+    two classes: outcome-indicator tails and real-valued columns at scales
+    1e-3 to 1e3, over one or two features, of kinds ``ge``, ``le`` and
+    ``eq``.  Every target is the moments of a lattice histogram ``(k, n -
+    k)`` near the mean, so an ``eq`` event holds it.  One prior in five
+    gives its last outcome zero mass, under a column of its own."""
+    cases = []
+    for i in range(10):
+        rng = np.random.default_rng(i)
+        size = 3 + i % 4
+        weights = rng.random(size) + 0.05
+        in_first = np.arange(size) < 1 + i % (size - 2)
+        d = 1 + i % 2
+        if i % 3 == 0:  # an indicator of the first class
+            columns = np.array([[1.0, 0.0]] * d)
+        else:
+            columns = rng.normal(size=(d, 2)) * 10.0 ** rng.uniform(-3, 3, size=(d, 1))
+        matrix = np.where(in_first, columns[:, :1], columns[:, 1:])
+        if i % 5 == 0:
+            weights[-1] = 0.0
+            matrix[:, -1] = 7.0 * matrix.max() + 1.0
+        q = weights[in_first].sum() / weights.sum()
+        sd = math.sqrt(n * q * (1 - q))
+        k = min(max(round(n * q + sd * rng.normal()), 0), n)
+        targets = columns[:, 0] * (k / n) + columns[:, 1] * ((n - k) / n)
+        kinds = [("ge", "le", "eq")[(i + j) % 3] for j in range(d)]
+        prior = FiniteDistribution([str(x) for x in range(size)], weights / weights.sum())
+        features = FeatureSet([f"f{j}" for j in range(d)], matrix)
+        cases.append((prior, ConstraintSet(features, kinds, targets)))
+    return cases
+
+
 class TestMonteCarlo:
     def test_full_event_hits_everything(self):
         report = monte_carlo_event(
@@ -587,6 +621,49 @@ class TestMonteCarlo:
         r = monte_carlo_event(prior, event, 10, trials=5000, seed=0)
         assert r.hits == 0
         assert r.empty_event
+
+    @pytest.mark.parametrize("trials", [1, 65_536, 65_537, 200_000])
+    @pytest.mark.parametrize("n", [1, 7, 2000, 10**5, 2**40])
+    def test_two_class_hits_match_the_per_row_loop(self, n, trials):
+        for prior, event in two_class_events(n):
+            assert len(sanov._outcome_classes(prior, event)[0]) == 2
+            want = monte_carlo_hits_per_row(prior, event, n, trials, seed=n % 97)
+            for threads in (1, 3):
+                r = monte_carlo_event(
+                    prior, event, n, trials, seed=n % 97, threads=threads
+                )
+                assert r.hits == want, (event, threads)
+
+    def test_two_class_blocks_test_each_distinct_count_once(self, monkeypatch):
+        # The benchmark's shape lumps to 2 classes: each block's membership
+        # test sees one row per count from its smallest to its largest
+        # draw, at most n + 1 rows, not one row per trial.
+        rows = []
+        event_mask = sanov._event_mask
+
+        def recording(counts, constraints, n):
+            rows.append(counts.shape[0])
+            return event_mask(counts, constraints, n)
+
+        monkeypatch.setattr(sanov, "_event_mask", recording)
+        monte_carlo_event(*five_outcome_tail(), 2000, trials=200_000, seed=6)
+        assert len(rows) == 4
+        assert max(rows) <= 2001
+
+    def test_two_class_wide_count_range_tests_the_drawn_rows(self):
+        # At n = 2**62 a block's draws span ~1e10 counts: the drawn rows are
+        # tested, and memory stays within the large-alphabet bound.
+        n = 2**62
+        event = tail_event(0.5 + 1.5e-9)
+        tracemalloc.start()
+        try:
+            report = monte_carlo_event(coin(), event, n, trials=65_537, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < report.hits < report.trials
+        assert report.hits == monte_carlo_hits_per_row(coin(), event, n, 65_537, 5)
+        assert peak <= 100 * 2**20
 
     def test_wilson_calibration_sample(self):
         # Small calibration run; the acceptance suite runs the full one.

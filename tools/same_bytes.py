@@ -16,8 +16,8 @@ as an identity report): the number of values that differ there, and the
 largest absolute change among the numbers, or ``removed`` or ``added``
 for a key that only the old or only the new tree writes.  A CSV output
 with a header row (a ``--curve`` or ``entropy-approx`` CSV) gets one such
-line per column that differs, its rows collapsed to ``[*]``.  A few fixed
-ops that reach paths the workloads do not are compared the same way:
+line per column that differs, its rows collapsed to ``[*]``.  Twenty-eight
+fixed ops that reach paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
   identity suite, whose 2,000 instances reach more of the Bogoliubov
@@ -36,6 +36,12 @@ ops that reach paths the workloads do not are compared the same way:
   event holds every histogram, and on an ``eq`` event of a lattice
   feature (prior (0.2, 0.3, 0.5), ``f = (0, 1, 2)``, ``eq 1.2``, n = 30),
   where the workloads run only ``ge`` events;
+- Monte Carlo ``sanov`` (70,000 trials, two chunks) on events that no
+  workload samples: a ``le`` event of a real-valued feature over the
+  zero-mass prior (two classes: the supported outcomes "a" and "c"
+  share a column), an ``eq`` event that lumps to two classes, and the
+  ``eq`` event of the lattice feature, which keeps three classes and so
+  draws per row;
 - exact ``sanov`` over 8 outcomes (a ``ge`` event, n = 20), the smallest
   alphabet where numpy sums a histogram's log-factorials pairwise, not
   left to right as the enumeration weighs it, so the last bits of its
@@ -126,7 +132,10 @@ def _event(row: list[float], kind: str, target: float) -> dict:
 # (over the prior's support), so P* is not attained.  Of the faulty inner
 # events of the zero-mass prior, "le" admits histograms outside the outer
 # event, and a mean of 1.5 or more needs outcome "b".  At lambda = 800 the
-# model on the full prior puts probability 0.0 on "a" and "b".  A
+# model on the full prior puts probability 0.0 on "a" and "b".  The
+# real-valued "le" event over the zero-mass prior has probability about
+# 0.08 at n = 200, and the two-class "eq" event (a count of 10 in class
+# "a" at n = 50) about 0.14.  A
 # --dump-config file writes the path of the prior named outside ASCII as
 # ``\u`` escapes, one of them a surrogate pair.
 _INPUTS = {
@@ -143,6 +152,8 @@ _INPUTS = {
     "boundary-event": _event([0.0, 1.0, 1.0], "ge", 1.0),
     "zero-mass-boundary": _event([1.0, 1.0, 0.0, 0.0], "le", 0.0),
     "ramp-event": _event([0.0, 1.0, 2.0], "eq", 1.2),
+    "zero-mass-real-le": _event([0.37, 5.0, 0.37, -1.25], "le", -0.1),
+    "two-class-eq": _event([0.25, 1.5, 1.5], "eq", 1.25),
     "eight-prior": {
         "outcomes": list("abcdefgh"),
         "probs": [0.05, 0.1, 0.15, 0.2, 0.1, 0.15, 0.1, 0.15],
@@ -186,6 +197,7 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
                 "--n", str(n), *extra]
 
     zero_mass = sanov("zero-mass-prior", "zero-mass-event", 40)
+    monte_carlo = ["--monte-carlo", "--trials", "70000", "--seed", "3"]
 
     def nested(inner: str) -> list[str]:
         return [*zero_mass, "--nested", path[inner]]
@@ -217,6 +229,15 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         "sanov featureless": sanov("full-prior", "featureless-event", 12),
         "sanov eq lattice": sanov("full-prior", "ramp-event", 30),
         "sanov 8 outcomes": sanov("eight-prior", "eight-event", 20),
+        "sanov --monte-carlo zero-mass real le": sanov(
+            "zero-mass-prior", "zero-mass-real-le", 200, *monte_carlo
+        ),
+        "sanov --monte-carlo two-class eq": sanov(
+            "full-prior", "two-class-eq", 50, *monte_carlo
+        ),
+        "sanov --monte-carlo three classes": sanov(
+            "full-prior", "ramp-event", 30, *monte_carlo
+        ),
         "project --trace --dump-config": [
             "project", "--prior", path["full-prior"],
             "--constraints", path["ramp-event"],
