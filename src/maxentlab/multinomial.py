@@ -25,7 +25,7 @@ from .dist import EmpiricalMeasure, FiniteDistribution
 from .errors import DomainError, ShapeMismatch
 
 LOG_2PI = math.log(2.0 * math.pi)
-# The largest sample size numpy's multinomial sampler takes (an int64).
+# The largest sample size a count vector holds (an int64).
 _MAX_SAMPLE_SIZE = 2**63 - 1
 
 
@@ -189,18 +189,87 @@ class ExperimentRow:
     skipped_first: bool
 
 
-def _sample_weights(rng: np.random.Generator, mode: PriorMode, size: int) -> np.ndarray:
-    # Dirichlet(1) via normalized standard exponentials; the orthant mode
-    # normalizes standard uniforms instead.
-    if mode is PriorMode.DIRICHLET1:
-        w = rng.standard_exponential(size)
-    else:
-        w = rng.random(size)
+def _sample_weights(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The uniform-orthant prior's draw: standard uniforms, normalized."""
+    w = rng.random(size)
     total = w.sum()
     while total <= 0.0:  # pragma: no cover - measure-zero resample guard
         w = rng.random(size)
         total = w.sum()
     return w / total
+
+
+def _uniform_subset(rng: np.random.Generator, size: int, population: int) -> np.ndarray:
+    """A uniformly random ``size``-subset of ``range(population)``, sorted,
+    as ``uint64``, for ``1 <= size <= population / 2`` and any population
+    below ``2**64``.
+
+    About ``-population * log1p(-size / population)`` uniform draws hold
+    ``size`` distinct values on average; ``4 * sqrt`` of that many more
+    draws, several standard deviations of the number of distinct values,
+    make a redraw rare.  Given how many distinct values the draws hold,
+    which values they are is a uniform subset of that size, so redrawing
+    when there are too few, and keeping a uniform ``size``-subset of them
+    when there are more, gives an exactly uniform subset.  Time and memory
+    follow ``size``, whatever the population.
+    """
+    draws = -population * math.log1p(-size / population)
+    draws = math.ceil(draws + 4.0 * math.sqrt(draws)) + 1
+    while True:
+        values = rng.integers(0, population, size=draws, dtype=np.uint64)
+        values.sort()
+        first = np.empty(values.size, dtype=bool)
+        first[0] = True
+        np.not_equal(values[1:], values[:-1], out=first[1:])
+        # np.compress takes about half the time of a boolean index here.
+        values = np.compress(first, values)
+        surplus = values.size - size
+        if surplus >= 0:
+            break
+    if surplus:
+        keep = np.ones(values.size, dtype=bool)
+        keep[rng.choice(values.size, surplus, replace=False, shuffle=False)] = False
+        values = np.compress(keep, values)
+    return values
+
+
+def _uniform_composition(rng: np.random.Generator, n: int, parts: int) -> np.ndarray:
+    """A uniformly random count vector of ``parts`` non-negative counts
+    summing to ``n``: the histogram of ``Multinomial(n, P)`` with ``P``
+    drawn from Dirichlet(1, ..., 1), which puts mass
+    ``1 / C(n + parts - 1, parts - 1)`` on every histogram (Bose-Einstein
+    counting).
+
+    Stars and bars over ``n + parts - 1`` slots: while ``n >= parts - 1``
+    the ``parts - 1`` bar positions are drawn and the counts are the gaps
+    between them; below that the ``n`` star positions are drawn, and the
+    star at position ``s_j`` falls in part ``s_j - j``.  Either way at most
+    ``parts - 1`` positions are drawn, so memory stays O(parts) at any n.
+    """
+    slots = n + parts - 1
+    if n < parts - 1:
+        stars = _uniform_subset(rng, n, slots).astype(np.int64)
+        stars -= np.arange(n)
+        return np.bincount(stars, minlength=parts)
+    edges = np.empty(parts + 1, dtype=np.uint64)
+    edges[0] = 0
+    np.add(_uniform_subset(rng, parts - 1, slots), 1, out=edges[1:-1])
+    edges[-1] = slots + 1
+    gaps = np.diff(edges)
+    gaps -= 1
+    return gaps.view(np.int64)  # every gap is at most n < 2**63
+
+
+def _draw_counts(
+    rng: np.random.Generator, mode: PriorMode, n: int, alphabet_size: int
+) -> np.ndarray:
+    """One cell's histogram of ``n`` draws from a ``P`` drawn from the prior.
+
+    A row depends on the counts alone, so a Dirichlet(1) cell draws them
+    from their marginal law, without drawing ``P``."""
+    if mode is PriorMode.DIRICHLET1:
+        return _uniform_composition(rng, n, alphabet_size)
+    return rng.multinomial(n, _sample_weights(rng, alphabet_size))
 
 
 def _experiment_cell(
@@ -211,9 +280,7 @@ def _experiment_cell(
     seed: int,
     cell_index: int,
 ) -> ExperimentRow:
-    rng = substream(seed, cell_index)
-    weights = _sample_weights(rng, mode, alphabet_size)
-    counts = rng.multinomial(n, weights)
+    counts = _draw_counts(substream(seed, cell_index), mode, n, alphabet_size)
     pos, log_pos = _positive_counts(counts)
     exact = float(_log_multinomial(counts, n))
     zeroth = _counts_entropy_nats(pos, log_pos, n)
@@ -246,10 +313,15 @@ def entropy_approx_experiment(
 ) -> list[ExperimentRow]:
     """Sample histograms and tabulate Stirling approximation errors.
 
-    For every ``n`` in ``n_grid`` and every trial, a distribution ``P`` is
-    drawn from the prior, a histogram is drawn from ``Multinomial(n, P)``,
-    and the exact log-multinomial is recorded next to its zeroth- and
-    first-order Stirling estimates.  Each (n, trial) cell uses its own
+    For every ``n`` in ``n_grid`` and every trial, a histogram of ``n``
+    draws from a distribution ``P`` drawn from the prior is sampled, and
+    the exact log-multinomial is recorded next to its zeroth- and
+    first-order Stirling estimates.  Under ``uniform-orthant`` ``P`` is
+    drawn and the histogram from ``Multinomial(n, P)``.  Under
+    ``dirichlet1`` the histogram is drawn from its marginal law, uniform
+    over all ``C(n + D - 1, D - 1)`` histograms (Bose-Einstein counting),
+    with no ``P``: the same law, in O(D) memory and O(D log D) time at any
+    ``n`` up to ``2**63 - 1``.  Each (n, trial) cell uses its own
     counter-derived random stream, so the output is identical for any
     thread count.
     """

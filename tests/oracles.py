@@ -10,9 +10,10 @@ object-path energy-matching objective and the harness that swaps it (and
 the LP feasibility verdict) back into the identity suite, the
 stars-and-bars histogram table, the row-and-column histogram scorer and
 the per-histogram event law (every histogram of an event scored under
-``P*``, the gap and the nested slack summed over outcomes) and the
-per-row Monte Carlo chunk loop, which are the library's earlier code
-paths kept as references for their replacements,
+``P*``, the gap and the nested slack summed over outcomes), the per-row
+Monte Carlo chunk loop and the two-step (weights, then multinomial)
+Dirichlet(1) experiment cell, which are the library's earlier code paths
+kept as references for their replacements,
 and the certificate's last condition, which re-runs the library's
 equality projection.
 """
@@ -178,6 +179,22 @@ def monte_carlo_hits_per_row(p, constraints, n: int, trials: int, seed: int) -> 
             counts = rng.multinomial(n, probs, size=min(block, size - row))
             hits += int(sanov._event_mask(counts, lumped, n).sum())
     return hits
+
+
+def dirichlet1_exact_by_weights(
+    alphabet_size: int, n: int, seed: int, cell_index: int
+) -> float:
+    """The ``exact`` column of a ``dirichlet1`` experiment cell drawn the
+    two-step way: Dirichlet(1) weights as normalized standard exponentials,
+    then a histogram from ``Multinomial(n, weights)``, both from the cell's
+    substream."""
+    from maxentlab._rng import substream
+    from scipy.special import gammaln
+
+    rng = substream(seed, cell_index)
+    w = rng.standard_exponential(alphabet_size)
+    counts = rng.multinomial(n, w / w.sum())
+    return float(gammaln(n + 1) - gammaln(counts + 1).sum())
 
 
 def outcome_log_ratio(weights, num, den) -> float:

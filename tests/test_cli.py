@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, schemas, and determinism."""
 
+import csv
 import json
 import math
 import os
@@ -1258,6 +1259,24 @@ def test_entropy_approx_doubling_span(files):
     rows = out.read_text().strip().split("\n")[1:]
     seen = sorted({int(r.split(",")[2]) for r in rows})
     assert seen == [20, 40, 80]
+
+
+def test_entropy_approx_prints_the_median_of_two_trials(files, capsys):
+    # With an even trial count the median is the mean of the two middle
+    # |err|, not the upper one.
+    tmp, write = files
+    out = tmp / "exp.csv"
+    argv = ["entropy-approx", "--alphabet-size", "10", "--n", "30,60"]
+    assert main(argv + ["--trials", "2", "--seed", "4", "--output", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    lines = capsys.readouterr().out.splitlines()
+    for n, line in zip((30, 60), lines, strict=True):
+        cell = [r for r in rows if int(r["n"]) == n]
+        med0, med1 = (
+            (abs(float(cell[0][col])) + abs(float(cell[1][col]))) / 2
+            for col in ("err_zeroth", "err_first")
+        )
+        assert line == f"n={n}: median |err| zeroth={med0:.6g} first={med1:.6g} (2 trials)"
 
 
 def test_config_file_defaults_with_flag_override(files):

@@ -1,5 +1,6 @@
-"""The advertised limits: projection at 5e4 outcomes, and exact event
-enumeration at the default cap of 2e6 histograms.
+"""The advertised limits: projection at 5e4 outcomes, exact event
+enumeration at the default cap of 2e6 histograms, and entropy-approx
+cells from n = 1 up to n = 2**63 - 1.
 
 The feasibility LP and the interior certificate that usually replaces it
 must stay linear in the alphabet size: a dense K x K block at this size
@@ -24,7 +25,7 @@ from maxentlab import (
     project,
     project_inequality,
 )
-from maxentlab import projection
+from maxentlab import multinomial, projection
 from maxentlab.projection import SolverOptions
 from maxentlab.sanov import DEFAULT_ENUMERATION_CAP, num_compositions
 from maxentlab._rng import substream
@@ -124,3 +125,39 @@ def test_enumeration_at_the_histogram_cap(parts, n):
         tracemalloc.stop()
     assert traced.to_json() == report.to_json()
     assert peak < 1 << 30
+
+
+_MAX_N = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "mode, parts, n",
+    [("dirichlet1", 3, _MAX_N), ("dirichlet1", K, _MAX_N), ("uniform-orthant", 3, _MAX_N)]
+    # n = 1, then where the dirichlet1 draw switches from stars (n < D - 1)
+    # to bars, and n = 49 D
+    + [
+        ("dirichlet1", parts, n)
+        for parts in (3, K)
+        for n in sorted({1, parts - 2, parts - 1, parts, 49 * parts})
+    ],
+)
+def test_entropy_approx_cell_at_the_limits(mode, parts, n):
+    # A cell's draw holds O(D) numbers whatever n is: no array over the
+    # n + D - 1 stars-and-bars slots, no int64 overflow past them.
+    seed = 17
+    multinomial.entropy_approx_experiment(2, [1], mode, trials=1)  # loads scipy
+    tracemalloc.start()
+    try:
+        (row,) = multinomial.entropy_approx_experiment(parts, [n], mode, trials=1, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * parts + (1 << 20)
+    fields = (row.exact, row.zeroth, row.first, row.err_zeroth, row.err_first)
+    assert all(np.isfinite(fields))
+    counts = multinomial._draw_counts(
+        substream(seed, 0), multinomial.PriorMode(mode), n, parts
+    )
+    assert counts.size == parts and counts.min() >= 0
+    assert sum(int(c) for c in counts) == n
+    assert row.exact == float(multinomial._log_multinomial(counts, n))

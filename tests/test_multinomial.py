@@ -24,6 +24,7 @@ from maxentlab.multinomial import PriorMode, entropy_approx_experiment, experime
 from maxentlab._rng import substream
 
 from oracles import (
+    dirichlet1_exact_by_weights,
     exact_histogram_prob,
     exact_log_multinomial,
     iter_compositions,
@@ -306,11 +307,12 @@ class TestDescribeHistogram:
 
 class TestExperiment:
     def test_forced_tiny_case(self):
-        rows = entropy_approx_experiment(2, [2], PriorMode.DIRICHLET1, trials=64, seed=7)
-        hit = [r for r in rows if abs(r.zeroth - 2 * math.log(2)) < 1e-12]
-        # counts (1,1) occur in some trial; there exact = log 2
-        assert hit, "no (1,1) histogram in 64 trials"
-        assert hit[0].exact == pytest.approx(math.log(2), abs=1e-12)
+        for mode in PriorMode:
+            rows = entropy_approx_experiment(2, [2], mode, trials=64, seed=7)
+            hit = [r for r in rows if abs(r.zeroth - 2 * math.log(2)) < 1e-12]
+            # counts (1,1) occur in some trial; there exact = log 2
+            assert hit, f"no (1,1) histogram in 64 {mode.value} trials"
+            assert hit[0].exact == pytest.approx(math.log(2), abs=1e-12)
 
     def test_deterministic_given_seed(self):
         a = entropy_approx_experiment(20, [50, 100], "dirichlet1", trials=5, seed=3)
@@ -318,11 +320,13 @@ class TestExperiment:
         assert a == b
 
     def test_thread_count_does_not_change_rows(self):
-        a = entropy_approx_experiment(30, [60, 120], "uniform-orthant", trials=6, seed=9)
-        b = entropy_approx_experiment(
-            30, [60, 120], "uniform-orthant", trials=6, seed=9, threads=4
-        )
-        assert a == b
+        # Both sides of the dirichlet1 draw: bars at n >= D - 1, stars below.
+        for mode in PriorMode:
+            a = entropy_approx_experiment(30, [20, 60, 120], mode, trials=6, seed=9)
+            b = entropy_approx_experiment(
+                30, [20, 60, 120], mode, trials=6, seed=9, threads=4
+            )
+            assert a == b
 
     def test_skip_flag_marks_partial_support(self):
         rows = entropy_approx_experiment(50, [60], "dirichlet1", trials=10, seed=1)
@@ -358,3 +362,56 @@ class TestExperiment:
             entropy_approx_experiment(3, [5], "dirichlet1", trials=0, seed=0)
         with pytest.raises(DomainError, match="2\\*\\*63 - 1"):
             entropy_approx_experiment(3, [2**63], "dirichlet1", trials=1, seed=0)
+
+
+class TestDirichlet1Draw:
+    """The ``dirichlet1`` histogram is drawn from its marginal law, uniform
+    over the ``C(n + D - 1, D - 1)`` histograms of n draws over D
+    outcomes."""
+
+    @pytest.mark.parametrize(
+        "parts, n",
+        [
+            # bars: n >= D - 1, the D - 1 bar positions are drawn
+            (2, 5), (3, 4), (3, 2), (4, 3), (4, 9),
+            # stars: n < D - 1, the n star positions are drawn
+            (5, 1), (5, 3), (6, 2), (7, 4),
+        ],
+    )
+    def test_law_is_uniform_over_histograms(self, parts, n):
+        from scipy.stats import chisquare
+
+        from maxentlab.multinomial import _uniform_composition
+
+        index = {c: i for i, c in enumerate(iter_compositions(n, parts))}
+        assert len(index) == math.comb(n + parts - 1, parts - 1)
+        rng = substream(parts * 100 + n, 41)
+        seen = np.zeros(len(index))
+        for _ in range(60 * len(index)):
+            counts = _uniform_composition(rng, n, parts)
+            assert counts.dtype == np.int64 and counts.size == parts
+            seen[index[tuple(int(c) for c in counts)]] += 1
+        assert chisquare(seen).pvalue > 1e-3
+
+    @pytest.mark.parametrize("parts, n", [(50, 200), (200, 50)])
+    def test_exact_column_matches_the_two_step_draw(self, parts, n):
+        # Two samples of the exact column: this experiment's cells and the
+        # two-step draw (Dirichlet weights, then a multinomial histogram) on
+        # other seeds.  A row is a function of the counts, so equal laws of
+        # the counts give equal laws of the column.
+        from scipy.stats import ks_2samp
+
+        trials = 600
+        rows = entropy_approx_experiment(parts, [n], "dirichlet1", trials=trials, seed=8)
+        two_step = [dirichlet1_exact_by_weights(parts, n, 9, i) for i in range(trials)]
+        assert ks_2samp([r.exact for r in rows], two_step).pvalue > 1e-3
+
+    def test_uniform_subset_is_sorted_distinct_and_in_range(self):
+        from maxentlab.multinomial import _uniform_subset
+
+        rng = substream(3, 42)
+        for size, population in ((1, 2), (3, 6), (999, 2000), (40, 2**64 - 1)):
+            got = _uniform_subset(rng, size, population)
+            assert got.dtype == np.uint64 and got.size == size
+            assert np.all(got[1:] > got[:-1])
+            assert int(got[-1]) < population

@@ -16,7 +16,7 @@ as an identity report): the number of values that differ there, and the
 largest absolute change among the numbers, or ``removed`` or ``added``
 for a key that only the old or only the new tree writes.  A CSV output
 with a header row (a ``--curve`` or ``entropy-approx`` CSV) gets one such
-line per column that differs, its rows collapsed to ``[*]``.  Twenty-eight
+line per column that differs, its rows collapsed to ``[*]``.  Twenty-nine
 fixed ops that reach paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
@@ -58,7 +58,10 @@ fixed ops that reach paths the workloads do not are compared the same way:
   ends, blank and whitespace-only lines, tabs and spaces around labels,
   ``\\x0b`` and ``\\u2028`` line breaks, and the files that exit 2 (a
   label with an inner space, several unknown labels, only blank lines),
-  whose stderr names the label or the file.
+  whose stderr names the label or the file;
+- ``entropy-approx --prior uniform-orthant`` (D = 2000, two n, 3 trials),
+  whose cells draw weights and then a multinomial histogram; every
+  workload ``entropy-approx`` op runs the default ``dirichlet1`` prior.
 
 A refactor that must keep the CLI's output byte-identical lists none.
 Exit status: 0 when no op differs, 1 otherwise.
@@ -253,6 +256,10 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
             "--data", path["ramp-data"],
         ],
     }
+    ops["entropy-approx --prior uniform-orthant"] = [
+        "entropy-approx", "--prior", "uniform-orthant", "--alphabet-size", "2000",
+        "--n", "3000,40000", "--trials", "3", "--seed", "5",
+    ]
     for name in _SAMPLES:
         ops[f"fit --samples {name}"] = [
             "fit", "--prior", path["full-prior"], "--features", path["ramp-features"],
