@@ -21,6 +21,13 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def random_simplex(rng: np.random.Generator, k: int, floor: float) -> np.ndarray:
+    """A random point of the ``k``-outcome simplex: ``k`` standard uniforms,
+    each plus ``floor``, divided by their sum."""
+    w = rng.random(k) + floor
+    return w / w.sum()
+
+
 def ordered_map(fn, items, threads: int) -> list:
     """``[fn(x) for x in items]``, computed on a pool of ``threads`` threads
     when ``threads > 1``; the results keep the order of ``items``."""

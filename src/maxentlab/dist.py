@@ -33,6 +33,9 @@ NORMALIZATION_SLACK = 1e-9
 #: Default tolerance for moment-constraint membership tests.
 MEMBERSHIP_TOL = 1e-9
 
+# The largest sample size a count vector holds (an int64).
+_MAX_SAMPLE_SIZE = 2**63 - 1
+
 
 def _float_array(values, what: str) -> np.ndarray:
     """``values`` as a float array; values that are not numbers, or lists
@@ -296,16 +299,19 @@ class EmpiricalMeasure:
             raise ShapeMismatch("counts must be a vector")
         if not np.issubdtype(c.dtype, np.integer):
             c = _float_array(c, "counts")
-            rounded = np.rint(c)
-            if np.any(np.abs(c - rounded) > 0):
+            if not np.all(np.isfinite(c) & (c == np.rint(c))):
                 raise InputError("counts must be integers")
-            c = rounded.astype(np.int64)
-        c = c.astype(np.int64)
+            c = np.array([int(x) for x in c.tolist()], dtype=object)  # exact ints
         if np.any(c < 0):
             raise InputError("counts must be non-negative")
-        n = int(c.sum())
+        # The total is summed in Python ints before the int64 cast, so
+        # neither a count nor the total past 2**63 - 1 can wrap.
+        n = sum(c.tolist())
+        if n > _MAX_SAMPLE_SIZE:
+            raise InputError(f"total count must be at most 2**63 - 1, got {n}")
         if n < 1:
             raise InputError("total count must be at least 1")
+        c = c.astype(np.int64)
         object.__setattr__(self, "counts", _frozen_array(c, dtype=np.int64))
         object.__setattr__(self, "n", n)
 

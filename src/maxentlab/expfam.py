@@ -54,9 +54,11 @@ def _member(
     (:func:`_family_arrays`) are the first three arguments; the feature
     rows are unread when ``lam`` is empty.
 
-    Every member the package evaluates (a model, a solver iterate, a scaled
-    variational family) goes through this function, so one ``lam`` gives
-    the same bits on every path; the probabilities are divided by their
+    Every member the package evaluates one at a time (a model, a solver
+    iterate, the Bogoliubov scan's scalar objective and matched families)
+    goes through this function, so one ``lam`` gives the same bits on every
+    such path; the scan's scale grid is one stacked pass of its own
+    (``identities._upper_defect``).  The probabilities are divided by their
     float sum as :class:`FiniteDistribution` divides its weights, and the sum's
     log is subtracted from the log-probabilities, finite on the prior's support.
     """

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import random_simplex, substream
 from ._scipy import brentq
 from .dist import (
     MEMBERSHIP_TOL,
@@ -428,11 +428,6 @@ class IdentityInstance:
     bogoliubov_reports: tuple[IdentityReport, IdentityReport]
 
 
-def _random_simplex(rng: np.random.Generator, k: int, floor: float) -> np.ndarray:
-    w = rng.random(k) + floor
-    return w / w.sum()
-
-
 def _bracketed_variational(rng: np.random.Generator, model: ExpFamModel):
     """The first of ``_CANDIDATES`` seeded variational families whose
     energies match ``model``'s at a scale of the grid, with its two
@@ -480,14 +475,14 @@ def random_instance(seed: int) -> IdentityInstance:
     if uniform:
         prior = FiniteDistribution.uniform(outcomes)
     else:
-        prior = FiniteDistribution(outcomes, _random_simplex(rng, k, 0.1))
+        prior = FiniteDistribution(outcomes, random_simplex(rng, k, 0.1))
     features = FeatureSet(
         tuple(f"f{i}" for i in range(d)), rng.normal(0.0, 1.0, size=(d, k))
     )
-    data = FiniteDistribution(outcomes, _random_simplex(rng, k, 0.05))
+    data = FiniteDistribution(outcomes, random_simplex(rng, k, 0.05))
     star = _project_to_moments(prior, features, data, _INSTANCE_OPTS)
     lam = rng.uniform(-_LAMBDA_SCALE, _LAMBDA_SCALE, size=d)
-    perturbed = FiniteDistribution(outcomes, _random_simplex(rng, k, 0.05))
+    perturbed = FiniteDistribution(outcomes, random_simplex(rng, k, 0.05))
     # The target parameters are redrawn when no variational candidate
     # brackets its energy match (seen when the target's internal energy is
     # near 0, which moves the match below c = 1e-3).

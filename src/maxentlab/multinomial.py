@@ -8,7 +8,9 @@ thousands of outcomes are exact to float precision.  Each formula exists
 once here.  :mod:`maxentlab.sanov` scores its histogram tables with
 ``_log_likelihood`` and weighs each histogram from ``_log_factorials``
 while it enumerates the table; ``_log_multinomial`` weighs single count
-vectors.
+vectors.  ``_stirling_terms`` is the one Stirling body: the approximation,
+the histogram report and every experiment cell read a histogram's zeroth
+order, first-order correction and zero-count flag from it.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import ordered_map, substream
+from ._rng import ordered_map, random_simplex, substream
 from ._scipy import gammaln
-from .dist import EmpiricalMeasure, FiniteDistribution
+from .dist import _MAX_SAMPLE_SIZE, EmpiricalMeasure, FiniteDistribution
 from .errors import DomainError, ShapeMismatch
 
 LOG_2PI = math.log(2.0 * math.pi)
-# The largest sample size a count vector holds (an int64).
-_MAX_SAMPLE_SIZE = 2**63 - 1
 
 
 class StirlingOrder(enum.Enum):
@@ -51,7 +51,11 @@ def _log_multinomial(c: np.ndarray, n: int):
     counts, not n.  Both give the same bits.
     """
     top = int(c.max())
-    log_fact = _log_factorials(top)[c] if top <= c.size else gammaln(c + 1)
+    if top <= c.size:
+        log_fact = _log_factorials(top)[c]
+    else:
+        # c + 1 in uint64: a count of 2**63 - 1 would wrap in int64.
+        log_fact = gammaln(c.astype(np.uint64) + 1)
     return gammaln(n + 1) - log_fact.sum(axis=-1)
 
 
@@ -90,23 +94,21 @@ def log_histogram_prob(counts: EmpiricalMeasure, p: FiniteDistribution) -> float
     return log_multinomial(counts) + float(_log_likelihood(counts.counts[None], p)[0])
 
 
-def _positive_counts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positive counts of ``c`` and their logs, which both Stirling
-    orders read."""
-    pos = c[c > 0]
-    return pos, np.log(pos)
+def _stirling_terms(c: np.ndarray, n: int) -> tuple[float, float, bool]:
+    """The Stirling terms of the count vector ``c`` of ``n`` samples: the
+    zeroth order ``n log n - sum_i c_i log c_i`` (``n * H(c / n)``), the
+    first-order correction ``0.5 * [log(2 pi n) - sum_i log(2 pi c_i)]``
+    and whether any count is zero.
 
-
-def _counts_entropy_nats(pos: np.ndarray, log_pos: np.ndarray, n: int) -> float:
-    """``n * H(c / n)`` computed as ``n log n - sum_i c_i log c_i`` from the
-    positive counts ``pos`` of ``c`` and their logs ``log_pos``."""
-    return float(n * math.log(n) - np.dot(pos, log_pos))
-
-
-def _first_order_correction(log_pos: np.ndarray, n: int) -> float:
-    """``0.5 * [log(2 pi n) - sum_i log(2 pi c_i)]`` over the logs
-    ``log_pos`` of the positive counts of a histogram of ``n`` samples."""
-    return 0.5 * (LOG_2PI + math.log(n) - float(np.sum(LOG_2PI + log_pos)))
+    Both sums run over the positive counts, compacted and logged once.  A
+    zero count adds its exact ``0 log 0 = 0`` to the zeroth order, but
+    Stirling is not valid at ``0!``, so each caller states what a zero
+    count does to the first order."""
+    pos = np.compress(c > 0, c)
+    log_pos = np.log(pos)
+    zeroth = float(n * math.log(n) - np.dot(pos, log_pos))
+    correction = 0.5 * (LOG_2PI + math.log(n) - float(np.sum(LOG_2PI + log_pos)))
+    return zeroth, correction, pos.size < c.size
 
 
 def stirling_log_multinomial(
@@ -118,17 +120,15 @@ def stirling_log_multinomial(
     the correction ``0.5 * [log(2 pi n) - sum_i log(2 pi n Q_i)]``, which
     requires every count to be positive.
     """
-    n = counts.n
-    pos, log_pos = _positive_counts(counts.counts)
-    zeroth = _counts_entropy_nats(pos, log_pos, n)
+    zeroth, correction, skipped = _stirling_terms(counts.counts, counts.n)
     if order is StirlingOrder.ZEROTH:
         return zeroth
-    if pos.size < counts.alphabet_size:
+    if skipped:
         raise DomainError(
             "first-order correction diverges on zero counts; "
             "every bin must be observed at least once"
         )
-    return zeroth + _first_order_correction(log_pos, n)
+    return zeroth + correction
 
 
 @dataclass(frozen=True)
@@ -151,18 +151,14 @@ def describe_histogram(
     The first-order correction is ``None`` when a zero count makes it
     undefined.
     """
-    c, n = counts.counts, counts.n
+    c = counts.counts
     coefficient = log_multinomial(counts)
-    pos, log_pos = _positive_counts(c)
-    if pos.size < c.size:
-        correction = None
-    else:
-        correction = _first_order_correction(log_pos, n)
+    zeroth, correction, skipped = _stirling_terms(c, counts.n)
     return HistogramLogProb(
         exact_log_prob=coefficient + float(_log_likelihood(c[None], p)[0]),
         log_multinomial=coefficient,
-        stirling_zeroth=_counts_entropy_nats(pos, log_pos, n),
-        stirling_first_correction=correction,
+        stirling_zeroth=zeroth,
+        stirling_first_correction=None if skipped else correction,
         n=counts.n,
         alphabet_size=counts.alphabet_size,
     )
@@ -187,16 +183,6 @@ class ExperimentRow:
     err_zeroth: float
     err_first: float
     skipped_first: bool
-
-
-def _sample_weights(rng: np.random.Generator, size: int) -> np.ndarray:
-    """The uniform-orthant prior's draw: standard uniforms, normalized."""
-    w = rng.random(size)
-    total = w.sum()
-    while total <= 0.0:  # pragma: no cover - measure-zero resample guard
-        w = rng.random(size)
-        total = w.sum()
-    return w / total
 
 
 def _uniform_subset(rng: np.random.Generator, size: int, population: int) -> np.ndarray:
@@ -269,7 +255,7 @@ def _draw_counts(
     from their marginal law, without drawing ``P``."""
     if mode is PriorMode.DIRICHLET1:
         return _uniform_composition(rng, n, alphabet_size)
-    return rng.multinomial(n, _sample_weights(rng, alphabet_size))
+    return rng.multinomial(n, random_simplex(rng, alphabet_size, 0.0))
 
 
 def _experiment_cell(
@@ -281,14 +267,11 @@ def _experiment_cell(
     cell_index: int,
 ) -> ExperimentRow:
     counts = _draw_counts(substream(seed, cell_index), mode, n, alphabet_size)
-    pos, log_pos = _positive_counts(counts)
     exact = float(_log_multinomial(counts, n))
-    zeroth = _counts_entropy_nats(pos, log_pos, n)
-    # The correction product runs over observed bins only: Stirling is not
-    # valid at 0!, whose exact contribution (log 1 = 0) is kept instead.
-    # Rows where that truncation happened carry skipped_first = 1.
-    skipped = pos.size < counts.size
-    first = zeroth + _first_order_correction(log_pos, n)
+    # The correction runs over observed bins only, keeping 0!'s exact
+    # log 1 = 0; rows where that truncation happened carry skipped_first = 1.
+    zeroth, correction, skipped = _stirling_terms(counts, n)
+    first = zeroth + correction
     return ExperimentRow(
         prior_mode=mode.value,
         alphabet_size=alphabet_size,

@@ -55,6 +55,7 @@ import numpy as np
 
 from ._rng import ordered_map, substream
 from .dist import (
+    _MAX_SAMPLE_SIZE,
     ConstraintSet,
     FeatureSet,
     FiniteDistribution,
@@ -65,7 +66,7 @@ from .errors import DomainError, EmptyEvent, EnumerationCapExceeded
 from .expfam import _logsumexp, mean_parameters
 from .identities import TOL_CLOSED_FORM, IdentityReport, _report
 from .jsonio import _fields_json
-from .multinomial import _MAX_SAMPLE_SIZE, _log_factorials, _log_likelihood
+from .multinomial import _log_factorials, _log_likelihood
 from .projection import ProjectionResult, Status, project_inequality
 
 DEFAULT_ENUMERATION_CAP = 2_000_000

@@ -11,9 +11,10 @@ the LP feasibility verdict) back into the identity suite, the
 stars-and-bars histogram table, the row-and-column histogram scorer and
 the per-histogram event law (every histogram of an event scored under
 ``P*``, the gap and the nested slack summed over outcomes), the per-row
-Monte Carlo chunk loop and the two-step (weights, then multinomial)
-Dirichlet(1) experiment cell, which are the library's earlier code paths
-kept as references for their replacements,
+Monte Carlo chunk loop, the two-step (weights, then multinomial)
+Dirichlet(1) experiment cell and each caller's own assembly of the
+Stirling terms, which are the library's earlier code paths kept as
+references for their replacements,
 and the certificate's last condition, which re-runs the library's
 equality projection.
 """
@@ -195,6 +196,47 @@ def dirichlet1_exact_by_weights(
     w = rng.standard_exponential(alphabet_size)
     counts = rng.multinomial(n, w / w.sum())
     return float(gammaln(n + 1) - gammaln(counts + 1).sum())
+
+
+def stirling_by_caller(c: np.ndarray, n: int) -> dict:
+    """The Stirling numbers each caller assembled for the count vector
+    ``c`` of ``n`` samples before one body served them all: the positive
+    counts by a boolean index and their logs, ``n log n - c . log c``, and
+    the first-order correction over those logs.  ``stirling_first`` is
+    ``None`` where ``stirling_log_multinomial`` raised on a zero count."""
+
+    def positive_counts(c):
+        pos = c[c > 0]
+        return pos, np.log(pos)
+
+    def counts_entropy_nats(pos, log_pos, n):
+        return float(n * math.log(n) - np.dot(pos, log_pos))
+
+    def first_order_correction(log_pos, n):
+        log_2pi = math.log(2.0 * math.pi)
+        return 0.5 * (log_2pi + math.log(n) - float(np.sum(log_2pi + log_pos)))
+
+    out = {}
+    # stirling_log_multinomial
+    pos, log_pos = positive_counts(c)
+    out["stirling_zeroth"] = counts_entropy_nats(pos, log_pos, n)
+    out["stirling_first"] = (
+        None
+        if pos.size < c.size
+        else out["stirling_zeroth"] + first_order_correction(log_pos, n)
+    )
+    # describe_histogram
+    pos, log_pos = positive_counts(c)
+    out["describe_correction"] = (
+        None if pos.size < c.size else first_order_correction(log_pos, n)
+    )
+    out["describe_zeroth"] = counts_entropy_nats(pos, log_pos, n)
+    # the experiment cell
+    pos, log_pos = positive_counts(c)
+    out["cell_zeroth"] = counts_entropy_nats(pos, log_pos, n)
+    out["cell_skipped"] = pos.size < c.size
+    out["cell_first"] = out["cell_zeroth"] + first_order_correction(log_pos, n)
+    return out
 
 
 def outcome_log_ratio(weights, num, den) -> float:

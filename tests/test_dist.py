@@ -282,9 +282,45 @@ class TestEmpiricalMeasure:
         with pytest.raises(InputError):
             EmpiricalMeasure([0, 0])
 
+    def test_total_at_the_sample_size_limit(self):
+        m = EmpiricalMeasure([2**62, 2**62 - 1])
+        assert m.n == 2**63 - 1 and isinstance(m.n, int)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [2**63 - 1, 1],
+            [2**62, 2**62],
+            [2**63 - 1, 2**63 - 1, 3],
+            [2**63, 0],
+            np.array([2**63, 2**63], dtype=np.uint64),
+            [2**64, 1],
+            [1e19, 1.0],
+        ],
+        ids=[
+            "limit-plus-one",
+            "two-halves",
+            "wraps-to-one",
+            "one-count-past",
+            "uint64",
+            "object",
+            "float",
+        ],
+    )
+    def test_rejects_a_total_past_the_sample_size_limit(self, counts):
+        # An int64 sum would wrap: to -2**63 (the first two) or to 1; an
+        # int64 cast would make the single counts past the limit negative.
+        with pytest.raises(InputError, match="at most 2\\*\\*63 - 1"):
+            EmpiricalMeasure(counts)
+
     def test_rejects_negative_counts(self):
         with pytest.raises(InputError):
             EmpiricalMeasure([3, -1])
+
+    @pytest.mark.parametrize("bad", [0.5, math.nan, math.inf])
+    def test_rejects_counts_that_are_not_integers(self, bad):
+        with pytest.raises(InputError, match="counts must be integers"):
+            EmpiricalMeasure([2.0, bad])
 
     def test_from_labels(self):
         m = EmpiricalMeasure.from_labels(["a", "b"], ["a", "b", "b", "b"])

@@ -132,7 +132,12 @@ _MAX_N = 2**63 - 1
 
 @pytest.mark.parametrize(
     "mode, parts, n",
-    [("dirichlet1", 3, _MAX_N), ("dirichlet1", K, _MAX_N), ("uniform-orthant", 3, _MAX_N)]
+    [
+        ("dirichlet1", 2, _MAX_N),
+        ("dirichlet1", 3, _MAX_N),
+        ("dirichlet1", K, _MAX_N),
+        ("uniform-orthant", 3, _MAX_N),
+    ]
     # n = 1, then where the dirichlet1 draw switches from stars (n < D - 1)
     # to bars, and n = 49 D
     + [

@@ -30,6 +30,7 @@ from oracles import (
     iter_compositions,
     log_fraction,
     log_likelihood_rows_and_columns,
+    stirling_by_caller,
 )
 
 
@@ -99,6 +100,13 @@ class TestLogMultinomial:
             comps = compositions(n, parts, 10**6)
             want = gammaln(n + 1) - gammaln(comps + 1).sum(axis=1)
             np.testing.assert_array_equal(_log_multinomial(comps, n), want)
+        # Counts of up to 2**62 take the per-count branch, which adds the 1
+        # in uint64: the same float as int64's c + 1 wherever that fits.
+        n = 2**62
+        first = substream(1, 11).integers(2**50, n - 2**50, size=1000)
+        rows = np.stack([first, n - first], axis=1)
+        want = gammaln(n + 1) - gammaln(rows + 1).sum(axis=1)
+        np.testing.assert_array_equal(_log_multinomial(rows, n), want)
 
     def test_large_counts_skip_the_table(self):
         # Past max(c) = len(c) the counts go to gammaln directly: a table up
@@ -118,6 +126,15 @@ class TestLogMultinomial:
         assert peak < 1 << 20
         want = float(gammaln(n + 1) - gammaln(counts + 1).sum())
         assert got.hex() == want.hex()
+
+    def test_single_count_at_the_sample_size_limit(self):
+        # One count of 2**63 - 1: in int64 its c + 1 would wrap to -2**63,
+        # whose log-factorial is inf.
+        m = EmpiricalMeasure([2**63 - 1, 0])
+        assert log_multinomial(m) == 0.0
+        rep = describe_histogram(m, dist(0.5, 0.5))
+        assert rep.log_multinomial == 0.0 and rep.stirling_zeroth == 0.0
+        assert rep.stirling_first_correction is None
 
 
 class TestLogHistogramProb:
@@ -287,6 +304,78 @@ class TestStirling:
                 - (log_multinomial(m) - n * entropy(q)) / n
             )
             assert abs(value) <= 1e-10
+
+
+_MAX_N = 2**63 - 1
+
+
+def _same_bits(got, want) -> bool:
+    return got is want if want is None else got.hex() == want.hex()
+
+
+class TestStirlingTerms:
+    """The approximation, the histogram report and the experiment cell
+    read one Stirling body; each keeps the bits of its own earlier
+    assembly (``oracles.stirling_by_caller``)."""
+
+    def test_approximation_and_report_keep_their_bits(self):
+        from maxentlab.multinomial import _uniform_composition
+
+        rng = substream(5, 15)
+        cases = 0
+        for parts in (2, 3, 8, 50, 5000, 50_000):
+            p = dist(*np.full(parts, 1.0 / parts))
+            grid = {1, max(parts - 2, 1), parts, 7 * parts, 10**6, 2**40, _MAX_N}
+            for n in sorted(grid):
+                vectors = [_uniform_composition(rng, n, parts)]  # zeros while n < D
+                if n > parts:  # every count positive
+                    vectors.append(_uniform_composition(rng, n - parts, parts) + 1)
+                elif n == parts:
+                    vectors.append(np.ones(parts, dtype=np.int64))
+                for c in vectors:
+                    want = stirling_by_caller(c, n)
+                    m = EmpiricalMeasure(c)
+                    assert m.n == n
+                    zeroth = stirling_log_multinomial(m, StirlingOrder.ZEROTH)
+                    assert _same_bits(zeroth, want["stirling_zeroth"])
+                    if want["stirling_first"] is None:
+                        with pytest.raises(DomainError):
+                            stirling_log_multinomial(m, StirlingOrder.FIRST)
+                    else:
+                        first = stirling_log_multinomial(m, StirlingOrder.FIRST)
+                        assert _same_bits(first, want["stirling_first"])
+                    rep = describe_histogram(m, p)
+                    assert _same_bits(rep.stirling_zeroth, want["describe_zeroth"])
+                    assert _same_bits(
+                        rep.stirling_first_correction, want["describe_correction"]
+                    )
+                    cases += 1
+        assert cases > 60
+
+    @pytest.mark.parametrize(
+        "mode, parts, n",
+        [
+            ("dirichlet1", 2, _MAX_N),
+            ("dirichlet1", 3, _MAX_N),
+            ("uniform-orthant", 2, _MAX_N),
+            ("uniform-orthant", 3, _MAX_N),
+            ("dirichlet1", 50, 20),
+            ("uniform-orthant", 50, 2000),
+            ("dirichlet1", 50_000, 100_000),
+            ("uniform-orthant", 50_000, 1),
+        ],
+    )
+    def test_experiment_cells_keep_their_bits(self, mode, parts, n):
+        from maxentlab.multinomial import PriorMode, _draw_counts, _experiment_cell
+
+        mode = PriorMode(mode)
+        for idx in range(4):
+            row = _experiment_cell(parts, n, idx, mode, 23, idx)
+            counts = _draw_counts(substream(23, idx), mode, n, parts)
+            want = stirling_by_caller(counts, n)
+            assert _same_bits(row.zeroth, want["cell_zeroth"])
+            assert _same_bits(row.first, want["cell_first"])
+            assert row.skipped_first is want["cell_skipped"]
 
 
 class TestDescribeHistogram:

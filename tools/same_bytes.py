@@ -16,7 +16,7 @@ as an identity report): the number of values that differ there, and the
 largest absolute change among the numbers, or ``removed`` or ``added``
 for a key that only the old or only the new tree writes.  A CSV output
 with a header row (a ``--curve`` or ``entropy-approx`` CSV) gets one such
-line per column that differs, its rows collapsed to ``[*]``.  Twenty-nine
+line per column that differs, its rows collapsed to ``[*]``.  Thirty-one
 fixed ops that reach paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
@@ -61,7 +61,12 @@ fixed ops that reach paths the workloads do not are compared the same way:
   whose stderr names the label or the file;
 - ``entropy-approx --prior uniform-orthant`` (D = 2000, two n, 3 trials),
   whose cells draw weights and then a multinomial histogram; every
-  workload ``entropy-approx`` op runs the default ``dirichlet1`` prior.
+  workload ``entropy-approx`` op runs the default ``dirichlet1`` prior;
+- ``entropy-approx`` at the sample-size limit n = 2**63 - 1, which no
+  workload reaches (8 trials each): ``dirichlet1`` at D = 2, where every
+  cell's exact coefficient takes ``gammaln`` per count, and
+  ``uniform-orthant`` at D = 3, whose weights and multinomial draw run at
+  that n.
 
 A refactor that must keep the CLI's output byte-identical lists none.
 Exit status: 0 when no op differs, 1 otherwise.
@@ -259,6 +264,14 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
     ops["entropy-approx --prior uniform-orthant"] = [
         "entropy-approx", "--prior", "uniform-orthant", "--alphabet-size", "2000",
         "--n", "3000,40000", "--trials", "3", "--seed", "5",
+    ]
+    limit = str(2**63 - 1)
+    ops["entropy-approx D=2 at the sample-size limit"] = [
+        "entropy-approx", "--alphabet-size", "2", "--n", limit, "--trials", "8",
+    ]
+    ops["entropy-approx --prior uniform-orthant at the sample-size limit"] = [
+        "entropy-approx", "--alphabet-size", "3", "--prior", "uniform-orthant",
+        "--n", limit, "--trials", "8",
     ]
     for name in _SAMPLES:
         ops[f"fit --samples {name}"] = [
