@@ -1,9 +1,12 @@
-"""Deterministic random sub-streams derived from a single 64-bit seed.
+"""Deterministic random streams derived from a single 64-bit seed.
 
-Every randomized routine in the package draws from a named sub-stream
-keyed by ``(seed, index)``.  Sub-streams are counter-based (Philox), so
-work can be partitioned across threads in any order and still produce
-bit-identical results; :func:`ordered_map` is the one place that does so.
+Every randomized routine in the package draws from a stream keyed by
+``(seed, index)``, so work can be partitioned across threads in any order
+and still produce bit-identical results; :func:`ordered_map` is the one
+place that does so.  Monte Carlo chunks, whose time is the sampler's, draw
+from SFC64 streams seeded by ``SeedSequence`` spawn keys
+(:func:`chunk_stream`); every other routine draws from counter-based
+Philox sub-streams (:func:`substream`).
 """
 
 from __future__ import annotations
@@ -12,13 +15,22 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+MAX_SEED = (1 << 64) - 1
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Return the generator for sub-stream ``index`` of ``seed``."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    """Return the Philox generator for sub-stream ``index`` of ``seed``."""
+    key = np.array([seed & MAX_SEED, index & MAX_SEED], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def chunk_stream(seed: int, index: int) -> np.random.Generator:
+    """Return the SFC64 generator of Monte Carlo chunk ``index`` of
+    ``seed``: the ``SeedSequence`` of ``seed`` at spawn key ``(index,)``.
+    A chunk's draws are all binomials, about 20% cheaper on SFC64 than on
+    Philox."""
+    seq = np.random.SeedSequence(seed & MAX_SEED, spawn_key=(index & MAX_SEED,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def random_simplex(rng: np.random.Generator, k: int, floor: float) -> np.ndarray:

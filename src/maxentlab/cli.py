@@ -26,6 +26,7 @@ import numpy as np
 from . import identities as ident
 from . import multinomial as mn
 from . import sanov as sv
+from ._rng import MAX_SEED
 from .dist import (
     ConstraintSet,
     EmpiricalMeasure,
@@ -95,14 +96,27 @@ def _parse_n_grid(text: str, option: str) -> list[int]:
     return grid
 
 
-def _count(text: str) -> int:
-    """Parser type of a count option: an integer of at least 1."""
+def _int_value(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """Parser type of a count option: an integer of at least 1."""
+    value = _int_value(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """Parser type of ``--seed``: an integer in 0..2**64 - 1.  The random
+    streams would read any other seed as its value mod 2**64."""
+    value = _int_value(text)
+    if not 0 <= value <= MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must be in 0..2**64 - 1, got {value}")
     return value
 
 
@@ -243,7 +257,13 @@ def cmd_diagnose(args) -> int:
     if args.random:
         inputs = ("prior", "features", "data", "model-lambda", "solver-options")
         _reject_args(args, inputs, "by diagnose --random, which draws its instances")
-        suite = ident.run_identity_suite(args.instances or 100, seed=args.seed)
+        instances = args.instances or 100
+        if args.seed + instances - 1 > MAX_SEED:
+            raise InputError(
+                f"--seed {args.seed} with {instances} instances: instance seeds "
+                "(seed + i) pass 2**64 - 1"
+            )
+        suite = ident.run_identity_suite(instances, seed=args.seed)
         suite = [(descriptor.to_json(), reports) for descriptor, reports in suite]
     else:
         _reject_args(args, ("instances",), "without --random")
@@ -362,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
+        p.add_argument(
+            "--seed", type=_seed, default=0, help="master seed, 0..2**64 - 1"
+        )
         p.add_argument(
             "--threads",
             type=_count,

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import ordered_map, substream
+from ._rng import chunk_stream, ordered_map
 from .dist import (
     _MAX_SAMPLE_SIZE,
     ConstraintSet,
@@ -534,8 +534,9 @@ def monte_carlo_event(
     """Monte Carlo estimate of the event probability, for instances past
     the enumeration cap.
 
-    Trials are partitioned into fixed-size chunks with counter-derived
-    random streams, so the hit count is independent of thread count.  The
+    Trials are partitioned into fixed-size chunks, each with its own
+    SFC64 stream keyed by ``(seed, chunk)`` (:func:`_rng.chunk_stream`), so
+    the hit count is independent of thread count.  The
     rate term stays exact (projection, solved at the default solver
     options unless given as ``projection``); the residual is the
     identity-implied estimate and is flagged by ``method``.
@@ -569,7 +570,7 @@ def monte_carlo_event(
         # One generator per chunk, drawn in row blocks: consecutive draws
         # give the same histograms as one draw of the whole chunk.
         size = min(_MC_CHUNK, trials - idx * _MC_CHUNK)
-        rng = substream(seed, idx)
+        rng = chunk_stream(seed, idx)
         hits = 0
         for start in range(0, size, block):
             m = min(block, size - start)

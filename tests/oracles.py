@@ -164,18 +164,18 @@ def per_histogram_law(histograms, in_event, p, p_star):
 def monte_carlo_hits_per_row(p, constraints, n: int, trials: int, seed: int) -> int:
     """The hits of ``monte_carlo_event(p, constraints, n, trials, seed)``
     by the per-row chunk loop: each chunk of ``_MC_CHUNK`` trials draws
-    Multinomial(n, q) over the outcome classes from its own substream, in
+    Multinomial(n, q) over the outcome classes from its own chunk stream, in
     row blocks of at most ``_MC_BLOCK_CELLS`` cells, and every drawn row
     goes through the membership test."""
     from maxentlab import sanov
-    from maxentlab._rng import substream
+    from maxentlab._rng import chunk_stream
 
     probs, lumped = sanov._outcome_classes(p, constraints)
     block = max(1, sanov._MC_BLOCK_CELLS // probs.size)
     hits = 0
     for idx, start in enumerate(range(0, trials, sanov._MC_CHUNK)):
         size = min(sanov._MC_CHUNK, trials - start)
-        rng = substream(seed, idx)
+        rng = chunk_stream(seed, idx)
         for row in range(0, size, block):
             counts = rng.multinomial(n, probs, size=min(block, size - row))
             hits += int(sanov._event_mask(counts, lumped, n).sum())

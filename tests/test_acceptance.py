@@ -284,6 +284,7 @@ def test_criterion_9_monte_carlo_calibration():
     inside = 0
     # The interval's exact coverage at this instance is 0.95019, so any
     # fixed 100-seed block lands near 95; this block is pinned for margin.
+    # On the SFC64 chunk streams it reads 96/100 (97/100 on Philox).
     for seed in range(100, 200):
         rep = monte_carlo_event(prior, constraints, 10, trials=10**6, seed=seed)
         if rep.wilson_low <= exact <= rep.wilson_high:

@@ -1774,6 +1774,60 @@ def test_count_option_out_of_range_exits_2(files, capsys, route, argv, option, v
     assert not out.exists()
 
 
+def _seeded(files, route, seed, argv):
+    """Run ``argv`` with ``seed`` from the flag or from a config file: the
+    exit code (the parser's own range check exits 2) and the output, if
+    one was written."""
+    tmp, write = files
+    out = tmp / "out"
+    if route == "flag":
+        argv = argv + [f"--seed={seed}"]
+    else:
+        argv = argv + ["--config", write("c.json", {"seed": seed})]
+    try:
+        code = main(argv + ["--output", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.read_text() if out.exists() else None
+
+
+ENTROPY_APPROX = [
+    "entropy-approx", "--alphabet-size", "5", "--n", "10", "--trials", "2"
+]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_exits_2(files, capsys, route, seed):
+    # Such a seed once ran as its value mod 2**64: 2**64 wrote the bytes
+    # of seed 0 and -1 those of 2**64 - 1.
+    assert _seeded(files, route, seed, ENTROPY_APPROX) == (2, None)
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_largest_seed_runs(files, route):
+    code, text = _seeded(files, route, 2**64 - 1, ENTROPY_APPROX)
+    assert code == 0
+    assert text != _seeded(files, route, 0, ENTROPY_APPROX)[1]
+
+
+@pytest.mark.parametrize(
+    "instances, seed",
+    [(["--instances", "2"], 2**64 - 1), ([], 2**64 - 99)],  # the default 100
+)
+def test_diagnose_instance_seeds_past_64_bits_exit_2(files, capsys, instances, seed):
+    # Instance i runs at seed + i, so the last instance's seed must fit.
+    argv = ["diagnose", "--random", *instances]
+    assert _seeded(files, "flag", seed, argv) == (2, None)
+    assert "2**64 - 1" in capsys.readouterr().err
+
+
+def test_diagnose_last_instance_at_the_largest_seed_runs(files):
+    argv = ["diagnose", "--random", "--instances", "2"]
+    assert _seeded(files, "flag", 2**64 - 2, argv)[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

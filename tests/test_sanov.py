@@ -29,7 +29,7 @@ from maxentlab import (
 )
 from maxentlab import sanov
 from maxentlab.sanov import gibbs_curve_csv, num_compositions
-from maxentlab._rng import substream
+from maxentlab._rng import chunk_stream, substream
 from maxentlab.jsonio import dump_json
 from maxentlab.projection import SolverOptions, project
 
@@ -483,6 +483,20 @@ class TestMonteCarlo:
             -report.log_prob / 10 - report.rate, abs=1e-15
         )
 
+    def test_chunk_streams_are_keyed_by_seed_and_chunk(self):
+        # The same (seed, chunk) gives the same draws; a neighbouring chunk
+        # or seed gives other draws.
+        def draws(seed, index):
+            return chunk_stream(seed, index).binomial(2000, 0.5, size=64)
+
+        same = draws(7, 3)
+        assert np.array_equal(same, draws(7, 3))
+        for seed, index in [(7, 2), (7, 4), (6, 3), (8, 3)]:
+            assert not np.array_equal(same, draws(seed, index))
+        top = 2**64 - 1
+        assert np.array_equal(draws(top, 0), draws(top, 0))
+        assert not np.array_equal(draws(top, 0), draws(0, 0))
+
     def test_sample_size_must_be_positive(self):
         with pytest.raises(DomainError, match="sample size"):
             monte_carlo_event(
@@ -545,8 +559,13 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.hits == 2252
+        assert report.hits == 2176
         assert peak <= 100 * 2**20
+        # Philox chunk streams drew 2,252 hits on these trials: two
+        # independent counts of one law agree within 5 SE of their difference.
+        p_hat = (report.hits + 2252) / (2 * report.trials)
+        se = math.sqrt(2 * p_hat * (1 - p_hat) / report.trials)
+        assert abs(report.hits - 2252) / report.trials <= 5 * se
 
     def test_lumped_law_on_repeated_columns(self):
         # Outcomes 1-2 and 3-4 share a column, so trials draw 3 classes.
@@ -583,7 +602,11 @@ class TestMonteCarlo:
         prior = FiniteDistribution(["a", "b", "c"], [0.2, 0.3, 0.5])
         event = ConstraintSet(FeatureSet(["x"], [[0, 1, 2]]), ["ge"], [1.5])
         r = monte_carlo_event(prior, event, 20, trials=200_000, seed=7)
-        assert r.hits == 31_966
+        assert r.hits == 31_587
+        exact = math.exp(enumerate_event(prior, event, 20).log_prob)
+        assert exact == pytest.approx(0.158905, abs=5e-7)
+        se = math.sqrt(exact * (1 - exact) / r.trials)
+        assert abs(r.hits / r.trials - exact) <= 5 * se
 
     def test_zero_mass_outcome_is_dropped(self):
         # The zero-mass outcome's column (5) is never drawn: the hits are

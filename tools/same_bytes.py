@@ -68,7 +68,9 @@ fixed ops that reach paths the workloads do not are compared the same way:
   ``uniform-orthant`` at D = 3, whose weights and multinomial draw run at
   that n.
 
-A refactor that must keep the CLI's output byte-identical lists none.
+The work directory is a temporary one, removed when the run ends, unless
+``--workdir`` names one to keep.  A refactor that must keep the CLI's
+output byte-identical lists none.
 Exit status: 0 when no op differs, 1 otherwise.
 """
 
@@ -407,28 +409,33 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument(
-        "--workdir", type=Path, default=None, help="default: a new temporary directory"
+        "--workdir",
+        type=Path,
+        default=None,
+        help="kept after the run (default: a temporary directory, removed)",
     )
     args = parser.parse_args(argv)
-    base = args.workdir or Path(tempfile.mkdtemp(prefix="same-bytes-"))
     trees = (args.old_src, args.new_src)
     total = differing = 0
-    for workload in WORKLOADS:
-        for seed in args.seeds:
-            workdir = base / f"{workload}-{seed}"
-            ops = build(workload, seed, workdir)
-            names = [f"{workload} seed {seed} op {op.id} ({op.kind})" for op in ops]
-            argvs = [list(op.argv) for op in ops]
-            differing += compare(names, argvs, workdir / "out", *trees)
-            total += len(ops)
-            print(f"{workload} seed {seed}: {len(ops)} ops", file=sys.stderr)
-    indir, outdir = base / "fixed" / "in", base / "fixed" / "out"
-    indir.mkdir(parents=True)
-    outdir.mkdir()
-    names, argvs = fixed_ops(indir, outdir)
-    differing += compare(names, argvs, outdir, *trees)
-    total += len(argvs)
-    print(f"{differing} of {total} ops differ (work directory {base})")
+    with tempfile.TemporaryDirectory(prefix="same-bytes-") as temporary:
+        base = args.workdir or Path(temporary)
+        for workload in WORKLOADS:
+            for seed in args.seeds:
+                workdir = base / f"{workload}-{seed}"
+                ops = build(workload, seed, workdir)
+                names = [f"{workload} seed {seed} op {op.id} ({op.kind})" for op in ops]
+                argvs = [list(op.argv) for op in ops]
+                differing += compare(names, argvs, workdir / "out", *trees)
+                total += len(ops)
+                print(f"{workload} seed {seed}: {len(ops)} ops", file=sys.stderr)
+        indir, outdir = base / "fixed" / "in", base / "fixed" / "out"
+        indir.mkdir(parents=True)
+        outdir.mkdir()
+        names, argvs = fixed_ops(indir, outdir)
+        differing += compare(names, argvs, outdir, *trees)
+        total += len(argvs)
+    kept = f" (work directory {base})" if args.workdir else ""
+    print(f"{differing} of {total} ops differ{kept}")
     return 1 if differing else 0
 
 
