@@ -112,8 +112,8 @@ def _count(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    """Parser type of ``--seed``: an integer in 0..2**64 - 1.  The random
-    streams would read any other seed as its value mod 2**64."""
+    """Parser type of ``--seed``: an integer in 0..2**64 - 1, the random
+    streams' domain, checked here so that the error names the option."""
     value = _int_value(text)
     if not 0 <= value <= MAX_SEED:
         raise argparse.ArgumentTypeError(f"must be in 0..2**64 - 1, got {value}")
@@ -497,6 +497,19 @@ def _config_tokens(args) -> list[str]:
     return tokens
 
 
+def _dump_config(args) -> None:
+    """Write the resolved options to the ``--dump-config`` file, if any.
+    :func:`main` calls it once the command has run on accepted inputs, so
+    a run that exits 2 leaves no config behind."""
+    if args.dump_config is not None:
+        resolved = {
+            k: v
+            for k, v in vars(args).items()
+            if k not in _NOT_OPTIONS and v is not None
+        }
+        atomic_write_text(args.dump_config, dump_json(resolved))
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -507,14 +520,13 @@ def main(argv: list[str] | None = None) -> int:
             # flags win.
             args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         _reject_shared_outputs(args)
-        if args.dump_config is not None:
-            resolved = {
-                k: v
-                for k, v in vars(args).items()
-                if k not in _NOT_OPTIONS and v is not None
-            }
-            atomic_write_text(args.dump_config, dump_json(resolved))
-        return args.func(args)
+        try:
+            code = args.func(args)
+        except ConvergenceError:  # the inputs were accepted
+            _dump_config(args)
+            raise
+        _dump_config(args)
+        return code
     except MaxentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError):

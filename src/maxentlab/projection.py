@@ -20,9 +20,13 @@ independent check.
 so :func:`project` takes every kind.  The I-projection lies in the family
 exactly when the targets meet the relative interior of the moment polytope
 (Csiszar 1975), so a converged member, corrected onto the constraints, is
-its own certificate of feasibility (:func:`_certifies_interior`).  Only
-what neither a member nor a caller's witness certifies, and a solve that
-caps ``lam`` or spends its budget, runs the interior LP
+its own certificate of feasibility (:func:`_certifies_interior`).
+Infeasibility has a certificate inside the descent: on attainable targets
+weak duality bounds ``g`` below by ``log min_S P`` over the prior's
+support ``S``, so an iterate below that floor ends the solve
+(:func:`_below_dual_floor`) with no further step.  Only what neither a
+member nor a caller's witness certifies nor the floor refutes, and a solve
+that caps ``lam`` or spends its budget, runs the interior LP
 (:func:`check_feasibility`) over the simplex restricted to the prior's
 support.  It substitutes ``q = s + t 1`` so that "every outcome has mass at
 least t" needs no per-outcome row: d + 1 rows and K + 1 columns for K
@@ -64,6 +68,8 @@ _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _INTERIOR_TOL = 1e-12
 _CERTIFICATE_MARGIN = 1e-9
+_FLOOR_SLACK = 1e-6
+_UNIT_ROUNDOFF = 2.0**-53
 _GD_MAX_ITER = 100_000
 
 
@@ -234,7 +240,8 @@ def check_feasibility(
 
     Targets outside the polytope get a separating ``witness``, from a
     second LP that runs when the witness is first read.  The solvers run
-    this LP only when their descent certifies no interior point.
+    this LP only when their descent neither certifies an interior point
+    nor falls below the weak-duality floor.
 
     Raises :class:`ConvergenceError` when the LP solver stops without
     either an optimum or a proof of infeasibility.
@@ -293,11 +300,33 @@ def _certifies_interior(f, alpha, sign, lam, p, margin: float) -> bool:
     return bool(off <= tol and point.min() > margin)
 
 
+def _below_dual_floor(g: float, lam, alpha, log_floor: float, f) -> bool:
+    """Whether the dual value ``g = g(lam)`` proves the targets infeasible.
+
+    For any ``Q`` on the prior's support ``S`` that meets the targets, weak
+    duality gives ``g(lam) >= -D(Q || P) >= log min_S P`` (``log_floor``) at
+    every ``lam`` on the sign orthant, so a value below that floor is a
+    certificate of infeasibility.  The margin covers the rounding of ``g``'s
+    two terms, ``8 (d + 2) u (|g| + sum |lam_i alpha_i|)``, plus
+    ``1e-6 |lam|_1 s`` with ``s = max(1, max |f|)`` over the feature rows
+    ``f`` on ``S``: the floor then also holds for every target moved by
+    ``1e-6 s``, ten times the LP solver's primal tolerance, so the LP would
+    read the targets infeasible too.
+    """
+    if g >= log_floor:  # the margin only lowers the floor
+        return False
+    rounding = 8 * (len(lam) + 2) * _UNIT_ROUNDOFF
+    rounding *= abs(g) + float(np.abs(lam * alpha).sum())
+    scale = max(1.0, float(np.abs(f).max()))
+    slack = _FLOOR_SLACK * float(np.abs(lam).sum()) * scale
+    return g < log_floor - rounding - slack
+
+
 def _unsolved(
     prior: FiniteDistribution, constraints: ConstraintSet, status: Status
 ) -> ProjectionResult:
-    """The result at ``lam = 0`` of a solve that takes no step: an empty
-    constraint set (``CONVERGED``) or infeasible targets (``INFEASIBLE``)."""
+    """The result at ``lam = 0`` of an empty constraint set (``CONVERGED``)
+    or of infeasible targets (``INFEASIBLE``), wherever the descent stopped."""
     model = ExpFamModel(prior, constraints.features, np.zeros(constraints.dim))
     return ProjectionResult(
         lambda_star=np.zeros(constraints.dim),
@@ -426,18 +455,22 @@ def _solve(
     the orthant must decrease ``g`` by ``c grad . (lam(t) - lam)``.  The
     tolerance test reads the projected gradient, 0 where a coordinate sits
     at its bound and is pushed outward; an ``eq`` coordinate (sign 0) is
-    never clipped, projected, binding or clamped.  The verdict follows the
-    descent: a converged member (or else the ``witness``) that certifies the
-    interior gives ``CONVERGED`` with no LP; otherwise the LP decides, and a
-    budget spent inside the polytope is a :class:`ConvergenceError`.  A
-    caller that already knows the targets interior (``interior``) spares a
-    converged descent the certificate.
+    never clipped, projected, binding or clamped.  Every accepted iterate
+    whose ``g`` falls below the weak-duality floor (:func:`_below_dual_floor`)
+    ends the solve as ``INFEASIBLE``, a result that does not depend on the
+    iterate, with no LP.  Otherwise the verdict follows the descent: a
+    converged member (or else the ``witness``) that certifies the interior
+    gives ``CONVERGED`` with no LP; otherwise the LP decides, and a budget
+    spent inside the polytope is a :class:`ConvergenceError`.  A caller that
+    already knows the targets interior (``interior``) spares a converged
+    descent the certificate.
     """
     features, alpha, d = constraints.features, constraints.targets, constraints.dim
     if d == 0:
         return _unsolved(prior, constraints, Status.CONVERGED)
     matrix, family = features.matrix, _family_arrays(prior, features)
     sign = constraints._sign
+    log_floor = float(family[0][family[1]].min())  # log min_S P
     lam = np.zeros(d)
     trace: list[TracePoint] = []
 
@@ -492,6 +525,8 @@ def _solve(
                     break
                 t *= 0.5
         lam, g, q = lam_new, g_new, q_new
+        if _below_dual_floor(g, lam, alpha, log_floor, family[2]):
+            return _unsolved(prior, constraints, Status.INFEASIBLE)
     else:
         status, iteration = None, max_iter
         grad = matrix @ q - alpha
@@ -538,8 +573,9 @@ def project(
     projected gradient within the moment tolerance, certifies the KKT
     conditions: the clamped residual is within tolerance, and a constraint
     with a nonzero multiplier holds as an equality.  The converged member
-    (or else the ``witness``) then certifies the targets interior, and the
-    feasibility LP runs only when neither does (:func:`_solve`).
+    (or else the ``witness``) then certifies the targets interior; an
+    iterate below the weak-duality floor refutes them; and the feasibility
+    LP runs only when none of these decides (:func:`_solve`).
 
     Parameters
     ----------

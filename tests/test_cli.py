@@ -1434,6 +1434,49 @@ def test_dump_config_replays_every_command(files, capsys, case):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sanov", "--n", "5"],
+        ["diagnose", "--random", "--instances", "2", "--seed", str(2**64 - 1)],
+        ["project", "--prior", "p", "--constraints", "a", "--solver-options", "o"],
+    ],
+    ids=["missing-prior", "instance-seed-past-64-bits", "unread-solver-option"],
+)
+def test_dump_config_is_not_written_when_inputs_are_rejected(files, argv):
+    # Each run exits 2 on its inputs; it leaves no config behind to replay.
+    tmp, write = files
+    named = {
+        "p": write("p.json", PRIOR),
+        "a": write("a.json", CONSTRAINTS_EQ),
+        "o": write("o.json", {"equiv_tol": 0.5}),
+    }
+    argv = [named.get(arg, arg) for arg in argv]
+    dump = tmp / "dc.json"
+    assert main([*argv, "--output", str(tmp / "r"), "--dump-config", str(dump)]) == 2
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize(
+    "constraints, opts, code",
+    [
+        (CONSTRAINTS_EQ, {}, 0),
+        ({**CONSTRAINTS_EQ, "targets": [1.5]}, {}, 3),
+        (CONSTRAINTS_EQ, {"max_iter": 1}, 6),  # the budget runs out inside
+    ],
+    ids=["converged", "infeasible", "not-converged"],
+)
+def test_dump_config_is_written_once_the_command_ran(files, constraints, opts, code):
+    # A verdict or a solver that stops short is a run on accepted inputs.
+    tmp, write = files
+    argv = ["project", "--prior", write("p.json", PRIOR)]
+    argv += ["--constraints", write("a.json", constraints)]
+    argv += ["--solver-options", write("o.json", opts)]
+    dump = tmp / "dc.json"
+    assert main([*argv, "--output", str(tmp / "r"), "--dump-config", str(dump)]) == code
+    assert json.loads(dump.read_text())["command"] == "project"
+
+
 def test_config_booleans_follow_flag_precedence(files):
     tmp, write = files
     base = ["project", "--prior", write("p.json", PRIOR)]
@@ -1635,15 +1678,38 @@ def test_one_sided_sanov_runs_one_lp(files, linprog_calls):
     ],
     ids=["eq", "ge-eq"],
 )
-def test_infeasible_project_runs_one_lp(files, linprog_calls, constraints):
-    # The verdict LP alone decides an infeasible solve; no separating
-    # witness is computed for it.
+def test_infeasible_project_runs_no_lp(
+    files, monkeypatch, linprog_calls, constraints
+):
+    # The dual floor refutes the targets inside the descent: no LP runs,
+    # and the bytes are those of the solve whose verdict LP decides (one
+    # LP, no separating witness computed).
+    from maxentlab import projection
+
     tmp, write = files
     prior3 = {"outcomes": ["0", "1", "2"], "probs": [1 / 3, 1 / 3, 1 / 3]}
-    argv = ["project", "--prior", write("p.json", prior3), "--output", str(tmp / "r")]
+    argv = ["project", "--prior", write("p.json", prior3)]
     argv += ["--constraints", write("a.json", constraints)]
-    assert main(argv) == 3
+    assert main([*argv, "--output", str(tmp / "floor.json")]) == 3
+    assert linprog_calls == []
+    monkeypatch.setattr(projection, "_below_dual_floor", lambda *args: False)
+    assert main([*argv, "--output", str(tmp / "lp.json")]) == 3
     assert len(linprog_calls) == 1
+    assert (tmp / "floor.json").read_text() == (tmp / "lp.json").read_text()
+
+
+def test_infeasible_monte_carlo_sanov_runs_no_lp(files, linprog_calls):
+    # The rate projection of an event past the polytope is refuted by the
+    # dual floor: exit 3, as the verdict LP would give, with no LP.
+    tmp, write = files
+    beyond = {"kinds": ["ge"], "targets": [1.5], "featureset": FEATURES}
+    argv = ["sanov", "--prior", write("p.json", PRIOR), "--n", "10"]
+    argv += ["--constraints", write("a.json", beyond), "--monte-carlo"]
+    argv += ["--trials", "100", "--output", str(tmp / "r")]
+    assert main(argv) == 3
+    assert linprog_calls == []
+    report = json.loads((tmp / "r").read_text())
+    assert report["projection"]["status"] == "infeasible"
 
 
 def test_fit_runs_no_lp_when_data_miss_an_outcome(files, linprog_calls):
@@ -1875,6 +1941,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 _RUN_MAIN = "from maxentlab.cli import main\nassert main(sys.argv[1:]) == 0"
 _RUN_MAIN_BOUNDARY = _RUN_MAIN.replace("== 0", "== 4")
+_RUN_MAIN_INFEASIBLE = _RUN_MAIN.replace("== 0", "== 3")
 
 
 @pytest.mark.parametrize(
@@ -1886,6 +1953,7 @@ _RUN_MAIN_BOUNDARY = _RUN_MAIN.replace("== 0", "== 4")
         (_RUN_MAIN, ["entropy-approx"], ["scipy.special"], ["scipy.optimize"]),
         (_RUN_MAIN_BOUNDARY, ["project"], ["scipy.optimize"], []),
         (_RUN_MAIN, ["project-interior"], [], ["scipy"]),
+        (_RUN_MAIN_INFEASIBLE, ["project-infeasible"], [], ["scipy"]),
         (_RUN_MAIN, ["sanov"], ["scipy.special"], ["scipy.optimize"]),
     ],
     ids=[
@@ -1895,6 +1963,7 @@ _RUN_MAIN_BOUNDARY = _RUN_MAIN.replace("== 0", "== 4")
         "entropy-approx",
         "project",
         "project-interior",
+        "project-infeasible",
         "sanov",
     ],
 )
@@ -1902,7 +1971,8 @@ def test_scipy_is_imported_on_first_use(files, statement, argv, loads, avoids):
     # Importing the package loads no scipy; a command loads the scipy
     # modules its computation calls and no others.  The boundary project
     # case, whose verdict needs the LP, shows that the probe sees scipy
-    # when it is loaded.
+    # when it is loaded; the infeasible one, refuted by the dual floor,
+    # runs no LP.
     tmp, write = files
     prior = write("p.json", PRIOR)
     vertex = {"kinds": ["eq"], "targets": [1.0], "featureset": FEATURES}
@@ -1913,11 +1983,13 @@ def test_scipy_is_imported_on_first_use(files, statement, argv, loads, avoids):
         "project": ["--prior", prior, "--constraints", write("v.json", vertex)],
         "project-interior": ["--prior", prior]
         + ["--constraints", write("a.json", CONSTRAINTS_EQ)],
+        "project-infeasible": ["--prior", prior]
+        + ["--constraints", write("b.json", {**CONSTRAINTS_EQ, "targets": [1.5]})],
         "sanov": ["--prior", prior, "--n", "10"]
         + ["--constraints", write("g.json", CONSTRAINTS_GE)],
     }
     if argv:
-        command = argv[0].split("-interior")[0]
+        command = argv[0].removesuffix("-interior").removesuffix("-infeasible")
         argv = [command] + command_args[argv[0]] + ["--output", str(tmp / "out")]
     code = _SCIPY_PROBE.replace("{statement}", statement)
     src = Path(__file__).resolve().parents[1] / "src"

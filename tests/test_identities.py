@@ -311,6 +311,13 @@ class TestSuite:
         np.testing.assert_array_equal(a.prior.probs, b.prior.probs)
         np.testing.assert_array_equal(a.model.lam, b.model.lam)
 
+    @pytest.mark.parametrize("count, seed", [(1, -1), (1, 2**64), (2, 2**64 - 1)])
+    def test_instance_seeds_outside_64_bits_raise(self, count, seed):
+        # Instance i runs at seed + i; past 2**64 - 1 it once ran at that
+        # seed mod 2**64 while its descriptor named the seed itself.
+        with pytest.raises(DomainError, match="seed"):
+            run_identity_suite(count, seed=seed)
+
     def test_bogoliubov_gap_signs(self, suite_results):
         for _, reports in suite_results:
             for rep in reports:

@@ -452,6 +452,18 @@ class TestExperiment:
         with pytest.raises(DomainError, match="2\\*\\*63 - 1"):
             entropy_approx_experiment(3, [2**63], "dirichlet1", trials=1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_raises(self, seed):
+        # Such a seed once ran as its value mod 2**64: 2**64 gave the rows
+        # of seed 0.
+        with pytest.raises(DomainError, match="seed"):
+            entropy_approx_experiment(3, [5], "dirichlet1", trials=1, seed=seed)
+
+    def test_largest_seed_runs(self):
+        top = entropy_approx_experiment(3, [5], "dirichlet1", trials=2, seed=2**64 - 1)
+        zero = entropy_approx_experiment(3, [5], "dirichlet1", trials=2, seed=0)
+        assert experiment_csv(top) != experiment_csv(zero)
+
 
 class TestDirichlet1Draw:
     """The ``dirichlet1`` histogram is drawn from its marginal law, uniform

@@ -368,8 +368,10 @@ def tiny_mass_case():
 
 
 def lp_path(monkeypatch):
-    """Make every solve take its verdict from the feasibility LP."""
+    """Make every solve take its verdict from the feasibility LP: neither
+    the interior certificate nor the dual floor decides."""
     monkeypatch.setattr(projection, "_certifies_interior", lambda *args: False)
+    monkeypatch.setattr(projection, "_below_dual_floor", lambda *args: False)
 
 
 class TestWitnessedFeasibility:
@@ -493,11 +495,14 @@ class TestInteriorCertificate:
 
 class TestCertificateAgreesWithLP:
     """On seeded and degenerate instances, certifying the interior from the
-    converged member gives the status and bytes of the LP-first order.
+    converged member, or refuting the targets by the dual floor, gives the
+    status and bytes of the LP-first order.
 
-    The LP path is the solve with the certificate turned off: the descent
-    never reads the verdict, so only the verdict's source differs.
-    A certified solve must also have an interior LP verdict.
+    The LP path is the solve with the certificate and the floor turned off:
+    the descent never reads the verdict, and an infeasible result does not
+    depend on where the descent stopped, so only the verdict's source
+    differs.  A certified solve must also have an interior LP verdict, and
+    a refuted one an infeasible LP verdict.
     """
 
     def outcomes(self, monkeypatch, linprog_calls, instances):
@@ -519,9 +524,11 @@ class TestCertificateAgreesWithLP:
             zip(instances, certified, lps)
         ):
             if lp == 0:
-                assert status is Status.CONVERGED, seed
+                # Certified interior by the member, or refuted by the floor.
+                assert status in (Status.CONVERGED, Status.INFEASIBLE), seed
                 rep = check_feasibility(prior, a)
-                assert rep.in_hull and not rep.on_boundary, seed
+                assert rep.in_hull is (status is Status.CONVERGED), seed
+                assert not rep.on_boundary, seed
         statuses = {status for status, _ in certified}
         assert statuses == set(Status)
         assert lps.count(0) >= 20
@@ -558,6 +565,137 @@ class TestCertificateAgreesWithLP:
             ), seed
             converged += status is Status.CONVERGED
         assert converged >= 10
+
+
+def beyond_hull_instance(seed, overshoot):
+    """A seeded instance (K 5..40, d 1..3, random eq/ge/le kinds, a third of
+    the outcomes without prior mass on every third seed) whose targets are
+    the feature column of the supported outcome that maximizes ``v . f``,
+    moved by ``overshoot`` along the unit direction ``v``.  ``v_i`` is
+    positive on ``ge`` rows and negative on ``le`` rows, so every
+    distribution on the support misses the targets when ``overshoot > 0``;
+    at 0 they are a vertex of the moment polytope."""
+    rng = substream(seed, 34)
+    k = int(rng.integers(5, 41))
+    d = int(rng.integers(1, 4))
+    w = rng.random(k) + 0.1
+    if seed % 3 == 0:
+        w[rng.permutation(k)[: k // 3]] = 0.0
+    prior = FiniteDistribution([str(i) for i in range(k)], w / w.sum())
+    f = rng.normal(size=(d, k))
+    kinds = [str(kind) for kind in rng.choice(["eq", "ge", "le"], size=d)]
+    sign = np.array([{"eq": 0.0, "ge": 1.0, "le": -1.0}[kind] for kind in kinds])
+    v = rng.normal(size=d)
+    v = np.where(sign == 0, v, sign * np.abs(v))
+    v /= np.linalg.norm(v)
+    vertex = int(np.argmax(np.where(prior.support, v @ f, -np.inf)))
+    features = FeatureSet([f"f{i}" for i in range(d)], f)
+    return prior, ConstraintSet(features, kinds, f[:, vertex] + overshoot * v)
+
+
+class TestDualFloor:
+    """A dual value below ``log min_S P`` ends the descent as INFEASIBLE
+    with no LP.  The floor fires only where the LP reads the targets
+    infeasible, and the result has the bytes of the LP's verdict."""
+
+    @pytest.fixture
+    def solve(self, monkeypatch, linprog_calls):
+        """``solve(prior, a) -> (outcome, fired, LPs)``: one projection's
+        :func:`solve_outcome`, whether the floor fired, the LPs it ran."""
+        fired, floor = [], projection._below_dual_floor
+
+        def recorded(*args):
+            fired.append(floor(*args))
+            return fired[-1]
+
+        monkeypatch.setattr(projection, "_below_dual_floor", recorded)
+
+        def run(prior, a):
+            fired.clear()
+            linprog_calls.clear()
+            outcome = solve_outcome(prior, a)
+            return outcome, any(fired), len(linprog_calls)
+
+        return run
+
+    def test_near_hull_sweep(self, monkeypatch, solve):
+        overshoots = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+        fires = dict.fromkeys(overshoots, 0)
+        for seed in range(24):
+            for overshoot in overshoots:
+                prior, a = beyond_hull_instance(seed, overshoot)
+                outcome, fired, lps = solve(prior, a)
+                rep = check_feasibility(prior, a)
+                if overshoot == 0.0:  # a vertex
+                    assert rep.in_hull and rep.on_boundary, seed
+                    assert not fired, seed
+                if fired:
+                    assert not rep.in_hull, (seed, overshoot)
+                    assert outcome[0] is Status.INFEASIBLE and lps == 0
+                else:
+                    assert lps == 1, (seed, overshoot)
+                with monkeypatch.context() as patch:
+                    lp_path(patch)
+                    assert solve_outcome(prior, a) == outcome, (seed, overshoot)
+                fires[overshoot] += fired
+        # Within the LP's tolerance of the hull the LP decides; far past it
+        # the floor does, every time.
+        assert fires[0.0] == fires[1e-10] == fires[1e-8] == 0
+        assert fires[1e-2] == fires[1.0] == 24
+
+    def test_never_fires_on_faces(self, solve):
+        faces = 0
+        for seed in range(160):
+            prior, a = degenerate_instance(seed)
+            rep = check_feasibility(prior, a)
+            if not (rep.in_hull and rep.on_boundary):
+                continue
+            _, fired, lps = solve(prior, a)
+            assert not fired and lps == 1, seed
+            faces += 1
+        assert faces >= 15
+
+    @pytest.mark.parametrize("kind", ["eq", "ge"])
+    def test_leaves_a_tiny_overshoot_to_the_lp(self, solve, kind):
+        # 1e-10 past the vertex x = 2: within the LP's tolerance, so the
+        # floor stays silent and the LP's verdict stands.
+        a = ConstraintSet(three_feature(), [kind], [2.0 + 1e-10])
+        (status, _), fired, lps = solve(three(), a)
+        assert not fired and lps == 1
+        rep = check_feasibility(three(), a)
+        if rep.in_hull:
+            assert rep.on_boundary and status is Status.BOUNDARY_NONATTAINED
+        else:
+            assert status is Status.INFEASIBLE
+
+    def test_floor_is_over_the_support(self, solve):
+        # Only outcome "b", which has no prior mass, reaches x = 1.5; over
+        # the support the floor is log 0.25, where it fires.  Over the whole
+        # alphabet the target is attainable.
+        outcomes = ["a", "b", "c", "d"]
+        prior = FiniteDistribution(outcomes, [0.3, 0.0, 0.45, 0.25])
+        features = FeatureSet(["x"], [[0.0, 2.0, 1.0, -0.5]])
+        a = ConstraintSet.equalities(features, [1.5])
+        (status, _), fired, lps = solve(prior, a)
+        assert fired and lps == 0 and status is Status.INFEASIBLE
+        assert not check_feasibility(prior, a).in_hull
+        assert check_feasibility(FiniteDistribution.uniform(outcomes), a).in_hull
+
+    def test_one_sided_rows(self, solve):
+        # x >= 1.5 and a copy of x <= 1.0 cross: each alone is attainable,
+        # together they are not, and the floor proves it on the orthant.
+        f = FeatureSet(["x", "y"], [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        crossed = ConstraintSet(f, ["ge", "le"], [1.5, 1.0])
+        (status, _), fired, lps = solve(three(), crossed)
+        assert fired and lps == 0 and status is Status.INFEASIBLE
+        assert not check_feasibility(three(), crossed).in_hull
+        for kind, target in (("ge", 1.5), ("le", 1.0)):
+            alone = ConstraintSet(three_feature(), [kind], [target])
+            _, fired, _ = solve(three(), alone)
+            assert not fired
+        for seed in range(20):  # feasible mixes
+            _, fired, _ = solve(*one_sided_instance(seed))
+            assert not fired, seed
 
 
 class TestProject:

@@ -497,6 +497,15 @@ class TestMonteCarlo:
         assert np.array_equal(draws(top, 0), draws(top, 0))
         assert not np.array_equal(draws(top, 0), draws(0, 0))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_raises(self, seed):
+        # Such a seed once ran as its value mod 2**64: -1 drew the chunks
+        # of seed 2**64 - 1.
+        with pytest.raises(DomainError, match="seed"):
+            chunk_stream(seed, 0)
+        with pytest.raises(DomainError, match="seed"):
+            monte_carlo_event(coin(), tail_event(0.8), 10, trials=100, seed=seed)
+
     def test_sample_size_must_be_positive(self):
         with pytest.raises(DomainError, match="sample size"):
             monte_carlo_event(

@@ -16,7 +16,7 @@ as an identity report): the number of values that differ there, and the
 largest absolute change among the numbers, or ``removed`` or ``added``
 for a key that only the old or only the new tree writes.  A CSV output
 with a header row (a ``--curve`` or ``entropy-approx`` CSV) gets one such
-line per column that differs, its rows collapsed to ``[*]``.  Thirty-one
+line per column that differs, its rows collapsed to ``[*]``.  Thirty-four
 fixed ops that reach paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
@@ -42,6 +42,11 @@ fixed ops that reach paths the workloads do not are compared the same way:
   share a column), an ``eq`` event that lumps to two classes, and the
   ``eq`` event of the lattice feature, which keeps three classes and so
   draws per row;
+- infeasible targets whose dual value falls below the weak-duality floor
+  (exit 3): Monte Carlo ``sanov`` on a ``ge`` event past the ramp's
+  maximum, and ``project`` on a crossing ``ge``/``le`` pair and on an
+  ``eq`` target that only the zero-mass prior's empty outcome could meet
+  (the floor is taken over the support);
 - exact ``sanov`` over 8 outcomes (a ``ge`` event, n = 20), the smallest
   alphabet where numpy sums a histogram's log-factorials pairwise, not
   left to right as the enumeration weighs it, so the last bits of its
@@ -145,7 +150,9 @@ def _event(row: list[float], kind: str, target: float) -> dict:
 # model on the full prior puts probability 0.0 on "a" and "b".  The
 # real-valued "le" event over the zero-mass prior has probability about
 # 0.08 at n = 200, and the two-class "eq" event (a count of 10 in class
-# "a" at n = 50) about 0.14.  A
+# "a" at n = 50) about 0.14.  Three targets are infeasible: a "ge" past the
+# ramp's maximum, a "ge"/"le" pair on two copies of the ramp that cross,
+# and an "eq" on the zero-mass prior that only outcome "b" could meet.  A
 # --dump-config file writes the path of the prior named outside ASCII as
 # ``\u`` escapes, one of them a surrogate pair.
 _INPUTS = {
@@ -164,6 +171,12 @@ _INPUTS = {
     "ramp-event": _event([0.0, 1.0, 2.0], "eq", 1.2),
     "zero-mass-real-le": _event([0.37, 5.0, 0.37, -1.25], "le", -0.1),
     "two-class-eq": _event([0.25, 1.5, 1.5], "eq", 1.25),
+    "ramp-beyond": _event([0.0, 1.0, 2.0], "ge", 2.5),
+    "crossed-mix": {
+        "kinds": ["ge", "le"], "targets": [1.5, 1.0],
+        "featureset": {"names": ["x", "y"], "matrix": [[0.0, 1.0, 2.0]] * 2},
+    },
+    "zero-mass-beyond": _event([0.0, 2.0, 1.0, -0.5], "eq", 1.5),
     "eight-prior": {
         "outcomes": list("abcdefgh"),
         "probs": [0.05, 0.1, 0.15, 0.2, 0.1, 0.15, 0.1, 0.15],
@@ -248,6 +261,17 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         "sanov --monte-carlo three classes": sanov(
             "full-prior", "ramp-event", 30, *monte_carlo
         ),
+        "sanov --monte-carlo infeasible": sanov(
+            "full-prior", "ramp-beyond", 30, *monte_carlo
+        ),
+        "project infeasible ge/le mix": [
+            "project", "--prior", path["full-prior"],
+            "--constraints", path["crossed-mix"],
+        ],
+        "project infeasible on the support": [
+            "project", "--prior", path["zero-mass-prior"],
+            "--constraints", path["zero-mass-beyond"],
+        ],
         "project --trace --dump-config": [
             "project", "--prior", path["full-prior"],
             "--constraints", path["ramp-event"],
