@@ -24,13 +24,15 @@ its own certificate of feasibility (:func:`_certifies_interior`).
 Infeasibility has a certificate inside the descent: on attainable targets
 weak duality bounds ``g`` below by ``log min_S P`` over the prior's
 support ``S``, so an iterate below that floor ends the solve
-(:func:`_below_dual_floor`) with no further step.  Only what neither a
-member nor a caller's witness certifies nor the floor refutes, and a solve
-that caps ``lam`` or spends its budget, runs the interior LP
-(:func:`check_feasibility`) over the simplex restricted to the prior's
-support.  It substitutes ``q = s + t 1`` so that "every outcome has mass at
-least t" needs no per-outcome row: d + 1 rows and K + 1 columns for K
-supported outcomes and d constraints.
+(:func:`_below_dual_floor`) with no further step.  A descent ends at
+tolerance, below the floor or at its budget, never at a bound on ``lam``,
+whose size the units of the features set.  Only what neither a member nor
+a caller's witness certifies nor the floor refutes, a solve that spends
+its budget included, runs the interior LP (:func:`check_feasibility`) over
+the simplex restricted to the prior's support.  It substitutes
+``q = s + t 1`` so that "every outcome has mass at least t" needs no
+per-outcome row: d + 1 rows and K + 1 columns for K supported outcomes and
+d constraints.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ _OPTION_KINDS = {
 class SolverOptions:
     moment_tol: float = 1e-9
     max_iter: int = 200
-    lambda_cap: float = 1e4
     equiv_tol: float = 1e-6
     trace: bool = False
 
@@ -134,9 +135,10 @@ class ProjectionResult:
 
     On ``CONVERGED`` the moment residual is below tolerance and the dual
     value ``lam* . alpha - A(lam*)`` equals ``min_divergence``.  On
-    ``BOUNDARY_NONATTAINED`` the returned model is the capped iterate (the
-    supremum is approached but not attained).  On ``INFEASIBLE`` the model
-    is the prior and ``min_divergence`` is infinite.
+    ``BOUNDARY_NONATTAINED`` the returned model is the descent's last
+    iterate (the supremum is approached but not attained).  On
+    ``INFEASIBLE`` the model is the prior and ``min_divergence`` is
+    infinite.
 
     The JSON form leaves out ``model``: ``ExpFamModel(prior, features,
     lambda_star)`` rebuilds it from the solve's inputs.
@@ -458,10 +460,11 @@ def _solve(
     never clipped, projected, binding or clamped.  Every accepted iterate
     whose ``g`` falls below the weak-duality floor (:func:`_below_dual_floor`)
     ends the solve as ``INFEASIBLE``, a result that does not depend on the
-    iterate, with no LP.  Otherwise the verdict follows the descent: a
-    converged member (or else the ``witness``) that certifies the interior
-    gives ``CONVERGED`` with no LP; otherwise the LP decides, and a budget
-    spent inside the polytope is a :class:`ConvergenceError`.  A caller that
+    iterate, with no LP.  Otherwise the descent ends at tolerance or after
+    ``max_iter`` iterations, and the verdict follows it: a converged member
+    (or else the ``witness``) that certifies the interior gives
+    ``CONVERGED`` with no LP; otherwise the LP decides, and a budget spent
+    inside the polytope is a :class:`ConvergenceError`.  A caller that
     already knows the targets interior (``interior``) spares a converged
     descent the certificate.
     """
@@ -501,11 +504,6 @@ def _solve(
             trace.append(TracePoint(iteration, g, gnorm))
         if gnorm <= opts.moment_tol:
             status = Status.CONVERGED
-            break
-        if float(np.max(np.abs(lam))) > opts.lambda_cap:
-            lam = np.clip(lam, -opts.lambda_cap, opts.lambda_cap)
-            grad = matrix @ dual_value(lam)[1] - alpha
-            status = Status.BOUNDARY_NONATTAINED
             break
         binding = outward & (slack <= min(1e-6, gnorm))
         free = ~binding if binding.any() else None
@@ -628,9 +626,9 @@ def fit_log_loss(
     two learning prescriptions being one problem.  The budget is 100,000
     steps.  The converged member, or else the data, whose moments are the
     targets, certify them interior; the feasibility LP runs only when
-    neither does, or the descent caps ``lam`` or spends its budget.  The
-    private ``_interior`` says the data's moments are already known interior
-    (a converged projection onto them, in ``fit``), so a converged descent
+    neither does, or the descent spends its budget.  The private
+    ``_interior`` says the data's moments are already known interior (a
+    converged projection onto them, in ``fit``), so a converged descent
     skips the certificate.
     """
     opts = opts or SolverOptions()

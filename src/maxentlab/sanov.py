@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import chunk_stream, ordered_map
+from ._rng import _checked, chunk_stream, ordered_map
 from .dist import (
     _MAX_SAMPLE_SIZE,
     ConstraintSet,
@@ -411,7 +411,7 @@ def enumerate_event(
 
     The rate term comes from the information projection of ``p`` onto the
     constraints; boundary-nonattained projections are evaluated at the
-    capped parameters and flagged.  The projection is solved at the
+    descent's last iterate and flagged.  The projection is solved at the
     default solver options unless given as ``projection``, and then it is
     not solved again.
     """
@@ -490,6 +490,9 @@ def nested_relative_probability(
 
 
 def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """The Wilson score interval of ``hits`` in ``trials``.  Its lower end
+    at 0 hits and its upper end at ``hits == trials`` are exactly 0 and 1,
+    which the formula reaches only up to rounding."""
     z2 = _WILSON_Z**2
     phat = hits / trials
     denom = 1.0 + z2 / trials
@@ -499,7 +502,9 @@ def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
         * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials**2))
         / denom
     )
-    return max(0.0, center - half), min(1.0, center + half)
+    low = 0.0 if hits == 0 else max(0.0, center - half)
+    high = 1.0 if hits == trials else min(1.0, center + half)
+    return low, high
 
 
 def _two_class_hits(first: np.ndarray, constraints: ConstraintSet, n: int) -> int:
@@ -536,10 +541,11 @@ def monte_carlo_event(
 
     Trials are partitioned into fixed-size chunks, each with its own
     SFC64 stream keyed by ``(seed, chunk)`` (:func:`_rng.chunk_stream`), so
-    the hit count is independent of thread count.  The
-    rate term stays exact (projection, solved at the default solver
-    options unless given as ``projection``); the residual is the
-    identity-implied estimate and is flagged by ``method``.
+    the hit count is independent of thread count.  Targets the projection
+    refutes (``INFEASIBLE``) hold no histogram, so they draw no chunk and
+    score 0 hits.  The rate term stays exact (projection, solved at the
+    default solver options unless given as ``projection``); the residual
+    is the identity-implied estimate and is flagged by ``method``.
 
     Trials draw class counts, not outcome counts (:func:`_outcome_classes`):
     Multinomial(n, p) summed over the classes is Multinomial(n, q), so the
@@ -560,10 +566,13 @@ def monte_carlo_event(
     _check_sample(p, constraints, n)
     if trials < 1:
         raise DomainError("need at least one trial")
+    _checked(seed)
     projection = _rate_projection(p, constraints, projection)
 
     probs, lumped = _outcome_classes(p, constraints)
     num_chunks = (trials + _MC_CHUNK - 1) // _MC_CHUNK
+    if projection.status is Status.INFEASIBLE:  # no histogram meets them
+        num_chunks = 0
     block = max(1, _MC_BLOCK_CELLS // probs.size)
 
     def run_chunk(idx: int) -> int:

@@ -138,6 +138,27 @@ def test_one_sided_project_nonconvergence_names_the_solve(files, capsys):
     assert "projected Newton did not reach tolerance" in capsys.readouterr().err
 
 
+def test_interior_target_that_spends_its_budget_exits_6(files, capsys):
+    # Two features that differ by 1e-6, with targets at the moments of
+    # (0.1, 0.2, 0.3, 0.4): interior, so never a boundary (exit 4), though
+    # lam grows past 1e4 and the descent spends its 200 Newton steps.
+    tmp, write = files
+    f1 = [0.0, 1.0, 2.0, 3.0]
+    f2 = [x + 1e-6 * e for x, e in zip(f1, [1, -1, -1, 1])]
+    q = [0.1, 0.2, 0.3, 0.4]
+    prior = {"outcomes": list("abcd"), "probs": [0.25] * 4}
+    features = {"names": ["f1", "f2"], "matrix": [f1, f2]}
+    targets = [sum(a * b for a, b in zip(row, q)) for row in (f1, f2)]
+    a = {"kinds": ["eq", "eq"], "targets": targets, "featureset": features}
+    out = tmp / "r.json"
+    argv = ["project", "--prior", write("p.json", prior)]
+    argv += ["--constraints", write("a.json", a), "--output", str(out)]
+    assert main(argv) == 6
+    err = capsys.readouterr().err
+    assert "dual Newton did not reach tolerance 1e-09 in 200 iterations" in err
+    assert not out.exists()
+
+
 def test_project_schema_violation_diagnostic(files, capsys):
     tmp, write = files
     bad = {"outcomes": ["0", "1"], "probs": [0.9, 0.4]}  # sums to 1.3

@@ -29,6 +29,7 @@ from maxentlab import (
     total_variation,
 )
 from maxentlab import projection
+from maxentlab.cli import main
 from maxentlab.projection import SolverOptions
 from maxentlab._rng import substream
 from maxentlab.jsonio import dump_json
@@ -698,6 +699,85 @@ class TestDualFloor:
             assert not fired, seed
 
 
+def scaled_instance(seed):
+    """A seeded instance (K 3..39, d 1..4, random eq/ge/le kinds) whose
+    N(0, 1) features are scaled by ``s``, log-uniform in [1e-6, 1e3]; on
+    30% of the d >= 2 seeds the second row is the first plus 1e-6 N(0, 1)
+    noise.  By ``seed % 4`` the targets are the moments of a positive
+    distribution (0, 1: interior), the feature column of the outcome
+    maximizing ``v . f`` (2: a vertex), or that column moved by ``1e-2 s``
+    along the unit direction ``v`` (3: past the hull), with ``v`` signed
+    as in :func:`beyond_hull_instance`."""
+    rng = substream(seed, 35)
+    k = int(rng.integers(3, 40))
+    d = int(rng.integers(1, 5))
+    scale = 10.0 ** rng.uniform(-6, 3)
+    w = rng.random(k) + 0.1
+    prior = FiniteDistribution([str(i) for i in range(k)], w / w.sum())
+    f = rng.normal(size=(d, k))
+    if d >= 2 and rng.random() < 0.3:
+        f[1] = f[0] + 1e-6 * rng.normal(size=k)
+    f *= scale
+    kinds = [str(kind) for kind in rng.choice(["eq", "ge", "le"], size=d)]
+    sign = np.array([{"eq": 0.0, "ge": 1.0, "le": -1.0}[kind] for kind in kinds])
+    v = rng.normal(size=d)
+    v = np.where(sign == 0, v, sign * np.abs(v))
+    v /= np.linalg.norm(v)
+    q = rng.random(k) + 0.05
+    interior, vertex = f @ (q / q.sum()), f[:, int(np.argmax(v @ f))]
+    targets = (interior, interior, vertex, vertex + 1e-2 * scale * v)
+    features = FeatureSet([f"f{i}" for i in range(d)], f)
+    return prior, ConstraintSet(features, kinds, targets[seed % 4])
+
+
+class TestNoBoundOnLambda:
+    """The size of ``lam`` is set by the units of the features, so no bound
+    on it ends a descent: a descent ends at tolerance, below the dual floor
+    or at its budget, and only the feasibility LP reads a target as on the
+    boundary."""
+
+    def test_rescaled_feature_converges(self):
+        # f = (0, s, 2s), target 1.9 s: lam* = 2.3763 / s at every scale.
+        scaled = []
+        for s in (1.0, 1e-3, 1e-4, 1e-5):
+            feature = FeatureSet(["x"], [[0.0, s, 2 * s]])
+            res = project(three(), ConstraintSet.equalities(feature, [1.9 * s]))
+            assert res.status is Status.CONVERGED, s
+            assert np.abs(res.moment_residual).max() <= SolverOptions().moment_tol, s
+            scaled.append(res.lambda_star[0] * s)
+        assert scaled[1:] == pytest.approx([scaled[0]] * 3, rel=1e-3)
+
+    def test_nearly_dependent_pair_is_not_a_boundary(self):
+        # Interior targets on two rows 1e-6 apart: lam passes 1e4 and the
+        # budget runs out, which the LP's interior verdict makes an error.
+        f1 = np.array([0.0, 1.0, 2.0, 3.0])
+        f2 = f1 + 1e-6 * np.array([1.0, -1.0, -1.0, 1.0])
+        q = np.array([0.1, 0.2, 0.3, 0.4])
+        prior = FiniteDistribution.uniform(list("abcd"))
+        features = FeatureSet(["f1", "f2"], [f1, f2])
+        a = ConstraintSet.equalities(features, [f1 @ q, f2 @ q])
+        rep = check_feasibility(prior, a)
+        assert rep.in_hull and not rep.on_boundary
+        with pytest.raises(ConvergenceError, match="in 200 iterations"):
+            project(prior, a)
+
+    def test_scaled_sweep_statuses_match_the_lp(self):
+        seen = {}
+        for seed in range(300):
+            prior, a = scaled_instance(seed)
+            status, _ = solve_outcome(prior, a)
+            rep = check_feasibility(prior, a)
+            if status is Status.BOUNDARY_NONATTAINED:
+                assert rep.in_hull and rep.on_boundary, seed
+            if status is Status.INFEASIBLE:
+                assert not rep.in_hull, seed
+            key = seed % 4, status
+            seen[key] = seen.get(key, 0) + 1
+        assert seen[0, Status.CONVERGED] + seen[1, Status.CONVERGED] >= 140
+        assert seen[2, Status.BOUNDARY_NONATTAINED] >= 60
+        assert seen[3, Status.INFEASIBLE] >= 60
+
+
 class TestProject:
     def test_no_constraints_returns_prior(self):
         prior = three()
@@ -1159,9 +1239,22 @@ class TestSolverOptions:
             SolverOptions.from_json({"max_iter": value})
 
     @pytest.mark.parametrize("value", ["1e4", 0.0, -1.0, math.inf, math.nan, False])
-    def test_lambda_cap_validated(self, value):
-        with pytest.raises(InputError, match="lambda_cap"):
+    def test_lambda_cap_validated(self, value, tmp_path, capsys):
+        # There is no bound on lam: the units of the features set its size.
+        # A file that still sets one is refused, whatever the value.
+        with pytest.raises(InputError, match=r"unknown fields \['lambda_cap'\]"):
             SolverOptions.from_json({"lambda_cap": value})
+
+        def write(name, obj):
+            (tmp_path / name).write_text(dump_json(obj))
+            return str(tmp_path / name)
+
+        a = ConstraintSet(three_feature(), ["eq"], [1.0])
+        argv = ["project", "--prior", write("p.json", three().to_json())]
+        argv += ["--constraints", write("a.json", a.to_json())]
+        argv += ["--solver-options", write("o.json", {"lambda_cap": value})]
+        assert main(argv) == 2
+        assert "unknown fields ['lambda_cap']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["1e-6", 0, -1e-6, math.inf, math.nan, [1e-6]])
     def test_equiv_tol_validated(self, value):
@@ -1175,8 +1268,6 @@ class TestSolverOptions:
 
     def test_valid_values_accepted(self):
         opts = SolverOptions.from_json(
-            {"moment_tol": 1, "max_iter": 3, "lambda_cap": 50, "equiv_tol": 0.5}
+            {"moment_tol": 1, "max_iter": 3, "equiv_tol": 0.5}
         )
-        assert opts == SolverOptions(
-            moment_tol=1.0, max_iter=3, lambda_cap=50.0, equiv_tol=0.5
-        )
+        assert opts == SolverOptions(moment_tol=1.0, max_iter=3, equiv_tol=0.5)

@@ -405,7 +405,8 @@ def _zero_mass_events():
 
 def _boundary_events():
     """An event whose target lies on the moment polytope's boundary, so
-    ``P*`` is the capped iterate; the inner event is the event itself."""
+    ``P*`` is the descent's last iterate, which reaches tolerance at
+    ``lam`` about 19; the inner event is the event itself."""
     p = FiniteDistribution(list("abc"), [0.2, 0.3, 0.5])
     event = ConstraintSet(FeatureSet(["x"], [[0.0, 1.0, 1.0]]), ["ge"], [1.0])
     return p, event, event, 30
@@ -697,6 +698,63 @@ class TestMonteCarlo:
         assert report.hits == monte_carlo_hits_per_row(coin(), event, n, 65_537, 5)
         assert peak <= 100 * 2**20
 
+    def test_refuted_event_draws_nothing(self, monkeypatch):
+        # No histogram has mean x >= 2.5 on x = (0, 1, 2), and the dual
+        # floor refutes the target, so no chunk is drawn; the report is the
+        # one that drawing all 16 chunks and scoring 0 hits gave.
+        def refuse(*args):
+            raise AssertionError("drew a chunk")
+
+        monkeypatch.setattr(sanov, "chunk_stream", refuse)
+        prior = FiniteDistribution(list("abc"), [0.2, 0.3, 0.5])
+        event = ConstraintSet(FeatureSet(["f"], [[0.0, 1.0, 2.0]]), ["ge"], [2.5])
+        report = monte_carlo_event(prior, event, 2000, trials=2**20, seed=0)
+        expected = {
+            "boundary_projection": False,
+            "conditional_divergence": math.nan,
+            "empty_event": True,
+            "hits": 0,
+            "log_prob": -math.inf,
+            "method": "monte-carlo",
+            "n": 2000,
+            "num_histograms_in_event": 0,
+            "projection": {
+                "iterations": 0,
+                "lambda_star": [0.0],
+                "min_divergence": math.inf,
+                "moment_residual": [-1.2],
+                "status": "infeasible",
+            },
+            "pythagorean_gap": math.nan,
+            "rate": math.inf,
+            "residual": math.nan,
+            "trials": 2**20,
+            "wilson_high": 3.663487193640643e-06,
+            "wilson_low": 0.0,
+        }
+        assert dump_json(report.to_json()) == dump_json(expected)
+
+    def test_wilson_ends_at_no_hits_and_all_hits(self):
+        # The score formula reaches 0 at no hits and 1 at all hits only up
+        # to rounding (2.2e-19 at 1,000 trials); those ends are exact, and
+        # the other two ends are the formula's.
+        z, rounded = sanov._WILSON_Z, 0
+        for trials in range(1, 20_001):
+            denom = 1.0 + z**2 / trials
+            for hits in (0, trials):
+                phat = hits / trials
+                center = (phat + z**2 / (2 * trials)) / denom
+                spread = phat * (1 - phat) / trials + z**2 / (4 * trials**2)
+                half = z * math.sqrt(spread) / denom
+                low, high = sanov._wilson_interval(hits, trials)
+                if hits == 0:
+                    assert (low, high) == (0.0, min(1.0, center + half)), trials
+                    rounded += center - half > 0.0
+                else:
+                    assert (low, high) == (max(0.0, center - half), 1.0), trials
+                    rounded += center + half < 1.0
+        assert rounded > 10_000
+
     def test_wilson_calibration_sample(self):
         # Small calibration run; the acceptance suite runs the full one.
         exact = float(binomial_tail_prob(10, 8))
@@ -749,8 +807,9 @@ class TestRateProjection:
 
     def test_zero_mass_boundary_event_is_finite(self):
         # A boundary event over a prior with a zero-mass outcome: P* is the
-        # capped iterate and keeps the prior's support, so the conditional
-        # divergence and the residual are finite and the identity closes.
+        # descent's last iterate and keeps the prior's support, so the
+        # conditional divergence and the residual are finite and the
+        # identity closes.
         p = FiniteDistribution(list("abcd"), [0.3, 0.0, 0.45, 0.25])
         event = ConstraintSet(FeatureSet(["x"], [[1.0, 1.0, 0.0, 0.0]]), ["le"], [0.0])
         report = enumerate_event(p, event, 40)

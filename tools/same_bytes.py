@@ -16,7 +16,7 @@ as an identity report): the number of values that differ there, and the
 largest absolute change among the numbers, or ``removed`` or ``added``
 for a key that only the old or only the new tree writes.  A CSV output
 with a header row (a ``--curve`` or ``entropy-approx`` CSV) gets one such
-line per column that differs, its rows collapsed to ``[*]``.  Thirty-four
+line per column that differs, its rows collapsed to ``[*]``.  Thirty-six
 fixed ops that reach paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
@@ -30,8 +30,9 @@ fixed ops that reach paths the workloads do not are compared the same way:
   ``--nested``, with ``--curve`` and with both (its curve CSV at the
   default path beside the ``--output`` file), and Monte Carlo with
   ``--nested``, whose nested check enumerates on its own;
-- exact ``sanov`` on boundary events, whose ``P*`` is evaluated at the
-  capped parameters, on a full-support and a zero-mass prior;
+- exact ``sanov`` on boundary events, whose ``P*`` is the descent's last
+  iterate, one that reached tolerance on the boundary, on a full-support
+  and a zero-mass prior;
 - exact ``sanov`` on a featureless constraint file (a 0x0 matrix), whose
   event holds every histogram, and on an ``eq`` event of a lattice
   feature (prior (0.2, 0.3, 0.5), ``f = (0, 1, 2)``, ``eq 1.2``, n = 30),
@@ -44,9 +45,13 @@ fixed ops that reach paths the workloads do not are compared the same way:
   draws per row;
 - infeasible targets whose dual value falls below the weak-duality floor
   (exit 3): Monte Carlo ``sanov`` on a ``ge`` event past the ramp's
-  maximum, and ``project`` on a crossing ``ge``/``le`` pair and on an
-  ``eq`` target that only the zero-mass prior's empty outcome could meet
-  (the floor is taken over the support);
+  maximum, at 70,000 trials and at 2**20 (16 chunks, none of which a
+  refuted event draws), and ``project`` on a crossing ``ge``/``le`` pair
+  and on an ``eq`` target that only the zero-mass prior's empty outcome
+  could meet (the floor is taken over the support);
+- ``project`` on a ``ge`` target 1e-6 past the ramp's maximum: past the
+  LP's tolerance but within the floor's margin, so the descent spends its
+  Newton budget and the LP reads the target infeasible (exit 3);
 - exact ``sanov`` over 8 outcomes (a ``ge`` event, n = 20), the smallest
   alphabet where numpy sums a histogram's log-factorials pairwise, not
   left to right as the enumeration weighs it, so the last bits of its
@@ -150,9 +155,10 @@ def _event(row: list[float], kind: str, target: float) -> dict:
 # model on the full prior puts probability 0.0 on "a" and "b".  The
 # real-valued "le" event over the zero-mass prior has probability about
 # 0.08 at n = 200, and the two-class "eq" event (a count of 10 in class
-# "a" at n = 50) about 0.14.  Three targets are infeasible: a "ge" past the
+# "a" at n = 50) about 0.14.  Four targets are infeasible: a "ge" past the
 # ramp's maximum, a "ge"/"le" pair on two copies of the ramp that cross,
-# and an "eq" on the zero-mass prior that only outcome "b" could meet.  A
+# an "eq" on the zero-mass prior that only outcome "b" could meet, and a
+# "ge" 1e-6 past the ramp's maximum, within the dual floor's margin.  A
 # --dump-config file writes the path of the prior named outside ASCII as
 # ``\u`` escapes, one of them a surrogate pair.
 _INPUTS = {
@@ -172,6 +178,7 @@ _INPUTS = {
     "zero-mass-real-le": _event([0.37, 5.0, 0.37, -1.25], "le", -0.1),
     "two-class-eq": _event([0.25, 1.5, 1.5], "eq", 1.25),
     "ramp-beyond": _event([0.0, 1.0, 2.0], "ge", 2.5),
+    "ramp-just-beyond": _event([0.0, 1.0, 2.0], "ge", 2.0 + 1e-6),
     "crossed-mix": {
         "kinds": ["ge", "le"], "targets": [1.5, 1.0],
         "featureset": {"names": ["x", "y"], "matrix": [[0.0, 1.0, 2.0]] * 2},
@@ -264,6 +271,13 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         "sanov --monte-carlo infeasible": sanov(
             "full-prior", "ramp-beyond", 30, *monte_carlo
         ),
+        "sanov --monte-carlo infeasible 16 chunks": sanov(
+            "full-prior", "ramp-beyond", 2000, "--monte-carlo", "--trials", "1048576"
+        ),
+        "project infeasible within the floor's margin": [
+            "project", "--prior", path["full-prior"],
+            "--constraints", path["ramp-just-beyond"],
+        ],
         "project infeasible ge/le mix": [
             "project", "--prior", path["full-prior"],
             "--constraints", path["crossed-mix"],
