@@ -26,13 +26,16 @@ weak duality bounds ``g`` below by ``log min_S P`` over the prior's
 support ``S``, so an iterate below that floor ends the solve
 (:func:`_below_dual_floor`) with no further step.  A descent ends at
 tolerance, below the floor or at its budget, never at a bound on ``lam``,
-whose size the units of the features set.  Only what neither a member nor
-a caller's witness certifies nor the floor refutes, a solve that spends
-its budget included, runs the interior LP (:func:`check_feasibility`) over
-the simplex restricted to the prior's support.  It substitutes
-``q = s + t 1`` so that "every outcome has mass at least t" needs no
-per-outcome row: d + 1 rows and K + 1 columns for K supported outcomes and
-d constraints.
+whose size the units of the features set.  The refuted iterate is itself
+the certificate: ``A(lam) >= log min_S P + max_S lam . f`` makes
+``lam . alpha > max_S lam . f``, so ``lam`` separates the targets from the
+polytope.  Only what neither a member nor a caller's witness certifies nor
+the floor refutes, a solve that spends its budget included, runs the one
+interior LP (:func:`check_feasibility`) over the simplex restricted to the
+prior's support, on feature rows divided by their largest magnitude there.
+It substitutes ``q = s + t 1`` so that "every outcome has mass at least t"
+needs no per-outcome row: d + 1 rows and K + 1 columns for K supported
+outcomes and d constraints.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -160,59 +163,37 @@ class ProjectionResult:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Whether the targets intersect the moment polytope of the features.
+    """Whether the targets intersect the moment polytope of the features
+    (``in_hull``), and whether only its relative boundary (``on_boundary``).
 
-    ``witness``, present when ``in_hull`` is false, is a direction ``v``
-    with ``min over the target set of v . t  >  max_x v . f(x)``.  A second
-    LP finds it on first read, over the ``(constraints, support)`` kept in
-    ``_separation``; a verdict nobody separates costs one LP.
+    Infeasible targets are separated from the polytope by the solvers, not
+    here: the iterate the weak-duality floor refutes is a separating
+    direction (:func:`_below_dual_floor`).
     """
 
     in_hull: bool
     on_boundary: bool
-    _separation: tuple | None = field(default=None, repr=False, compare=False)
 
-    @cached_property
-    def witness(self) -> np.ndarray | None:
-        return self._separation and _separating_witness(*self._separation)
+
+def _row_scale(f: np.ndarray) -> np.ndarray:
+    """Each feature row's largest magnitude over the columns of ``f``, 1
+    for a zero row."""
+    scale = np.abs(f).max(axis=1)
+    return np.where(scale > 0.0, scale, 1.0)
 
 
 def _constraint_rows(constraints: ConstraintSet, support: np.ndarray):
-    """Split constraints into linprog-style equality/upper-bound rows; a
-    ``ge`` row is negated into ``-f . q <= -target``."""
+    """Split constraints into linprog-style equality/upper-bound rows, each
+    row and its target divided by the row's :func:`_row_scale` on the
+    support so that the LP's absolute tolerances read every row at its own
+    scale; a ``ge`` row is negated into ``-f . q <= -target``."""
     f = constraints.features.matrix[:, support]
-    sign, targets = constraints._sign, constraints.targets
+    scale = _row_scale(f)
+    f, targets = f / scale[:, None], constraints.targets / scale
+    sign = constraints._sign
     eq, ub = sign == 0, sign != 0
     flip = -sign[ub]
     return f[eq], targets[eq], f[ub] * flip[:, None], targets[ub] * flip
-
-
-def _separating_witness(
-    constraints: ConstraintSet, support: np.ndarray
-) -> np.ndarray | None:
-    """LP for a direction certifying that the targets miss the polytope.
-
-    Maximizes ``v . alpha - max_x v . f(x)`` over the box ``|v| <= 1``,
-    with the sign of ``v_i`` restricted so the target-set infimum is
-    attained at ``alpha`` for one-sided constraints.
-    """
-    d = constraints.dim
-    f = constraints.features.matrix[:, support]
-    k = f.shape[1]
-    # Variables: v (d), s (1).  Objective: maximize v . alpha - s.
-    c = np.concatenate([-constraints.targets, [1.0]])
-    a_ub = np.hstack([f.T, -np.ones((k, 1))])  # v . f(x) - s <= 0
-    b_ub = np.zeros(k)
-    sign = constraints._sign
-    lower = np.where(sign > 0, 0.0, -1.0)
-    upper = np.where(sign < 0, 0.0, 1.0)
-    bounds = [*zip(lower, upper), (None, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    if -res.fun <= 1e-9:
-        return None
-    return res.x[:d]
 
 
 def _with_t_column(block: np.ndarray) -> np.ndarray | None:
@@ -240,10 +221,12 @@ def check_feasibility(
     ``sum s + K t = 1``, which also bounds ``t <= 1/K``) and K + 1 columns
     over the K supported outcomes.
 
-    Targets outside the polytope get a separating ``witness``, from a
-    second LP that runs when the witness is first read.  The solvers run
-    this LP only when their descent neither certifies an interior point
-    nor falls below the weak-duality floor.
+    Each feature row and its target are divided by the row's largest
+    magnitude on the support first, which leaves the polytope's shape and
+    ``t*`` as they are and puts HiGHS's absolute tolerances on one scale.
+    This is the solvers' only LP, and they run it only when their descent
+    neither certifies an interior point nor falls below the weak-duality
+    floor, whose refuted iterate separates the targets from the polytope.
 
     Raises :class:`ConvergenceError` when the LP solver stops without
     either an optimum or a proof of infeasibility.
@@ -272,7 +255,7 @@ def check_feasibility(
         t_star = float(res.x[-1])
         return FeasibilityReport(in_hull=True, on_boundary=t_star <= _INTERIOR_TOL)
     if res.status == 2:
-        return FeasibilityReport(False, False, (constraints, support))
+        return FeasibilityReport(in_hull=False, on_boundary=False)
     raise ConvergenceError(
         f"feasibility LP stopped with HiGHS status {res.status}: {res.message}"
     )
@@ -302,25 +285,26 @@ def _certifies_interior(f, alpha, sign, lam, p, margin: float) -> bool:
     return bool(off <= tol and point.min() > margin)
 
 
-def _below_dual_floor(g: float, lam, alpha, log_floor: float, f) -> bool:
+def _below_dual_floor(g: float, lam, alpha, log_floor: float, row_scale) -> bool:
     """Whether the dual value ``g = g(lam)`` proves the targets infeasible.
 
     For any ``Q`` on the prior's support ``S`` that meets the targets, weak
     duality gives ``g(lam) >= -D(Q || P) >= log min_S P`` (``log_floor``) at
     every ``lam`` on the sign orthant, so a value below that floor is a
-    certificate of infeasibility.  The margin covers the rounding of ``g``'s
-    two terms, ``8 (d + 2) u (|g| + sum |lam_i alpha_i|)``, plus
-    ``1e-6 |lam|_1 s`` with ``s = max(1, max |f|)`` over the feature rows
-    ``f`` on ``S``: the floor then also holds for every target moved by
-    ``1e-6 s``, ten times the LP solver's primal tolerance, so the LP would
-    read the targets infeasible too.
+    certificate of infeasibility, and ``lam`` separates: ``A(lam) >=
+    log min_S P + max_S lam . f`` gives ``lam . alpha > max_S lam . f``.
+    The margin covers the rounding of ``g``'s two terms,
+    ``8 (d + 2) u (|g| + sum |lam_i alpha_i|)``, plus
+    ``1e-6 sum_i |lam_i| s_i`` with ``s_i`` row ``i``'s :func:`_row_scale`
+    on ``S``: the floor then also holds for every target moved by
+    ``1e-6 s_i`` in each row, ten times the LP solver's primal tolerance on
+    the LP's scaled rows, so the LP would read the targets infeasible too.
     """
     if g >= log_floor:  # the margin only lowers the floor
         return False
     rounding = 8 * (len(lam) + 2) * _UNIT_ROUNDOFF
     rounding *= abs(g) + float(np.abs(lam * alpha).sum())
-    scale = max(1.0, float(np.abs(f).max()))
-    slack = _FLOOR_SLACK * float(np.abs(lam).sum()) * scale
+    slack = _FLOOR_SLACK * float(np.abs(lam) @ row_scale)
     return g < log_floor - rounding - slack
 
 
@@ -474,6 +458,7 @@ def _solve(
     matrix, family = features.matrix, _family_arrays(prior, features)
     sign = constraints._sign
     log_floor = float(family[0][family[1]].min())  # log min_S P
+    row_scale = _row_scale(family[2])
     lam = np.zeros(d)
     trace: list[TracePoint] = []
 
@@ -523,7 +508,7 @@ def _solve(
                     break
                 t *= 0.5
         lam, g, q = lam_new, g_new, q_new
-        if _below_dual_floor(g, lam, alpha, log_floor, family[2]):
+        if _below_dual_floor(g, lam, alpha, log_floor, row_scale):
             return _unsolved(prior, constraints, Status.INFEASIBLE)
     else:
         status, iteration = None, max_iter

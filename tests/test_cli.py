@@ -1703,8 +1703,7 @@ def test_infeasible_project_runs_no_lp(
     files, monkeypatch, linprog_calls, constraints
 ):
     # The dual floor refutes the targets inside the descent: no LP runs,
-    # and the bytes are those of the solve whose verdict LP decides (one
-    # LP, no separating witness computed).
+    # and the bytes are those of the solve whose verdict LP decides.
     from maxentlab import projection
 
     tmp, write = files

@@ -16,7 +16,7 @@ as an identity report): the number of values that differ there, and the
 largest absolute change among the numbers, or ``removed`` or ``added``
 for a key that only the old or only the new tree writes.  A CSV output
 with a header row (a ``--curve`` or ``entropy-approx`` CSV) gets one such
-line per column that differs, its rows collapsed to ``[*]``.  Thirty-six
+line per column that differs, its rows collapsed to ``[*]``.  Thirty-seven
 fixed ops that reach paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
@@ -52,6 +52,10 @@ fixed ops that reach paths the workloads do not are compared the same way:
 - ``project`` on a ``ge`` target 1e-6 past the ramp's maximum: past the
   LP's tolerance but within the floor's margin, so the descent spends its
   Newton budget and the LP reads the target infeasible (exit 3);
+- ``project`` on a vertex target of two nearly equal ``le``/``eq`` rows
+  whose features are at scale 1.5e-4 (12 outcomes): below every workload's
+  feature scale, where the LP reads the target boundary (exit 4) only on
+  rows scaled to their largest magnitude;
 - exact ``sanov`` over 8 outcomes (a ``ge`` event, n = 20), the smallest
   alphabet where numpy sums a histogram's log-factorials pairwise, not
   left to right as the enumeration weighs it, so the last bits of its
@@ -158,7 +162,10 @@ def _event(row: list[float], kind: str, target: float) -> dict:
 # "a" at n = 50) about 0.14.  Four targets are infeasible: a "ge" past the
 # ramp's maximum, a "ge"/"le" pair on two copies of the ramp that cross,
 # an "eq" on the zero-mass prior that only outcome "b" could meet, and a
-# "ge" 1e-6 past the ramp's maximum, within the dual floor's margin.  A
+# "ge" 1e-6 past the ramp's maximum, within the dual floor's margin.  The
+# scaled vertex is seed 3610 of the test suite's ``scaled_instance``: two
+# nearly equal rows at scale 1.5e-4 whose targets are outcome "1"'s column,
+# a vertex of the moment polytope, so the solve is boundary (exit 4).  A
 # --dump-config file writes the path of the prior named outside ASCII as
 # ``\u`` escapes, one of them a surrogate pair.
 _INPUTS = {
@@ -191,6 +198,37 @@ _INPUTS = {
     "eight-event": _event([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], "ge", 4.5),
     "featureless-event": {
         "kinds": [], "targets": [], "featureset": {"names": [], "matrix": []},
+    },
+    "scaled-vertex-prior": {
+        "outcomes": [str(i) for i in range(12)],
+        "probs": [
+            0.05026651275009397, 0.0858428208060008, 0.09778616783858107,
+            0.05090017501491412, 0.0790350134966935, 0.06423266302366099,
+            0.0929193544753612, 0.13155468147527483, 0.11081498083178809,
+            0.0780816059093264, 0.055773537914508856, 0.10279248646379645,
+        ],
+    },
+    "scaled-vertex": {
+        "kinds": ["le", "eq"],
+        "targets": [-0.00014641574171942476, -0.00014641573753570222],
+        "featureset": {"names": ["f0", "f1"], "matrix": [
+            [
+                8.621882791391263e-05, -0.00014641574171942476,
+                -0.00013743984470675243, -4.2738528523056466e-05,
+                -1.4330263343138545e-05, 4.658344074762135e-05,
+                -0.00010949913748126737, 1.1029120260619997e-05,
+                -1.5697019565106007e-05, 8.218006423843231e-06,
+                0.00014785941083322597, -4.5911733063951516e-05,
+            ],
+            [
+                8.621877651108412e-05, -0.00014641573753570222,
+                -0.00013743978563809993, -4.273845582422729e-05,
+                -1.4330255758789191e-05, 4.6583359082203856e-05,
+                -0.0001094991559931678, 1.1029176058899251e-05,
+                -1.5696850887552017e-05, 8.218025719579937e-06,
+                0.00014785939687541648, -4.5911637968679696e-05,
+            ],
+        ]},
     },
     "prior-\u00e4\u03bb\U0001f600": {
         "outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5],
@@ -281,6 +319,10 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         "project infeasible ge/le mix": [
             "project", "--prior", path["full-prior"],
             "--constraints", path["crossed-mix"],
+        ],
+        "project vertex at feature scale 1.5e-4": [
+            "project", "--prior", path["scaled-vertex-prior"],
+            "--constraints", path["scaled-vertex"],
         ],
         "project infeasible on the support": [
             "project", "--prior", path["zero-mass-prior"],
