@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DomainError
 
 MAX_SEED = (1 << 64) - 1
+# The most trials one binomial or multinomial draw takes (:func:`in_pieces`).
+MAX_PIECE = 1 << 58
 
 
 def _checked(seed: int) -> int:
@@ -42,6 +44,19 @@ def chunk_stream(seed: int, index: int) -> np.random.Generator:
     Philox."""
     seq = np.random.SeedSequence(_checked(seed), spawn_key=(index & MAX_SEED,))
     return np.random.Generator(np.random.SFC64(seq))
+
+
+def in_pieces(draw, n: int, *args):
+    """``draw(n, *args)`` for a generator's ``binomial`` or ``multinomial``
+    method ``draw``.  Past ``MAX_PIECE`` trials, numpy's samplers draw from
+    a wider law than Bin(n, p), so a larger ``n`` is drawn as the sum of
+    draws of at most ``MAX_PIECE`` trials each, which has the law of one
+    draw of ``n``; up to ``MAX_PIECE`` it is the one call."""
+    if n <= MAX_PIECE:
+        return draw(n, *args)
+    full, rest = divmod(n, MAX_PIECE)
+    pieces = [MAX_PIECE] * full + ([rest] if rest else [])
+    return sum(draw(m, *args) for m in pieces)
 
 
 def random_simplex(rng: np.random.Generator, k: int, floor: float) -> np.ndarray:

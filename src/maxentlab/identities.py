@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._rng import random_simplex, substream
+from ._rng import MAX_SEED, random_simplex, substream
 from ._scipy import brentq
 from .dist import (
     MEMBERSHIP_TOL,
@@ -56,7 +56,7 @@ from .expfam import (
     mean_parameters,
 )
 from .jsonio import _fields_json
-from .projection import ProjectionResult, SolverOptions, project
+from .projection import ProjectionResult, SolverOptions, _require_on_support, project
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sanov import SanovReport
@@ -132,8 +132,11 @@ def _project_to_moments(
     opts: SolverOptions,
 ) -> ProjectionResult:
     """Project ``prior`` onto the moments of ``q``, which certifies them
-    interior when the converged member does not."""
-    constraints = ConstraintSet.equalities(features, moments(q, features))
+    interior when the converged member does not.  A ``q`` with mass off
+    the prior's support is an input error before any solve."""
+    targets = moments(q, features)
+    _require_on_support(prior, q)
+    constraints = ConstraintSet.equalities(features, targets)
     return project(prior, constraints, opts, witness=q)
 
 
@@ -542,8 +545,14 @@ def run_identity_suite(
     """Run the diagnostics over seeded random instances.
 
     Instance ``i`` uses seed ``seed + i``; results are pure data and the
-    inputs are never mutated.
+    inputs are never mutated.  Instance seeds outside 0..2**64 - 1 raise
+    :class:`DomainError` before the first instance runs.
     """
+    if seed < 0 or seed + num_instances - 1 > MAX_SEED:
+        raise DomainError(
+            f"seed {seed} with {num_instances} instances: instance seeds "
+            "(seed + i) leave 0..2**64 - 1"
+        )
     out = []
     for i in range(num_instances):
         instance = random_instance(seed + i)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import ordered_map, random_simplex, substream
+from ._rng import in_pieces, ordered_map, random_simplex, substream
 from ._scipy import gammaln
 from .dist import _MAX_SAMPLE_SIZE, EmpiricalMeasure, FiniteDistribution
 from .errors import DomainError, ShapeMismatch
@@ -252,10 +252,11 @@ def _draw_counts(
     """One cell's histogram of ``n`` draws from a ``P`` drawn from the prior.
 
     A row depends on the counts alone, so a Dirichlet(1) cell draws them
-    from their marginal law, without drawing ``P``."""
+    from their marginal law, without drawing ``P``.  Other cells draw a
+    multinomial, in pieces past n = 2^58 (:func:`_rng.in_pieces`)."""
     if mode is PriorMode.DIRICHLET1:
         return _uniform_composition(rng, n, alphabet_size)
-    return rng.multinomial(n, random_simplex(rng, alphabet_size, 0.0))
+    return in_pieces(rng.multinomial, n, random_simplex(rng, alphabet_size, 0.0))
 
 
 def _experiment_cell(

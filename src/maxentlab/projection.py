@@ -95,7 +95,6 @@ _OPTION_KINDS = {
 class SolverOptions:
     moment_tol: float = 1e-9
     max_iter: int = 200
-    equiv_tol: float = 1e-6
     trace: bool = False
 
     def to_json(self) -> dict:
@@ -594,6 +593,14 @@ def project_inequality(
     return project(prior, constraints, opts)
 
 
+def _require_on_support(prior: FiniteDistribution, data: FiniteDistribution) -> None:
+    """Raise unless ``data`` lives on the prior's alphabet and puts no mass
+    outside its support, where no member of the family puts any."""
+    _check_same_alphabet(prior, data)
+    if np.any(data.probs[~prior.support] > 0):
+        raise SupportViolation("data puts mass outside the prior's support")
+
+
 def fit_log_loss(
     prior: FiniteDistribution,
     features: FeatureSet,
@@ -619,9 +626,7 @@ def fit_log_loss(
     opts = opts or SolverOptions()
     features.check_alphabet(prior)
     features.check_alphabet(data)
-    _check_same_alphabet(prior, data)
-    if np.any(data.probs[~prior.support] > 0):
-        raise SupportViolation("data puts mass outside the prior's support")
+    _require_on_support(prior, data)
     # At the data's moments, H(data, P_lam) = g(lam) + H(data, prior).
     constraints = ConstraintSet.equalities(features, moments(data, features))
     return _solve(

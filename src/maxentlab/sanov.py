@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import _checked, chunk_stream, ordered_map
+from ._rng import _checked, chunk_stream, in_pieces, ordered_map
 from .dist import (
     _MAX_SAMPLE_SIZE,
     ConstraintSet,
@@ -561,7 +561,9 @@ def monte_carlo_event(
     distinct count (:func:`_two_class_hits`): a chunk holds its draws and
     at most as many ``(k, n - k)`` rows and their float copy, at most 3 MB
     at 65,536 trials.  Other class counts draw per row, in blocks of at
-    most 2^20 cells (about 16 MB of counts and their float copy).
+    most 2^20 cells (about 16 MB of counts and their float copy).  Past
+    n = 2^58 every draw is a sum of draws of at most 2^58 trials
+    (:func:`_rng.in_pieces`), where numpy's samplers keep their law.
     """
     _check_sample(p, constraints, n)
     if trials < 1:
@@ -584,9 +586,10 @@ def monte_carlo_event(
         for start in range(0, size, block):
             m = min(block, size - start)
             if probs.size == 2:
-                hits += _two_class_hits(rng.binomial(n, probs[0], size=m), lumped, n)
+                first = in_pieces(rng.binomial, n, probs[0], m)
+                hits += _two_class_hits(first, lumped, n)
             else:
-                counts = rng.multinomial(n, probs, size=m)
+                counts = in_pieces(rng.multinomial, n, probs, m)
                 hits += int(_event_mask(counts, lumped, n).sum())
         return hits
 

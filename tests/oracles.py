@@ -166,18 +166,23 @@ def monte_carlo_hits_per_row(p, constraints, n: int, trials: int, seed: int) -> 
     by the per-row chunk loop: each chunk of ``_MC_CHUNK`` trials draws
     Multinomial(n, q) over the outcome classes from its own chunk stream, in
     row blocks of at most ``_MC_BLOCK_CELLS`` cells, and every drawn row
-    goes through the membership test."""
+    goes through the membership test.  Past ``_rng.MAX_PIECE`` trials a
+    block's counts are the sum of one such draw per piece: full pieces
+    first, then the remainder."""
     from maxentlab import sanov
-    from maxentlab._rng import chunk_stream
+    from maxentlab._rng import MAX_PIECE, chunk_stream
 
     probs, lumped = sanov._outcome_classes(p, constraints)
     block = max(1, sanov._MC_BLOCK_CELLS // probs.size)
+    full, rest = divmod(n, MAX_PIECE)
+    pieces = [n] if n <= MAX_PIECE else [MAX_PIECE] * full + [rest] * (rest > 0)
     hits = 0
     for idx, start in enumerate(range(0, trials, sanov._MC_CHUNK)):
         size = min(sanov._MC_CHUNK, trials - start)
         rng = chunk_stream(seed, idx)
         for row in range(0, size, block):
-            counts = rng.multinomial(n, probs, size=min(block, size - row))
+            m = min(block, size - row)
+            counts = sum(rng.multinomial(piece, probs, size=m) for piece in pieces)
             hits += int(sanov._event_mask(counts, lumped, n).sum())
     return hits
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from maxentlab import identities as ident
 from maxentlab.cli import main
 from maxentlab.errors import InputError
 from maxentlab.jsonio import atomic_write_text
@@ -349,6 +350,30 @@ def test_fit_data_on_other_labels_exit_code(files, capsys):
     assert code == 2
     assert "alphabets differ" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_data_off_the_prior_support_exit_2_before_any_solve(
+    files, capsys, monkeypatch, command
+):
+    # No member of the family puts mass on outcome "c", where the data do:
+    # an input error, raised before the projection runs, that leaves no
+    # report and no config behind.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("projected data off the prior's support")
+
+    monkeypatch.setattr(ident, "project", no_solve)
+    tmp, write = files
+    out, dump = tmp / "r.json", tmp / "dc.json"
+    prior = {"outcomes": ["a", "b", "c"], "probs": [0.5, 0.5, 0.0]}
+    data = {"outcomes": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]}
+    argv = [command, "--prior", write("p.json", prior)]
+    argv += ["--features", write("f.json", THREE_FEATURES)]
+    argv += ["--data", write("d.json", data)]
+    argv += ["--output", str(out), "--dump-config", str(dump)]
+    assert main(argv) == 2
+    assert "data puts mass outside the prior's support" in capsys.readouterr().err
+    assert not out.exists() and not dump.exists()
 
 
 def test_output_files_follow_the_umask(files):
@@ -1604,15 +1629,18 @@ def test_bad_solver_options_exit_2(files, capsys, opts):
         ("project", {"equiv_tol": 0.5}, 2),
         ("diagnose", {"trace": True}, 2),
         ("diagnose", {"equiv_tol": 0.5}, 2),
-        ("fit", {"equiv_tol": 0.5, "trace": True, "max_iter": 50}, 0),
+        ("fit", {"trace": True, "max_iter": 50}, 0),
+        ("fit", {"equiv_tol": 0.5}, 2),
+        ("diagnose", {"trace": False, "max_iter": 50}, 0),
     ],
 )
 def test_solver_options_a_command_does_not_read_exit_2(
     files, capsys, command, opts, code
 ):
-    # project compares no two fits (equiv_tol) and diagnose writes no
-    # trace: a field the command would ignore is an input error that names
-    # the field and the command.  fit reads every field.
+    # diagnose writes no trace: turning it on is an input error that names
+    # the field and the command, and "trace": false asks for what diagnose
+    # does.  project and fit read every field.  equiv_tol is no field (fit's
+    # prescriptions agree within a fixed 1e-6), so every command refuses it.
     tmp, write = files
     if command == "project":
         inputs = ["--constraints", write("a.json", CONSTRAINTS_EQ)]
@@ -1624,12 +1652,17 @@ def test_solver_options_a_command_does_not_read_exit_2(
     argv += ["--solver-options", write("o.json", opts), "--output", str(out)]
     assert main(argv) == code
     if code == 2:
-        field = next(iter(opts))
-        message = f"{field} would be ignored by {command}"
+        message = {
+            "equiv_tol": "unknown fields ['equiv_tol']",
+            "trace": "trace would be ignored by diagnose",
+        }[next(iter(opts))]
         assert message in capsys.readouterr().err
         assert not out.exists()
-    else:
-        assert json.loads(out.read_text())["equivalence_tol"] == 0.5
+    elif command == "fit":
+        report = json.loads(out.read_text())
+        assert report["equivalence_tol"] == 1e-6
+        assert report["prescriptions_agree"] == (report["tv_distance"] <= 1e-6)
+        assert report["projection"]["trace"] and report["log_loss_fit"]["trace"]
 
 
 @pytest.mark.parametrize("command, lps", [("project", 1), ("fit", 0)])

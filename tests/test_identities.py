@@ -312,10 +312,15 @@ class TestSuite:
         np.testing.assert_array_equal(a.model.lam, b.model.lam)
 
     @pytest.mark.parametrize("count, seed", [(1, -1), (1, 2**64), (2, 2**64 - 1)])
-    def test_instance_seeds_outside_64_bits_raise(self, count, seed):
+    def test_instance_seeds_outside_64_bits_raise(self, count, seed, monkeypatch):
         # Instance i runs at seed + i; past 2**64 - 1 it once ran at that
-        # seed mod 2**64 while its descriptor named the seed itself.
-        with pytest.raises(DomainError, match="seed"):
+        # seed mod 2**64 while its descriptor named the seed itself.  The
+        # range is checked before the first instance runs.
+        def no_instance(seed):
+            raise AssertionError(f"ran instance {seed}")
+
+        monkeypatch.setattr(ident, "random_instance", no_instance)
+        with pytest.raises(DomainError, match=r"2\*\*64 - 1"):
             run_identity_suite(count, seed=seed)
 
     def test_bogoliubov_gap_signs(self, suite_results):

@@ -1,6 +1,7 @@
 """The advertised limits: projection at 5e4 outcomes, exact event
-enumeration at the default cap of 2e6 histograms, and entropy-approx
-cells from n = 1 up to n = 2**63 - 1.
+enumeration at the default cap of 2e6 histograms, entropy-approx
+cells from n = 1 up to n = 2**63 - 1, and binomial and multinomial draws
+that keep their law up to that n.
 
 The feasibility LP and the interior certificate that usually replaces it
 must stay linear in the alphabet size: a dense K x K block at this size
@@ -9,6 +10,7 @@ from coming back.  Enumeration at the cap must stay
 within a wall-time and memory budget.
 """
 
+import math
 import time
 import tracemalloc
 
@@ -28,7 +30,7 @@ from maxentlab import (
 from maxentlab import multinomial, projection
 from maxentlab.projection import SolverOptions
 from maxentlab.sanov import DEFAULT_ENUMERATION_CAP, num_compositions
-from maxentlab._rng import substream
+from maxentlab._rng import chunk_stream, in_pieces, substream
 
 K = 50_000
 
@@ -166,3 +168,28 @@ def test_entropy_approx_cell_at_the_limits(mode, parts, n):
     assert counts.size == parts and counts.min() >= 0
     assert sum(int(c) for c in counts) == n
     assert row.exact == float(multinomial._log_multinomial(counts, n))
+
+
+@pytest.mark.parametrize("n", [2**58, 2**63 - 1])
+@pytest.mark.parametrize(
+    "method, draws, bound",
+    [("binomial", 2**20, 60), ("multinomial", 2**18, 20)],
+)
+def test_draws_keep_the_binomial_tails_up_to_the_sample_size_limit(
+    n, method, draws, bound
+):
+    # Past about 2**59 trials numpy's samplers draw from a wider law than
+    # Bin(n, p): at 2**62 one binomial draw puts about 450 of 2**20 draws
+    # past each of +-4 sigma, where the normal law expects 33 (8 of 2**18).
+    # Drawn in pieces of at most 2**58 trials, the first class's count keeps
+    # the normal law's tails.
+    rng = chunk_stream(11, 0)
+    if method == "binomial":
+        first = in_pieces(rng.binomial, n, 0.5, draws)
+    else:
+        counts = in_pieces(rng.multinomial, n, [0.5, 0.25, 0.25], draws)
+        assert (counts.sum(axis=1) == n).all()
+        first = counts[:, 0]
+    z = (first - n // 2) / (math.sqrt(n) / 2)
+    assert np.count_nonzero(z > 4) <= bound
+    assert np.count_nonzero(z < -4) <= bound

@@ -1278,7 +1278,5 @@ class TestSolverOptions:
             SolverOptions.from_json({"trace": value})
 
     def test_valid_values_accepted(self):
-        opts = SolverOptions.from_json(
-            {"moment_tol": 1, "max_iter": 3, "equiv_tol": 0.5}
-        )
-        assert opts == SolverOptions(moment_tol=1.0, max_iter=3, equiv_tol=0.5)
+        opts = SolverOptions.from_json({"moment_tol": 1, "max_iter": 3, "trace": True})
+        assert opts == SolverOptions(moment_tol=1.0, max_iter=3, trace=True)

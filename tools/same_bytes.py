@@ -16,7 +16,7 @@ as an identity report): the number of values that differ there, and the
 largest absolute change among the numbers, or ``removed`` or ``added``
 for a key that only the old or only the new tree writes.  A CSV output
 with a header row (a ``--curve`` or ``entropy-approx`` CSV) gets one such
-line per column that differs, its rows collapsed to ``[*]``.  Thirty-seven
+line per column that differs, its rows collapsed to ``[*]``.  Forty
 fixed ops that reach paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
@@ -25,6 +25,8 @@ fixed ops that reach paths the workloads do not are compared the same way:
 - ``diagnose`` on files: a three-outcome model at ``lambda = 800``, whose
   probabilities underflow to 0 where the data put mass, so the identities
   read the model's log-probabilities, not the logs of its probabilities;
+  and ``diagnose --dump-config`` on data that put mass on an outcome the
+  prior does not (exit 2, no report, no config);
 - ``sanov`` on a prior with zero-mass outcomes, where histograms that
   count an outcome outside the support score ``-inf``: exact, plain, with
   ``--nested``, with ``--curve`` and with both (its curve CSV at the
@@ -42,7 +44,8 @@ fixed ops that reach paths the workloads do not are compared the same way:
   zero-mass prior (two classes: the supported outcomes "a" and "c"
   share a column), an ``eq`` event that lumps to two classes, and the
   ``eq`` event of the lattice feature, which keeps three classes and so
-  draws per row;
+  draws per row; and a coin's tail event at n = 2**62, past the 2**58
+  trials above which every draw is a sum of pieces;
 - infeasible targets whose dual value falls below the weak-duality floor
   (exit 3): Monte Carlo ``sanov`` on a ``ge`` event past the ramp's
   maximum, at 70,000 trials and at 2**20 (16 chunks, none of which a
@@ -67,7 +70,9 @@ fixed ops that reach paths the workloads do not are compared the same way:
 - output shapes of the JSON writer that no workload writes: ``project
   --trace`` (a list of trace dicts) with ``--dump-config`` (the resolved
   options), ``--dump-config`` of an input file named outside ASCII
-  (``\\u`` escapes) and ``fit --data``;
+  (``\\u`` escapes), ``fit --data``, and ``fit --data`` with a
+  ``--solver-options`` file (``trace`` on, ``max_iter`` 50), the only op
+  that reads one;
 - ``fit --samples`` on sample files the workloads never write: CRLF line
   ends, blank and whitespace-only lines, tabs and spaces around labels,
   ``\\x0b`` and ``\\u2028`` line breaks, and the files that exit 2 (a
@@ -167,11 +172,18 @@ def _event(row: list[float], kind: str, target: float) -> dict:
 # nearly equal rows at scale 1.5e-4 whose targets are outcome "1"'s column,
 # a vertex of the moment polytope, so the solve is boundary (exit 4).  A
 # --dump-config file writes the path of the prior named outside ASCII as
-# ``\u`` escapes, one of them a surrogate pair.
+# ``\u`` escapes, one of them a surrogate pair.  The ramp data put mass on
+# outcome "c", which the no-c prior does not.  The coin's tail event at
+# n = 2**62 holds about 1.6% of the draws (membership slack 1e-9 leaves the
+# target 2.1 sigma above the mean).
 _INPUTS = {
     "full-prior": {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
     "ramp-features": {"names": ["f"], "matrix": [[0.0, 1.0, 2.0]]},
     "ramp-data": {"outcomes": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]},
+    "no-c-prior": {"outcomes": ["a", "b", "c"], "probs": [0.5, 0.5, 0.0]},
+    "trace-options": {"trace": True, "max_iter": 50},
+    "coin-prior": {"outcomes": ["h", "t"], "probs": [0.5, 0.5]},
+    "coin-tail": _event([1.0, 0.0], "ge", 0.5 + 1.5e-9),
     "lambda-800": [800.0],
     "zero-mass-prior": {"outcomes": ["a", "b", "c", "d"], "probs": [0.3, 0.0, 0.45, 0.25]},
     "zero-mass-event": _event([0.0, 2.0, 1.0, -0.5], "ge", 0.55),
@@ -272,6 +284,11 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
 
     ops = {
         "diagnose": _DIAGNOSE,
+        "diagnose data off the prior's support": [
+            "diagnose", "--prior", path["no-c-prior"],
+            "--features", path["ramp-features"], "--data", path["ramp-data"],
+            "--dump-config", str(outdir / "config.json"),
+        ],
         "diagnose underflowed model": [
             "diagnose", "--prior", path["full-prior"],
             "--features", path["ramp-features"], "--data", path["ramp-data"],
@@ -305,6 +322,9 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         ),
         "sanov --monte-carlo three classes": sanov(
             "full-prior", "ramp-event", 30, *monte_carlo
+        ),
+        "sanov --monte-carlo two classes at n = 2**62": sanov(
+            "coin-prior", "coin-tail", 2**62, *monte_carlo
         ),
         "sanov --monte-carlo infeasible": sanov(
             "full-prior", "ramp-beyond", 30, *monte_carlo
@@ -341,6 +361,10 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         "fit --data": [
             "fit", "--prior", path["full-prior"], "--features", path["ramp-features"],
             "--data", path["ramp-data"],
+        ],
+        "fit --data --solver-options": [
+            "fit", "--prior", path["full-prior"], "--features", path["ramp-features"],
+            "--data", path["ramp-data"], "--solver-options", path["trace-options"],
         ],
     }
     ops["entropy-approx --prior uniform-orthant"] = [
