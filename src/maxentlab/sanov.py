@@ -1,13 +1,18 @@
 """Exact small-sample large-deviations laboratory.
 
 Events are sets of empirical measures defined by moment constraints.  For
-sample size ``n >= 1`` over ``D`` outcomes all ``C(n+D-1, D-1)`` histograms
-are enumerated (microstates are grouped by histogram, which is exact by
-exchangeability), each weighed by its log multinomial coefficient while
-the table is built (:func:`_enumerate`), and scored under ``P`` with the
-likelihood kernel of :mod:`maxentlab.multinomial`, giving the event
-probability, the projection rate term, and the conditional-law residual
-of the finite-sample identity
+sample size ``n >= 1`` over ``D`` outcomes the histograms that can reach
+the event are enumerated (microstates are grouped by histogram, which is
+exact by exchangeability): column by column, each row prefix takes only
+the counts from which every constraint can still be met, so the table
+holds the event's rows and few others; a simplex of fewer than 4,096
+histograms, where the tests cost more than the rows they save, is
+enumerated whole, and the cap still counts all ``C(n+D-1, D-1)``
+histograms of the simplex.  Each row is weighed by its log multinomial
+coefficient while the table is built (:func:`_enumerate`) and scored
+under ``P`` with the likelihood kernel of :mod:`maxentlab.multinomial`,
+giving the event probability, the projection rate term, and the
+conditional-law residual of the finite-sample identity
 
     (1/n) log Pr(event) + D(P*||P) + residual = 0.
 
@@ -32,13 +37,15 @@ off the projection's model and no histogram scored under ``P*``,
     gap             = lam* . (E_mu[f] - E_P*[f]),
     nested slack    = -n lam* . (E_mu_B[f] - E_mu_A[f]).
 
-One histogram table per ``(p, n)`` (:func:`_table`) holds each histogram's
-log-probability under ``P``, its weight from the enumeration plus its
-log-likelihood; an event selects rows of it and gives each
-row's feature means (:func:`_event_rows`), and :func:`_event_law` turns a
-selection into the law.  One body (:func:`_exact_reports`) builds the
-table once, selects the event's rows and, when given, a nested inner
-event's, and returns the exact report and the nested report;
+One histogram table per ``(p, n)`` and event (:func:`_table`) holds each
+histogram's log-probability under ``P``, its weight from the enumeration
+plus its log-likelihood, neither of which depends on the table's other
+rows; the event's membership mask selects rows of it, as on the whole
+simplex, and gives each row's feature means (:func:`_event_rows`), and
+:func:`_event_law` turns a selection into the law.  One body
+(:func:`_exact_reports`) builds the table once, with the rows that can
+reach the event or, when given, a nested inner event, selects each
+event's rows, and returns the exact report and the nested report;
 :func:`enumerate_event` and :func:`nested_relative_probability` are views
 of it, and an exact ``sanov --nested`` command calls it once.
 :func:`conditional_law` reads the same table and selection, and ``log Pr``
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +64,7 @@ import numpy as np
 from ._rng import _checked, chunk_stream, in_pieces, ordered_map
 from .dist import (
     _MAX_SAMPLE_SIZE,
+    MEMBERSHIP_TOL,
     ConstraintSet,
     FeatureSet,
     FiniteDistribution,
@@ -73,6 +82,9 @@ DEFAULT_ENUMERATION_CAP = 2_000_000
 _WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 _MC_CHUNK = 1 << 16
 _MC_BLOCK_CELLS = 1 << 20  # histogram cells drawn at once in a chunk
+# Simplices of fewer histograms are enumerated whole: below about 3,000 to
+# 4,000 rows the reach tests' array passes cost more than the rows they save.
+_PRUNE_FROM = 1 << 12
 
 
 class Method(str, enum.Enum):
@@ -171,59 +183,180 @@ def compositions(n: int, parts: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.n
     return _enumerate(n, parts, cap)[0]
 
 
-def _enumerate(n: int, parts: int, cap: int):
-    """Every histogram of ``n`` samples over ``parts`` outcomes and its log
-    multinomial coefficient ``log(n! / (c_1! ... c_D!))``, weighed while
-    the table is built: ``(C-contiguous int64 rows in lexicographic order,
-    their coefficients)``.
+def _enumerate(n: int, parts: int, cap: int, events=()):
+    """The histograms of ``n`` samples over ``parts`` outcomes that can
+    reach one of ``events`` (constraint sets over the outcomes), and their
+    log multinomial coefficients ``log(n! / (c_1! ... c_D!))``, weighed
+    while the table is built: ``(C-contiguous int64 rows in lexicographic
+    order, their coefficients)``.  With no events, a featureless one, or a
+    simplex of fewer than ``_PRUNE_FROM`` histograms, every histogram is
+    enumerated.  The reach tests are necessary, not sufficient
+    (:func:`_reach_plan`): the table may hold rows outside every event, and
+    it holds every row of each.
 
     The table is built one column at a time.  Each row prefix with
-    remainder ``r`` takes the values ``0..r`` in the next column, each
-    repeated once per composition of what remains over the columns after
-    it; those counts come from a table indexed by remainder.  The last
-    column is the remainder.  Each prefix carries the running sum of its
-    values' ``log k!``, so the sums run on the few prefixes of the early
+    remainder ``r`` takes the values ``lo..hi`` in the next column
+    (:func:`_reach`), ``0..r`` when nothing prunes.  Each prefix carries
+    the running sum of its values' ``log k!`` (and, when pruning, its reach
+    tests' sums), so the sums run on the few prefixes of the early
     columns and only the last column's is as long as the table.  The sum
     runs left to right over the columns, numpy's row-sum order up to 7
     outcomes, where the coefficients are
     :func:`maxentlab.multinomial._log_multinomial`'s bit for bit; past
-    that numpy sums pairwise and the last bits may differ.  One outcome
-    has coefficient 0 and takes no table of ``n + 1`` log-factorials.
+    that numpy sums pairwise and the last bits may differ.  The last
+    level's values and remainders are written straight into the table, and
+    the earlier columns are filled from each level's values, each repeated
+    once per row below it.  One outcome has coefficient 0 and takes no
+    table of ``n + 1`` log-factorials.
 
-    Raises :class:`EnumerationCapExceeded` when the count would pass ``cap``,
-    before anything is allocated.
+    Raises :class:`EnumerationCapExceeded` when the whole simplex would
+    pass ``cap``, before anything is allocated: the cap counts the simplex,
+    not the rows kept.
     """
     total = _check_cap(n, parts, cap)
-    out = np.empty((total, parts), dtype=np.int64)
     rem = np.array([n], dtype=np.int64)  # one remainder per prefix
     if parts == 1:
-        out[:, 0] = rem
-        return out, np.zeros(1)
+        return rem[:, None], np.zeros(1)
     log_fact = _log_factorials(n)
-    # ways[k][m]: compositions of m over k + 1 columns, at most ``total``.
-    ways = [np.ones(n + 1, dtype=np.int64)]
-    for _ in range(parts - 2):
-        ways.append(np.cumsum(ways[-1]))
+    plan = _reach_plan(n, parts, events) if total >= _PRUNE_FROM else None
+    if plan is not None:
+        sums, columns, groups = plan  # sums: one row per reach test
     weights = np.zeros(1)  # one running sum of log k! per prefix
+    levels = []  # (values, segment starts and ends) of the levels before the last
     for j in range(parts - 1):
-        sizes = rem + 1
-        ends = np.cumsum(sizes)
-        value = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
-        rem = np.repeat(rem, sizes) - value
-        after = parts - 2 - j  # ways[after] counts over the columns after j
-        if after:
-            out[:, j] = np.repeat(value, ways[after][rem])
-            weights = np.repeat(weights, sizes)
-            weights += log_fact[value]
-    # The last level's prefixes are the rows.  Its values and remainders go
-    # to the table first and the sums read them back from it, so that no
-    # row-long copy of them is held while the sums run.
-    out[:, -2], out[:, -1] = value, rem
-    del value, rem
-    weights = np.repeat(weights, sizes)
-    weights += log_fact[out[:, -2]]
+        if plan is None:
+            sizes = rem + 1
+        else:
+            lo, sizes = _reach(columns[j], sums, rem, groups)
+        ends = sizes.cumsum()
+        rows = int(ends[-1])
+        if rows == 0:
+            return np.empty((0, parts), dtype=np.int64), np.empty(0)
+        starts = ends - sizes  # each prefix's first child
+        offsets = (starts if plan is None else starts - lo).repeat(sizes)
+        if j == parts - 2:
+            break
+        value = np.subtract(np.arange(rows), offsets, out=offsets)
+        rem = rem.repeat(sizes) - value
+        weights = weights.repeat(sizes)
+        weights += log_fact[value]
+        if plan is not None:
+            sums = sums.repeat(sizes, axis=1)
+            sums += np.multiply.outer(columns[j][2], value)
+        levels.append((value, starts, ends))
+    # The last level's children are the rows.
+    out = np.empty((rows, parts), dtype=np.int64)
+    value = np.subtract(np.arange(rows), offsets, out=out[:, -2])
+    del offsets
+    np.subtract(rem.repeat(sizes), value, out=out[:, -1])
+    weights = weights.repeat(sizes)
+    weights += log_fact[value]
     weights += log_fact[out[:, -1]]
+    below = sizes  # rows below each prefix of the current level
+    for j in range(parts - 3, -1, -1):
+        value, starts, ends = levels.pop()
+        out[:, j] = value.repeat(below)
+        if j:
+            upto = np.zeros(below.size + 1, dtype=np.int64)
+            below.cumsum(out=upto[1:])
+            below = upto[ends] - upto[starts]
     return out, np.subtract(log_fact[n], weights, out=weights)
+
+
+def _reach_plan(n: int, parts: int, events):
+    """The one-sided reach tests of ``events`` for :func:`_enumerate`:
+    ``(sums, columns, groups)``, or ``None`` when nothing prunes (no
+    events, or a featureless one, which holds every histogram) or when
+    ``n`` times a row's values would overflow the tests' sums.
+
+    A row ``i`` of an event bounds the feature sum ``s = sum_k c_k f_ik``
+    of a histogram by ``n (a_i - MEMBERSHIP_TOL) - slack <= s`` (``ge``,
+    ``eq``) and ``s <= n (a_i + MEMBERSHIP_TOL) + slack`` (``le``, ``eq``),
+    since the mask keeps rows up to the tolerance beyond the target.  The
+    slack ``8 (D + 2) u n (max|f_i| + |a_i| + MEMBERSHIP_TOL)`` bounds the
+    rounding of the mask's moments and of the tests themselves, so a test
+    never drops a row the mask keeps.  Each bound is a test ``g . c >=
+    beta`` with ``g = +-f_i``.  ``sums`` holds ``g . c - beta`` over a
+    prefix's columns, one row per test, grouped by event, and starts at
+    ``-beta``; ``groups`` are the groups' first rows, and the two clip
+    tests of :func:`_reach` follow the last group.
+
+    ``columns[j]`` serves column ``j``: ``(M, scales, g_j)``.  ``M`` is each
+    test's largest ``g_k`` over the columns after ``j``, then the clip
+    tests' 0 and 1.  ``scales`` are the ``(2, tests + 2, 1)`` factors of
+    :func:`_reach`: ``-1 / |g_j - M|`` where ``g_j >= M`` in the first row
+    and where ``g_j < M`` in the second, nan elsewhere, and -1 for the clip
+    tests of ``v`` and of ``-v``.  The tests are few and short, so they are
+    laid out in Python and each column's arrays made once.
+    """
+    if not events or any(event.dim == 0 for event in events):
+        return None
+    rounding = 8 * (parts + 2) * sys.float_info.epsilon * n
+    tests, sums, groups = [], [], []
+    for event in events:
+        groups.append(len(tests))
+        rows = event.features.matrix.tolist()
+        for f, sign, a in zip(rows, event._sign.tolist(), event.targets.tolist()):
+            size = max(map(abs, f)) + abs(a) + MEMBERSHIP_TOL
+            if not math.isfinite(4.0 * n * size):  # the tests' sums would overflow
+                return None
+            margin = n * MEMBERSHIP_TOL + rounding * size
+            for side in (1.0, -1.0):
+                if sign * side >= 0:  # ge and eq below, le and eq above
+                    tests.append([side * x for x in f])
+                    sums.append(margin - side * n * a)
+    maxima, scales = [], []  # per column
+    for j in range(parts - 1):
+        top = [max(g[j + 1 :]) for g in tests]
+        scale = [-1.0 / abs(g[j] - m) if g[j] != m else -math.inf
+                 for g, m in zip(tests, top)]
+        up = [g[j] >= m for g, m in zip(tests, top)]
+        maxima.append(top + [0.0, 1.0])
+        scales.append(
+            [
+                [x if u else math.nan for x, u in zip(scale, up)] + [-1.0, math.nan],
+                [math.nan if u else x for x, u in zip(scale, up)] + [math.nan, -1.0],
+            ]
+        )
+    coefs = np.array(tests).T[:-1]
+    columns = list(zip(np.array(maxima), np.array(scales)[..., None], coefs))
+    return np.array(sums)[:, None], columns, np.array(groups + [len(tests)])
+
+
+def _reach(column, sums, rem, groups):
+    """``(lo, sizes)``: the values ``lo..lo + sizes - 1`` that each prefix
+    (test sums ``sums``, remainder ``rem``) may take in the next column and
+    still reach an event, the hull of the events' intervals; ``column`` and
+    ``groups`` are :func:`_reach_plan`'s.
+
+    With ``M`` the largest ``g_k`` over the columns after this one, the
+    most a test's ``g . c - beta`` can reach from a prefix that takes ``v``
+    here is ``sums + v g_j + (rem - v) M``.  It is at least 0 when ``(g_j -
+    M) v >= -(sums + rem M)``: ``v >= (sums + rem M) (-1 / |g_j - M|)``
+    when ``g_j >= M`` and ``-v >=`` the same when ``g_j < M``.  At ``g_j =
+    M`` the factor is ``-inf``, so the end is ``-inf`` when the test holds
+    whatever ``v`` is, ``+inf`` when it fails, and nan, which ``fmax``
+    skips, at the edge.  The clip tests ``v >= 0`` and ``-v >= -rem`` come
+    last.  Each event's ends are the largest of its tests', the hull's the
+    smallest of the events', and the clip tests' bound them; each pass
+    takes every test at once.
+    """
+    maxima, scales, _ = column
+    reach = np.multiply.outer(maxima, rem)
+    reach[: len(sums)] += sums
+    with np.errstate(invalid="ignore"):  # 0 * -inf, at the edge
+        ends = reach * scales  # (2, tests, prefixes): ends on v, then on -v
+    if len(groups) == 2:  # one event
+        ends = np.fmax.reduce(ends, axis=1)
+    else:
+        ends = np.fmax.reduceat(ends, groups, axis=1)
+        ends = np.fmax(ends[:, :-1].min(axis=1), ends[:, -1])
+    np.ceil(ends, out=ends)
+    lo, neg_hi = ends
+    sizes = 1.0 - lo
+    sizes -= neg_hi
+    np.maximum(sizes, 0.0, out=sizes)
+    return np.minimum(lo, rem).astype(np.int64), sizes.astype(np.int64)
 
 
 def _row_moments(counts: np.ndarray, constraints: ConstraintSet, n: int) -> np.ndarray:
@@ -290,23 +423,42 @@ def _check_sample(p: FiniteDistribution, constraints: ConstraintSet, n: int) -> 
     constraints.features.check_alphabet(p)
 
 
-def _table(p: FiniteDistribution, n: int, cap: int):
-    """Every histogram of ``n >= 1`` samples over ``p``'s alphabet, as
-    ``(histograms, log probabilities under p)``; it depends on ``p`` and
-    ``n`` only.  A row's log-probability is its log multinomial
-    coefficient, weighed while the table is enumerated (:func:`_enumerate`),
-    plus its log-likelihood.
+def _table(p: FiniteDistribution, n: int, cap: int, events=()):
+    """The histograms of ``n >= 1`` samples over ``p``'s alphabet that can
+    reach one of ``events`` (:func:`_enumerate`), as ``(histograms, log
+    probabilities under p)``.  A row's log-probability is its log
+    multinomial coefficient, weighed while the table is enumerated, plus
+    its log-likelihood; neither depends on the other rows.
     """
-    comps, log_probs = _enumerate(n, len(p), cap)
-    log_probs += _log_likelihood(comps, p)
+    comps, log_probs = _enumerate(n, len(p), cap, events)
+    log_probs += _two_rows(lambda c: _log_likelihood(c, p), comps, p.support)
     return comps, log_probs
+
+
+def _two_rows(score, counts: np.ndarray, support: np.ndarray | None = None):
+    """``score(counts)``, a row-wise product over the rows of ``counts``
+    that count no outcome outside ``support`` (every row when it is
+    ``None``), taken over at least two such rows.
+
+    numpy takes another kernel for a product over one row, whose last bits
+    differ, so a table with one such row is scored twice over and the
+    first half kept: a row scores the same bits in any table.
+    """
+    if support is None or support.all():
+        rows = len(counts)
+    else:
+        rows = np.count_nonzero(~counts[:, ~support].any(axis=1))
+    if rows != 1:
+        return score(counts)
+    return score(np.concatenate((counts, counts)))[..., : len(counts)]
 
 
 def _event_rows(table, constraints: ConstraintSet, n: int):
     """``(mask, selection, moments)`` over the rows of ``table``: the
     histograms in the event, those of them with positive probability under
-    ``p``, and every row's feature means (:func:`_row_moments`)."""
-    moments = _row_moments(table[0], constraints, n)
+    ``p``, and every row's feature means (:func:`_row_moments`, over at
+    least two rows)."""
+    moments = _two_rows(lambda c: _row_moments(c, constraints, n), table[0])
     mask = constraint_mask(constraints, moments)
     return mask, mask & (table[1] > -math.inf), moments
 
@@ -338,9 +490,12 @@ def _exact_reports(p, constraints, n, cap, projection, inner=None):
     hold a supported histogram (else :class:`EmptyEvent`).
     """
     _check_sample(p, constraints, n)
-    table = _table(p, n, cap)
-    if inner is not None:  # first, so that its moments are freed before the event's
+    if inner is None:
+        table = _table(p, n, cap, (constraints,))
+    else:  # one table holds the rows that can reach either event
         inner.features.check_alphabet(p)
+        table = _table(p, n, cap, (constraints, inner))
+        # First, so that its moments are freed before the event's.
         inner_mask, inner_sel = _event_rows(table, inner, n)[:2]
     mask, sel, moments = _event_rows(table, constraints, n)
     if inner is not None:
@@ -427,7 +582,7 @@ def conditional_law(
 ) -> ConditionalLaw:
     """Histogram-level conditional law given the event; masses sum to 1."""
     _check_sample(p, constraints, n)
-    table = _table(p, n, cap)
+    table = _table(p, n, cap, (constraints,))
     comps, lhp = table
     sel = _event_rows(table, constraints, n)[1]
     if not np.any(sel):
@@ -447,10 +602,14 @@ def gibbs_conditioning_curve(
     """Per-``n`` identity decompositions along a sample-size schedule.
 
     The projection does not depend on ``n``: it is solved once (or taken
-    from ``projection``) and shared by every point.  The conditional
-    residual tends to zero but is not asserted monotone; consumers compare
-    endpoints.
+    from ``projection``) and shared by every point.  Every ``n`` is checked
+    (:func:`_check_sample`, the cap) before anything is projected or
+    enumerated.  The conditional residual tends to zero but is not
+    asserted monotone; consumers compare endpoints.
     """
+    for n in n_list:
+        _check_sample(p, constraints, n)
+        _check_cap(n, len(p), cap)
     projection = _rate_projection(p, constraints, projection)
     return [
         enumerate_event(p, constraints, n, cap=cap, projection=projection)

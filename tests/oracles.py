@@ -8,8 +8,9 @@ the library, except the object-path member evaluation (around the
 library's log-sum-exp, which has its own tests against scipy), the
 object-path energy-matching objective and the harness that swaps it (and
 the LP feasibility verdict) back into the identity suite, the
-stars-and-bars histogram table, the row-and-column histogram scorer and
-the per-histogram event law (every histogram of an event scored under
+stars-and-bars histogram table, the row-and-column histogram scorer, the
+full histogram table that the enumeration prunes and the per-histogram
+event law (every histogram of an event scored under
 ``P*``, the gap and the nested slack summed over outcomes), the per-row
 Monte Carlo chunk loop, the two-step (weights, then multinomial)
 Dirichlet(1) experiment cell and each caller's own assembly of the
@@ -72,6 +73,33 @@ def log_likelihood_rows_and_columns(counts: np.ndarray, p) -> np.ndarray:
     if np.any(ok):
         out[ok] = counts[np.ix_(ok, supported)] @ p.log_probs[supported]
     return out
+
+
+def full_histogram_table(p, n: int, cap: int, events=()):
+    """Every histogram of ``n`` samples over ``p``'s alphabet, whatever
+    ``events`` are, and its log-probability under ``p``: ``compositions``,
+    each row's ``_log_multinomial`` plus ``_log_likelihood`` over the whole
+    table.  It takes ``sanov._table``'s arguments, so it stands in for the
+    pruned table as the full-table reference."""
+    from maxentlab.multinomial import _log_likelihood, _log_multinomial
+    from maxentlab.sanov import compositions
+
+    comps = compositions(n, len(p), cap)
+    return comps, _log_multinomial(comps, n) + _log_likelihood(comps, p)
+
+
+def full_event_rows(p, constraints, n: int, cap: int):
+    """``(histograms, log probabilities)`` of the event's rows of the full
+    table (:func:`full_histogram_table`), selected by ``constraint_mask``
+    over every row's feature means."""
+    from maxentlab.dist import constraint_mask
+
+    comps, log_probs = full_histogram_table(p, n, cap)
+    if constraints.dim:
+        means = constraints.features.matrix @ (comps.T / n)
+        mask = constraint_mask(constraints, means)
+        return comps[mask], log_probs[mask]
+    return comps, log_probs
 
 
 def exact_multinomial(counts) -> int:

@@ -13,6 +13,7 @@ import pytest
 
 from maxentlab import (
     ConstraintSet,
+    ConvergenceError,
     DomainError,
     EmptyEvent,
     EnumerationCapExceeded,
@@ -35,6 +36,8 @@ from maxentlab.projection import SolverOptions, project
 
 from oracles import (
     binomial_tail_prob,
+    full_event_rows,
+    full_histogram_table,
     iter_compositions,
     monte_carlo_hits_per_row,
     per_histogram_law,
@@ -152,6 +155,196 @@ class TestCompositions:
             compositions(-1, 3)
         with pytest.raises(DomainError):
             compositions(3, 0)
+
+
+def _pruning_cases():
+    """A seeded grid of ``(p, event, inner, n)`` over 2-6 outcomes, each
+    table at most 3,000 histograms, that reaches every edge of the pruned
+    enumeration:
+
+    - lattice and real features in 1 and 2 rows, at scales 1e-3 to 1e2
+      and some at 1e9, where rounding, not the membership tolerance, sets
+      which rows the mask keeps; ``ge``, ``le`` and ``eq`` targets at a
+      drawn histogram's means, on lattice points and 1e-10 to 5e-10 off
+      them, or drawn around them;
+    - full-support priors and priors with one or more zero-mass outcomes;
+    - featureless events (every histogram) and events past the features'
+      range (no histogram);
+    - events of one histogram, ``(0, ..., 0, n)`` under a ``ge`` at the
+      last outcome's indicator, and events of one supported histogram
+      among others, ``(n/2, 0, ..., 0, n/2)`` under ``eq 1`` on ``(0, 1, 2,
+      ..., 2)`` when only the first and last outcomes have mass;
+    - inner events over another feature than the event's, with and
+      without the event's own rows (so some are not contained in it).
+    """
+    rng = np.random.default_rng(2608)
+    cases = []
+    for parts in range(2, 7):
+        n = max(m for m in range(1, 300) if num_compositions(m, parts) <= 3000)
+        names = [str(i) for i in range(parts)]
+
+        def prior(zero_mass):
+            probs = rng.dirichlet(np.ones(parts))
+            if zero_mass:
+                dead = rng.choice(parts, size=rng.integers(1, parts), replace=False)
+                probs[dead] = 0.0
+            return FiniteDistribution(names, probs / probs.sum())
+
+        def event(d):
+            if rng.random() < 0.5:
+                matrix = rng.integers(-3, 4, size=(d, parts)).astype(float)
+            else:
+                matrix = rng.normal(size=(d, parts)) * 10.0 ** rng.integers(-3, 3)
+            if rng.random() < 0.15:  # one unit in the last place exceeds 1e-9
+                matrix *= 1e9
+            kinds = list(rng.choice(["ge", "le", "eq"], size=d))
+            counts = rng.multinomial(n, rng.dirichlet(np.ones(parts)))
+            targets = matrix @ (counts / n)
+            for i in range(d):
+                u = rng.random()
+                if u < 0.4:
+                    targets[i] += rng.choice([-1.0, 1.0]) * rng.uniform(1e-10, 5e-10)
+                elif u < 0.6 and kinds[i] != "eq":
+                    targets[i] += 0.3 * rng.normal() * np.abs(matrix[i]).max()
+            names_d = [f"f{i}" for i in range(d)]
+            return ConstraintSet(FeatureSet(names_d, matrix), kinds, targets)
+
+        for k in range(24):
+            event_a = event(1 + k % 2)
+            inner = None
+            if k % 3 == 0:
+                other = event(1)
+                inner = other
+                if k % 6 == 0:  # the event's rows and another feature's
+                    matrix = np.vstack((event_a.features.matrix, other.features.matrix))
+                    inner = ConstraintSet(
+                        FeatureSet([f"g{i}" for i in range(len(matrix))], matrix),
+                        [*(kind.value for kind in event_a.kinds), other.kinds[0].value],
+                        np.append(event_a.targets, other.targets),
+                    )
+            cases.append((prior(k % 4 == 3), event_a, inner, n))
+        ramp = np.arange(parts, dtype=float)[None]
+        last = np.eye(parts)[-1:]
+        cases += [
+            (prior(False), ConstraintSet(FeatureSet.empty(parts), [], []), None, n),
+            (prior(True), ConstraintSet(FeatureSet.empty(parts), [], []), None, n),
+            (prior(False), ConstraintSet(FeatureSet(["r"], ramp), ["ge"], [parts]), None, n),
+            (prior(False), ConstraintSet(FeatureSet(["e"], last), ["ge"], [1.0]), None, n),
+            (prior(True), ConstraintSet(FeatureSet(["e"], last), ["ge"], [1.0]), None, n),
+        ]
+        if parts >= 3:
+            probs = np.full(parts, 1.0)
+            probs[1:-1] = 0.0
+            halves = FiniteDistribution(names, probs / probs.sum())
+            row = np.minimum(np.arange(parts, dtype=float), 2.0)[None]
+            even = n - n % 2
+            eq_one = ConstraintSet(FeatureSet(["h"], row), ["eq"], [1.0])
+            cases.append((halves, eq_one, None, even))
+    return cases
+
+
+def _outcome(call, *args, **kwargs):
+    """The JSON bytes of a report, the arrays of a conditional law, or the
+    type and message of the error raised."""
+    try:
+        result = call(*args, **kwargs)
+    except (DomainError, EmptyEvent) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, sanov.ConditionalLaw):
+        return result.histograms.tolist(), result.masses.tobytes()
+    return dump_json(result.to_json())
+
+
+class TestPrunedTable:
+    """The enumeration keeps the rows that can reach the event; the mask
+    still decides, so every row, log-probability and report equals the
+    full table's, to the bit (:func:`oracles.full_histogram_table`)."""
+
+    CAP = sanov.DEFAULT_ENUMERATION_CAP
+
+    def test_event_rows_and_reports_equal_the_full_tables(self, monkeypatch):
+        # Every table is pruned here, not only those past sanov._PRUNE_FROM.
+        monkeypatch.setattr(sanov, "_PRUNE_FROM", 0)
+        cases = _pruning_cases()
+        kept = one_row = one_supported = 0
+        for p, event, inner, n in cases:
+            comps, log_probs = sanov._table(p, n, self.CAP, (event,))
+            mask, sel, _ = sanov._event_rows((comps, log_probs), event, n)
+            want_rows, want_log_probs = full_event_rows(p, event, n, self.CAP)
+            assert np.array_equal(comps[mask], want_rows)
+            assert log_probs[mask].tobytes() == want_log_probs.tobytes()
+            kept += len(comps)
+            one_row += len(comps) == 1
+            one_supported += int(sel.sum()) == 1 and not p.support.all()
+            calls = [(conditional_law, (p, event, n), {})]
+            try:
+                projection = sanov.project_inequality(p, event)
+            except ConvergenceError:  # features at 1e9 against moment_tol 1e-9
+                projection = None
+            else:
+                calls.append(
+                    (enumerate_event, (p, event, n), {"projection": projection})
+                )
+            if inner is not None and projection is not None:
+                calls.append(
+                    (
+                        nested_relative_probability,
+                        (p, event, inner, n),
+                        {"projection": projection},
+                    )
+                )
+            pruned = [_outcome(f, *args, **kw) for f, args, kw in calls]
+            with monkeypatch.context() as full:
+                full.setattr(sanov, "_table", full_histogram_table)
+                assert [_outcome(f, *args, **kw) for f, args, kw in calls] == pruned
+        # The grid reaches the edges it is built for, and prunes.
+        assert one_row >= 10 and one_supported >= 4
+        assert kept < 0.5 * sum(num_compositions(n, len(p)) for p, _, _, n in cases)
+
+    def test_sums_past_the_float_range_keep_the_whole_simplex(self, monkeypatch):
+        # n times 1e306 overflows: the tests would drop rows the mask keeps,
+        # so nothing is pruned; at 1e300 the table is pruned.
+        monkeypatch.setattr(sanov, "_PRUNE_FROM", 0)
+        p = FiniteDistribution(list("abc"), [0.2, 0.3, 0.5])
+        for scale, pruned in ((1e306, False), (1e300, True)):
+            row = [[scale, 0.0, -scale]]
+            event = ConstraintSet(FeatureSet(["x"], row), ["ge"], [0.1 * scale])
+            comps, log_probs = sanov._table(p, 1000, self.CAP, (event,))
+            mask = sanov._event_rows((comps, log_probs), event, 1000)[0]
+            want_rows, want_log_probs = full_event_rows(p, event, 1000, self.CAP)
+            assert np.array_equal(comps[mask], want_rows)
+            assert log_probs[mask].tobytes() == want_log_probs.tobytes()
+            assert (len(comps) < num_compositions(1000, 3)) == pruned
+
+    def test_a_table_of_the_tail_holds_little_more_than_the_event(self, monkeypatch):
+        # The shape of the benchmark's largest exact op: 3 outcomes, n = 999
+        # (500,500 histograms), a ge tail halfway between the feature's mean
+        # and its maximum.  Counts, not times: the table's rows and the
+        # report's traced peak (32 MB when the whole simplex was built).
+        p = FiniteDistribution(list("abc"), [0.4, 0.25, 0.35])
+        row = np.array([[-0.4, 1.3, 0.2]])
+        target = row.mean() + 0.5 * (row.max() - row.mean())
+        event = ConstraintSet(FeatureSet(["x"], row), ["ge"], [target])
+        projection = sanov.project_inequality(p, event)
+        built = []
+        enumerate_all = sanov._enumerate
+
+        def counted(*args, **kwargs):
+            table = enumerate_all(*args, **kwargs)
+            built.append(len(table[0]))
+            return table
+
+        monkeypatch.setattr(sanov, "_enumerate", counted)
+        tracemalloc.start()
+        try:
+            report = enumerate_event(p, event, 999, projection=projection)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.num_histograms_in_event > 50_000
+        assert built == [pytest.approx(report.num_histograms_in_event, rel=0.1)]
+        assert built[0] <= 1.1 * report.num_histograms_in_event
+        assert peak < 8 << 20
 
 
 class TestEnumerateEvent:
@@ -340,6 +533,25 @@ class TestGibbsConditioning:
         curve = gibbs_conditioning_curve(coin(), tail_event(0.8), [10, 20, 40])
         assert len(calls) == 1
         assert all(r.projection is curve[0].projection for r in curve)
+
+    @pytest.mark.parametrize(
+        "grid, error",
+        [([40, 44, 400], EnumerationCapExceeded), ([40, 0], DomainError)],
+    )
+    def test_every_n_is_checked_before_any_table(self, monkeypatch, grid, error):
+        # Six outcomes: 400 samples are past the cap, 0 is no sample size;
+        # neither grid projects or enumerates a point before it raises.
+        p = FiniteDistribution([str(i) for i in range(6)], np.full(6, 1 / 6))
+        row = np.arange(6.0)[None]
+        event = ConstraintSet(FeatureSet(["f"], row), ["ge"], [3.2])
+        calls = []
+        monkeypatch.setattr(sanov, "_enumerate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(
+            sanov, "project_inequality", lambda *a, **k: calls.append(a)
+        )
+        with pytest.raises(error):
+            gibbs_conditioning_curve(p, event, grid)
+        assert calls == []
 
     def test_csv_rendering(self):
         curve = gibbs_conditioning_curve(coin(), tail_event(0.8), [10, 20])

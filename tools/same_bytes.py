@@ -16,7 +16,7 @@ as an identity report): the number of values that differ there, and the
 largest absolute change among the numbers, or ``removed`` or ``added``
 for a key that only the old or only the new tree writes.  A CSV output
 with a header row (a ``--curve`` or ``entropy-approx`` CSV) gets one such
-line per column that differs, its rows collapsed to ``[*]``.  Forty
+line per column that differs, its rows collapsed to ``[*]``.  Forty-three
 fixed ops that reach paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
@@ -59,6 +59,13 @@ fixed ops that reach paths the workloads do not are compared the same way:
   whose features are at scale 1.5e-4 (12 outcomes): below every workload's
   feature scale, where the LP reads the target boundary (exit 4) only on
   rows scaled to their largest magnitude;
+- exact ``sanov`` on events whose tables the enumeration prunes in ways
+  no workload's one-row ``ge`` tail does: ``eq 1.2 + 5e-10`` on the ramp
+  (n = 200), which holds its lattice rows only through the membership
+  tolerance; a ``ge``/``le`` pair on the ramp and on ``(1, 0, 0)``
+  (n = 300); and ``--nested`` with an inner event over a second feature,
+  ``(0, 0, 1) ge 0.6``, inside the ramp's ``ge 1.2`` (n = 120), whose
+  table holds the rows that can reach either event;
 - exact ``sanov`` over 8 outcomes (a ``ge`` event, n = 20), the smallest
   alphabet where numpy sums a histogram's log-factorials pairwise, not
   left to right as the enumeration weighs it, so the last bits of its
@@ -175,7 +182,12 @@ def _event(row: list[float], kind: str, target: float) -> dict:
 # ``\u`` escapes, one of them a surrogate pair.  The ramp data put mass on
 # outcome "c", which the no-c prior does not.  The coin's tail event at
 # n = 2**62 holds about 1.6% of the draws (membership slack 1e-9 leaves the
-# target 2.1 sigma above the mean).
+# target 2.1 sigma above the mean).  On the full prior, a ramp mean of 1.2 is
+# 5e-10 below the "eq" target of "ramp-eq-slack", inside the tolerance; the
+# "ge"/"le" pair asks for a ramp mean of at least 1.4 with at most 15% of
+# "a", which the prior (1.3, 20%) meets neither of; and a share of "c" of at
+# least 0.6 gives a ramp mean of at least 1.2, so "last-ge" lies inside
+# "ramp-ge".
 _INPUTS = {
     "full-prior": {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
     "ramp-features": {"names": ["f"], "matrix": [[0.0, 1.0, 2.0]]},
@@ -194,6 +206,13 @@ _INPUTS = {
     "boundary-event": _event([0.0, 1.0, 1.0], "ge", 1.0),
     "zero-mass-boundary": _event([1.0, 1.0, 0.0, 0.0], "le", 0.0),
     "ramp-event": _event([0.0, 1.0, 2.0], "eq", 1.2),
+    "ramp-eq-slack": _event([0.0, 1.0, 2.0], "eq", 1.2 + 5e-10),
+    "ramp-ge-first-le": {
+        "kinds": ["ge", "le"], "targets": [1.4, 0.15],
+        "featureset": {"names": ["x", "y"], "matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]]},
+    },
+    "ramp-ge": _event([0.0, 1.0, 2.0], "ge", 1.2),
+    "last-ge": _event([0.0, 0.0, 1.0], "ge", 0.6),
     "zero-mass-real-le": _event([0.37, 5.0, 0.37, -1.25], "le", -0.1),
     "two-class-eq": _event([0.25, 1.5, 1.5], "eq", 1.25),
     "ramp-beyond": _event([0.0, 1.0, 2.0], "ge", 2.5),
@@ -313,6 +332,13 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
         "sanov zero-mass boundary": sanov("zero-mass-prior", "zero-mass-boundary", 40),
         "sanov featureless": sanov("full-prior", "featureless-event", 12),
         "sanov eq lattice": sanov("full-prior", "ramp-event", 30),
+        "sanov eq lattice within the tolerance": sanov(
+            "full-prior", "ramp-eq-slack", 200
+        ),
+        "sanov ge/le pair": sanov("full-prior", "ramp-ge-first-le", 300),
+        "sanov --nested inner over another feature": sanov(
+            "full-prior", "ramp-ge", 120, "--nested", path["last-ge"]
+        ),
         "sanov 8 outcomes": sanov("eight-prior", "eight-event", 20),
         "sanov --monte-carlo zero-mass real le": sanov(
             "zero-mass-prior", "zero-mass-real-le", 200, *monte_carlo
