@@ -1,11 +1,22 @@
 """The package's scipy functions, with scipy imported on first use.
 
 A fresh ``import scipy.optimize`` costs about 0.5 s (``scipy.special``
-included) and ``import scipy.special`` alone about 0.25 s, against about
-0.1 s for numpy (a 2-vCPU Intel Xeon, Python 3.11), while a command at a
-small alphabet computes for 5-50 ms.
-Most commands need neither module: a ``fit`` on full-support data, every
-``--help``, and ``entropy-approx`` (``scipy.special`` only).  So the
+included) and ``import scipy.special`` alone about 0.25 s, on top of
+numpy (a 2-vCPU Intel Xeon, Python 3.11), while a command at a small
+alphabet computes for 5-50 ms.  The package calls two scipy functions, and
+most commands call neither:
+
+- ``linprog`` (``scipy.optimize``) runs the feasibility LP, which a
+  projection calls only on boundary targets, and on infeasible ones that
+  the dual floor does not refute (``project``, ``fit``, and ``diagnose``
+  on files);
+- ``gammaln`` (``scipy.special``) takes the log-factorials of exact
+  ``sanov``, of ``entropy-approx``, and of a Monte Carlo ``sanov``'s
+  ``--nested`` and ``--curve``.
+
+``diagnose --random`` (whose energy-matching roots come from the
+package's own Brent search, ``identities.brentq``), a plain Monte Carlo
+``sanov``, interior solves and every ``--help`` call neither.  So the
 package's modules bind these forwarders in place of scipy's functions.
 Each one imports its scipy module inside the call and returns scipy's
 result unchanged; after the first call the import is a ``sys.modules``
@@ -20,13 +31,6 @@ def linprog(*args, **kwargs):
     from scipy.optimize import linprog
 
     return linprog(*args, **kwargs)
-
-
-def brentq(*args, **kwargs):
-    """``scipy.optimize.brentq``."""
-    from scipy.optimize import brentq
-
-    return brentq(*args, **kwargs)
 
 
 def gammaln(x):

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._rng import MAX_SEED, random_simplex, substream
-from ._scipy import brentq
 from .dist import (
     MEMBERSHIP_TOL,
     ConstraintSet,
@@ -47,7 +46,12 @@ from .dist import (
     kl_divergence,
     moments,
 )
-from .errors import ConstraintViolation, DomainError, EnergyMatchingError
+from .errors import (
+    ConstraintViolation,
+    ConvergenceError,
+    DomainError,
+    EnergyMatchingError,
+)
 from .expfam import (
     ExpFamModel,
     _family_arrays,
@@ -228,13 +232,99 @@ _SCALE_GRID = np.geomspace(1e-3, 1e3, 61)
 _NO_MATCH = "no parameter scaling in [1e-3, 1e3] matches the energies"
 
 
+def brentq(
+    f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100
+) -> float:
+    """Root of ``f`` on the bracket ``[a, b]`` by Brent's method (Brent 1973,
+    *Algorithms for Minimization without Derivatives*, ch. 4).
+
+    A port of scipy's ``brentq.c``, float operation for float operation, so
+    the root is scipy's ``brentq`` root bit for bit.  Both ends are
+    evaluated first, and an end where ``f`` is exactly zero is the root.
+    Then each iteration keeps the bracket ``[xcur, xblk]`` with ``xcur``
+    the end of smaller ``|f|``, stops once half the bracket is under
+    ``delta = (xtol + rtol |xcur|) / 2``, and steps by inverse quadratic
+    extrapolation or secant interpolation when that step is short enough,
+    else by bisection; a step is at least ``delta`` long.
+
+    Raises :class:`DomainError` when ``f(a)`` and ``f(b)`` have the same
+    sign, and :class:`ConvergenceError` when ``f`` returns NaN or
+    ``maxiter`` iterations leave the bracket wider than the tolerance.
+    """
+    a, b = float(a), float(b)
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConvergenceError(
+                f"root search on [{a!r}, {b!r}]: the objective is NaN at {x!r}"
+            )
+        return fx
+
+    def negative(fx: float) -> bool:  # the sign bit, as C's signbit
+        return math.copysign(1.0, fx) < 0.0
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise DomainError(
+            f"root search on [{a!r}, {b!r}]: the objective has one sign at both ends"
+        )
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre)
+                    stry /= dblk * dpre * (fblk - fpre)
+            except ZeroDivisionError:  # C's inf or NaN step, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceError(
+        f"root search on [{a!r}, {b!r}]: no convergence in {maxiter} iterations"
+    )
+
+
 def _match_scale(objective) -> float:
     """Root of the upper bound's energy-matching condition on the scale ``c``.
 
     ``objective`` takes a scale or a 1-D array of scales.  One array call
     evaluates the log-spaced grid; the first exact zero or sign change in
-    grid order wins, and ``brentq`` solves that bracket on the scalar
-    objective.  Raises when no bracket exists inside ``[1e-3, 1e3]``.
+    grid order wins, and :func:`brentq`, the package's port of scipy's,
+    solves that bracket on the scalar objective: scipy's root, bit for bit.
+    Raises when no bracket exists inside ``[1e-3, 1e3]``.
     """
     values = objective(_SCALE_GRID)
     hits = values == 0.0
@@ -245,7 +335,7 @@ def _match_scale(objective) -> float:
     if values[k] == 0.0:
         return float(_SCALE_GRID[k])
     lo, hi = _SCALE_GRID[k - 1], _SCALE_GRID[k]
-    return float(brentq(objective, lo, hi, xtol=1e-14, rtol=1e-15))
+    return brentq(objective, lo, hi, xtol=1e-14, rtol=1e-15)
 
 
 def bogoliubov(
@@ -264,9 +354,9 @@ def bogoliubov(
     in ``c`` and solved in closed form first, so a family it rejects (a
     zero slope, or a root outside ``[1e-3, 1e3]``) costs no upper scan.
     The upper condition is scanned on the scale grid in one array call and
-    solved by ``brentq`` on its scalar form (:func:`_match_scale`,
-    :func:`_upper_defect`), so models are built only for the two matched
-    scales.  Both bounds share one body and the target's energies, which
+    solved by Brent's method on its scalar form (:func:`_match_scale`,
+    :func:`brentq`, :func:`_upper_defect`), so models are built only for
+    the two matched scales.  Both bounds share one body and the target's energies, which
     the target model evaluates once for every variational family scaled
     against it.
     """

@@ -2008,6 +2008,9 @@ _RUN_MAIN_INFEASIBLE = _RUN_MAIN.replace("== 0", "== 3")
         (_RUN_MAIN, ["project-interior"], [], ["scipy"]),
         (_RUN_MAIN_INFEASIBLE, ["project-infeasible"], [], ["scipy"]),
         (_RUN_MAIN, ["sanov"], ["scipy.special"], ["scipy.optimize"]),
+        (_RUN_MAIN, ["sanov-monte-carlo"], [], ["scipy"]),
+        (_RUN_MAIN, ["diagnose-random"], [], ["scipy"]),
+        (_RUN_MAIN, ["diagnose-files"], [], ["scipy"]),
     ],
     ids=[
         "import",
@@ -2018,6 +2021,9 @@ _RUN_MAIN_INFEASIBLE = _RUN_MAIN.replace("== 0", "== 3")
         "project-interior",
         "project-infeasible",
         "sanov",
+        "sanov-monte-carlo",
+        "diagnose-random",
+        "diagnose-files",
     ],
 )
 def test_scipy_is_imported_on_first_use(files, statement, argv, loads, avoids):
@@ -2025,24 +2031,32 @@ def test_scipy_is_imported_on_first_use(files, statement, argv, loads, avoids):
     # modules its computation calls and no others.  The boundary project
     # case, whose verdict needs the LP, shows that the probe sees scipy
     # when it is loaded; the infeasible one, refuted by the dual floor,
-    # runs no LP.
+    # runs no LP.  diagnose solves its energy-matching roots in the package
+    # and projects interior targets without the LP.
     tmp, write = files
     prior = write("p.json", PRIOR)
+    features = write("f.json", FEATURES)
+    data = write("d.json", {"outcomes": ["0", "1"], "probs": [0.3, 0.7]})
+    at_least = write("g.json", CONSTRAINTS_GE)
     vertex = {"kinds": ["eq"], "targets": [1.0], "featureset": FEATURES}
     command_args = {
-        "fit": ["--prior", prior, "--features", write("f.json", FEATURES)]
-        + ["--data", write("d.json", {"outcomes": ["0", "1"], "probs": [0.3, 0.7]})],
+        "fit": ["--prior", prior, "--features", features, "--data", data],
         "entropy-approx": ["--alphabet-size", "5", "--n", "10", "--trials", "2"],
         "project": ["--prior", prior, "--constraints", write("v.json", vertex)],
         "project-interior": ["--prior", prior]
         + ["--constraints", write("a.json", CONSTRAINTS_EQ)],
         "project-infeasible": ["--prior", prior]
         + ["--constraints", write("b.json", {**CONSTRAINTS_EQ, "targets": [1.5]})],
-        "sanov": ["--prior", prior, "--n", "10"]
-        + ["--constraints", write("g.json", CONSTRAINTS_GE)],
+        "sanov": ["--prior", prior, "--n", "10", "--constraints", at_least],
+        "sanov-monte-carlo": ["--prior", prior, "--n", "10", "--constraints", at_least]
+        + ["--monte-carlo", "--trials", "100"],
+        "diagnose-random": ["--random", "--instances", "2"],
+        "diagnose-files": ["--prior", prior, "--features", features, "--data", data],
     }
     if argv:
-        command = argv[0].removesuffix("-interior").removesuffix("-infeasible")
+        command = argv[0]
+        for case in ("-interior", "-infeasible", "-monte-carlo", "-random", "-files"):
+            command = command.removesuffix(case)
         argv = [command] + command_args[argv[0]] + ["--output", str(tmp / "out")]
     code = _SCIPY_PROBE.replace("{statement}", statement)
     src = Path(__file__).resolve().parents[1] / "src"

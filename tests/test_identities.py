@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maxentlab import (
@@ -31,10 +31,11 @@ from maxentlab import (
 )
 from maxentlab import identities as ident
 from maxentlab.cli import main
-from maxentlab.errors import EnergyMatchingError
+from maxentlab.errors import ConvergenceError, EnergyMatchingError
 from maxentlab.identities import random_instance, run_instance
 from maxentlab._rng import substream
 from maxentlab.jsonio import dump_json
+from oracles import brentq as scipy_brentq
 from oracles import (
     match_scale_full_grid,
     object_path_identity_suite,
@@ -535,6 +536,100 @@ class TestArrayObjective:
         assert suite_bytes() == fast
         # Both projections of every instance went through the LP.
         assert len(linprog_calls) == 2 * 50
+
+
+def _counted(f):
+    """``f`` with a list of the points it was called at."""
+    points = []
+
+    def counted(x):
+        points.append(x)
+        return f(x)
+
+    return counted, points
+
+
+class TestBrentq:
+    # The root search is a port of scipy's brentq: every test compares with
+    # ==, not to a tolerance.
+
+    def test_upper_roots_bit_equal_to_scipy(self, monkeypatch):
+        # The upper energy-matching objective of each of instances 0-199.
+        port = ident.brentq
+        roots = []
+
+        def compared(f, a, b, **kwargs):
+            got = port(f, a, b, **kwargs)
+            assert got == scipy_brentq(f, a, b, **kwargs), (a, b)
+            roots.append(got)
+            return got
+
+        monkeypatch.setattr(ident, "brentq", compared)
+        for seed in range(200):
+            random_instance(seed)
+        assert len(roots) >= 200
+
+    @pytest.mark.parametrize("a, b, root", [(-2.0, 0.0, -1.0), (0.0, 2.0, 1.0)])
+    def test_scipy_docstring_cases(self, a, b, root):
+        # scipy's defaults: xtol=2e-12, rtol=4 eps.
+        tols = dict(xtol=2e-12, rtol=4 * np.finfo(float).eps)
+        got = ident.brentq(lambda x: x**2 - 1, a, b, **tols)
+        assert got == root == scipy_brentq(lambda x: x**2 - 1, a, b, **tols)
+
+    @pytest.mark.parametrize("a, b, root", [(1.0, 3.0, 1.0), (-1.0, 1.0, 1.0)])
+    def test_root_at_an_end_after_two_evaluations(self, a, b, root):
+        f, points = _counted(lambda x: x - 1.0)
+        assert ident.brentq(f, a, b, xtol=1e-14, rtol=1e-15) == root
+        assert points == [a, b]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ends=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(
+            lambda e: e[0] != e[1]
+        ),
+        at=st.floats(0.01, 0.99),
+        k=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+        p=st.floats(-10.0, 10.0),
+        s=st.floats(1e-3, 10.0),
+        scale=st.integers(-200, 200),
+        xtol=st.sampled_from([1e-14, 2e-12, 1e-6]),
+    )
+    # At 1e-175 the extrapolation's denominator underflows to 0: the C step
+    # is then inf or NaN, which bisects, where Python's division raises.
+    @example(ends=(0.0, 2.0), at=0.5, k=1.0, p=0.0, s=1.0, scale=-175, xtol=1e-14)
+    def test_cubic_roots_bit_equal_to_scipy(self, ends, at, k, p, s, scale, xtol):
+        # k 10^scale (x - r)(x^2 + p x + q) in monomial form, q = p^2/4 + s:
+        # one real root r, inside the bracket [a, b], all in [1e-3, 1e3].
+        a, b = sorted(10.0**e for e in ends)
+        r = a * (b / a) ** at
+        q = p * p / 4 + s
+        k *= 10.0**scale
+        c3, c2, c1, c0 = k, k * (p - r), k * (q - p * r), -k * q * r
+
+        def cubic(x):
+            return ((c3 * x + c2) * x + c1) * x + c0
+
+        fa, fb = cubic(a), cubic(b)
+        assume(fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0))
+        got = ident.brentq(cubic, a, b, xtol=xtol, rtol=1e-15)
+        assert got == scipy_brentq(cubic, a, b, xtol=xtol, rtol=1e-15)
+
+    def test_exhausted_budget_is_a_convergence_error(self):
+        f, points = _counted(lambda x: x**3 - 2.0)
+        with pytest.raises(ConvergenceError, match=r"\[0.0, 3.0\].*1 iterations"):
+            ident.brentq(f, 0.0, 3.0, xtol=1e-14, rtol=1e-15, maxiter=1)
+        assert len(points) == 3
+
+    def test_nan_objective_is_a_convergence_error(self):
+        def f(x):
+            return math.nan if x > 1.0 else x - 2.0
+
+        with pytest.raises(ConvergenceError, match=r"\[0.0, 3.0\].*NaN"):
+            ident.brentq(f, 0.0, 3.0, xtol=1e-14, rtol=1e-15)
+
+    def test_same_sign_ends_are_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"\[2.0, 3.0\]"):
+            ident.brentq(lambda x: x - 1.0, 2.0, 3.0, xtol=1e-14, rtol=1e-15)
 
 
 class TestWitnessedProjections:

@@ -16,12 +16,15 @@ as an identity report): the number of values that differ there, and the
 largest absolute change among the numbers, or ``removed`` or ``added``
 for a key that only the old or only the new tree writes.  A CSV output
 with a header row (a ``--curve`` or ``entropy-approx`` CSV) gets one such
-line per column that differs, its rows collapsed to ``[*]``.  Forty-three
+line per column that differs, its rows collapsed to ``[*]``.  Forty-four
 fixed ops that reach paths the workloads do not are compared the same way:
 
 - ``diagnose --random --instances 2000 --seed 0``, the full seeded
   identity suite, whose 2,000 instances reach more of the Bogoliubov
-  scan and the projection paths than the workloads' ``diagnose`` batches;
+  scan and the projection paths than the workloads' ``diagnose`` batches,
+  and ``diagnose --random --instances 500 --seed 1754598617``, whose
+  instances lie past those (the first of them redraws its target
+  parameters), so the energy-matching root search meets other objectives;
 - ``diagnose`` on files: a three-outcome model at ``lambda = 800``, whose
   probabilities underflow to 0 where the data put mass, so the identities
   read the model's log-probabilities, not the logs of its probabilities;
@@ -303,6 +306,9 @@ def fixed_ops(indir: Path, outdir: Path) -> tuple[list[str], list[list[str]]]:
 
     ops = {
         "diagnose": _DIAGNOSE,
+        "diagnose past instance 1999": [
+            "diagnose", "--random", "--instances", "500", "--seed", "1754598617",
+        ],
         "diagnose data off the prior's support": [
             "diagnose", "--prior", path["no-c-prior"],
             "--features", path["ramp-features"], "--data", path["ramp-data"],
